@@ -25,7 +25,7 @@ def main():
     start = time.perf_counter()
     report = run(config)
     elapsed = time.perf_counter() - start
-    print(report.to_text(show_timing=False))
+    print(report.to_text(show_timing=True))
     print(f"gallery wall time: {elapsed:.2f} s")
 
     second = run(config)

@@ -19,12 +19,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import KreinCStarAlgebra
+from .algebra import KreinCStarAlgebra, scalar_krein_algebra
 from .krein_over_krein import KreinBimodule
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
     eig_signature,
+    operator_norm,
     random_complex,
 )
 
@@ -235,6 +236,15 @@ def clifford_generator_matrix(space: PseudoEuclideanSpace, i: int) -> np.ndarray
     return creation_matrix(space, i) + space.signs[i] * annihilation_matrix(space, i)
 
 
+def anticommutator_residual(ops, signs, pair: tuple[int, int]) -> float:
+    """‖{c_i, c_j} − 2 g_ij‖ for the images c_i of the generators of a
+    diagonal metric with entries ``signs``."""
+    i, j = pair
+    anti = ops[i] @ ops[j] + ops[j] @ ops[i]
+    expected = 2.0 * (signs[i] if i == j else 0.0) * np.eye(ops[i].shape[0])
+    return operator_norm(anti - expected)
+
+
 def _blade_matrices(space: PseudoEuclideanSpace) -> np.ndarray:
     """c(e_S) for every monomial, multiplied in increasing index order."""
     n = space.grassmann_dim
@@ -375,12 +385,6 @@ def gamma_algebra(rep: GammaRep) -> KreinCStarAlgebra:
     return KreinCStarAlgebra(basis, rep.a, label=f"Cl(R^{{{s.p},{s.q}}}) on spinors")
 
 
-def _scalar_krein_algebra() -> KreinCStarAlgebra:
-    return KreinCStarAlgebra(
-        np.ones((1, 1, 1), dtype=complex), np.eye(1, dtype=complex), label="C"
-    )
-
-
 def spinor_module(space: PseudoEuclideanSpace) -> KreinBimodule:
     """Spinors as a Clifford-C bimodule.
 
@@ -392,7 +396,7 @@ def spinor_module(space: PseudoEuclideanSpace) -> KreinBimodule:
     rep = gamma_rep(space)
     d = rep.spinor_dim
     left = gamma_algebra(rep)
-    right = _scalar_krein_algebra()
+    right = scalar_krein_algebra()
     inner = rep.a[:, :, None, None].copy()
     left_inner = np.zeros((d, d, d, d), dtype=complex)
     eye = np.eye(d, dtype=complex)

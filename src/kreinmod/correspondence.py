@@ -13,10 +13,11 @@ map is verified numerically rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import KreinCStarAlgebra
+from .algebra import KreinCStarAlgebra, scalar_krein_algebra
 from .clifford import (
     PseudoEuclideanSpace,
     clifford_krein_algebra,
@@ -107,12 +108,6 @@ def _right_matrix(corr: KreinBimodule, b) -> np.ndarray:
     return np.tensordot(c, corr.action, axes=(0, 0))
 
 
-def _scalar_krein_algebra() -> KreinCStarAlgebra:
-    return KreinCStarAlgebra(
-        np.ones((1, 1, 1), dtype=complex), np.eye(1, dtype=complex), label="C"
-    )
-
-
 def _as_correspondence(bimodule: KreinBimodule) -> Correspondence:
     return Correspondence(
         algebra=bimodule.algebra,
@@ -137,7 +132,7 @@ def krein_space_correspondence(p: int, q: int) -> Correspondence:
     if n < 1:
         raise ValidationError("p + q must be at least 1")
     eta = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
-    scalars = _scalar_krein_algebra()
+    scalars = scalar_krein_algebra()
     inner = eta[:, :, None, None].copy()
     return Correspondence(
         algebra=scalars,
@@ -295,17 +290,11 @@ def even_odd_decomposition_check(
         if span is None or span.dim != eig.dim:
             report.check(name, 1.0, tol, detail="dimension mismatch")
             continue
-        worst = max(
-            max(
-                (np.linalg.norm(v - eig.project(v)) for v in span.basis.T),
-                default=0.0,
-            ),
-            max(
-                (np.linalg.norm(v - span.project(v)) for v in eig.basis.T),
-                default=0.0,
-            ),
+        # each basis vector of one space against its projection on the other
+        pairs = [(v, eig) for v in span.basis.T] + [(v, span) for v in eig.basis.T]
+        report.check_laws(
+            pairs, [(name, tol, lambda s: np.linalg.norm(s[0] - s[1].project(s[0])))]
         )
-        report.check(name, worst, tol)
     return report
 
 
@@ -380,32 +369,31 @@ def check_morphism(
         environment={"source_dim": src.dim, "target_dim": dst.dim},
     )
     report.check("bijective", 0.0 if mor.is_bijective else 1.0, 0.5)
-    worst_bimod, worst_inner, worst_j = 0.0, 0.0, 0.0
-    for _ in range(samples):
+
+    def draw():
         x = src.random_element(rng)
         y = src.random_element(rng)
         a = src.left_algebra.random_element(rng)
         b = src.algebra.random_element(rng)
-        scale = max(
-            np.linalg.norm(x) * operator_norm(a) * operator_norm(b), 1e-30
-        )
-        lhs = mor(src.act(src.act_left(a, x), b))
-        rhs = dst.act(dst.act_left(a, mor(x)), b)
-        worst_bimod = max(worst_bimod, np.linalg.norm(lhs - rhs) / scale)
-        sxy = max(np.linalg.norm(x) * np.linalg.norm(y), 1e-30)
-        worst_inner = max(
-            worst_inner,
-            operator_norm(dst.pairing(mor(x), mor(y)) - src.pairing(x, y)) / sxy,
-        )
-        worst_j = max(
-            worst_j,
-            np.linalg.norm(mor(src.j(x)) - dst.j(mor(x)))
-            / max(np.linalg.norm(x), 1e-30),
-        )
-    report.check("intertwines both actions", worst_bimod, tol)
+        return SimpleNamespace(x=x, y=y, a=a, b=b, mx=mor(x), nx=np.linalg.norm(x))
+
+    def intertwines_actions(s):
+        scale = max(s.nx * operator_norm(s.a) * operator_norm(s.b), 1e-30)
+        lhs = mor(src.act(src.act_left(s.a, s.x), s.b))
+        return np.linalg.norm(lhs - dst.act(dst.act_left(s.a, s.mx), s.b)) / scale
+
+    laws = [("intertwines both actions", tol, intertwines_actions)]
     if require_isometric:
-        report.check("preserves inner products", worst_inner, tol)
-        report.check("intertwines symmetries", worst_j, tol)
+        laws += [
+            ("preserves inner products", tol,
+             lambda s: operator_norm(
+                 dst.pairing(s.mx, mor(s.y)) - src.pairing(s.x, s.y)
+             ) / max(s.nx * np.linalg.norm(s.y), 1e-30)),
+            ("intertwines symmetries", tol,
+             lambda s: np.linalg.norm(mor(src.j(s.x)) - dst.j(s.mx))
+             / max(s.nx, 1e-30)),
+        ]
+    report.check_laws((draw() for _ in range(samples)), laws)
     return report
 
 
@@ -454,23 +442,23 @@ def check_correspondence(
     report = check_module_over_krein(corr, samples=samples, seed=seed, tol=tol)
     report.title = "correspondence axioms"
     rng = np.random.default_rng(seed + 1)
-    worst_adj = 0.0
-    for a in corr.left_algebra.basis:
-        if not is_adjointable(corr, _left_matrix(corr, a)):
-            worst_adj = 1.0
-    report.check("left action adjointable", worst_adj, 0.5)
-    worst_beta = 0.0
-    for _ in range(samples):
-        x = corr.random_element(rng)
-        b = corr.algebra.random_element(rng)
+    adjointable = all(
+        is_adjointable(corr, _left_matrix(corr, a)) for a in corr.left_algebra.basis
+    )
+    report.check("left action adjointable", 0.0 if adjointable else 1.0, 0.5)
+
+    def twisted_action(s):
+        x, b = s
         lhs = corr.act(x, corr.algebra.alpha(b))
         rhs = corr.j(corr.act(corr.j(x), b))
-        worst_beta = max(
-            worst_beta,
-            np.linalg.norm(lhs - rhs)
-            / max(np.linalg.norm(x) * operator_norm(b), 1e-30),
-        )
-    report.check("twisted action identity", worst_beta, tol)
+        scale = max(np.linalg.norm(x) * operator_norm(b), 1e-30)
+        return np.linalg.norm(lhs - rhs) / scale
+
+    report.check_laws(
+        ((corr.random_element(rng), corr.algebra.random_element(rng))
+         for _ in range(samples)),
+        [("twisted action identity", tol, twisted_action)],
+    )
     return report
 
 
@@ -497,28 +485,27 @@ def check_krein_star_hom(
     )
     unital = operator_norm(phi(source.identity()) - target.identity())
     report.check("unital", unital, tol)
-    worst = dict.fromkeys(
-        ["multiplicative", "star-preserving", "intertwines alpha and beta"], 0.0
-    )
-    for _ in range(samples):
+
+    def draw():
         a = source.random_element(rng)
         b = source.random_element(rng)
-        na = max(operator_norm(a), 1e-30)
-        nnb = max(operator_norm(b), 1e-30)
-        worst["multiplicative"] = max(
-            worst["multiplicative"],
-            operator_norm(phi(a @ b) - phi(a) @ phi(b)) / (na * nnb),
+        return SimpleNamespace(
+            a=a,
+            b=b,
+            pa=phi(a),
+            na=max(operator_norm(a), 1e-30),
+            nb=max(operator_norm(b), 1e-30),
         )
-        worst["star-preserving"] = max(
-            worst["star-preserving"],
-            operator_norm(phi(source.star(a)) - target.star(phi(a))) / na,
-        )
-        worst["intertwines alpha and beta"] = max(
-            worst["intertwines alpha and beta"],
-            operator_norm(phi(alpha(a)) - beta(phi(a))) / na,
-        )
-    for name, value in worst.items():
-        report.check(name, value, tol)
+
+    laws = [
+        ("multiplicative", tol,
+         lambda s: operator_norm(phi(s.a @ s.b) - s.pa @ phi(s.b)) / (s.na * s.nb)),
+        ("star-preserving", tol,
+         lambda s: operator_norm(phi(source.star(s.a)) - target.star(s.pa)) / s.na),
+        ("intertwines alpha and beta", tol,
+         lambda s: operator_norm(phi(alpha(s.a)) - beta(s.pa)) / s.na),
+    ]
+    report.check_laws((draw() for _ in range(samples)), laws)
     return report
 
 
@@ -580,18 +567,20 @@ def spinor_factorization_check(
         0.5,
     )
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
+
+    def draw():
         c = random_complex(rng, lam_dim)
-        left_t = np.tensordot(c, t.left_action, axes=(0, 0))
-        left_lambda = np.tensordot(c, cl.basis, axes=(0, 0))
-        x = random_complex(rng, t.dim)
-        lhs = v @ (left_t @ x)
-        rhs = left_lambda @ (v @ x)
-        worst = max(
-            worst,
-            np.linalg.norm(lhs - rhs)
-            / max(np.linalg.norm(c) * np.linalg.norm(x), 1e-30),
-        )
-    report.check("intertwines left Clifford actions", worst, tol)
+        return c, random_complex(rng, t.dim)
+
+    def intertwines(s):
+        c, x = s
+        lhs = v @ (np.tensordot(c, t.left_action, axes=(0, 0)) @ x)
+        rhs = np.tensordot(c, cl.basis, axes=(0, 0)) @ (v @ x)
+        scale = max(np.linalg.norm(c) * np.linalg.norm(x), 1e-30)
+        return np.linalg.norm(lhs - rhs) / scale
+
+    report.check_laws(
+        (draw() for _ in range(samples)),
+        [("intertwines left Clifford actions", tol, intertwines)],
+    )
     return report

@@ -234,10 +234,6 @@ def random_symmetry(
 # -- operations ----------------------------------------------------------------
 
 
-def inner_product(module: KreinModule, x, y) -> np.ndarray:
-    return module.inner(x, y)
-
-
 def antimodule(module: KreinModule) -> KreinModule:
     """Same carrier and action, negated inner product."""
     return KreinModule(module.base, module.rank, -module.gram, module.side)

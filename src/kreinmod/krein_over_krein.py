@@ -17,6 +17,7 @@ situation, J is in general not adjointable for the algebra-valued product;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .linalg import (
     operator_norm,
     random_complex,
 )
-from .report import Report
+from .report import Report, worst_of
 
 
 class NonAdjointableError(ValueError):
@@ -337,125 +338,92 @@ def check_module_over_krein(
         "inner non-degenerate", 0.0 if module.is_nondegenerate() else 1.0, 0.5
     )
 
-    names = [
-        "action associative",
-        "inner right-linear",
-        "inner star-hermitian",
-        "J twists over alpha",
-        "alpha of inner is inner of J pair",
-        "auxiliary product positive",
-        "even odd parts exchange under J",
-    ]
-    has_left_inner = is_bimodule and module.left_inner is not None
-    if is_bimodule:
-        names += [
-            "left action associative",
-            "actions commute",
-            "J twists over left alpha",
-        ]
-    if has_left_inner:
-        names.append("left inner left-linear")
-    worst = dict.fromkeys(names, 0.0)
-
-    for _ in range(samples):
+    def draw():
         x = module.random_element(rng)
         y = module.random_element(rng)
         a = alg.random_element(rng)
         b = alg.random_element(rng)
         nx, ny = np.linalg.norm(x), np.linalg.norm(y)
-        na = max(operator_norm(a), 1e-30)
-        nnb = max(operator_norm(b), 1e-30)
-        sxy = max(nx * ny, 1e-30)
+        s = SimpleNamespace(
+            x=x,
+            y=y,
+            a=a,
+            b=b,
+            nx=nx,
+            na=max(operator_norm(a), 1e-30),
+            nb=max(operator_norm(b), 1e-30),
+            sxy=max(nx * ny, 1e-30),
+            p=module.pairing(x, y),
+            pj=module.pairing(module.j(x), module.j(y)),
+        )
+        if is_bimodule:
+            s.c = module.left_algebra.random_element(rng)
+            s.d = module.left_algebra.random_element(rng)
+            s.nc = max(operator_norm(s.c), 1e-30)
+            s.nd = max(operator_norm(s.d), 1e-30)
+        return s
 
-        worst["action associative"] = max(
-            worst["action associative"],
-            np.linalg.norm(module.act(module.act(x, a), b) - module.act(x, a @ b))
-            / (nx * na * nnb),
-        )
-        worst["inner right-linear"] = max(
-            worst["inner right-linear"],
-            operator_norm(module.pairing(x, module.act(y, b)) - module.pairing(x, y) @ b)
-            / (sxy * nnb),
-        )
-        p = module.pairing(x, y)
-        worst["inner star-hermitian"] = max(
-            worst["inner star-hermitian"],
-            operator_norm(alg.star(p) - module.pairing(y, x)) / sxy,
-        )
-        worst["J twists over alpha"] = max(
-            worst["J twists over alpha"],
-            np.linalg.norm(module.j(module.act(x, b)) - module.act(module.j(x), alg.alpha(b)))
-            / (nx * nnb),
-        )
-        pj = module.pairing(module.j(x), module.j(y))
-        worst["alpha of inner is inner of J pair"] = max(
-            worst["alpha of inner is inner of J pair"],
-            operator_norm(alg.alpha(p) - pj) / sxy,
-        )
-        aux = auxiliary_product(module, x, x)
+    def auxiliary_defect(s):
+        # hermiticity defect of <x, J x> relative to |x|², or 1 if not PSD
+        aux = auxiliary_product(module, s.x, s.x)
         herm_defect = operator_norm(aux - aux.conj().T)
         psd_defect = 0.0 if is_psd(aux, tol=1e-9) else 1.0
-        worst["auxiliary product positive"] = max(
-            worst["auxiliary product positive"],
-            herm_defect / max(nx * nx, 1e-30),
-            psd_defect,
-        )
-        even = (p + alg.alpha(p)) / 2
-        odd = (p - alg.alpha(p)) / 2
-        worst["even odd parts exchange under J"] = max(
-            worst["even odd parts exchange under J"],
-            operator_norm(pj - (even - odd)) / sxy,
-        )
+        return worst_of(herm_defect / max(s.nx * s.nx, 1e-30), psd_defect)
 
-        if is_bimodule:
-            la = module.left_algebra
-            c = la.random_element(rng)
-            d_el = la.random_element(rng)
-            nc = max(operator_norm(c), 1e-30)
-            nd = max(operator_norm(d_el), 1e-30)
-            worst["left action associative"] = max(
-                worst["left action associative"],
-                np.linalg.norm(
-                    module.act_left(c, module.act_left(d_el, x))
-                    - module.act_left(c @ d_el, x)
-                )
-                / (nx * nc * nd),
-            )
-            if has_left_inner:
-                worst["left inner left-linear"] = max(
-                    worst["left inner left-linear"],
-                    operator_norm(
-                        module.pairing_left(module.act_left(c, x), y)
-                        - c @ module.pairing_left(x, y)
-                    )
-                    / (sxy * nc),
-                )
-            worst["actions commute"] = max(
-                worst["actions commute"],
-                np.linalg.norm(
-                    module.act_left(c, module.act(x, b))
-                    - module.act(module.act_left(c, x), b)
-                )
-                / (nx * nc * nnb),
-            )
-            worst["J twists over left alpha"] = max(
-                worst["J twists over left alpha"],
-                np.linalg.norm(
-                    module.j(module.act_left(c, x))
-                    - module.act_left(la.alpha(c), module.j(x))
-                )
-                / (nx * nc),
-            )
+    def even_odd_exchange(s):
+        ap = alg.alpha(s.p)
+        even, odd = (s.p + ap) / 2, (s.p - ap) / 2
+        return operator_norm(s.pj - (even - odd)) / s.sxy
 
-    for name in names:
-        report.check(name, worst[name], tol)
+    act, pairing, j = module.act, module.pairing, module.j
+    laws = [
+        ("action associative", tol,
+         lambda s: np.linalg.norm(act(act(s.x, s.a), s.b) - act(s.x, s.a @ s.b))
+         / (s.nx * s.na * s.nb)),
+        ("inner right-linear", tol,
+         lambda s: operator_norm(pairing(s.x, act(s.y, s.b)) - s.p @ s.b)
+         / (s.sxy * s.nb)),
+        ("inner star-hermitian", tol,
+         lambda s: operator_norm(alg.star(s.p) - pairing(s.y, s.x)) / s.sxy),
+        ("J twists over alpha", tol,
+         lambda s: np.linalg.norm(j(act(s.x, s.b)) - act(j(s.x), alg.alpha(s.b)))
+         / (s.nx * s.nb)),
+        ("alpha of inner is inner of J pair", tol,
+         lambda s: operator_norm(alg.alpha(s.p) - s.pj) / s.sxy),
+        ("auxiliary product positive", tol, auxiliary_defect),
+        ("even odd parts exchange under J", tol, even_odd_exchange),
+    ]
+    if is_bimodule:
+        left, la = module.act_left, module.left_algebra
+        laws += [
+            ("left action associative", tol,
+             lambda s: np.linalg.norm(left(s.c, left(s.d, s.x)) - left(s.c @ s.d, s.x))
+             / (s.nx * s.nc * s.nd)),
+            ("actions commute", tol,
+             lambda s: np.linalg.norm(
+                 left(s.c, act(s.x, s.b)) - act(left(s.c, s.x), s.b)
+             ) / (s.nx * s.nc * s.nb)),
+            ("J twists over left alpha", tol,
+             lambda s: np.linalg.norm(j(left(s.c, s.x)) - left(la.alpha(s.c), j(s.x)))
+             / (s.nx * s.nc)),
+        ]
+    if is_bimodule and module.left_inner is not None:
+        laws.append(
+            ("left inner left-linear", tol,
+             lambda s: operator_norm(
+                 module.pairing_left(left(s.c, s.x), s.y)
+                 - s.c @ module.pairing_left(s.x, s.y)
+             ) / (s.sxy * s.nc))
+        )
+    report.check_laws((draw() for _ in range(samples)), laws)
     return report
 
 
 def check_imprimitivity(
     module: KreinBimodule, samples: int = 100, seed: int = 0, tol: float = 1e-9
 ) -> Report:
-    """Randomized check of the linking identity _A⟨x,y⟩ z = x ⟨y,z⟩_B."""
+    """Randomized check of the linking identity _A⟨x,y⟩ z = x ⟨y,z⟩_B, and
+    exact two-sided fullness from the rank of the full pairing tensors."""
     rng = np.random.default_rng(seed)
     report = Report(
         title="imprimitivity",
@@ -463,32 +431,30 @@ def check_imprimitivity(
         samples=samples,
         environment={"carrier_dim": module.dim},
     )
-    worst = 0.0
-    fullness_left, fullness_right = [], []
-    for _ in range(samples):
-        x = module.random_element(rng)
-        y = module.random_element(rng)
-        z = module.random_element(rng)
+
+    def draw():
+        return tuple(module.random_element(rng) for _ in range(3))
+
+    def linking(s):
+        x, y, z = s
         scale = max(np.linalg.norm(x) * np.linalg.norm(y) * np.linalg.norm(z), 1e-30)
         lhs = module.act_left(module.pairing_left(x, y), z)
-        rhs = module.act(x, module.pairing(y, z))
-        worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
-        fullness_left.append(module.pairing_left(x, y).ravel())
-        fullness_right.append(module.pairing(x, y).ravel())
-    report.check("linking identity", worst, tol)
-    # fullness: the products span the (projected) algebras
-    rank_l = numerical_rank(np.stack(fullness_left, axis=1))
-    rank_r = numerical_rank(np.stack(fullness_right, axis=1))
-    report.check(
-        "left products full",
-        float(module.left_algebra.vector_dim - rank_l),
-        0.5,
-        detail=f"rank {rank_l} of {module.left_algebra.vector_dim}",
+        return np.linalg.norm(lhs - module.act(x, module.pairing(y, z))) / scale
+
+    report.check_laws(
+        (draw() for _ in range(samples)), [("linking identity", tol, linking)]
     )
-    report.check(
-        "right products full",
-        float(module.algebra.vector_dim - rank_r),
-        0.5,
-        detail=f"rank {rank_r} of {module.algebra.vector_dim}",
-    )
+    # fullness: the products of all carrier basis pairs span the algebras
+    n = module.dim
+    for side, algebra, inner in (
+        ("left", module.left_algebra, module.left_inner),
+        ("right", module.algebra, module.inner),
+    ):
+        rank = numerical_rank(inner.reshape(n * n, -1))
+        report.check(
+            f"{side} products full",
+            float(algebra.vector_dim - rank),
+            0.5,
+            detail=f"rank {rank} of {algebra.vector_dim}",
+        )
     return report

@@ -13,11 +13,6 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 RANK_TOL = 1e-8
 
-# full SVD below this dimension, power iteration above
-_SVD_DIM_LIMIT = 64
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 100_000
-
 
 class DimensionMismatchError(ValueError):
     pass
@@ -43,43 +38,11 @@ def hermitian_adjoint(m) -> np.ndarray:
 
 
 def operator_norm(m) -> float:
-    """Largest singular value.
-
-    Full SVD at desk dimensions; power iteration on m†m above
-    _SVD_DIM_LIMIT, where exact factorization gets expensive.
-    """
+    """Largest singular value."""
     a = as_complex_matrix(m)
     if a.size == 0:
         return 0.0
-    if max(a.shape) < _SVD_DIM_LIMIT:
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    return _power_norm(a)
-
-
-def _power_norm(a: np.ndarray) -> float:
-    h = a.conj().T @ a
-    n = h.shape[0]
-    # deterministic start with nonzero overlap against any eigenvector
-    rng = np.random.default_rng(n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = h @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam_new = float(np.real(np.vdot(v, h @ v)))
-        if abs(lam_new - lam) <= _POWER_TOL * max(lam_new, 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
-
-
-def singular_values(m) -> np.ndarray:
-    return np.linalg.svd(as_complex_matrix(m), compute_uv=False)
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def numerical_rank(m, tol: float = RANK_TOL) -> int:

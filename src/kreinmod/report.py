@@ -3,12 +3,22 @@
 The canonical JSON serialization is byte-deterministic for a fixed seed and
 configuration: per-record wall times are kept out of it and only appear in
 the human-readable rendering.
+
+``Report.check_laws`` is the one driver for sampled laws: it evaluates a
+table of ``(name, tolerance, residual)`` rows on every sample and records
+the worst residual of each law.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import time
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Sequence
+
+# one sampled law: record name, tolerance, residual of one sample
+Law = tuple[str, float, Callable[[Any], float]]
 
 SCHEMA_VERSION = 1
 
@@ -18,7 +28,8 @@ class CheckRecord:
     """Outcome of one verified law.
 
     ``expected_fail`` marks a deliberately corrupted negative control: the
-    record passes when the underlying violation exceeds tolerance.
+    record passes when the underlying violation exceeds tolerance.  A NaN
+    violation fails either way: an undefined residual proves nothing.
     """
 
     name: str
@@ -30,6 +41,8 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
+        if math.isnan(self.max_violation):
+            return False
         violated = self.max_violation > self.tolerance
         return violated if self.expected_fail else not violated
 
@@ -42,6 +55,13 @@ class CheckRecord:
             "expected_fail": self.expected_fail,
             "passed": self.passed,
         }
+
+
+def worst_of(*values: float) -> float:
+    """The largest value; a NaN anywhere wins, so it cannot be dropped."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values)
 
 
 def _round_float(x: float) -> float:
@@ -83,6 +103,35 @@ class Report:
                 expected_fail=expected_fail,
             )
         )
+
+    def check_laws(
+        self, samples: Iterable, laws: Sequence[Law]
+    ) -> list[CheckRecord]:
+        """Record the worst residual of each law over the samples.
+
+        ``samples`` is consumed once, in order, so a lazy generator draws
+        each sample just before its residuals are evaluated.  Records are
+        appended in table order; each carries its law's residual wall time.
+        """
+        worst = [0.0] * len(laws)
+        elapsed = [0.0] * len(laws)
+        for sample in samples:
+            for k, (_, _, residual) in enumerate(laws):
+                start = time.perf_counter()
+                value = residual(sample)
+                elapsed[k] += time.perf_counter() - start
+                worst[k] = worst_of(worst[k], value)
+        return [
+            self.add(
+                CheckRecord(
+                    name=name,
+                    max_violation=float(value),
+                    tolerance=float(tol),
+                    elapsed=seconds,
+                )
+            )
+            for (name, tol, _), value, seconds in zip(laws, worst, elapsed)
+        ]
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for rec in other.records:

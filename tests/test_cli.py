@@ -135,3 +135,18 @@ class TestOutput:
         assert main(["list"]) == EXIT_PASS
         out = capsys.readouterr().out
         assert "full-gallery" in out and "minkowski" in out
+
+
+class TestFullnessAtLowSamples:
+    # fullness is decided from the full pairing tensors, so it must not
+    # depend on --samples being at least the algebra dimension
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "module-over-krein", "--samples", "3"],
+            ["check", "spinor", "--p", "1", "--q", "3", "--samples", "10"],
+            ["demo", "spinor-m4", "--samples", "10"],
+        ],
+    )
+    def test_exits_zero(self, args, capsys):
+        assert main(args + ["--quiet"]) == EXIT_PASS
