@@ -188,8 +188,9 @@ class KreinCStarAlgebra:
         return operator_norm(self.project(a) - a) <= tol * scale
 
     def coefficients(self, a) -> np.ndarray:
-        """Coordinates of a carrier element in the stored basis."""
-        return self._pinv.T @ np.asarray(a, dtype=complex).ravel()
+        """Coordinates in the stored basis of a carrier element or a stack."""
+        a = np.asarray(a, dtype=complex)
+        return a.reshape(*a.shape[:-2], -1) @ self._pinv
 
     def from_coefficients(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=complex)

@@ -46,7 +46,7 @@ from .report import Report
 
 
 class ResourceBudgetError(RuntimeError):
-    """The balancing-relation enumeration would exceed the work budget."""
+    """A computation would allocate more than its resource budget."""
 
 
 class DegenerateDescentError(ValueError):
@@ -157,11 +157,15 @@ def spinor_correspondence(space: PseudoEuclideanSpace) -> Correspondence:
 def internal_tensor(
     m: Correspondence,
     n: Correspondence,
-    budget: int = 2_000_000,
+    budget: int = 32_000_000,
     tol: float = RANK_TOL,
     section_rotation: np.random.Generator | None = None,
 ) -> TensorCorrespondence:
     """The balanced tensor product over the shared middle algebra.
+
+    ``budget`` bounds the complex entries of the largest array, the relations
+    matrix or the plain inner tensor, before either is allocated; the default
+    (~512 MB) admits the spinor S ⊗ S̄ up to p + q = 9, not from p + q = 10.
 
     ``section_rotation`` optionally re-picks the orthonormal section by a
     random unitary change of quotient basis; the descended structures must
@@ -178,10 +182,11 @@ def internal_tensor(
     dm, dn = m.dim, n.dim
     plain = dm * dn
     nb = mid.basis.shape[0]
-    if plain * dm * nb * dn > budget:
+    dc = n.algebra.dim
+    entries = max(plain * dm * nb * dn, plain * plain * dc * dc)
+    if entries > budget:
         raise ResourceBudgetError(
-            f"balancing enumeration needs {plain * dm * nb * dn} entries, "
-            f"budget {budget}"
+            f"internal tensor needs an array of {entries} entries, budget {budget}"
         )
 
     eye_m = np.eye(dm, dtype=complex)
@@ -220,20 +225,22 @@ def internal_tensor(
     symmetry = descend(np.kron(m.symmetry, n.symmetry), "symmetry")
 
     # plain inner product <x1 (x) y1, x2 (x) y2> = <y1, <x1,x2> y2>
-    dc = n.algebra.dim
     ip_plain = np.zeros((plain, plain, dc, dc), dtype=complex)
     for i in range(dm):
         for j in range(dm):
             lmat = _left_matrix(n, m.inner[i, j])
             block = np.einsum("ml,kmab->klab", lmat, n.inner)
             ip_plain[i * dn : (i + 1) * dn, j * dn : (j + 1) * dn] = block
+    # BLAS contractions; the defects are norms, so their axis order is free
     defect = max(
-        np.linalg.norm(np.einsum("ba,bjcd->ajcd", kernel.conj(), ip_plain)),
-        np.linalg.norm(np.einsum("bj,ibcd->ijcd", kernel, ip_plain)),
+        np.linalg.norm(np.tensordot(kernel.conj(), ip_plain, axes=(0, 0))),
+        np.linalg.norm(np.tensordot(ip_plain, kernel, axes=(1, 0))),
     )
     if defect > 1e-8 * max(np.linalg.norm(ip_plain), 1.0):
         raise ValidationError("inner product does not descend to the quotient")
-    inner = np.einsum("au,bv,abcd->uvcd", section.conj(), section, ip_plain)
+    inner = np.einsum(
+        "au,bv,abcd->uvcd", section.conj(), section, ip_plain, optimize=True
+    )
     if numerical_rank(inner.reshape(qdim, -1)) < qdim:
         raise DegenerateDescentError("descended inner product is degenerate")
 

@@ -128,14 +128,6 @@ class KreinBimodule(KreinModuleOverKrein):
         return np.einsum("i,j,ijab->ab", x, y.conj(), self.left_inner)
 
 
-def _tensor_from_map(basis_size: int, dim: int, fn) -> np.ndarray:
-    """Stack fn(k) columns into a (dim, basis_size)-shaped linear map."""
-    out = np.zeros((dim, basis_size), dtype=complex)
-    for k in range(basis_size):
-        out[:, k] = fn(k)
-    return out
-
-
 def self_module(algebra: KreinCStarAlgebra) -> KreinBimodule:
     """The algebra over itself, in coefficient coordinates.
 
@@ -250,40 +242,35 @@ def alpha_J(module: KreinModuleOverKrein, t) -> np.ndarray:
 def rank_one(module: KreinModuleOverKrein, x, y) -> np.ndarray:
     """The operator z ↦ x · ⟨y, z⟩."""
     x = np.asarray(x, dtype=complex)
-    cols = []
-    for k in range(module.dim):
-        cols.append(module.act(x, module.pairing(y, np.eye(module.dim)[k])))
-    return np.stack(cols, axis=1)
+    y = np.asarray(y, dtype=complex)
+    # column k is x · ⟨y, e_k⟩; the action is linear in the coefficients
+    pairings = np.einsum("i,ikab->kab", y.conj(), module.inner)
+    coeffs = module.algebra.coefficients(pairings)
+    return (module.action @ x).T @ coeffs.T
 
 
 def adjoint_residual(
     module: KreinModuleOverKrein, t
 ) -> tuple[np.ndarray, float]:
     """Best least-squares candidate for the adjoint of T, with the relative
-    residual of the defining relation ⟨T x, y⟩ = ⟨x, S y⟩."""
+    residual of the defining relation ⟨T x, y⟩ = ⟨x, S y⟩.
+
+    On basis vectors it reads ⟨T e_i, e_j⟩ = Σ_k inner[i, k] S_kj, so column j
+    of S meets only column j of the target R, through the same M = inner as
+    (n·d², n): M S = R is one least squares problem with n right-hand sides.
+    The residual is ‖M S − R‖_F / max(‖R‖_F, 1).
+    """
     t = np.asarray(t, dtype=complex)
     d = module.algebra.dim
     n = module.dim
     if t.shape != (n, n):
         raise DimensionMismatchError("operator shape mismatch")
-    # target[i, j] = <T e_i, e_j>; unknown S enters via <e_i, S e_j>
-    target = np.einsum("ki,kjab->ijab", t.conj(), module.inner)
-    # coefficient of S_kj in row (i, j, a, b) is inner[i, k, a, b]
-    design = np.zeros((n * n * d * d, n * n), dtype=complex)
-    rows = target.reshape(-1)
-    idx = 0
-    for i in range(n):
-        for j in range(n):
-            block = module.inner[i].reshape(n, d * d).T  # (d*d, n) over k
-            design[idx : idx + d * d, j::n] = block
-            idx += d * d
-    sol, _, _, _ = np.linalg.lstsq(design, rows, rcond=None)
-    residual = np.linalg.norm(design @ sol - rows)
-    scale = max(np.linalg.norm(rows), 1.0)
-    s = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        s[:, j] = sol[j::n]
-    return s, residual / scale
+    # rows (i, a, b), columns k for M and j for R
+    design = module.inner.transpose(0, 2, 3, 1).reshape(n * d * d, n)
+    target = np.einsum("ki,kjab->iabj", t.conj(), module.inner).reshape(n * d * d, n)
+    s, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+    residual = np.linalg.norm(design @ s - target)
+    return s, residual / max(np.linalg.norm(target), 1.0)
 
 
 def krein_adjoint_over_krein(

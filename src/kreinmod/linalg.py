@@ -123,7 +123,8 @@ def quotient_space(
         eye = np.eye(ambient_dim, dtype=complex)
         return ambient_dim, eye, eye
     a = np.stack(rel, axis=1)  # ambient x n_relations
-    u, s, _ = np.linalg.svd(a, full_matrices=True)
+    # the thin U already spans C^ambient when ambient <= n_relations
+    u, s, _ = np.linalg.svd(a, full_matrices=ambient_dim > a.shape[1])
     rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
     comp = u[:, rank:]
     projector = comp.conj().T

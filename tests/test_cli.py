@@ -144,6 +144,7 @@ class TestFullnessAtLowSamples:
         "args",
         [
             ["check", "module-over-krein", "--samples", "3"],
+            ["check", "module-over-krein", "--p", "2", "--q", "2", "--samples", "3"],
             ["check", "spinor", "--p", "1", "--q", "3", "--samples", "10"],
             ["demo", "spinor-m4", "--samples", "10"],
         ],

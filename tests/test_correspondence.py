@@ -133,6 +133,38 @@ class TestInternalTensor:
         with pytest.raises(ResourceBudgetError):
             internal_tensor(ident, ident, budget=10)
 
+    def test_budget_counts_plain_inner_tensor(self):
+        # S ⊗ S̄ over C for (1,1): 16 relation entries, but the plain inner
+        # tensor has (2·2)² · 2² = 64 entries
+        s = spinor_correspondence(PseudoEuclideanSpace(1, 1))
+        sbar = contragredient(s)
+        with pytest.raises(ResourceBudgetError):
+            internal_tensor(s, sbar, budget=63)
+        assert internal_tensor(s, sbar, budget=64).dim == 4
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 2)])
+    def test_descended_inner_matches_loops(self, p, q):
+        m = spinor_correspondence(PseudoEuclideanSpace(p, q))
+        n = contragredient(m)
+        t = internal_tensor(m, n)
+        # <x1 (x) y1, x2 (x) y2> = <y1, <x1, x2> y2>, then through the section
+        eye_m, eye_n = np.eye(m.dim), np.eye(n.dim)
+        plain = [(i, k) for i in range(m.dim) for k in range(n.dim)]
+        ip = [
+            [
+                n.pairing(eye_n[k], n.act_left(m.pairing(eye_m[i], eye_m[j]), eye_n[l]))
+                for j, l in plain
+            ]
+            for i, k in plain
+        ]
+        ref = np.zeros_like(t.inner)
+        for u in range(t.dim):
+            for v in range(t.dim):
+                for a in range(len(plain)):
+                    for b in range(len(plain)):
+                        ref[u, v] += t.section[a, u].conj() * t.section[b, v] * ip[a][b]
+        assert np.linalg.norm(t.inner - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_middle_mismatch_rejected(self):
         m = krein_space_correspondence(1, 1)
         ident = identity_correspondence(m2_algebra())

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from kreinmod.algebra import bounded_operators, from_blocks
 from kreinmod.krein_over_krein import (
     NonAdjointableError,
+    adjoint_residual,
     alpha_J,
     auxiliary_product,
     check_imprimitivity,
@@ -21,6 +22,16 @@ from kreinmod.linalg import is_psd, min_hermitian_eig, operator_norm
 
 def b11():
     return bounded_operators(1, 1)
+
+
+MODULES = pytest.mark.parametrize(
+    "module",
+    [
+        lambda: self_module(b11()),
+        lambda: operator_bimodule(b11(), bounded_operators(2, 1)),
+    ],
+    ids=["self-b11", "operator-b11-b21"],
+)
 
 
 class TestSelfModule:
@@ -112,6 +123,46 @@ class TestSymmetryAdjointability:
             )
 
 
+def _kronecker_adjoint_residual(m, t):
+    """Reference: the adjoint relation as one (n²d² x n²) system in vec(S)."""
+    d, n = m.algebra.dim, m.dim
+    target = np.einsum("ki,kjab->ijab", t.conj(), m.inner).reshape(-1)
+    design = np.zeros((n * n * d * d, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            row = (i * n + j) * d * d
+            design[row : row + d * d, j::n] = m.inner[i].reshape(n, d * d).T
+    sol = np.linalg.lstsq(design, target, rcond=None)[0]
+    residual = np.linalg.norm(design @ sol - target)
+    return sol.reshape(n, n), residual / max(np.linalg.norm(target), 1.0)
+
+
+class TestAdjointResidualMatchesKronecker:
+    @MODULES
+    @pytest.mark.parametrize("kind", ["rank-one", "left-multiplication"])
+    def test_adjointable(self, module, kind):
+        m = module()
+        rng = np.random.default_rng(16)
+        if kind == "rank-one":
+            t = rank_one(m, m.random_element(rng), m.random_element(rng))
+        else:
+            a = m.left_algebra.coefficients(m.left_algebra.random_element(rng))
+            t = np.tensordot(a, m.left_action, axes=(0, 0))
+        s, residual = adjoint_residual(m, t)
+        s_ref, residual_ref = _kronecker_adjoint_residual(m, t)
+        assert operator_norm(s - s_ref) <= 1e-12 * max(operator_norm(s_ref), 1.0)
+        assert abs(residual - residual_ref) <= 1e-12
+        assert residual <= 1e-12
+
+    def test_twisted_symmetry_keeps_its_residual(self):
+        m = self_module(b11())
+        s, residual = adjoint_residual(m, m.symmetry)
+        s_ref, residual_ref = _kronecker_adjoint_residual(m, m.symmetry)
+        assert residual > 1e-8
+        assert residual == pytest.approx(residual_ref, rel=1e-10)
+        assert operator_norm(s - s_ref) <= 1e-12 * max(operator_norm(s_ref), 1.0)
+
+
 class TestAlphaJ:
     def test_involutive(self):
         m = self_module(b11())
@@ -153,6 +204,17 @@ def _aux_rep(m, t):
 
 
 class TestRankOne:
+    @MODULES
+    def test_matches_column_definition(self, module):
+        m = module()
+        rng = np.random.default_rng(17)
+        x, y = m.random_element(rng), m.random_element(rng)
+        columns = np.stack(
+            [m.act(x, m.pairing(y, e)) for e in np.eye(m.dim)], axis=1
+        )
+        t = rank_one(m, x, y)
+        assert operator_norm(t - columns) <= 1e-12 * max(operator_norm(columns), 1.0)
+
     def test_rank_at_most_algebra_dim(self):
         m = self_module(bounded_operators(2, 1))
         rng = np.random.default_rng(11)

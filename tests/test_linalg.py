@@ -113,6 +113,21 @@ class TestQuotientSpace:
         for r in rels:
             assert np.linalg.norm(proj @ r) <= 1e-9 * np.linalg.norm(r)
 
+    @pytest.mark.parametrize(
+        "ambient, n_relations, rank", [(8, 3, 3), (8, 5, 2), (6, 20, 4)]
+    )
+    def test_both_shape_regimes(self, ambient, n_relations, rank):
+        # fewer relations than ambient needs the full U of the SVD, more
+        # relations only the thin one
+        rng = np.random.default_rng(ambient + n_relations)
+        span = random_complex(rng, ambient, rank) @ random_complex(rng, rank, n_relations)
+        rels = list(span.T)
+        dim, proj, sect = quotient_space(ambient, rels)
+        assert dim == ambient - rank
+        assert np.allclose(proj @ sect, np.eye(dim), atol=1e-12)
+        for r in rels:
+            assert np.linalg.norm(proj @ r) <= 1e-9 * np.linalg.norm(r)
+
     def test_m2_balancing_span(self):
         # x b (x) y - x (x) b y over matrix-unit bases of M_2: quotient dim 4
         units = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
