@@ -134,12 +134,15 @@ class KreinCStarAlgebra:
         self.label = label
         if self.eta.shape != (self.dim, self.dim):
             raise DimensionMismatchError("eta shape does not match basis")
-        # orthonormal spanning set (rows) for fast projection onto the carrier
+        # one thin SVD of the flattened basis gives both the orthonormal
+        # spanning set (rows of _onb) for projection onto the carrier and the
+        # pseudo-inverse V_r S_r⁻¹ U_r† for coordinates
         flat = basis.reshape(basis.shape[0], -1)
         u, s, vh = np.linalg.svd(flat, full_matrices=False)
         rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
         self._onb = vh[:rank]  # (r, d*d)
-        self._pinv = np.linalg.pinv(flat)
+        self._onb_h = self._onb.conj().T
+        self._s_inv_uh = (u[:, :rank] / s[:rank]).conj().T  # (r, nb)
         if validate:
             self._validate()
 
@@ -178,7 +181,7 @@ class KreinCStarAlgebra:
                 f"expected shape {(self.dim, self.dim)}, got {a.shape}"
             )
         v = a.ravel()
-        return (self._onb.conj().T @ (self._onb @ v)).reshape(self.dim, self.dim)
+        return (self._onb_h @ (self._onb @ v)).reshape(self.dim, self.dim)
 
     def contains(self, m, tol: float = 1e-9) -> bool:
         a = as_complex_matrix(m)
@@ -190,7 +193,7 @@ class KreinCStarAlgebra:
     def coefficients(self, a) -> np.ndarray:
         """Coordinates in the stored basis of a carrier element or a stack."""
         a = np.asarray(a, dtype=complex)
-        return a.reshape(*a.shape[:-2], -1) @ self._pinv
+        return (a.reshape(*a.shape[:-2], -1) @ self._onb_h) @ self._s_inv_uh
 
     def from_coefficients(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=complex)

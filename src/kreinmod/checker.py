@@ -57,7 +57,6 @@ from .clifford import (
 from .correspondence import (
     Correspondence,
     DegenerateDescentError,
-    ResourceBudgetError,
     associativity_iso,
     check_krein_star_hom,
     check_morphism,
@@ -584,17 +583,10 @@ def _laplace_det(m: np.ndarray) -> complex:
     return total
 
 
-CLIFFORD_WORK_BUDGET = 500_000_000
-
-
 def _scenario_clifford(config: CheckConfig) -> Report:
     space = PseudoEuclideanSpace(config.p, config.q)
-    work = space.grassmann_dim**3
-    if work > CLIFFORD_WORK_BUDGET:
-        raise ResourceBudgetError(
-            f"exterior algebra of dimension {space.grassmann_dim} needs about "
-            f"{work} flops per product, budget {CLIFFORD_WORK_BUDGET}"
-        )
+    # built first so that an over-budget signature is refused before sampling
+    alg = clifford_krein_algebra(space)
     report = Report(
         title=f"Clifford scenario R^{{{config.p},{config.q}}}",
         seed=config.seed,
@@ -685,7 +677,6 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         0.5,
     )
 
-    alg = clifford_krein_algebra(space)
     flat = alg.basis.reshape(alg.basis.shape[0], -1)
     report.check(
         "representation faithful",

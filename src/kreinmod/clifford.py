@@ -2,10 +2,15 @@
 
 Multivectors over R^{p,q} are stored as dense coefficient vectors of length
 2^n indexed by subset bitmasks: bit i set means the generator e_i occurs,
-and basis monomials are read in increasing index order.  The Clifford
-algebra acts on the same space by creation plus metric contraction, which
-realizes it as a concrete operator algebra and fixes the linear bijection
-between the two products.
+and basis monomials are read in increasing index order.  One sign table
+states the monomial product, e_S e_T = σ(S, T) e_{S xor T}, with σ the
+parity of moving the generators of S past the smaller ones of T times the
+square g_ii of each generator in S ∩ T (bitmap blades: Dorst, Fontijne &
+Mann, *Geometric Algebra for Computer Science*, ch. 19).  The exterior
+product keeps the disjoint pairs only.  The Clifford algebra acts on the
+exterior algebra by these signed permutations, which realizes it as a
+concrete operator algebra and fixes the linear bijection between the two
+products.
 
 Gamma matrices (the irreducible representation for even n) are built by the
 standard 2x2 tensor recursion; the spinor space carries the indefinite form
@@ -23,6 +28,7 @@ from .algebra import KreinCStarAlgebra, scalar_krein_algebra
 from .krein_over_krein import KreinBimodule
 from .linalg import (
     DimensionMismatchError,
+    ResourceBudgetError,
     ValidationError,
     eig_signature,
     operator_norm,
@@ -57,13 +63,24 @@ class PseudoEuclideanSpace:
     def grassmann_dim(self) -> int:
         return 1 << self.n
 
+    @cached_property
+    def grades(self) -> np.ndarray:
+        """The degree (popcount) of every mask."""
+        masks = np.arange(self.grassmann_dim)
+        return ((masks[:, None] >> np.arange(self.n)) & 1).sum(axis=1)
 
-def _bits_below(mask: int, i: int) -> int:
-    return bin(mask & ((1 << i) - 1)).count("1")
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    @cached_property
+    def blade_signs(self) -> np.ndarray:
+        """The read-only table σ[S, T] with e_S e_T = σ[S, T] e_{S xor T}."""
+        masks = np.arange(self.grassmann_dim)
+        negative = (1 << self.n) - (1 << self.p)
+        swaps = self.grades[masks[:, None] & masks & negative]
+        for j in range(self.n):
+            # e_j in T moves past the generators of S above it
+            swaps += self.grades[masks >> (j + 1)][:, None] * ((masks >> j) & 1)
+        table = 1.0 - 2.0 * (swaps % 2)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -97,11 +114,7 @@ class MultiVector:
 
     def grade(self, k: int) -> "MultiVector":
         """The degree-k homogeneous component."""
-        out = np.zeros_like(self.coeffs)
-        for mask in range(self.space.grassmann_dim):
-            if _popcount(mask) == k:
-                out[mask] = self.coeffs[mask]
-        return MultiVector(self.space, out)
+        return MultiVector(self.space, np.where(self.space.grades == k, self.coeffs, 0))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -135,8 +148,7 @@ def vector(space: PseudoEuclideanSpace, components) -> MultiVector:
     if components.shape != (space.n,):
         raise DimensionMismatchError("vector needs one component per generator")
     c = np.zeros(space.grassmann_dim, dtype=complex)
-    for i in range(space.n):
-        c[1 << i] = components[i]
+    c[1 << np.arange(space.n)] = components
     return MultiVector(space, c)
 
 
@@ -149,30 +161,22 @@ def random_multivector(
 # -- Grassmann structure --------------------------------------------------------
 
 
+def _left_matrix(a: MultiVector, disjoint: bool = False) -> np.ndarray:
+    """The operator e_T ↦ a e_T: entry [R, T] is σ[S, T] a_S with S = R xor T;
+    with ``disjoint`` only pairs S ∩ T = ∅ count (the exterior product)."""
+    t = np.arange(a.space.grassmann_dim)
+    s = t[:, None] ^ t
+    out = a.space.blade_signs[s, t] * a.coeffs[s]
+    if disjoint:
+        out[(s & t) != 0] = 0
+    return out
+
+
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
-    """Exterior product; on monomials e_S ∧ e_T = shuffle_sign · e_{S∪T}."""
+    """Exterior product; on monomials e_S ∧ e_T = σ[S, T] e_{S∪T} when
+    S ∩ T = ∅, and 0 otherwise."""
     _same_space(a, b)
-    n = a.space.grassmann_dim
-    out = np.zeros(n, dtype=complex)
-    nz_a = np.flatnonzero(a.coeffs)
-    nz_b = np.flatnonzero(b.coeffs)
-    for s in nz_a:
-        ca = a.coeffs[s]
-        for t in nz_b:
-            if s & t:
-                continue
-            out[s | t] += _shuffle_sign(int(s), int(t)) * ca * b.coeffs[t]
-    return MultiVector(a.space, out)
-
-
-def _shuffle_sign(s: int, t: int) -> int:
-    """Parity of moving the generators of t past those of s above them."""
-    sign = 1
-    for i in range(t.bit_length()):
-        if t & (1 << i):
-            if _popcount(s >> (i + 1)) % 2:
-                sign = -sign
-    return sign
+    return MultiVector(a.space, _left_matrix(a, disjoint=True) @ b.coeffs)
 
 
 def grassmann_inner(a: MultiVector, b: MultiVector) -> complex:
@@ -186,26 +190,15 @@ def grassmann_inner(a: MultiVector, b: MultiVector) -> complex:
 
 
 def _gram_diagonal(space: PseudoEuclideanSpace) -> np.ndarray:
-    out = np.ones(space.grassmann_dim)
-    for mask in range(space.grassmann_dim):
-        prod = 1.0
-        for i in range(space.n):
-            if mask & (1 << i):
-                prod *= space.signs[i]
-        out[mask] = prod
-    return out
+    """Π_{i∈S} g_ii: one minus sign per negative-square generator in S."""
+    negative = (1 << space.n) - (1 << space.p)
+    return (-1.0) ** space.grades[np.arange(space.grassmann_dim) & negative]
 
 
 def second_quantized_J(space: PseudoEuclideanSpace) -> np.ndarray:
     """The lift of diag(signs) to the exterior algebra: e_S picks up one
     minus sign per negative-square generator it contains."""
-    diag = np.ones(space.grassmann_dim)
-    for mask in range(space.grassmann_dim):
-        count = sum(
-            1 for i in range(space.p, space.n) if mask & (1 << i)
-        )
-        diag[mask] = (-1.0) ** count
-    return np.diag(diag).astype(complex)
+    return np.diag(_gram_diagonal(space)).astype(complex)
 
 
 def apply_second_quantized_J(a: MultiVector) -> MultiVector:
@@ -215,25 +208,9 @@ def apply_second_quantized_J(a: MultiVector) -> MultiVector:
 # -- Clifford structure ---------------------------------------------------------
 
 
-def creation_matrix(space: PseudoEuclideanSpace, i: int) -> np.ndarray:
-    n = space.grassmann_dim
-    out = np.zeros((n, n), dtype=complex)
-    bit = 1 << i
-    for mask in range(n):
-        if mask & bit:
-            continue
-        out[mask | bit, mask] = (-1.0) ** _bits_below(mask, i)
-    return out
-
-
-def annihilation_matrix(space: PseudoEuclideanSpace, i: int) -> np.ndarray:
-    """Interior product by the i-th generator (metric factored out)."""
-    return creation_matrix(space, i).T
-
-
 def clifford_generator_matrix(space: PseudoEuclideanSpace, i: int) -> np.ndarray:
-    """c(e_i) = creation + g_ii · contraction, acting on multivectors."""
-    return creation_matrix(space, i) + space.signs[i] * annihilation_matrix(space, i)
+    """c(e_i): creation plus g_ii times contraction, acting on multivectors."""
+    return clifford_action(space, generator(space, i))
 
 
 def anticommutator_residual(ops, signs, pair: tuple[int, int]) -> float:
@@ -245,15 +222,17 @@ def anticommutator_residual(ops, signs, pair: tuple[int, int]) -> float:
     return operator_norm(anti - expected)
 
 
+# clifford_krein_algebra holds up to five N³ complex arrays, N = 2^(p+q):
+# the blade tensor, LAPACK's copy and workspace, V_r and its adjoint.
+# This admits p + q <= 8 (~1.3 GB) and refuses p + q = 9 (~10.7 GB).
+CLIFFORD_BYTE_BUDGET = 2_000_000_000
+
+
 def _blade_matrices(space: PseudoEuclideanSpace) -> np.ndarray:
-    """c(e_S) for every monomial, multiplied in increasing index order."""
-    n = space.grassmann_dim
-    gens = [clifford_generator_matrix(space, i) for i in range(space.n)]
-    out = np.zeros((n, n, n), dtype=complex)
-    out[0] = np.eye(n)
-    for mask in range(1, n):
-        low = (mask & -mask).bit_length() - 1
-        out[mask] = gens[low] @ out[mask ^ (1 << low)]
+    """c(e_S) for every monomial: the sign table scattered into N³."""
+    t = np.arange(space.grassmann_dim)
+    out = np.zeros((t.size,) * 3, dtype=complex)
+    out[t[:, None], t[:, None] ^ t, t] = space.blade_signs
     return out
 
 
@@ -262,7 +241,7 @@ def clifford_action(space: PseudoEuclideanSpace, a: MultiVector) -> np.ndarray:
     from the generators."""
     if a.space != space:
         raise DimensionMismatchError("multivector over a different space")
-    return np.tensordot(a.coeffs, _blade_matrices(space), axes=(0, 0))
+    return _left_matrix(a)
 
 
 def clifford_product(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -277,11 +256,8 @@ def clifford_product(a: MultiVector, b: MultiVector) -> MultiVector:
 
 def reversal(a: MultiVector) -> MultiVector:
     """Reverse each monomial factor order: sign (-1)^{k(k-1)/2} on degree k."""
-    out = a.coeffs.copy()
-    for mask in range(a.space.grassmann_dim):
-        k = _popcount(mask)
-        out[mask] *= (-1.0) ** (k * (k - 1) // 2)
-    return MultiVector(a.space, out)
+    k = a.space.grades
+    return MultiVector(a.space, np.where(k * (k - 1) // 2 % 2, -a.coeffs, a.coeffs))
 
 
 def conjugate_reversal_coeffs(a: MultiVector) -> MultiVector:
@@ -295,8 +271,15 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
 
     The resulting star is the adjoint for the indefinite Gram pairing; it
     coincides with conjugate-reversal of Clifford monomials (verified by the
-    test suite, not postulated here).
+    test suite, not postulated here).  Raises ResourceBudgetError, before
+    allocating, when its arrays would exceed ``CLIFFORD_BYTE_BUDGET``.
     """
+    needed = 5 * space.grassmann_dim**3 * 16
+    if needed > CLIFFORD_BYTE_BUDGET:
+        raise ResourceBudgetError(
+            f"Clifford algebra of R^{{{space.p},{space.q}}} needs about "
+            f"{needed} bytes, budget {CLIFFORD_BYTE_BUDGET}"
+        )
     return KreinCStarAlgebra(
         _blade_matrices(space),
         second_quantized_J(space),
@@ -337,14 +320,6 @@ class GammaRep:
     def spinor_dim(self) -> int:
         return self.a.shape[0]
 
-    def gamma_blade(self, mask: int) -> np.ndarray:
-        """Product of gammas over a subset, increasing index order."""
-        out = np.eye(self.spinor_dim, dtype=complex)
-        for i in range(self.space.n):
-            if mask & (1 << i):
-                out = out @ self.gammas[i]
-        return out
-
     def spinor_form(self, psi, phi) -> complex:
         """The indefinite spinor pairing psi† A phi."""
         return complex(np.asarray(psi).conj() @ self.a @ np.asarray(phi))
@@ -354,9 +329,7 @@ def gamma_rep(space: PseudoEuclideanSpace) -> GammaRep:
     if space.n % 2 != 0:
         raise ValidationError("gamma representation needs even total dimension")
     base = _euclidean_gammas(space.n)
-    gammas = []
-    for i in range(space.n):
-        gammas.append(base[i] if space.signs[i] > 0 else 1j * base[i])
+    gammas = [g if s > 0 else 1j * g for g, s in zip(base, space.signs)]
     dim = 1 << (space.n // 2) if space.n else 1
     a = np.eye(dim, dtype=complex)
     for i in range(space.p):
@@ -379,8 +352,14 @@ def spinor_signature(space: PseudoEuclideanSpace) -> tuple[int, int]:
 
 
 def gamma_algebra(rep: GammaRep) -> KreinCStarAlgebra:
-    """The full gamma-blade span as a Kreĭn algebra with reference form A."""
-    basis = np.stack([rep.gamma_blade(m) for m in range(rep.space.grassmann_dim)])
+    """The full gamma-blade span as a Kreĭn algebra with reference form A.
+
+    Basis element S is the product of the gammas in S, in increasing index
+    order: appending Γ_i doubles the list from the masks below 2^i.
+    """
+    basis = np.eye(rep.spinor_dim, dtype=complex)[None]
+    for g in rep.gammas:
+        basis = np.concatenate([basis, basis @ g])
     s = rep.space
     return KreinCStarAlgebra(basis, rep.a, label=f"Cl(R^{{{s.p},{s.q}}}) on spinors")
 
@@ -398,14 +377,9 @@ def spinor_module(space: PseudoEuclideanSpace) -> KreinBimodule:
     left = gamma_algebra(rep)
     right = scalar_krein_algebra()
     inner = rep.a[:, :, None, None].copy()
-    left_inner = np.zeros((d, d, d, d), dtype=complex)
     eye = np.eye(d, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            left_inner[i, j] = np.outer(eye[i], eye[j].conj()) @ rep.a
-    left_action = np.stack(
-        [rep.gamma_blade(m) for m in range(space.grassmann_dim)]
-    )
+    # left_inner[i, j] = e_i e_j† A
+    left_inner = np.einsum("ai,jb->ijab", eye, rep.a)
     return KreinBimodule(
         algebra=right,
         dim=d,
@@ -413,6 +387,6 @@ def spinor_module(space: PseudoEuclideanSpace) -> KreinBimodule:
         inner=inner,
         symmetry=rep.a.copy(),
         left_algebra=left,
-        left_action=left_action,
+        left_action=left.basis,
         left_inner=left_inner,
     )

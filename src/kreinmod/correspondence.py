@@ -34,6 +34,7 @@ from .krein_over_krein import (
 from .linalg import (
     RANK_TOL,
     DimensionMismatchError,
+    ResourceBudgetError,
     Subspace,
     ValidationError,
     column_space,
@@ -45,17 +46,12 @@ from .linalg import (
 from .report import Report
 
 
-class ResourceBudgetError(RuntimeError):
-    """A computation would allocate more than its resource budget."""
-
-
 class DegenerateDescentError(ValueError):
     """The inner product degenerates on the quotient carrier."""
 
 
-@dataclass(frozen=True)
-class Correspondence(KreinBimodule):
-    """A Kreĭn bimodule viewed as an arrow left_algebra -> algebra."""
+# a correspondence is a Kreĭn bimodule viewed as an arrow left_algebra -> algebra
+Correspondence = KreinBimodule
 
 
 @dataclass(frozen=True)
@@ -108,22 +104,9 @@ def _right_matrix(corr: KreinBimodule, b) -> np.ndarray:
     return np.tensordot(c, corr.action, axes=(0, 0))
 
 
-def _as_correspondence(bimodule: KreinBimodule) -> Correspondence:
-    return Correspondence(
-        algebra=bimodule.algebra,
-        dim=bimodule.dim,
-        action=bimodule.action,
-        inner=bimodule.inner,
-        symmetry=bimodule.symmetry,
-        left_algebra=bimodule.left_algebra,
-        left_action=bimodule.left_action,
-        left_inner=bimodule.left_inner,
-    )
-
-
 def identity_correspondence(algebra: KreinCStarAlgebra) -> Correspondence:
     """The algebra over itself with ⟨a1, a2⟩ = star(a1) a2 and J = alpha."""
-    return _as_correspondence(self_module(algebra))
+    return self_module(algebra)
 
 
 def krein_space_correspondence(p: int, q: int) -> Correspondence:
@@ -148,7 +131,7 @@ def krein_space_correspondence(p: int, q: int) -> Correspondence:
 
 def spinor_correspondence(space: PseudoEuclideanSpace) -> Correspondence:
     """Spinors as an arrow from the Clifford algebra to the scalars."""
-    return _as_correspondence(spinor_module(space))
+    return spinor_module(space)
 
 
 # -- internal tensor product ----------------------------------------------------
@@ -191,14 +174,13 @@ def internal_tensor(
 
     eye_m = np.eye(dm, dtype=complex)
     eye_n = np.eye(dn, dtype=complex)
-    relations = []
-    for i in range(dm):
-        for b in mid.basis:
-            xb = m.act(eye_m[i], b)
-            for k in range(dn):
-                by = n.act_left(b, eye_n[k])
-                relations.append(np.kron(xb, eye_n[k]) - np.kron(eye_m[i], by))
-    qdim, projector, section = quotient_space(plain, relations, tol)
+    # e_i·b_k ⊗ e_l − e_i ⊗ b_k·e_l is column (i, l) of
+    # action[k] ⊗ I − I ⊗ left_action[k] (the middle bases are equal)
+    relations = np.empty((dm, nb, dn, plain), dtype=complex)
+    for k in range(nb):
+        block = np.kron(m.action[k], eye_n) - np.kron(eye_m, n.left_action[k])
+        relations[:, k] = block.T.reshape(dm, dn, plain)
+    qdim, projector, section = quotient_space(plain, relations.reshape(-1, plain), tol)
     if section_rotation is not None:
         w = _random_unitary(section_rotation, qdim)
         section = section @ w

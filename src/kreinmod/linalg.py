@@ -22,6 +22,10 @@ class ValidationError(ValueError):
     pass
 
 
+class ResourceBudgetError(RuntimeError):
+    """A computation would allocate more than its resource budget."""
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting NaN/Inf entries."""
     a = np.asarray(m, dtype=complex)

@@ -10,11 +10,39 @@ from kreinmod.algebra import (
     from_blocks,
     functions_on_points,
 )
-from kreinmod.linalg import ValidationError, operator_norm
+from kreinmod.linalg import ValidationError, operator_norm, random_complex
 
 
 def eta_pq(p, q):
     return np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
+
+
+class TestCoefficients:
+    """Coordinates from the constructor's own SVD against numpy's pinv."""
+
+    @staticmethod
+    def _against_pinv(alg):
+        flat = alg.basis.reshape(alg.basis.shape[0], -1)
+        rng = np.random.default_rng(11)
+        elems = np.stack([alg.random_element(rng) for _ in range(4)])
+        expected = elems.reshape(4, -1) @ np.linalg.pinv(flat)
+        assert np.allclose(alg.coefficients(elems), expected, rtol=0, atol=1e-12)
+        for e, c in zip(elems, expected):
+            assert np.allclose(alg.coefficients(e), c, rtol=0, atol=1e-12)
+            assert np.allclose(alg.from_coefficients(c), e, atol=1e-12)
+
+    def test_non_orthogonal_basis(self):
+        units = FiniteCStarAlgebra((2,)).basis()
+        mix = random_complex(np.random.default_rng(10), 4, 4) + 3 * np.eye(4)
+        basis = np.tensordot(mix, units, axes=(1, 0))
+        self._against_pinv(KreinCStarAlgebra(basis, eta_pq(1, 1)))
+
+    def test_duplicated_basis_element(self):
+        units = FiniteCStarAlgebra((2,)).basis()
+        basis = np.concatenate([units, units[1:2]])
+        alg = KreinCStarAlgebra(basis, eta_pq(1, 1))
+        assert alg.vector_dim == 4
+        self._against_pinv(alg)
 
 
 class TestFiniteCStarAlgebra:

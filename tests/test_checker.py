@@ -73,8 +73,10 @@ class TestScenarios:
         assert len(controls) >= 5
 
     def test_clifford_budget(self):
-        with pytest.raises(ResourceBudgetError):
-            run(CheckConfig(scenario="clifford", p=6, q=6, samples=1))
+        # (5, 4): the blade tensor alone would take 512³ · 16 B ≈ 2.1 GB
+        for p, q in ((6, 6), (5, 4)):
+            with pytest.raises(ResourceBudgetError):
+                run(CheckConfig(scenario="clifford", p=p, q=q, samples=1))
 
     def test_spinor_needs_even_dimension(self):
         with pytest.raises(ConfigError):

@@ -8,6 +8,8 @@ from kreinmod.clifford import (
     GammaRep,
     MultiVector,
     PseudoEuclideanSpace,
+    _blade_matrices,
+    _gram_diagonal,
     apply_second_quantized_J,
     basis_blade,
     clifford_action,
@@ -20,6 +22,7 @@ from kreinmod.clifford import (
     generator,
     grassmann_inner,
     random_multivector,
+    reversal,
     scalar_one,
     second_quantized_J,
     spinor_module,
@@ -424,3 +427,79 @@ class TestSpinorModule:
         alg = gamma_algebra(gamma_rep(S22))
         report = check_krein_cstar_axioms(alg, samples=100, seed=20)
         assert report.passed, report.to_text()
+
+
+def generator_product_blades(space: PseudoEuclideanSpace) -> np.ndarray:
+    """c(e_S) as ordered products of c(e_i) = creation + g_ii · contraction."""
+    n = space.grassmann_dim
+    gens = []
+    for i in range(space.n):
+        bit = 1 << i
+        create = np.zeros((n, n), dtype=complex)
+        for mask in range(n):
+            if not mask & bit:
+                create[mask | bit, mask] = (-1.0) ** bin(mask & (bit - 1)).count("1")
+        gens.append(create + space.signs[i] * create.T)
+    out = np.zeros((n, n, n), dtype=complex)
+    out[0] = np.eye(n)
+    for mask in range(1, n):
+        low = (mask & -mask).bit_length() - 1
+        out[mask] = gens[low] @ out[mask ^ (1 << low)]
+    return out
+
+
+def shuffle_wedge(a: MultiVector, b: MultiVector) -> np.ndarray:
+    """e_S ∧ e_T = (−1)^#{i ∈ S, j ∈ T, i > j} e_{S∪T}, as a double loop."""
+    out = np.zeros_like(a.coeffs)
+    for s, ca in enumerate(a.coeffs):
+        for t, cb in enumerate(b.coeffs):
+            if s & t:
+                continue
+            swaps = sum(
+                bin(s >> (j + 1)).count("1") for j in range(a.space.n) if t >> j & 1
+            )
+            out[s | t] += (-1) ** swaps * ca * cb
+    return out
+
+
+class TestSignTableReference:
+    @pytest.mark.parametrize("pq", [(1, 1), (2, 2), (3, 2), (2, 3), (0, 3), (4, 0)])
+    def test_blade_tensor_matches_generator_products(self, pq):
+        space = PseudoEuclideanSpace(*pq)
+        ref = generator_product_blades(space)
+        assert np.array_equal(_blade_matrices(space), ref)
+        a = random_multivector(space, np.random.default_rng(sum(pq)))
+        expected = np.tensordot(a.coeffs, ref, axes=(0, 0))
+        assert np.allclose(clifford_action(space, a), expected, rtol=0, atol=1e-14)
+        for i in range(space.n):
+            assert np.array_equal(clifford_generator_matrix(space, i), ref[1 << i])
+
+    def test_sign_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            S22.blade_signs[0, 0] = -1.0
+
+    @pytest.mark.parametrize("space", [S21, S22], ids=["21", "22"])
+    def test_wedge_matches_shuffle_signs(self, space):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            a = random_multivector(space, rng)
+            b = random_multivector(space, rng)
+            assert np.allclose(wedge(a, b).coeffs, shuffle_wedge(a, b), atol=1e-13)
+
+    @pytest.mark.parametrize("pq", [(0, 0), (1, 1), (2, 1), (0, 3), (2, 2)])
+    def test_second_quantized_J_is_gram_diagonal(self, pq):
+        space = PseudoEuclideanSpace(*pq)
+        diag = _gram_diagonal(space)
+        assert np.array_equal(second_quantized_J(space), np.diag(diag))
+        for mask in range(space.grassmann_dim):
+            picked = [space.signs[i] for i in range(space.n) if mask >> i & 1]
+            assert diag[mask] == np.prod(picked)
+
+    def test_grade_and_reversal_per_mask(self):
+        a = random_multivector(S22, np.random.default_rng(6))
+        rev = reversal(a).coeffs
+        for mask in range(S22.grassmann_dim):
+            k = bin(mask).count("1")
+            assert rev[mask] == (-1) ** (k * (k - 1) // 2) * a.coeffs[mask]
+            for j in range(S22.n + 1):
+                assert a.grade(j).coeffs[mask] == (a.coeffs[mask] if j == k else 0)
