@@ -37,12 +37,12 @@ from .clifford import (
     MultiVector,
     PseudoEuclideanSpace,
     anticommutator_residual,
+    associativity_residual,
     basis_blade,
     clifford_generator_matrix,
     clifford_krein_algebra,
     conjugate_reversal_coeffs,
     clifford_action,
-    clifford_product,
     gamma_algebra,
     gamma_rep,
     random_multivector,
@@ -653,15 +653,11 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         ],
     )
 
-    def associativity_defect(s):
-        a, b, c = s
-        lhs = clifford_product(clifford_product(a, b), c)
-        return (lhs - clifford_product(a, clifford_product(b, c))).norm()
-
     report.check_laws(
         (tuple(random_multivector(space, rng) for _ in range(3))
          for _ in range(config.samples)),
-        [("clifford product associative", 1e-10, associativity_defect)],
+        [("clifford product associative", 1e-10,
+          lambda s: associativity_residual(*s))],
     )
 
     cols = np.stack(

@@ -254,6 +254,14 @@ def clifford_product(a: MultiVector, b: MultiVector) -> MultiVector:
     return MultiVector(a.space, clifford_action(a.space, a) @ b.coeffs)
 
 
+def associativity_residual(a: MultiVector, b: MultiVector, c: MultiVector) -> float:
+    """‖(ab)c − a(bc)‖ / max(‖a‖·‖b‖·‖c‖, 1) in coefficient 2-norms: the
+    defect relative to the size of a trilinear product."""
+    lhs = clifford_product(clifford_product(a, b), c)
+    defect = (lhs - clifford_product(a, clifford_product(b, c))).norm()
+    return defect / max(a.norm() * b.norm() * c.norm(), 1.0)
+
+
 def reversal(a: MultiVector) -> MultiVector:
     """Reverse each monomial factor order: sign (-1)^{k(k-1)/2} on degree k."""
     k = a.space.grades

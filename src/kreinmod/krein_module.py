@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import FiniteCStarAlgebra, KreinCStarAlgebra
 from .linalg import (
@@ -25,6 +24,7 @@ from .linalg import (
     ValidationError,
     as_complex_matrix,
     column_space,
+    expm,
     hermitian_adjoint,
     is_psd,
     min_hermitian_eig,
@@ -226,7 +226,7 @@ def random_symmetry(
     s *= scale / max(operator_norm(s), 1e-30)
     x = np.linalg.solve(module.gram, s)  # skew-adjoint for the form
     x = module.project_operator(x)
-    u = module.project_operator(scipy.linalg.expm(x))
+    u = module.project_operator(expm(x))
     j = u @ j0 @ np.linalg.inv(u)
     return FundamentalSymmetry(module, module.project_operator(j))
 
@@ -358,17 +358,18 @@ def intertwiner(
     """A unitary (for the indefinite form) with U J1 = J2 U.
 
     The direct sum of the two transition maps already exchanges the
-    splittings but is only approximately isometric; composing with the
-    inverse square root of its hilbertified gram (the polar correction,
-    performed half by half) makes it exactly unitary.
+    splittings but is only approximately isometric; replacing it by its
+    polar factor a (a* a)^{-1/2}, with a* the adjoint of a as a map
+    (K, G1') -> (K, G2'), makes it exactly unitary.
     """
     a = (np.eye(module.flat_dim) + j2.matrix @ j1.matrix) / 2
-    g1 = _pd_gram(module, j1)
-    g2 = _pd_gram(module, j2)
-    # adjoint of a as a map (K, G1') -> (K, G2'), then the polar correction
-    b = np.linalg.solve(g1, a.conj().T @ g2)
-    m = b @ a  # G1'-positive, commutes with J1
-    u = a @ np.linalg.inv(scipy.linalg.sqrtm(m))
+    # orthonormal coordinates: G_i' = R_i† R_i, so x ↦ R_i x is isometric
+    r1 = np.linalg.cholesky(_pd_gram(module, j1)).conj().T
+    r2 = np.linalg.cholesky(_pd_gram(module, j2)).conj().T
+    # there a reads C = R2 a R1⁻¹ = W Σ V†, and a* a = R1⁻¹ (C† C) R1, so the
+    # polar factor a (a* a)^{-1/2} is R2⁻¹ (W V†) R1
+    w, _, vh = np.linalg.svd(r2 @ a @ np.linalg.inv(r1))
+    u = np.linalg.solve(r2, w @ vh @ r1)
     return module.project_operator(u)
 
 

@@ -31,7 +31,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValidationError(f"expected a 2-d array, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
@@ -47,6 +47,28 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def expm(m) -> np.ndarray:
+    """Matrix exponential by scaling and squaring a Taylor polynomial.
+
+    s is the least power with ‖m / 2^s‖₁ ≤ 1/2, where the degree-18 Taylor
+    tail is below (1/2)^19 / 19! < 1e-22; the polynomial is summed by Horner's
+    rule and squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+    """
+    a = as_complex_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")
+    norm = np.linalg.norm(a, 1)
+    s = max(0, int(np.ceil(np.log2(2 * norm)))) if norm > 0 else 0
+    a = a / 2.0**s
+    eye = np.eye(a.shape[0], dtype=complex)
+    e = eye
+    for k in range(18, 0, -1):
+        e = eye + (a @ e) / k
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def numerical_rank(m, tol: float = RANK_TOL) -> int:

@@ -45,6 +45,60 @@ class TestCoefficients:
         self._against_pinv(alg)
 
 
+class TestValidation:
+    """The constructor's batched carrier checks, in their reporting order."""
+
+    def test_complex_rotated_diagonal_algebra(self):
+        # q D q† is *-closed but not closed under entrywise conjugation, so
+        # projecting onto the conjugate span would reject it
+        q, _ = np.linalg.qr(random_complex(np.random.default_rng(1), 3, 3))
+        basis = np.stack([q @ np.diag(e) @ q.conj().T for e in np.eye(3)])
+        alg = KreinCStarAlgebra(basis, np.eye(3))
+        for b in basis:
+            assert np.allclose(alg.project(b), b, atol=1e-12)
+            assert alg.contains(b)
+        assert not alg.contains(q @ np.eye(3, k=1) @ q.conj().T)
+
+    @pytest.mark.parametrize(
+        "basis, eta, message",
+        [
+            (np.eye(2, k=1)[None], np.eye(2), "does not contain the identity"),
+            # eta swaps e_1 and e_2, so alpha(E_11) = E_22 leaves span{1, E_11}
+            (np.stack([np.eye(3), np.diag([1.0, 0, 0])]),
+             np.eye(3)[[1, 0, 2]], "not closed under alpha"),
+            (np.stack([np.eye(2), np.eye(2, k=1)]), np.eye(2),
+             "not closed under star"),
+            # span{1, a} is *-closed, but a² = diag(0, 1, 4) leaves it
+            (np.stack([np.eye(3), np.diag([0.0, 1, 2])]), np.eye(3),
+             "not closed under products"),
+        ],
+    )
+    def test_first_failure_message(self, basis, eta, message):
+        with pytest.raises(ValidationError, match=message):
+            KreinCStarAlgebra(np.asarray(basis, dtype=complex), eta)
+
+    @staticmethod
+    def unit(i, j, d=64):
+        m = np.zeros((d, d), dtype=complex)
+        m[i, j] = 1.0
+        return m
+
+    @pytest.mark.parametrize("case", ["star", "alpha"])
+    def test_failure_past_the_first_stack(self, case):
+        # validation takes the images of 64 x 64 basis elements a few at a
+        # time; the offending element comes after the 64 diagonal units
+        if case == "star":
+            # alpha(E_23) = E_23 but star(E_23) = E_32
+            extra, eta = self.unit(2, 3), np.eye(64)
+        else:
+            # eta swaps e_0 and e_1: alpha and star both give E_12 + E_21
+            extra = self.unit(0, 2) + self.unit(2, 0)
+            eta = np.eye(64)[[1, 0, *range(2, 64)]]
+        basis = np.concatenate([FiniteCStarAlgebra((1,) * 64).basis(), extra[None]])
+        with pytest.raises(ValidationError, match=f"not closed under {case}"):
+            KreinCStarAlgebra(basis, eta)
+
+
 class TestFiniteCStarAlgebra:
     def test_dims(self):
         alg = FiniteCStarAlgebra((2, 1))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kreinmod
 from kreinmod.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -151,3 +156,23 @@ class TestFullnessAtLowSamples:
     )
     def test_exits_zero(self, args, capsys):
         assert main(args + ["--quiet"]) == EXIT_PASS
+
+
+class TestImportGraph:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy costs ~0.2 s and ~28 MB at every cold start; kreinmod needs
+        # only numpy at run time
+        src = str(Path(kreinmod.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys, kreinmod.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "[]"

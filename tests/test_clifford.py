@@ -11,6 +11,7 @@ from kreinmod.clifford import (
     _blade_matrices,
     _gram_diagonal,
     apply_second_quantized_J,
+    associativity_residual,
     basis_blade,
     clifford_action,
     clifford_generator_matrix,
@@ -235,6 +236,24 @@ class TestCliffordProduct:
             rhs = clifford_product(a, clifford_product(b, c))
             worst = max(worst, (lhs - rhs).norm())
         assert worst < 1e-10
+
+    def test_associativity_residual_is_scale_invariant(self):
+        rng = np.random.default_rng(12)
+        a, b, c = (random_multivector(PseudoEuclideanSpace(3, 3), rng) for _ in range(3))
+        small = associativity_residual(a, b, c)
+        big = associativity_residual(1e3 * a, 1e3 * b, 1e3 * c)
+        assert small < 1e-15 and big < 1e-15
+
+    def test_one_flipped_sign_breaks_associativity(self):
+        # e_0 e_1 = -e_1 e_0 turned into e_0 e_1 = +e_1 e_0 alone
+        space = PseudoEuclideanSpace(2, 1)
+        table = space.blade_signs.copy()
+        table[0b001, 0b010] *= -1
+        table.flags.writeable = False
+        space.__dict__["blade_signs"] = table  # replaces the cached table
+        rng = np.random.default_rng(13)
+        a, b, c = (random_multivector(space, rng) for _ in range(3))
+        assert associativity_residual(a, b, c) > 1e-10
 
     def test_unital(self):
         a = random_multivector(S21, np.random.default_rng(9))

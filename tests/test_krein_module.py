@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +249,20 @@ class TestTransitionsAndIntertwiner:
             j2.projector(-1) @ j1.projector(-1)
         )
         assert operator_norm(krein_adjoint(m, j1, bad) @ bad - np.eye(4)) > 0.5
+
+    @pytest.mark.parametrize("module", [krein_space(2, 2), m2_module()])
+    def test_intertwiner_matches_inverse_square_root(self, module):
+        # reference: a (b a)^{-1/2}, b the adjoint of a between the
+        # hilbertified grams, through scipy's matrix square root
+        j1 = random_symmetry(module, np.random.default_rng(19))
+        j2 = random_symmetry(module, np.random.default_rng(20))
+        a = (np.eye(module.flat_dim) + j2.matrix @ j1.matrix) / 2
+        g1 = (j1.matrix.conj().T @ module.gram + module.gram @ j1.matrix) / 2
+        g2 = (j2.matrix.conj().T @ module.gram + module.gram @ j2.matrix) / 2
+        b = np.linalg.solve(g1, a.conj().T @ g2)
+        ref = module.project_operator(a @ np.linalg.inv(scipy.linalg.sqrtm(b @ a)))
+        u = intertwiner(module, j1, j2)
+        assert operator_norm(u - ref) < 1e-12 * operator_norm(ref)
 
 
 class TestNormEquivalence:

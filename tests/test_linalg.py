@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +9,9 @@ from kreinmod.linalg import (
     Subspace,
     ValidationError,
     column_space,
+    as_complex_matrix,
     eig_signature,
+    expm,
     hermitian_adjoint,
     numerical_rank,
     operator_norm,
@@ -36,6 +39,15 @@ class TestHermitianAdjoint:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             hermitian_adjoint(np.array([[np.nan, 0], [0, 0]]))
+
+    @pytest.mark.parametrize(
+        "bad", [complex(0, np.nan), complex(np.inf, 0), complex(-np.inf, 1)]
+    )
+    def test_rejects_one_non_finite_part(self, bad):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(ValidationError):
+            as_complex_matrix(m)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -75,6 +87,33 @@ class TestOperatorNorm:
         m = rand(seed, 5, 5)
         lhs = operator_norm(hermitian_adjoint(m) @ m)
         assert lhs == pytest.approx(operator_norm(m) ** 2, rel=1e-9)
+
+
+class TestExpm:
+    """scipy.linalg.expm is the reference (test-only)."""
+
+    @staticmethod
+    def rel_err(m):
+        ref = scipy.linalg.expm(m)
+        return np.linalg.norm(expm(m) - ref) / np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64])
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 3.0, 30.0])
+    def test_matches_scipy(self, n, scale):
+        m = rand(n, n, n)
+        m *= scale / operator_norm(m)
+        assert self.rel_err(m) < 1e-12
+
+    def test_non_normal_jordan_block(self):
+        m = 0.5 * np.eye(8) + 5.0 * np.eye(8, k=1)
+        assert self.rel_err(m) < 1e-12
+
+    def test_zero_matrix(self):
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatchError):
+            expm(np.zeros((2, 3)))
 
 
 class TestNumericalRank:
