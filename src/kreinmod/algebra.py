@@ -20,6 +20,7 @@ from .linalg import (
     DimensionMismatchError,
     ValidationError,
     as_complex_matrix,
+    first_exceeding,
     hermitian_adjoint,
     operator_norm,
     random_complex,
@@ -98,10 +99,6 @@ class FiniteCStarAlgebra:
         """I.i.d. complex normal entries, restricted to the blocks."""
         return self.project(random_complex(rng, self.dim, self.dim))
 
-    def random_hermitian(self, rng: np.random.Generator) -> np.ndarray:
-        a = self.random_element(rng)
-        return (a + a.conj().T) / 2
-
     def star(self, a) -> np.ndarray:
         return hermitian_adjoint(a)
 
@@ -122,6 +119,12 @@ class KreinCStarAlgebra:
     ``basis`` spans the carrier subalgebra of d x d matrices; ``eta`` is the
     hermitian involution of the reference space.  The twisted involution is
     ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``.
+
+    The constructor forms the Gram matrix of the flattened basis once.  If
+    every off-diagonal entry is exactly zero (Clifford blades, gamma blades,
+    matrix units), the singular values are the basis norms and no SVD is
+    taken; otherwise a thin SVD gives the same factors.  Either way the rank
+    keeps the singular values above 1e-12 times the largest.
     """
 
     def __init__(self, basis, eta, *, label: str = "", validate: bool = True):
@@ -134,15 +137,26 @@ class KreinCStarAlgebra:
         self.label = label
         if self.eta.shape != (self.dim, self.dim):
             raise DimensionMismatchError("eta shape does not match basis")
-        # one thin SVD of the flattened basis gives both the orthonormal
-        # spanning set (rows of _onb) for projection onto the carrier and the
-        # pseudo-inverse V_r S_r⁻¹ U_r† for coordinates
+        # _onb: orthonormal rows spanning the carrier, for projection;
+        # _s_inv_uh: S_r⁻¹ U_r† of the thin SVD U S V† of the flattened
+        # basis, so that coordinates are (a @ _onb†) @ _s_inv_uh
         flat = basis.reshape(basis.shape[0], -1)
-        u, s, vh = np.linalg.svd(flat, full_matrices=False)
-        rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-        self._onb = vh[:rank]  # (r, d*d)
+        gram = flat @ flat.conj().T
+        if np.array_equal(gram, np.diag(np.diagonal(gram))):
+            # orthogonal rows: the singular values are the row norms and
+            # V_r's rows are the kept rows over their norms
+            norms = np.sqrt(np.diagonal(gram).real)
+            keep = np.flatnonzero(norms > 1e-12 * norms.max(initial=0.0))
+            self._onb = flat[keep] / norms[keep, None]
+            self._s_inv_uh = (
+                np.eye(len(flat), dtype=complex)[keep] / norms[keep, None]
+            )
+        else:
+            u, s, vh = np.linalg.svd(flat, full_matrices=False)
+            rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
+            self._onb = vh[:rank]  # (r, d*d)
+            self._s_inv_uh = (u[:, :rank] / s[:rank]).conj().T  # (r, nb)
         self._onb_h = self._onb.conj().T
-        self._s_inv_uh = (u[:, :rank] / s[:rank]).conj().T  # (r, nb)
         if validate:
             self._validate()
 
@@ -202,9 +216,7 @@ class KreinCStarAlgebra:
         ‖project(a) − a‖ > tol · max(‖a‖, 1), or -1 if there is none."""
         flat = x.reshape(len(x), -1)
         residual = ((flat @ self._onb_h) @ self._onb - flat).reshape(x.shape)
-        norms = np.linalg.svd(np.concatenate([x, residual]), compute_uv=False)[:, 0]
-        outside = norms[len(x) :] > tol * np.maximum(norms[: len(x)], 1.0)
-        return int(np.argmax(outside)) if outside.any() else -1
+        return first_exceeding(residual, x, tol)
 
     def coefficients(self, a) -> np.ndarray:
         """Coordinates in the stored basis of a carrier element or a stack."""
@@ -236,10 +248,6 @@ class KreinCStarAlgebra:
                 f"expected shape {(self.dim, self.dim)}, got {a.shape}"
             )
         return self.eta @ a @ self.eta
-
-    def dagger(self, a) -> np.ndarray:
-        """alpha(star(a)): the involution of the associated C*-algebra."""
-        return hermitian_adjoint(a)
 
     def norm(self, a) -> float:
         """The C*-norm attached to alpha (operator norm on the hilbertified

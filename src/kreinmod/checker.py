@@ -673,10 +673,9 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         0.5,
     )
 
-    flat = alg.basis.reshape(alg.basis.shape[0], -1)
     report.check(
         "representation faithful",
-        float(space.grassmann_dim - numerical_rank(flat)),
+        float(space.grassmann_dim - alg.vector_dim),
         0.5,
     )
     report.extend(

@@ -38,6 +38,7 @@ from .linalg import (
     Subspace,
     ValidationError,
     column_space,
+    first_exceeding,
     numerical_rank,
     operator_norm,
     quotient_space,
@@ -189,11 +190,10 @@ def internal_tensor(
     kernel = np.eye(plain) - section @ projector  # projector onto relations
 
     def descend(t_plain: np.ndarray, name: str) -> np.ndarray:
-        defect = operator_norm(projector @ t_plain @ kernel)
-        scale = max(operator_norm(t_plain), 1.0)
-        if defect > 1e-8 * scale:
+        pt = projector @ t_plain
+        if first_exceeding((pt @ kernel)[None], t_plain[None], 1e-8) >= 0:
             raise ValidationError(f"{name} does not descend to the quotient")
-        return projector @ t_plain @ section
+        return pt @ section
 
     action = np.stack(
         [descend(np.kron(eye_m, n.action[k]), "right action") for k in range(n.action.shape[0])]

@@ -144,10 +144,6 @@ class KreinModule:
         x = x if self.side == "right" else hermitian_adjoint(x)
         return as_complex_matrix(x).ravel()
 
-    def unvectorize(self, v) -> np.ndarray:
-        x = np.asarray(v, dtype=complex).reshape(self.flat_dim, self.base.dim)
-        return x if self.side == "right" else hermitian_adjoint(x)
-
     def lift_operator(self, m) -> np.ndarray:
         """The flat operator as a matrix on the vectorized element space."""
         return np.kron(as_complex_matrix(m), np.eye(self.base.dim))

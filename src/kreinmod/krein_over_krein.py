@@ -265,9 +265,13 @@ def adjoint_residual(
     n = module.dim
     if t.shape != (n, n):
         raise DimensionMismatchError("operator shape mismatch")
-    # rows (i, a, b), columns k for M and j for R
-    design = module.inner.transpose(0, 2, 3, 1).reshape(n * d * d, n)
-    target = np.einsum("ki,kjab->iabj", t.conj(), module.inner).reshape(n * d * d, n)
+
+    def rows_iab(x):  # (i, j, a, b) -> rows (i, a, b), column j
+        return x.reshape(n, n, d, d).transpose(0, 2, 3, 1).reshape(n * d * d, n)
+
+    # R[(i, a, b), j] = Σ_k conj(t[k, i]) inner[k, j, a, b] is one matmul
+    design = rows_iab(module.inner)
+    target = rows_iab(t.conj().T @ module.inner.reshape(n, -1))
     s, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
     residual = np.linalg.norm(design @ s - target)
     return s, residual / max(np.linalg.norm(target), 1.0)

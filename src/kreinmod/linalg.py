@@ -2,6 +2,11 @@
 
 Everything here operates on plain numpy complex arrays.  All functions are
 pure; inputs are never mutated.
+
+Norm tests on stacks (``first_exceeding``) are screened by Frobenius norms
+before any SVD: for an m x n matrix x of rank at most k = min(m, n),
+‖x‖₂ ≤ ‖x‖_F and ‖x‖_F / √k ≤ ‖x‖₂, so ‖r‖_F ≤ tol · max(‖a‖_F / √k, 1)
+already proves ‖r‖₂ ≤ tol · max(‖a‖₂, 1).
 """
 
 from __future__ import annotations
@@ -47,6 +52,29 @@ def operator_norm(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+def first_exceeding(residuals, references, tol: float) -> int:
+    """Index of the first k with ‖residuals[k]‖₂ > tol · max(‖references[k]‖₂, 1),
+    or -1 if there is none.
+
+    Both arguments are stacks of matrices of the same length.  A pair that
+    passes the Frobenius screen (module docstring) is inside; only the other
+    pairs go to a stacked SVD, so the answer is the all-SVD answer.
+    """
+    r_fro = np.linalg.norm(residuals, axis=(1, 2))
+    a_fro = np.linalg.norm(references, axis=(1, 2))
+    rank_bound = min(references.shape[1:])
+    # written as "not inside" so that a NaN residual goes on to the SVD
+    suspects = np.flatnonzero(
+        ~(r_fro <= tol * np.maximum(a_fro / np.sqrt(rank_bound), 1.0))
+    )
+    if suspects.size == 0:
+        return -1
+    r_norm = np.linalg.svd(residuals[suspects], compute_uv=False)[:, 0]
+    a_norm = np.linalg.svd(references[suspects], compute_uv=False)[:, 0]
+    outside = r_norm > tol * np.maximum(a_norm, 1.0)
+    return int(suspects[np.argmax(outside)]) if outside.any() else -1
 
 
 def expm(m) -> np.ndarray:
@@ -109,9 +137,6 @@ class Subspace:
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of an ambient vector onto the subspace."""
         return self.basis @ (self.basis.conj().T @ v)
-
-    def coords(self, v: np.ndarray) -> np.ndarray:
-        return self.basis.conj().T @ v
 
     def contains(self, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         nv = np.linalg.norm(v)

@@ -10,6 +10,12 @@ from kreinmod.algebra import (
     from_blocks,
     functions_on_points,
 )
+from kreinmod.clifford import (
+    PseudoEuclideanSpace,
+    clifford_krein_algebra,
+    gamma_algebra,
+    gamma_rep,
+)
 from kreinmod.linalg import ValidationError, operator_norm, random_complex
 
 
@@ -45,6 +51,81 @@ class TestCoefficients:
         self._against_pinv(alg)
 
 
+def zero_element_block_algebra():
+    """B(C^2) ⊕ C with one basis element replaced by zero."""
+    basis = FiniteCStarAlgebra((2, 1)).basis()
+    basis = np.concatenate([basis, np.zeros_like(basis[:1])])
+    return KreinCStarAlgebra(basis, np.diag([1.0, -1.0, 1.0]))
+
+
+ORTHOGONAL_CARRIERS = {
+    "clifford (2,2)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 2)),
+    "clifford (3,1)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(3, 1)),
+    "gamma (2,2)": lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))),
+    "B(C^{2,1})": lambda: bounded_operators(2, 1),
+    "blocks with a zero element": zero_element_block_algebra,
+}
+
+
+class TestGramPath:
+    """Exactly orthogonal bases are factored from their Gram diagonal."""
+
+    @pytest.mark.parametrize("name", ORTHOGONAL_CARRIERS)
+    def test_matches_svd_reference(self, name):
+        alg = ORTHOGONAL_CARRIERS[name]()
+        flat = alg.basis.reshape(alg.basis.shape[0], -1)
+        gram = flat @ flat.conj().T
+        assert np.array_equal(gram, np.diag(np.diagonal(gram)))
+        s = np.linalg.svd(flat, compute_uv=False)
+        assert alg.vector_dim == int(np.sum(s > 1e-12 * s[0]))
+        pinv = np.linalg.pinv(flat, rcond=1e-12)
+        rng = np.random.default_rng(12)
+        d = alg.dim
+        for v in [random_complex(rng, d, d) for _ in range(3)]:
+            coeffs = v.ravel() @ pinv
+            assert np.allclose(alg.coefficients(v), coeffs, rtol=0, atol=1e-12)
+            assert np.allclose(
+                alg.project(v), (coeffs @ flat).reshape(d, d), rtol=0, atol=1e-12
+            )
+
+    def test_zero_element_gets_zero_coordinate(self):
+        alg = zero_element_block_algebra()
+        assert alg.vector_dim == 5
+        a = alg.random_element(np.random.default_rng(13))
+        c = alg.coefficients(a)
+        assert c[-1] == 0
+        assert np.allclose(alg.from_coefficients(c), a, atol=1e-12)
+
+    @staticmethod
+    def svd_shapes(monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd",
+            lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw),
+        )
+        return shapes
+
+    @pytest.mark.parametrize("name", ORTHOGONAL_CARRIERS)
+    def test_orthogonal_basis_takes_no_svd(self, name, monkeypatch):
+        shapes = self.svd_shapes(monkeypatch)
+        alg = ORTHOGONAL_CARRIERS[name]()
+        # validation takes only the two d x d SVDs of its checks on eta:
+        # every carrier-membership norm passes the Frobenius screen
+        assert shapes == [(alg.dim, alg.dim)] * 2
+        shapes.clear()
+        KreinCStarAlgebra(alg.basis, alg.eta, validate=False)
+        assert shapes == []
+
+    def test_non_orthogonal_basis_takes_one_svd(self, monkeypatch):
+        units = FiniteCStarAlgebra((2,)).basis()
+        mix = random_complex(np.random.default_rng(10), 4, 4) + 3 * np.eye(4)
+        basis = np.tensordot(mix, units, axes=(1, 0))
+        shapes = self.svd_shapes(monkeypatch)
+        KreinCStarAlgebra(basis, eta_pq(1, 1), validate=False)
+        assert shapes == [(4, 4)]
+
+
 class TestValidation:
     """The constructor's batched carrier checks, in their reporting order."""
 
@@ -76,6 +157,30 @@ class TestValidation:
     def test_first_failure_message(self, basis, eta, message):
         with pytest.raises(ValidationError, match=message):
             KreinCStarAlgebra(np.asarray(basis, dtype=complex), eta)
+
+    def test_first_outside_matches_all_svd_reference(self):
+        # off-block perturbations are orthogonal to B(C^3) ⊕ B(C^2) ⊕ C, so
+        # each residual is the perturbation, here 0.1 to 10 times the bound
+        alg = from_blocks((3, 2, 1), eta_pq(3, 3))
+        off_block = ~FiniteCStarAlgebra((3, 2, 1)).mask
+        rng = np.random.default_rng(14)
+        tol, found = 1e-9, set()
+        for _ in range(100):
+            x = np.stack([alg.random_element(rng) for _ in range(4)])
+            pert = np.where(off_block, random_complex(rng, 4, 6, 6), 0)
+            ratios = 10.0 ** rng.uniform(-1, 1, size=4)
+            scale = np.maximum(np.linalg.svd(x, compute_uv=False)[:, 0], 1.0)
+            pert *= (ratios * tol * scale
+                     / np.linalg.svd(pert, compute_uv=False)[:, 0])[:, None, None]
+            x = x + pert
+            residual = np.stack([alg.project(a) - a for a in x])
+            r = np.linalg.svd(residual, compute_uv=False)[:, 0]
+            a = np.linalg.svd(x, compute_uv=False)[:, 0]
+            outside = r > tol * np.maximum(a, 1.0)
+            expected = int(np.argmax(outside)) if outside.any() else -1
+            assert alg._first_outside(x, tol) == expected
+            found.add(expected)
+        assert found == {-1, 0, 1, 2, 3}
 
     @staticmethod
     def unit(i, j, d=64):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,7 +26,12 @@ from kreinmod.correspondence import (
     spinor_correspondence,
     spinor_factorization_check,
 )
-from kreinmod.linalg import ValidationError, eig_signature, operator_norm
+from kreinmod.linalg import (
+    ValidationError,
+    eig_signature,
+    operator_norm,
+    random_complex,
+)
 
 
 def m2_algebra():
@@ -164,6 +171,22 @@ class TestInternalTensor:
                     for b in range(len(plain)):
                         ref[u, v] += t.section[a, u].conj() * t.section[b, v] * ip[a][b]
         assert np.linalg.norm(t.inner - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "size, descends", [(1e-3, False), (1e-7, False), (1e-10, True)]
+    )
+    def test_one_corrupted_left_action(self, size, descends):
+        # a perturbed left action is no longer right-linear, so it moves the
+        # balancing relations out of their span once the defect passes 1e-8
+        m = identity_correspondence(bounded_operators(1, 1))
+        left = m.left_action.copy()
+        left[2] += size * random_complex(np.random.default_rng(15), m.dim, m.dim)
+        bad = dataclasses.replace(m, left_action=left)
+        if descends:
+            assert internal_tensor(bad, m).dim == m.dim
+        else:
+            with pytest.raises(ValidationError, match="left action does not descend"):
+                internal_tensor(bad, m)
 
     def test_middle_mismatch_rejected(self):
         m = krein_space_correspondence(1, 1)

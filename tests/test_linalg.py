@@ -12,6 +12,7 @@ from kreinmod.linalg import (
     as_complex_matrix,
     eig_signature,
     expm,
+    first_exceeding,
     hermitian_adjoint,
     numerical_rank,
     operator_norm,
@@ -114,6 +115,65 @@ class TestExpm:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             expm(np.zeros((2, 3)))
+
+
+def first_exceeding_by_svd(residuals, references, tol):
+    """Every norm by SVD, no screen."""
+    r = np.linalg.svd(residuals, compute_uv=False)[:, 0]
+    a = np.linalg.svd(references, compute_uv=False)[:, 0]
+    outside = r > tol * np.maximum(a, 1.0)
+    return int(np.argmax(outside)) if outside.any() else -1
+
+
+class TestFirstExceeding:
+    """The Frobenius screen in front of the stacked SVD changes no answer."""
+
+    TOL = 1e-9
+
+    @staticmethod
+    def stack(rng, ratios, r_shape, a_shape):
+        """References of mixed scale and residuals at exactly ratios[k] times
+        tol · max(‖a_k‖₂, 1) in operator norm."""
+        refs = np.stack([
+            random_complex(rng, *a_shape) * 10.0 ** rng.uniform(-2, 2)
+            for _ in ratios
+        ])
+        res = random_complex(rng, len(ratios), *r_shape)
+        scale = np.maximum(np.linalg.svd(refs, compute_uv=False)[:, 0], 1.0)
+        res *= (np.asarray(ratios) * TestFirstExceeding.TOL * scale
+                / np.linalg.svd(res, compute_uv=False)[:, 0])[:, None, None]
+        return res, refs
+
+    @pytest.mark.parametrize(
+        "r_shape, a_shape", [((4, 4), (4, 4)), ((3, 6), (6, 6)), ((8, 8), (8, 8))]
+    )
+    def test_matches_all_svd_reference(self, r_shape, a_shape):
+        rng = np.random.default_rng(20)
+        found = set()
+        for _ in range(200):
+            ratios = 10.0 ** rng.uniform(-1, 1, size=4)
+            res, refs = self.stack(rng, ratios, r_shape, a_shape)
+            expected = first_exceeding_by_svd(res, refs, self.TOL)
+            assert first_exceeding(res, refs, self.TOL) == expected
+            found.add(expected)
+        assert found == {-1, 0, 1, 2, 3}
+
+    def test_row_at_twice_tol_reported(self):
+        res, refs = self.stack(
+            np.random.default_rng(21), [0.5, 0.9, 0.99, 2.0, 5.0], (6, 6), (6, 6)
+        )
+        assert first_exceeding(res, refs, self.TOL) == 3
+        assert first_exceeding(res[:3], refs[:3], self.TOL) == -1
+
+    def test_screened_rows_take_no_svd(self, monkeypatch):
+        res, refs = self.stack(np.random.default_rng(22), [0.01] * 3, (4, 4), (4, 4))
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+        )
+        assert first_exceeding(res, refs, self.TOL) == -1
+        assert calls == []
 
 
 class TestNumericalRank:
