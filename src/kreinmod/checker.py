@@ -19,6 +19,7 @@ One-off checks that draw nothing stay plain ``Report.check`` calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from types import SimpleNamespace
@@ -88,7 +89,6 @@ from .krein_module import (
 from .krein_over_krein import (
     KreinModuleOverKrein,
     adjoint_residual,
-    check_imprimitivity,
     check_module_over_krein,
     is_adjointable,
     krein_adjoint_over_krein,
@@ -119,6 +119,9 @@ DEMOS = ("minkowski", "torus", "spinor-m4")
 
 MAX_TOTAL_SIGNATURE = 12
 
+# scenarios whose structures live on C^{p,q} and so need p + q >= 1
+NONEMPTY_SIGNATURE = ("krein-algebra", "module", "module-over-krein", "tensor")
+
 # sample cap for laws whose residual solves for an adjoint or multiplies
 # operators on the whole exterior algebra
 SLOW_LAW_SAMPLES = 50
@@ -139,15 +142,11 @@ class CheckConfig:
     p: int = 1
     q: int = 1
     rank: int = 2
-    block: int = 2
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.samples < 1:
-            raise ConfigError("samples must be at least 1")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
+        _check_run_parameters(self.seed, self.samples, self.tol)
         if self.p < 0 or self.q < 0:
             raise ConfigError("signature counts must be non-negative")
         if self.p + self.q > MAX_TOTAL_SIGNATURE:
@@ -155,8 +154,20 @@ class CheckConfig:
                 f"p + q must not exceed {MAX_TOTAL_SIGNATURE} "
                 "(exterior algebra dimension cap)"
             )
-        if self.rank < 1 or self.block < 1:
-            raise ConfigError("rank and block size must be positive")
+        if self.p + self.q < 1 and self.scenario in NONEMPTY_SIGNATURE:
+            raise ConfigError(f"scenario {self.scenario} needs p + q >= 1")
+        if self.rank < 1:
+            raise ConfigError("rank must be positive")
+
+
+def _check_run_parameters(seed: int, samples: int, tol: float):
+    """The ranges shared by scenarios and demos; NaN fails the tol test."""
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
+    if samples < 1:
+        raise ConfigError("samples must be at least 1")
+    if not 0 < tol < math.inf:
+        raise ConfigError("tol must be positive and finite")
 
 
 # one record name per operation-level invariant; the gallery coverage
@@ -360,9 +371,9 @@ def _scenario_module(config: CheckConfig) -> Report:
     space = krein_space(config.p, config.q)
     signs = [1.0] * ((config.rank + 1) // 2) + [-1.0] * (config.rank // 2)
     matrix_module = KreinModule(
-        FiniteCStarAlgebra((config.block,)),
+        FiniteCStarAlgebra((2,)),
         config.rank,
-        np.kron(np.diag(signs), np.eye(config.block)).astype(complex),
+        np.kron(np.diag(signs), np.eye(2)).astype(complex),
     )
     rng = np.random.default_rng(config.seed)
     samples = [
@@ -508,15 +519,10 @@ def _transition_defect(p) -> float:
 def _scenario_module_over_krein(config: CheckConfig) -> Report:
     algebra = bounded_operators(config.p, config.q)
     module = self_module(algebra)
-    report = check_module_over_krein(
+    report = morita_krein_check(
         module, samples=config.samples, seed=config.seed, tol=config.tol
     )
     report.title = f"module over {algebra.label}"
-    report.extend(
-        check_imprimitivity(
-            module, samples=config.samples, seed=config.seed + 1, tol=config.tol
-        )
-    )
     other = operator_bimodule(algebra, bounded_operators(1, 1))
     report.extend(
         check_module_over_krein(
@@ -872,13 +878,7 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     )
 
     adjointable = all(
-        is_adjointable(
-            t22,
-            np.tensordot(
-                t22.left_algebra.coefficients(a), t22.left_action, axes=(0, 0)
-            ),
-        )
-        for a in t22.left_algebra.basis
+        is_adjointable(t22, t22.left_operator(a)) for a in t22.left_algebra.basis
     )
     report.check(
         "left action adjointable on tensor", 0.0 if adjointable else 1.0, 0.5
@@ -950,8 +950,7 @@ def run_demo(
     """Named preset walkthroughs; returns the report and a narrative."""
     if name not in DEMOS:
         raise ConfigError(f"unknown demo {name!r}")
-    if samples < 1 or tol <= 0:
-        raise ConfigError("samples must be positive and tol positive")
+    _check_run_parameters(seed, samples, tol)
     if name == "minkowski":
         return _demo_minkowski(seed, samples, tol)
     if name == "torus":

@@ -201,10 +201,6 @@ def second_quantized_J(space: PseudoEuclideanSpace) -> np.ndarray:
     return np.diag(_gram_diagonal(space)).astype(complex)
 
 
-def apply_second_quantized_J(a: MultiVector) -> MultiVector:
-    return MultiVector(a.space, second_quantized_J(a.space) @ a.coeffs)
-
-
 # -- Clifford structure ---------------------------------------------------------
 
 
@@ -327,10 +323,6 @@ class GammaRep:
     @property
     def spinor_dim(self) -> int:
         return self.a.shape[0]
-
-    def spinor_form(self, psi, phi) -> complex:
-        """The indefinite spinor pairing psi† A phi."""
-        return complex(np.asarray(psi).conj() @ self.a @ np.asarray(phi))
 
 
 def gamma_rep(space: PseudoEuclideanSpace) -> GammaRep:

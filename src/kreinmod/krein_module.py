@@ -5,9 +5,6 @@ elements as (n*k, k) complex arrays: n vertically stacked algebra elements.
 The A-valued inner product is ⟨x, y⟩ = x† G y with G an invertible hermitian
 (n*k, n*k) matrix whose k x k blocks lie in A.  A-linear operators are
 (n*k, n*k) matrices with blocks in A, acting by left multiplication.
-
-Left modules mirror right ones through the adjoint flip x ↦ x†; the
-operator-level machinery below works on the right-sided picture.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from .linalg import (
     as_complex_matrix,
     column_space,
     expm,
-    hermitian_adjoint,
     is_psd,
     min_hermitian_eig,
     numerical_rank,
@@ -36,19 +32,16 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class KreinModule:
-    """Finite-rank module over a FiniteCStarAlgebra with an indefinite
-    algebra-valued inner product."""
+    """Finite-rank right module over a FiniteCStarAlgebra with an
+    indefinite algebra-valued inner product."""
 
     base: FiniteCStarAlgebra
     rank: int
     gram: np.ndarray = field(repr=False)
-    side: str = "right"
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValidationError("rank must be positive")
-        if self.side not in ("right", "left"):
-            raise ValidationError("side must be 'right' or 'left'")
         g = as_complex_matrix(self.gram)
         nk = self.rank * self.base.dim
         if g.shape != (nk, nk):
@@ -65,12 +58,8 @@ class KreinModule:
     # -- shapes and patterns -------------------------------------------------
 
     @property
-    def block_dim(self) -> int:
-        return self.base.dim
-
-    @property
     def flat_dim(self) -> int:
-        """Side of the flat operator matrices, rank * block_dim."""
+        """Side of the flat operator matrices, rank * base.dim."""
         return self.rank * self.base.dim
 
     @property
@@ -102,8 +91,7 @@ class KreinModule:
         return np.where(self.element_pattern, x, 0.0)
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
-        x = self.project_element(random_complex(rng, self.flat_dim, self.base.dim))
-        return x if self.side == "right" else hermitian_adjoint(x)
+        return self.project_element(random_complex(rng, self.flat_dim, self.base.dim))
 
     def random_operator(self, rng: np.random.Generator) -> np.ndarray:
         return self.project_operator(random_complex(rng, self.flat_dim, self.flat_dim))
@@ -116,32 +104,23 @@ class KreinModule:
             for b in self.base.basis():
                 x = np.zeros((self.flat_dim, k), dtype=complex)
                 x[i * k : (i + 1) * k] = b
-                out.append(x if self.side == "right" else hermitian_adjoint(x))
+                out.append(x)
         return out
 
     # -- module structure -----------------------------------------------------
 
     def action(self, x, a) -> np.ndarray:
-        """Right action x·a (or left action a·x for left modules)."""
-        a = self.base.project(a)
-        return x @ a if self.side == "right" else a @ x
+        """The right action x·a."""
+        return x @ self.base.project(a)
 
     def inner(self, x, y) -> np.ndarray:
         """The A-valued inner product."""
         x, y = as_complex_matrix(x), as_complex_matrix(y)
-        if self.side == "right":
-            if x.shape != (self.flat_dim, self.base.dim):
-                raise DimensionMismatchError("element shape mismatch")
-            return x.conj().T @ self.gram @ y
-        return x @ self.gram @ y.conj().T
-
-    def flip(self) -> "KreinModule":
-        """The same data with the opposite side convention."""
-        other = "left" if self.side == "right" else "right"
-        return KreinModule(self.base, self.rank, self.gram, other)
+        if x.shape != (self.flat_dim, self.base.dim):
+            raise DimensionMismatchError("element shape mismatch")
+        return x.conj().T @ self.gram @ y
 
     def vectorize(self, x) -> np.ndarray:
-        x = x if self.side == "right" else hermitian_adjoint(x)
         return as_complex_matrix(x).ravel()
 
     def lift_operator(self, m) -> np.ndarray:
@@ -195,9 +174,7 @@ class FundamentalSymmetry:
         object.__setattr__(self, "matrix", j)
 
     def __call__(self, x) -> np.ndarray:
-        if self.module.side == "right":
-            return self.matrix @ x
-        return x @ self.matrix.conj().T
+        return self.matrix @ x
 
     def projector(self, sign: int) -> np.ndarray:
         return (np.eye(self.module.flat_dim) + sign * self.matrix) / 2
@@ -212,14 +189,14 @@ def standard_symmetry(module: KreinModule) -> FundamentalSymmetry:
 
 
 def random_symmetry(
-    module: KreinModule, rng: np.random.Generator, scale: float = 0.3
+    module: KreinModule, rng: np.random.Generator
 ) -> FundamentalSymmetry:
     """Conjugate the standard symmetry by a random unitary of the indefinite
     form (the exponential of a form-skew-adjoint A-linear operator)."""
     j0 = standard_symmetry(module).matrix
     s = module.random_operator(rng)
     s = (s - s.conj().T) / 2
-    s *= scale / max(operator_norm(s), 1e-30)
+    s *= 0.3 / max(operator_norm(s), 1e-30)  # the generator's operator norm
     x = np.linalg.solve(module.gram, s)  # skew-adjoint for the form
     x = module.project_operator(x)
     u = module.project_operator(expm(x))
@@ -228,11 +205,6 @@ def random_symmetry(
 
 
 # -- operations ----------------------------------------------------------------
-
-
-def antimodule(module: KreinModule) -> KreinModule:
-    """Same carrier and action, negated inner product."""
-    return KreinModule(module.base, module.rank, -module.gram, module.side)
 
 
 def fundamental_decomposition(
@@ -262,7 +234,7 @@ def hilbertify(module: KreinModule, symmetry: FundamentalSymmetry) -> KreinModul
     g = (g + g.conj().T) / 2
     if min_hermitian_eig(g) <= 0:
         raise ValidationError("hilbertified gram is not positive definite")
-    return KreinModule(module.base, module.rank, module.project_operator(g), module.side)
+    return KreinModule(module.base, module.rank, module.project_operator(g))
 
 
 def krein_adjoint(module: KreinModule, symmetry: FundamentalSymmetry, t) -> np.ndarray:
@@ -282,52 +254,6 @@ def hilbert_adjoint(module: KreinModule, symmetry: FundamentalSymmetry, t) -> np
     g = symmetry.matrix.conj().T @ module.gram
     adj = np.linalg.solve(g, as_complex_matrix(t).conj().T @ g)
     return module.project_operator(adj)
-
-
-@dataclass(frozen=True)
-class TransitionMaps:
-    """The component exchange maps between two splittings.
-
-    ``plus`` restricts (1+J2)/2 to the J1-positive half (and ``adj_plus`` is
-    its inner-product adjoint, going the other way); similarly for ``minus``.
-    Subspaces live in the vectorized carrier.
-    """
-
-    plus: np.ndarray
-    minus: np.ndarray
-    adj_plus: np.ndarray
-    adj_minus: np.ndarray
-    domain_plus: Subspace
-    domain_minus: Subspace
-    range_plus: Subspace
-    range_minus: Subspace
-
-    def plus_coordinate_matrix(self, module: KreinModule) -> np.ndarray:
-        lift = module.lift_operator(self.plus)
-        return self.range_plus.basis.conj().T @ lift @ self.domain_plus.basis
-
-    def minus_coordinate_matrix(self, module: KreinModule) -> np.ndarray:
-        lift = module.lift_operator(self.minus)
-        return self.range_minus.basis.conj().T @ lift @ self.domain_minus.basis
-
-
-def transition_maps(
-    module: KreinModule, j1: FundamentalSymmetry, j2: FundamentalSymmetry
-) -> TransitionMaps:
-    _check_owner(module, j1)
-    _check_owner(module, j2)
-    d1p, d1m = fundamental_decomposition(module, j1)
-    d2p, d2m = fundamental_decomposition(module, j2)
-    return TransitionMaps(
-        plus=j2.projector(+1),
-        minus=j2.projector(-1),
-        adj_plus=j1.projector(+1),
-        adj_minus=j1.projector(-1),
-        domain_plus=d1p,
-        domain_minus=d1m,
-        range_plus=d2p,
-        range_minus=d2m,
-    )
 
 
 def norm_equivalence_constants(

@@ -63,10 +63,13 @@ class KreinModuleOverKrein:
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "symmetry", symmetry)
 
+    def right_operator(self, b) -> np.ndarray:
+        """The D x D matrix of x ↦ x · b."""
+        return np.tensordot(self.algebra.coefficients(b), self.action, axes=(0, 0))
+
     def act(self, x, b) -> np.ndarray:
         """The right action x · b."""
-        c = self.algebra.coefficients(b)
-        return np.tensordot(c, self.action, axes=(0, 0)) @ np.asarray(x, dtype=complex)
+        return self.right_operator(b) @ np.asarray(x, dtype=complex)
 
     def pairing(self, x, y) -> np.ndarray:
         """The algebra-valued inner product."""
@@ -113,11 +116,13 @@ class KreinBimodule(KreinModuleOverKrein):
                 raise DimensionMismatchError("left inner tensor shape mismatch")
             object.__setattr__(self, "left_inner", li)
 
-    def act_left(self, a, x) -> np.ndarray:
+    def left_operator(self, a) -> np.ndarray:
+        """The D x D matrix of x ↦ a · x."""
         c = self.left_algebra.coefficients(a)
-        return np.tensordot(c, self.left_action, axes=(0, 0)) @ np.asarray(
-            x, dtype=complex
-        )
+        return np.tensordot(c, self.left_action, axes=(0, 0))
+
+    def act_left(self, a, x) -> np.ndarray:
+        return self.left_operator(a) @ np.asarray(x, dtype=complex)
 
     def pairing_left(self, x, y) -> np.ndarray:
         """The left-algebra-valued product, linear in the first argument."""
@@ -229,14 +234,6 @@ def operator_bimodule(
 def auxiliary_product(module: KreinModuleOverKrein, x, y) -> np.ndarray:
     """The positive companion product ⟨x, J y⟩."""
     return module.pairing(x, module.j(y))
-
-
-def alpha_J(module: KreinModuleOverKrein, t) -> np.ndarray:
-    """Conjugation by the module symmetry, T ↦ J T J."""
-    t = np.asarray(t, dtype=complex)
-    if t.shape != (module.dim, module.dim):
-        raise DimensionMismatchError("operator shape mismatch")
-    return module.symmetry @ t @ module.symmetry
 
 
 def rank_one(module: KreinModuleOverKrein, x, y) -> np.ndarray:

@@ -46,6 +46,45 @@ class TestExitCodes:
         assert len({EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE}) == 4
 
 
+class TestParameterRanges:
+    # a value outside its range is a usage error: exit 2 and one error line
+
+    @staticmethod
+    def assert_usage_error(args, capsys):
+        assert main(args + ["--samples", "5", "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "command", [["check", "krein-algebra"], ["demo", "torus"]]
+    )
+    def test_non_finite_tol(self, command, tol, capsys):
+        self.assert_usage_error(command + ["--tol", tol], capsys)
+
+    @pytest.mark.parametrize(
+        "scenario", ["krein-algebra", "module", "module-over-krein", "tensor"]
+    )
+    def test_empty_signature(self, scenario, capsys):
+        self.assert_usage_error(["check", scenario, "--p", "0", "--q", "0"], capsys)
+
+    @pytest.mark.parametrize("scenario", ["clifford", "spinor", "full-gallery"])
+    def test_empty_signature_still_runs(self, scenario, capsys):
+        args = ["check", scenario, "--p", "0", "--q", "0", "--samples", "5"]
+        assert main(args + ["--quiet"]) == EXIT_PASS
+
+    @pytest.mark.parametrize(
+        "args",
+        [["check", "module", "--seed", "-1"], ["demo", "torus", "--seed", "-2"]],
+    )
+    def test_negative_seed_flag(self, args, capsys):
+        self.assert_usage_error(args, capsys)
+
+    def test_negative_seed_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        self.assert_usage_error(["check", "krein-algebra"], capsys)
+
+
 class TestSeedPrecedence:
     def test_env_var_used_when_no_flag(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv(SEED_ENV_VAR, "7")

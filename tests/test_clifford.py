@@ -10,7 +10,6 @@ from kreinmod.clifford import (
     PseudoEuclideanSpace,
     _blade_matrices,
     _gram_diagonal,
-    apply_second_quantized_J,
     associativity_residual,
     basis_blade,
     clifford_action,
@@ -184,7 +183,7 @@ class TestSecondQuantizedJ:
         j = second_quantized_J(S11)
         assert np.allclose(np.diag(j), [1, 1, -1, -1])
         # e_(index 1) is the negative-square generator
-        assert np.allclose(apply_second_quantized_J(generator(S11, 1)).coeffs[0b10], -1)
+        assert np.allclose((j @ generator(S11, 1).coeffs)[0b10], -1)
 
     def test_squares_to_identity_bit_exact(self):
         j = second_quantized_J(S22)
@@ -193,8 +192,9 @@ class TestSecondQuantizedJ:
     def test_preserves_inner(self):
         rng = np.random.default_rng(7)
         a, b = random_multivector(S21, rng), random_multivector(S21, rng)
+        j = second_quantized_J(S21)
         assert grassmann_inner(
-            apply_second_quantized_J(a), apply_second_quantized_J(b)
+            MultiVector(S21, j @ a.coeffs), MultiVector(S21, j @ b.coeffs)
         ) == pytest.approx(grassmann_inner(a, b))
 
     def test_auxiliary_form_positive_definite(self):
@@ -202,13 +202,13 @@ class TestSecondQuantizedJ:
             j = second_quantized_J(space)
             for mask in range(space.grassmann_dim):
                 e = basis_blade(space, mask)
-                assert grassmann_inner(e, apply_second_quantized_J(e)) == pytest.approx(
-                    1.0
-                )
+                je = MultiVector(space, j @ e.coeffs)
+                assert grassmann_inner(e, je) == pytest.approx(1.0)
             gram = np.diag(
                 [
                     grassmann_inner(
-                        basis_blade(space, m), apply_second_quantized_J(basis_blade(space, m))
+                        basis_blade(space, m),
+                        MultiVector(space, j @ basis_blade(space, m).coeffs),
                     )
                     for m in range(space.grassmann_dim)
                 ]
@@ -385,8 +385,9 @@ class TestGammaRep:
         for g in rep.gammas:
             psi = random_complex(rng, 4)
             phi = random_complex(rng, 4)
-            lhs = rep.spinor_form(g @ psi, phi)
-            rhs = rep.spinor_form(psi, g @ phi)
+            # the indefinite spinor pairing psi† A phi
+            lhs = (g @ psi).conj() @ rep.a @ phi
+            rhs = psi.conj() @ rep.a @ (g @ phi)
             assert abs(lhs - rhs) < 1e-10
 
 

@@ -11,7 +11,6 @@ from kreinmod.correspondence import (
     ResourceBudgetError,
     TensorCorrespondence,
     associativity_iso,
-    check_correspondence,
     check_krein_star_hom,
     check_morphism,
     contragredient,
@@ -26,6 +25,7 @@ from kreinmod.correspondence import (
     spinor_correspondence,
     spinor_factorization_check,
 )
+from kreinmod.krein_over_krein import check_module_over_krein, is_adjointable
 from kreinmod.linalg import (
     ValidationError,
     eig_signature,
@@ -38,24 +38,23 @@ def m2_algebra():
     return bounded_operators(2, 0)
 
 
+def assert_correspondence(corr, seed):
+    """The module axioms, and every left basis element acts adjointably."""
+    report = check_module_over_krein(corr, samples=100, seed=seed)
+    assert report.passed, report.to_text()
+    for a in corr.left_algebra.basis:
+        assert is_adjointable(corr, corr.left_operator(a))
+
+
 class TestCorrespondenceAxioms:
     def test_identity_correspondence_b11(self):
-        report = check_correspondence(
-            identity_correspondence(bounded_operators(1, 1)), samples=100, seed=0
-        )
-        assert report.passed, report.to_text()
+        assert_correspondence(identity_correspondence(bounded_operators(1, 1)), 0)
 
     def test_krein_space_correspondence(self):
-        report = check_correspondence(
-            krein_space_correspondence(1, 1), samples=100, seed=1
-        )
-        assert report.passed, report.to_text()
+        assert_correspondence(krein_space_correspondence(1, 1), 1)
 
     def test_spinor_correspondence(self):
-        report = check_correspondence(
-            spinor_correspondence(PseudoEuclideanSpace(1, 1)), samples=100, seed=2
-        )
-        assert report.passed, report.to_text()
+        assert_correspondence(spinor_correspondence(PseudoEuclideanSpace(1, 1)), 2)
 
 
 class TestStarHomChecker:
@@ -96,9 +95,7 @@ class TestInternalTensor:
 
     def test_m2_self_tensor_is_correspondence(self):
         ident = identity_correspondence(m2_algebra())
-        t = internal_tensor(ident, ident)
-        report = check_correspondence(t, samples=100, seed=7)
-        assert report.passed, report.to_text()
+        assert_correspondence(internal_tensor(ident, ident), 7)
 
     def test_scalar_tensor_preserves_dimension(self):
         m = krein_space_correspondence(2, 1)
@@ -256,8 +253,7 @@ class TestAssociativity:
 class TestContragredient:
     def test_identity_contragredient_axioms(self):
         cbar = contragredient(identity_correspondence(bounded_operators(1, 1)))
-        report = check_correspondence(cbar, samples=100, seed=17)
-        assert report.passed, report.to_text()
+        assert_correspondence(cbar, 17)
 
     def test_inner_values_transported(self):
         m = identity_correspondence(bounded_operators(1, 1))
