@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Compare the canonical reports of another source tree with this one's.
+
+Usage: scripts/compare_reports.py PARENT_SRC
+
+Runs every configuration of the standard list below through ``krein-check``
+twice, once with PYTHONPATH=PARENT_SRC and once with this repository's
+``src``, and compares the two canonical JSON reports.  Prints "identical"
+for a configuration whose reports are byte-equal, and otherwise each moved
+value as (record name, field, parent, change).  Exits 1 when record names,
+their order, tolerances, negative-control flags or verdicts differ, or when
+a run ends other than pass or fail.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# scenario configurations at the sizes the benchmark and gallery use, and
+# the three demos, each at its default seed unless given
+CONFIGS = [
+    *(
+        ["check", "full-gallery", "--samples", "100", "--seed", str(seed)]
+        for seed in (0, 1, 42)
+    ),
+    ["check", "module-over-krein", "--p", "2", "--q", "2", "--samples", "20"],
+    ["check", "clifford", "--p", "3", "--q", "3", "--samples", "20"],
+    ["check", "spinor", "--p", "3", "--q", "3", "--samples", "10"],
+    ["check", "krein-algebra", "--p", "2", "--q", "2", "--samples", "200"],
+    ["check", "module", "--p", "2", "--q", "2", "--samples", "50"],
+    ["check", "tensor", "--samples", "50"],
+    ["demo", "minkowski"],
+    ["demo", "torus"],
+    ["demo", "spinor-m4"],
+]
+
+# record fields that must agree; a difference in any other field is a move
+STRUCTURAL = ("name", "tolerance", "expected_fail", "passed")
+
+
+def run_report(src: str, args: list[str], path: str):
+    """The canonical JSON report of one krein-check run, or None if the run
+    did not end in pass (0) or fail (1)."""
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "kreinmod.cli", *args, "--quiet", "--report", path]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode not in (0, 1):
+        print(f"  exit {proc.returncode} with {src}: {proc.stderr.strip()}")
+        return None
+    with open(path) as fh:
+        return fh.read()
+
+
+def compare(parent: dict, change: dict) -> bool:
+    """Print the moved values; True when the structure or a verdict differs."""
+    differs = parent["verdict"] != change["verdict"]
+    if differs:
+        print(f"  verdict: {parent['verdict']} -> {change['verdict']}")
+    for key in sorted(set(parent) | set(change)):
+        if key not in ("records", "verdict") and parent.get(key) != change.get(key):
+            print(f"  ({key}, {parent.get(key)!r}, {change.get(key)!r})")
+    old, new = parent["records"], change["records"]
+    if [r["name"] for r in old] != [r["name"] for r in new]:
+        print(f"  record names or order differ ({len(old)} vs {len(new)} records)")
+        differs = True
+    for a, b in zip(old, new):
+        for field in sorted(set(a) | set(b)):
+            if a.get(field) != b.get(field):
+                print(f"  ({a['name']}, {field}, {a.get(field)!r}, {b.get(field)!r})")
+                differs = differs or field in STRUCTURAL
+    return differs
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", metavar="PARENT_SRC")
+    args = parser.parse_args()
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for config in CONFIGS:
+            print(" ".join(config))
+            parent = run_report(args.parent_src, config, os.path.join(tmp, "p.json"))
+            change = run_report(str(SRC), config, os.path.join(tmp, "c.json"))
+            if parent is None or change is None:
+                failed = True
+            elif parent == change:
+                print("  identical")
+            else:
+                failed = compare(json.loads(parent), json.loads(change)) or failed
+    sys.exit(1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

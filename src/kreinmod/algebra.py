@@ -75,25 +75,22 @@ class FiniteCStarAlgebra:
             )
         return np.where(self.mask, a, 0.0)
 
-    def contains(self, m, tol: float = 1e-10) -> bool:
+    def contains(self, m) -> bool:
         a = as_complex_matrix(m)
         if a.shape != (self.dim, self.dim):
             return False
         scale = max(operator_norm(a), 1.0)
-        return operator_norm(self.project(a) - a) <= tol * scale
+        return operator_norm(self.project(a) - a) <= 1e-10 * scale
 
     def basis(self) -> np.ndarray:
-        """Matrix units of every block, stacked as a (vector_dim, d, d) array."""
-        out = np.zeros((self.vector_dim, self.dim, self.dim), dtype=complex)
-        idx = 0
-        off = 0
-        for k in self.blocks:
-            for i in range(k):
-                for j in range(k):
-                    out[idx, off + i, off + j] = 1.0
-                    idx += 1
-            off += k
-        return out
+        """Matrix units of every block, stacked as a (vector_dim, d, d) array.
+
+        The blocks are diagonal and contiguous, so the row-major order of the
+        mask's entries is block by block, row by row.
+        """
+        d = self.dim
+        units = np.eye(d * d, dtype=complex)[np.flatnonzero(self.mask)]
+        return units.reshape(-1, d, d)
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         """I.i.d. complex normal entries, restricted to the blocks."""
@@ -205,11 +202,11 @@ class KreinCStarAlgebra:
             )
         return ((a.ravel() @ self._onb_h) @ self._onb).reshape(self.dim, self.dim)
 
-    def contains(self, m, tol: float = 1e-9) -> bool:
+    def contains(self, m) -> bool:
         a = as_complex_matrix(m)
         if a.shape != (self.dim, self.dim):
             return False
-        return self._first_outside(a[None], tol) < 0
+        return self._first_outside(a[None]) < 0
 
     def _first_outside(self, x, tol: float = 1e-9) -> int:
         """Index of the first matrix in the stack x with
@@ -275,12 +272,6 @@ def scalar_krein_algebra() -> KreinCStarAlgebra:
     return KreinCStarAlgebra(
         np.ones((1, 1, 1), dtype=complex), np.eye(1, dtype=complex), label="C"
     )
-
-
-def from_blocks(blocks, eta) -> KreinCStarAlgebra:
-    """Kreĭn structure on a block-diagonal C*-algebra; eta must preserve it."""
-    alg = FiniteCStarAlgebra(tuple(blocks))
-    return KreinCStarAlgebra(alg.basis(), eta)
 
 
 # -- operations ---------------------------------------------------------------

@@ -42,7 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _common_flags(check)
     check.add_argument("--p", type=int, default=1, help="positive directions")
     check.add_argument("--q", type=int, default=1, help="negative directions")
-    check.add_argument("--rank", type=int, default=2, help="module rank")
 
     demo = sub.add_parser("demo", help="run a named example walkthrough")
     demo.add_argument("name", choices=DEMOS)
@@ -113,7 +112,6 @@ def main(argv=None) -> int:
                 tol=args.tol,
                 p=args.p,
                 q=args.q,
-                rank=args.rank,
             )
             return _emit(run(config), args)
         report, narrative = run_demo(

@@ -45,6 +45,11 @@ from .linalg import (
 from .report import Report
 
 
+# complex entries of the largest internal_tensor array (~512 MB): admits the
+# spinor S ⊗ S̄ up to p + q = 9, not from p + q = 10
+TENSOR_ENTRY_BUDGET = 32_000_000
+
+
 class DegenerateDescentError(ValueError):
     """The inner product degenerates on the quotient carrier."""
 
@@ -128,14 +133,13 @@ def spinor_correspondence(space: PseudoEuclideanSpace) -> Correspondence:
 def internal_tensor(
     m: Correspondence,
     n: Correspondence,
-    budget: int = 32_000_000,
     section_rotation: np.random.Generator | None = None,
 ) -> TensorCorrespondence:
     """The balanced tensor product over the shared middle algebra.
 
-    ``budget`` bounds the complex entries of the largest array, the relations
-    matrix or the plain inner tensor, before either is allocated; the default
-    (~512 MB) admits the spinor S ⊗ S̄ up to p + q = 9, not from p + q = 10.
+    ``TENSOR_ENTRY_BUDGET`` bounds the complex entries of the largest array,
+    the relations matrix or the plain inner tensor, before either is
+    allocated.
 
     ``section_rotation`` optionally re-picks the orthonormal section by a
     random unitary change of quotient basis; the descended structures must
@@ -154,9 +158,10 @@ def internal_tensor(
     nb = mid.basis.shape[0]
     dc = n.algebra.dim
     entries = max(plain * dm * nb * dn, plain * plain * dc * dc)
-    if entries > budget:
+    if entries > TENSOR_ENTRY_BUDGET:
         raise ResourceBudgetError(
-            f"internal tensor needs an array of {entries} entries, budget {budget}"
+            f"internal tensor needs an array of {entries} entries, "
+            f"budget {TENSOR_ENTRY_BUDGET}"
         )
 
     eye_m = np.eye(dm, dtype=complex)
@@ -192,13 +197,14 @@ def internal_tensor(
     )
     symmetry = descend(np.kron(m.symmetry, n.symmetry), "symmetry")
 
-    # plain inner product <x1 (x) y1, x2 (x) y2> = <y1, <x1,x2> y2>
-    ip_plain = np.zeros((plain, plain, dc, dc), dtype=complex)
-    for i in range(dm):
-        for j in range(dm):
-            lmat = n.left_operator(m.inner[i, j])
-            block = np.einsum("ml,kmab->klab", lmat, n.inner)
-            ip_plain[i * dn : (i + 1) * dn, j * dn : (j + 1) * dn] = block
+    # plain inner product <x1 (x) y1, x2 (x) y2> = <y1, <x1,x2> y2>, with
+    # lmats[i, j] the left operator of <e_i, e_j>
+    lmats = np.tensordot(
+        n.left_algebra.coefficients(m.inner), n.left_action, axes=(2, 0)
+    )
+    ip_plain = np.einsum("ijml,kmab->ikjlab", lmats, n.inner).reshape(
+        plain, plain, dc, dc
+    )
     # BLAS contractions; the defects are norms, so their axis order is free
     defect = max(
         np.linalg.norm(np.tensordot(kernel.conj(), ip_plain, axes=(0, 0))),
@@ -247,20 +253,19 @@ def even_odd_decomposition_check(
     )
     halves_m = _symmetry_halves(m.symmetry)
     halves_n = _symmetry_halves(n.symmetry)
-    pushed_even, pushed_odd = [], []
+    # the elementary tensors u ⊗ v of each pair of halves, columns of bm ⊗ bn
+    pushed = {+1: [], -1: []}
     for sm, bm in halves_m.items():
         for sn, bn in halves_n.items():
-            target = pushed_even if sm == sn else pushed_odd
-            for u in bm.T:
-                for v in bn.T:
-                    target.append(t.elementary(u, v))
+            pushed[sm * sn].append(t.projector @ np.kron(bm, bn))
     desc_halves = _symmetry_halves(t.symmetry)
-    for sign, pushed, name in (
-        (+1, pushed_even, "even part matches matched-sign tensors"),
-        (-1, pushed_odd, "odd part matches mixed-sign tensors"),
+    for sign, name in (
+        (+1, "even part matches matched-sign tensors"),
+        (-1, "odd part matches mixed-sign tensors"),
     ):
         eig = Subspace(t.dim, desc_halves[sign])
-        span = column_space(np.stack(pushed, axis=1)) if pushed else None
+        cols = np.hstack(pushed[sign])
+        span = column_space(cols) if cols.shape[1] else None
         if span is None or span.dim != eig.dim:
             report.check(name, 1.0, tol, detail="dimension mismatch")
             continue
@@ -286,27 +291,17 @@ def _symmetry_halves(j: np.ndarray) -> dict:
 
 def right_unit_iso(m: Correspondence) -> CorrespondenceMorphism:
     """M ⊗ id(B) → M by x ⊗ b ↦ x·b."""
-    ident = identity_correspondence(m.algebra)
-    t = internal_tensor(m, ident)
-    iso_plain = np.zeros((m.dim, m.dim * ident.dim), dtype=complex)
-    eye_m = np.eye(m.dim, dtype=complex)
-    for i in range(m.dim):
-        for k in range(ident.dim):
-            b = m.algebra.from_coefficients(np.eye(ident.dim)[k])
-            iso_plain[:, i * ident.dim + k] = m.act(eye_m[i], b)
+    t = internal_tensor(m, identity_correspondence(m.algebra))
+    # column (i, k) is e_i · b_k, column i of action[k]
+    iso_plain = m.action.transpose(1, 2, 0).reshape(m.dim, -1)
     return CorrespondenceMorphism(t, m, iso_plain @ t.section)
 
 
 def left_unit_iso(m: Correspondence) -> CorrespondenceMorphism:
     """id(A) ⊗ M → M by a ⊗ x ↦ a·x."""
-    ident = identity_correspondence(m.left_algebra)
-    t = internal_tensor(ident, m)
-    iso_plain = np.zeros((m.dim, ident.dim * m.dim), dtype=complex)
-    eye_m = np.eye(m.dim, dtype=complex)
-    for k in range(ident.dim):
-        a = m.left_algebra.from_coefficients(np.eye(ident.dim)[k])
-        for i in range(m.dim):
-            iso_plain[:, k * m.dim + i] = m.act_left(a, eye_m[i])
+    t = internal_tensor(identity_correspondence(m.left_algebra), m)
+    # column (k, i) is b_k · e_i, column i of left_action[k]
+    iso_plain = m.left_action.transpose(1, 0, 2).reshape(m.dim, -1)
     return CorrespondenceMorphism(t, m, iso_plain @ t.section)
 
 
@@ -495,14 +490,10 @@ def spinor_factorization_check(
     d = rep.spinor_dim
     gamma_alg = s.left_algebra
     cl = clifford_krein_algebra(space)
-    eye = np.eye(d, dtype=complex)
-    # plain elementary tensors -> exterior coordinates, then through the section
-    v_plain = np.zeros((lam_dim, d * d), dtype=complex)
-    for i in range(d):
-        for k in range(d):
-            op = np.outer(eye[i], eye[k]) @ rep.a
-            v_plain[:, i * d + k] = gamma_alg.coefficients(op)
-    v = v_plain @ t.section
+    # plain elementary tensors e_i ⊗ e_k -> exterior coordinates of E_ik A,
+    # then through the section
+    units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
+    v = gamma_alg.coefficients(units @ rep.a).T @ t.section
     report.check(
         "identification bijective",
         0.0 if numerical_rank(v) == lam_dim else 1.0,

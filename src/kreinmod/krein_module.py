@@ -75,10 +75,10 @@ class KreinModule:
     def element_pattern(self) -> np.ndarray:
         return np.tile(self.base.mask, (self.rank, 1))
 
-    def _in_pattern(self, m, tol: float = 1e-10) -> bool:
+    def _in_pattern(self, m) -> bool:
         scale = max(operator_norm(m), 1.0)
         return (
-            operator_norm(np.where(self.operator_pattern, m, 0.0) - m) <= tol * scale
+            operator_norm(np.where(self.operator_pattern, m, 0.0) - m) <= 1e-10 * scale
         )
 
     def project_operator(self, m) -> np.ndarray:
@@ -96,16 +96,12 @@ class KreinModule:
     def random_operator(self, rng: np.random.Generator) -> np.ndarray:
         return self.project_operator(random_complex(rng, self.flat_dim, self.flat_dim))
 
-    def basis_elements(self) -> list[np.ndarray]:
-        """Linear basis of the carrier (rank copies of the algebra basis)."""
-        out = []
-        k = self.base.dim
-        for i in range(self.rank):
-            for b in self.base.basis():
-                x = np.zeros((self.flat_dim, k), dtype=complex)
-                x[i * k : (i + 1) * k] = b
-                out.append(x)
-        return out
+    def basis_elements(self) -> np.ndarray:
+        """Linear basis of the carrier, rank copies of the algebra basis: the
+        stack e_i ⊗ b of shape (rank · vector_dim, flat_dim, base.dim)."""
+        column_units = np.eye(self.rank, dtype=complex)[:, None, :, None]
+        stack = np.kron(column_units, self.base.basis()[None])
+        return stack.reshape(-1, self.flat_dim, self.base.dim)
 
     # -- module structure -----------------------------------------------------
 
@@ -120,11 +116,8 @@ class KreinModule:
             raise DimensionMismatchError("element shape mismatch")
         return x.conj().T @ self.gram @ y
 
-    def vectorize(self, x) -> np.ndarray:
-        return as_complex_matrix(x).ravel()
-
     def lift_operator(self, m) -> np.ndarray:
-        """The flat operator as a matrix on the vectorized element space."""
+        """The flat operator on the row-major vectorized element space."""
         return np.kron(as_complex_matrix(m), np.eye(self.base.dim))
 
 
@@ -167,7 +160,7 @@ class FundamentalSymmetry:
         for sign in (+1, -1):
             p = np.eye(nk) + sign * j
             form = sign * (p.conj().T @ g @ p)
-            if not is_psd(form, tol=1e-9):
+            if not is_psd(form):
                 raise ValidationError(
                     "a half of the decomposition is not semidefinite"
                 )
@@ -212,17 +205,12 @@ def fundamental_decomposition(
 ) -> tuple[Subspace, Subspace]:
     """Ranges of (1 ± J)/2 inside the vectorized carrier."""
     _check_owner(module, symmetry)
-    cols_p, cols_m = [], []
-    for x in module.basis_elements():
-        v = module.vectorize(x)
-        lift = module.lift_operator(symmetry.projector(+1))
-        cols_p.append(lift @ v)
-        cols_m.append(module.lift_operator(symmetry.projector(-1)) @ v)
-    plus = column_space(np.stack(cols_p, axis=1))
-    minus = column_space(np.stack(cols_m, axis=1))
-    if plus.dim + minus.dim != numerical_rank(
-        np.stack([module.vectorize(x) for x in module.basis_elements()], axis=1)
-    ):
+    carrier = module.basis_elements().reshape(-1, module.ambient_dim).T
+    plus, minus = (
+        column_space(module.lift_operator(symmetry.projector(sign)) @ carrier)
+        for sign in (+1, -1)
+    )
+    if plus.dim + minus.dim != numerical_rank(carrier):
         raise ValidationError("decomposition does not exhaust the carrier")
     return plus, minus
 
@@ -308,19 +296,13 @@ def adjointable_algebra(
     g = _pd_gram(module, symmetry)
     l = np.linalg.cholesky(g).conj().T  # g = l† l
     linv = np.linalg.inv(l)
-    k = module.base.dim
-    basis = []
-    for i in range(module.rank):
-        for jdx in range(module.rank):
-            for b in module.base.basis():
-                m = np.zeros((module.flat_dim, module.flat_dim), dtype=complex)
-                m[i * k : (i + 1) * k, jdx * k : (jdx + 1) * k] = b
-                basis.append(l @ m @ linv)
+    # E_ij ⊗ b for the rank x rank matrix units E_ij and the base basis b
+    units = np.eye(module.rank**2, dtype=complex).reshape(-1, module.rank, module.rank)
+    blocks = np.kron(units[:, None], module.base.basis()[None])
+    basis = l @ blocks.reshape(-1, module.flat_dim, module.flat_dim) @ linv
     eta = l @ symmetry.matrix @ linv
     eta = (eta + eta.conj().T) / 2
-    return KreinCStarAlgebra(
-        np.stack(basis), eta, label=f"B(module rank {module.rank})"
-    )
+    return KreinCStarAlgebra(basis, eta, label=f"B(module rank {module.rank})")
 
 
 def _check_owner(module: KreinModule, symmetry: FundamentalSymmetry):

@@ -83,9 +83,8 @@ class KreinModuleOverKrein:
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         return random_complex(rng, self.dim)
 
-    def is_nondegenerate(self, tol: float = 1e-8) -> bool:
-        flat = self.inner.reshape(self.dim, -1)
-        return numerical_rank(flat, tol) == self.dim
+    def is_nondegenerate(self) -> bool:
+        return numerical_rank(self.inner.reshape(self.dim, -1)) == self.dim
 
 
 @dataclass(frozen=True)
@@ -138,37 +137,19 @@ def self_module(algebra: KreinCStarAlgebra) -> KreinBimodule:
 
     Right product star(x) y, left product x star(y), symmetry alpha.
     """
-    basis = algebra.basis
-    nb = basis.shape[0]
-    d = algebra.dim
-
-    def mult_matrix(b, side) -> np.ndarray:
-        cols = []
-        for k in range(nb):
-            prod = basis[k] @ b if side == "right" else b @ basis[k]
-            cols.append(algebra.coefficients(prod))
-        return np.stack(cols, axis=1)
-
-    action = np.stack([mult_matrix(b, "right") for b in basis])
-    left_action = np.stack([mult_matrix(b, "left") for b in basis])
-    inner = np.zeros((nb, nb, d, d), dtype=complex)
-    left_inner = np.zeros((nb, nb, d, d), dtype=complex)
-    for i in range(nb):
-        for j in range(nb):
-            inner[i, j] = algebra.star(basis[i]) @ basis[j]
-            left_inner[i, j] = basis[i] @ algebra.star(basis[j])
-    symmetry = np.stack(
-        [algebra.coefficients(algebra.alpha(b)) for b in basis], axis=1
-    )
+    basis, eta = algebra.basis, algebra.eta
+    # structure constants: products[i, j] = coefficients(b_i b_j)
+    products = algebra.coefficients(basis[:, None] @ basis[None])
+    stars = eta @ basis.conj().swapaxes(1, 2) @ eta
     return KreinBimodule(
         algebra=algebra,
-        dim=nb,
-        action=action,
-        inner=inner,
-        symmetry=symmetry,
+        dim=len(basis),
+        action=products.transpose(1, 2, 0),  # column k of action[j]: b_k b_j
+        inner=stars[:, None] @ basis[None],
+        symmetry=algebra.coefficients(eta @ basis @ eta).T,
         left_algebra=algebra,
-        left_action=left_action,
-        left_inner=left_inner,
+        left_action=products.transpose(0, 2, 1),  # column k of left_action[j]: b_j b_k
+        left_inner=basis[:, None] @ stars[None],
     )
 
 
@@ -186,45 +167,21 @@ def operator_bimodule(
         if alg.vector_dim != alg.dim**2:
             raise ValidationError("operator bimodule needs full matrix algebras")
     dim = d2 * d1
-
-    def vec(t):
-        return t.ravel()
-
-    def unvec(v):
-        return np.asarray(v, dtype=complex).reshape(d2, d1)
-
-    action = np.stack(
-        [
-            np.stack([vec(unvec(np.eye(dim)[k]) @ b) for k in range(dim)], axis=1)
-            for b in k1.basis
-        ]
-    )
-    left_action = np.stack(
-        [
-            np.stack([vec(a @ unvec(np.eye(dim)[k])) for k in range(dim)], axis=1)
-            for a in k2.basis
-        ]
-    )
-    inner = np.zeros((dim, dim, d1, d1), dtype=complex)
-    left_inner = np.zeros((dim, dim, d2, d2), dtype=complex)
-    for i in range(dim):
-        ti = unvec(np.eye(dim)[i])
-        for j in range(dim):
-            tj = unvec(np.eye(dim)[j])
-            inner[i, j] = k1.eta @ ti.conj().T @ k2.eta @ tj
-            left_inner[i, j] = ti @ k1.eta @ tj.conj().T @ k2.eta
-    symmetry = np.stack(
-        [vec(k2.eta @ unvec(np.eye(dim)[k]) @ k1.eta) for k in range(dim)], axis=1
-    )
+    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
+    # row-major vec(A T B) = (A ⊗ Bᵀ) vec(T); on the unit T_(r,s) = e_r e_sᵀ
+    # the products read eta1 T_(r,s)† eta2 T_(t,u) = eta1[:, s] eta2[r, t] e_uᵀ
+    # and T_(r,s) eta1 T_(t,u)† eta2 = e_r eta1[s, u] eta2[t, :]
+    inner = np.einsum("as,rt,uc->rstuac", k1.eta, k2.eta, eye1)
+    left_inner = np.einsum("ra,su,tc->rstuac", eye2, k1.eta, k2.eta)
     return KreinBimodule(
         algebra=k1,
         dim=dim,
-        action=action,
-        inner=inner,
-        symmetry=symmetry,
+        action=np.kron(eye2[None], k1.basis.swapaxes(1, 2)),
+        inner=inner.reshape(dim, dim, d1, d1),
+        symmetry=np.kron(k2.eta, k1.eta.T),
         left_algebra=k2,
-        left_action=left_action,
-        left_inner=left_inner,
+        left_action=np.kron(k2.basis, eye1[None]),
+        left_inner=left_inner.reshape(dim, dim, d2, d2),
     )
 
 
@@ -274,26 +231,24 @@ def adjoint_residual(
     return s, residual / max(np.linalg.norm(target), 1.0)
 
 
-def krein_adjoint_over_krein(
-    module: KreinModuleOverKrein, t, tol: float = 1e-8
-) -> np.ndarray:
+def krein_adjoint_over_krein(module: KreinModuleOverKrein, t) -> np.ndarray:
     """Solve ⟨T x, y⟩ = ⟨x, S y⟩ for S, raising when no solution exists.
 
     The relation is linear in S; it is set up over the carrier basis and
-    solved by least squares.  A residual above tol (relative to the target)
+    solved by least squares.  A residual above 1e-8 (relative to the target)
     means T has no adjoint for the indefinite algebra-valued product.
     """
     s, residual = adjoint_residual(module, t)
-    if residual > tol:
+    if residual > 1e-8:
         raise NonAdjointableError(
             f"no adjoint exists: relative residual {residual:.3e}"
         )
     return s
 
 
-def is_adjointable(module: KreinModuleOverKrein, t, tol: float = 1e-8) -> bool:
+def is_adjointable(module: KreinModuleOverKrein, t) -> bool:
     try:
-        krein_adjoint_over_krein(module, t, tol)
+        krein_adjoint_over_krein(module, t)
     except NonAdjointableError:
         return False
     return True
@@ -355,7 +310,7 @@ def check_module_over_krein(
         # hermiticity defect of <x, J x> relative to |x|², or 1 if not PSD
         aux = auxiliary_product(module, s.x, s.x)
         herm_defect = operator_norm(aux - aux.conj().T)
-        psd_defect = 0.0 if is_psd(aux, tol=1e-9) else 1.0
+        psd_defect = 0.0 if is_psd(aux) else 1.0
         return worst_of(herm_defect / max(s.nx * s.nx, 1e-30), psd_defect)
 
     def even_odd_exchange(s):

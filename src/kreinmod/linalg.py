@@ -138,26 +138,24 @@ class Subspace:
         """Orthogonal projection of an ambient vector onto the subspace."""
         return self.basis @ (self.basis.conj().T @ v)
 
-    def contains(self, v: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
-        return np.linalg.norm(self.project(v) - v) <= tol * nv
+        return np.linalg.norm(self.project(v) - v) <= DEFAULT_TOL * nv
 
 
-def column_space(m, tol: float = RANK_TOL) -> Subspace:
+def column_space(m) -> Subspace:
     """Orthonormal basis of the column space, via SVD."""
     a = as_complex_matrix(m)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if a.size == 0 or s[0] == 0.0:
         return Subspace(a.shape[0], np.zeros((a.shape[0], 0)))
-    r = int(np.sum(s > tol * s[0]))
+    r = int(np.sum(s > RANK_TOL * s[0]))
     return Subspace(a.shape[0], u[:, :r])
 
 
-def quotient_space(
-    ambient_dim: int, relations, tol: float = RANK_TOL
-) -> tuple[int, np.ndarray, np.ndarray]:
+def quotient_space(ambient_dim: int, relations) -> tuple[int, np.ndarray, np.ndarray]:
     """Quotient of C^ambient_dim by the span of the relation vectors.
 
     Returns (dim, projector, section): the projector (dim x ambient) maps
@@ -176,22 +174,22 @@ def quotient_space(
     a = np.stack(rel, axis=1)  # ambient x n_relations
     # the thin U already spans C^ambient when ambient <= n_relations
     u, s, _ = np.linalg.svd(a, full_matrices=ambient_dim > a.shape[1])
-    rank = int(np.sum(s > tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
     comp = u[:, rank:]
     projector = comp.conj().T
     section = comp
     return ambient_dim - rank, projector, section
 
 
-def eig_signature(h, tol: float = 1e-9) -> tuple[int, int]:
+def eig_signature(h) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of a hermitian matrix."""
     a = as_complex_matrix(h)
     if not np.allclose(a, a.conj().T, atol=1e-10 * max(1.0, operator_norm(a))):
         raise ValidationError("matrix is not hermitian")
     w = np.linalg.eigvalsh(a)
     scale = max(np.max(np.abs(w)), 1.0) if w.size else 1.0
-    pos = int(np.sum(w > tol * scale))
-    neg = int(np.sum(w < -tol * scale))
+    pos = int(np.sum(w > DEFAULT_TOL * scale))
+    neg = int(np.sum(w < -DEFAULT_TOL * scale))
     return pos, neg
 
 
@@ -200,11 +198,11 @@ def min_hermitian_eig(h) -> float:
     return float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2)))
 
 
-def is_psd(h, tol: float = 1e-9) -> bool:
+def is_psd(h) -> bool:
     """Positive semidefinite up to a relative spectral slack."""
     a = as_complex_matrix(h)
     scale = max(operator_norm(a), 1.0)
-    return min_hermitian_eig(a) >= -tol * scale
+    return min_hermitian_eig(a) >= -DEFAULT_TOL * scale
 
 
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:

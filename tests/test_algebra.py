@@ -7,7 +7,6 @@ from kreinmod.algebra import (
     bounded_operators,
     check_krein_cstar_axioms,
     even_odd_split,
-    from_blocks,
     functions_on_points,
 )
 from kreinmod.clifford import (
@@ -161,7 +160,7 @@ class TestValidation:
     def test_first_outside_matches_all_svd_reference(self):
         # off-block perturbations are orthogonal to B(C^3) ⊕ B(C^2) ⊕ C, so
         # each residual is the perturbation, here 0.1 to 10 times the bound
-        alg = from_blocks((3, 2, 1), eta_pq(3, 3))
+        alg = KreinCStarAlgebra(FiniteCStarAlgebra((3, 2, 1)).basis(), eta_pq(3, 3))
         off_block = ~FiniteCStarAlgebra((3, 2, 1)).mask
         rng = np.random.default_rng(14)
         tol, found = 1e-9, set()
@@ -220,6 +219,19 @@ class TestFiniteCStarAlgebra:
         alg = FiniteCStarAlgebra((2, 2))
         a = alg.random_element(np.random.default_rng(0))
         assert alg.contains(a)
+
+    @pytest.mark.parametrize("blocks", [(1,), (3,), (2, 1, 3), (1, 1, 1)])
+    def test_basis_matches_per_unit_reference(self, blocks):
+        alg = FiniteCStarAlgebra(blocks)
+        ref, off = [], 0
+        for k in blocks:
+            for i in range(k):
+                for j in range(k):
+                    unit = np.zeros((alg.dim, alg.dim), dtype=complex)
+                    unit[off + i, off + j] = 1.0
+                    ref.append(unit)
+            off += k
+        assert np.array_equal(alg.basis(), np.stack(ref))
 
     def test_commutative_case(self):
         alg = functions_on_points(4)
@@ -354,7 +366,7 @@ class TestAxiomChecker:
 
     def test_block_algebra_with_eta(self):
         # commutative functions on 4 points, pointwise signs (+,+,-,-)
-        A = from_blocks((1, 1, 1, 1), eta_pq(2, 2))
+        A = KreinCStarAlgebra(FiniteCStarAlgebra((1, 1, 1, 1)).basis(), eta_pq(2, 2))
         report = check_krein_cstar_axioms(A, samples=200, seed=3)
         assert report.passed, report.to_text()
 

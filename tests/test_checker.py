@@ -72,6 +72,23 @@ class TestScenarios:
                 controls.add(r.name)
         assert len(controls) >= 5
 
+    def test_tensor_morphism_and_hom_laws_take_tol(self):
+        report = run(CheckConfig(scenario="tensor", samples=5, tol=1e-3))
+        tolerances = {r.name: r.tolerance for r in report.records}
+        laws = (
+            "intertwines both actions",
+            "preserves inner products",
+            "intertwines symmetries",
+        )
+        names = [
+            f"{iso}: {law}"
+            for iso in ("right unit", "left unit", "associativity")
+            for law in laws
+        ]
+        names += ["unital", "multiplicative", "star-preserving"]
+        names += ["intertwines alpha and beta", "section independence"]
+        assert {n: tolerances[n] for n in names} == dict.fromkeys(names, 1e-3)
+
     def test_clifford_budget(self):
         # (5, 4): the blade tensor alone would take 512³ · 16 B ≈ 2.1 GB
         for p, q in ((6, 6), (5, 4)):

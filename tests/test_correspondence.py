@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kreinmod import correspondence
 from kreinmod.algebra import bounded_operators
 from kreinmod.clifford import PseudoEuclideanSpace
 from kreinmod.correspondence import (
@@ -36,6 +37,11 @@ from kreinmod.linalg import (
 
 def m2_algebra():
     return bounded_operators(2, 0)
+
+
+def spinor_pair(p, q):
+    s = spinor_correspondence(PseudoEuclideanSpace(p, q))
+    return s, contragredient(s)
 
 
 def assert_correspondence(corr, seed):
@@ -132,19 +138,22 @@ class TestInternalTensor:
         moved = np.einsum("au,bv,abcd->uvcd", c.conj(), c, t1.inner)
         assert np.linalg.norm(moved - t2.inner) < 1e-9
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         ident = identity_correspondence(m2_algebra())
+        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 10)
         with pytest.raises(ResourceBudgetError):
-            internal_tensor(ident, ident, budget=10)
+            internal_tensor(ident, ident)
 
-    def test_budget_counts_plain_inner_tensor(self):
+    def test_budget_counts_plain_inner_tensor(self, monkeypatch):
         # S ⊗ S̄ over C for (1,1): 16 relation entries, but the plain inner
         # tensor has (2·2)² · 2² = 64 entries
         s = spinor_correspondence(PseudoEuclideanSpace(1, 1))
         sbar = contragredient(s)
+        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 63)
         with pytest.raises(ResourceBudgetError):
-            internal_tensor(s, sbar, budget=63)
-        assert internal_tensor(s, sbar, budget=64).dim == 4
+            internal_tensor(s, sbar)
+        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 64)
+        assert internal_tensor(s, sbar).dim == 4
 
     @pytest.mark.parametrize("p, q", [(1, 1), (2, 2)])
     def test_descended_inner_matches_loops(self, p, q):
@@ -168,6 +177,33 @@ class TestInternalTensor:
                     for b in range(len(plain)):
                         ref[u, v] += t.section[a, u].conj() * t.section[b, v] * ip[a][b]
         assert np.linalg.norm(t.inner - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: spinor_pair(1, 1),
+            lambda: spinor_pair(2, 2),
+            lambda: (identity_correspondence(bounded_operators(1, 1)),) * 2,
+            lambda: (krein_space_correspondence(2, 1),) * 2,
+        ],
+        ids=["spinor11", "spinor22", "id-b11", "c21"],
+    )
+    def test_descended_inner_matches_per_pair_reference(self, make):
+        m, n = make()
+        t = internal_tensor(m, n)
+        # the plain inner tensor, one pair (i, j) of m's basis vectors at a time
+        dm, dn, dc = m.dim, n.dim, n.algebra.dim
+        ip = np.zeros((dm * dn, dm * dn, dc, dc), dtype=complex)
+        for i in range(dm):
+            for j in range(dm):
+                lmat = n.left_operator(m.inner[i, j])
+                ip[i * dn : (i + 1) * dn, j * dn : (j + 1) * dn] = np.einsum(
+                    "ml,kmab->klab", lmat, n.inner
+                )
+        ref = np.einsum(
+            "au,bv,abcd->uvcd", t.section.conj(), t.section, ip, optimize=True
+        )
+        assert np.array_equal(t.inner, ref)
 
     @pytest.mark.parametrize(
         "size, descends", [(1e-3, False), (1e-7, False), (1e-10, True)]
@@ -224,6 +260,26 @@ class TestUnitLaws:
         iso = left_unit_iso(krein_space_correspondence(2, 1))
         report = check_morphism(iso, samples=100, seed=13)
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: identity_correspondence(m2_algebra()),
+            lambda: krein_space_correspondence(2, 1),
+        ],
+        ids=["id-m2", "c21"],
+    )
+    def test_isos_match_per_column_reference(self, make):
+        m = make()
+        eye_m = np.eye(m.dim, dtype=complex)
+        right = right_unit_iso(m)
+        cols = np.stack([m.act(x, b) for x in eye_m for b in m.algebra.basis], axis=1)
+        assert np.array_equal(right.matrix, cols @ right.source.section)
+        left = left_unit_iso(m)
+        cols = np.stack(
+            [m.act_left(a, x) for a in m.left_algebra.basis for x in eye_m], axis=1
+        )
+        assert np.array_equal(left.matrix, cols @ left.source.section)
 
 
 class TestAssociativity:

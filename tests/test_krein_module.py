@@ -57,6 +57,20 @@ class TestKreinModule:
         with pytest.raises(ValidationError):
             KreinModule(alg, 1, g)
 
+    def test_basis_elements_match_per_copy_reference(self):
+        m = KreinModule(
+            FiniteCStarAlgebra((2, 1)),
+            3,
+            np.kron(np.diag([1.0, -1.0, 1.0]), np.eye(3)).astype(complex),
+        )
+        k, ref = m.base.dim, []
+        for i in range(m.rank):
+            for b in m.base.basis():
+                x = np.zeros((m.flat_dim, k), dtype=complex)
+                x[i * k : (i + 1) * k] = b
+                ref.append(x)
+        assert np.array_equal(m.basis_elements(), np.stack(ref))
+
     def test_inner_lands_in_base(self):
         m = m2_module()
         rng = np.random.default_rng(0)
@@ -297,6 +311,26 @@ class TestAdjointableAlgebra:
         alg = adjointable_algebra(m, random_symmetry(m, np.random.default_rng(23)))
         report = check_krein_cstar_axioms(alg, samples=200, seed=24)
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize("seed", [None, 27])
+    def test_basis_matches_per_block_reference(self, seed):
+        m = m2_module()
+        j = (
+            standard_symmetry(m)
+            if seed is None
+            else random_symmetry(m, np.random.default_rng(seed))
+        )
+        g = j.matrix.conj().T @ m.gram
+        l = np.linalg.cholesky((g + g.conj().T) / 2).conj().T
+        linv = np.linalg.inv(l)
+        k, ref = m.base.dim, []
+        for i in range(m.rank):
+            for jdx in range(m.rank):
+                for b in m.base.basis():
+                    t = np.zeros((m.flat_dim, m.flat_dim), dtype=complex)
+                    t[i * k : (i + 1) * k, jdx * k : (jdx + 1) * k] = b
+                    ref.append(l @ t @ linv)
+        assert np.array_equal(adjointable_algebra(m, j).basis, np.stack(ref))
 
     def test_star_transports_krein_adjoint(self):
         m = m2_module()

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinmod.algebra import bounded_operators, from_blocks
+from kreinmod.algebra import FiniteCStarAlgebra, KreinCStarAlgebra, bounded_operators
+from kreinmod.clifford import PseudoEuclideanSpace, gamma_algebra, gamma_rep
 from kreinmod.krein_over_krein import (
     NonAdjointableError,
     adjoint_residual,
@@ -16,11 +17,18 @@ from kreinmod.krein_over_krein import (
     rank_one,
     self_module,
 )
-from kreinmod.linalg import is_psd, min_hermitian_eig, operator_norm
+from kreinmod.linalg import is_psd, min_hermitian_eig, operator_norm, random_complex
 
 
 def b11():
     return bounded_operators(1, 1)
+
+
+def rotated_bounded_operators(p, q, seed):
+    """B(C^{p,q}) with eta conjugated by a random unitary, so eta ≠ etaᵀ."""
+    u, _ = np.linalg.qr(random_complex(np.random.default_rng(seed), p + q, p + q))
+    eta = u @ np.diag([1.0] * p + [-1.0] * q) @ u.conj().T
+    return KreinCStarAlgebra(FiniteCStarAlgebra((p + q,)).basis(), eta)
 
 
 MODULES = pytest.mark.parametrize(
@@ -46,9 +54,33 @@ class TestSelfModule:
 
     def test_axioms_commutative_with_signs(self):
         eta = np.diag([1.0, -1.0, 1.0]).astype(complex)
-        alg = from_blocks((1, 1, 1), eta)
+        alg = KreinCStarAlgebra(FiniteCStarAlgebra((1, 1, 1)).basis(), eta)
         report = check_module_over_krein(self_module(alg), samples=100, seed=2)
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            b11,
+            lambda: bounded_operators(2, 1),
+            lambda: KreinCStarAlgebra(
+                FiniteCStarAlgebra((1, 1, 1)).basis(), np.diag([1.0, -1.0, 1.0])
+            ),
+            lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))),
+        ],
+        ids=["b11", "b21", "signs", "gamma22"],
+    )
+    def test_tensors_match_per_element_reference(self, make):
+        alg = make()
+        m = self_module(alg)
+        b, coef = alg.basis, alg.coefficients
+        for j in range(len(b)):
+            for k in range(len(b)):
+                assert np.array_equal(m.action[j][:, k], coef(b[k] @ b[j]))
+                assert np.array_equal(m.left_action[j][:, k], coef(b[j] @ b[k]))
+                assert np.array_equal(m.inner[j, k], alg.star(b[j]) @ b[k])
+                assert np.array_equal(m.left_inner[j, k], b[j] @ alg.star(b[k]))
+            assert np.array_equal(m.symmetry[:, j], coef(alg.alpha(b[j])))
 
     def test_pairing_matches_algebra_product(self):
         alg = b11()
@@ -80,7 +112,7 @@ class TestSymmetryAdjointability:
             krein_adjoint_over_krein(m, m.symmetry)
 
     def test_symmetry_adjointable_in_definite_case(self):
-        alg = from_blocks((2,), np.eye(2))
+        alg = KreinCStarAlgebra(FiniteCStarAlgebra((2,)).basis(), np.eye(2))
         m = self_module(alg)
         s = krein_adjoint_over_krein(m, m.symmetry)
         assert operator_norm(s - m.symmetry) < 1e-8
@@ -251,6 +283,38 @@ class TestOperatorBimodule:
         m = operator_bimodule(bounded_operators(1, 1), bounded_operators(1, 1))
         report = check_imprimitivity(m, samples=100, seed=14)
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (bounded_operators(1, 1), bounded_operators(2, 1)),
+            lambda: (bounded_operators(2, 1), bounded_operators(1, 1)),
+            lambda: (bounded_operators(2, 2), bounded_operators(1, 1)),
+            lambda: (
+                rotated_bounded_operators(2, 1, 16),
+                rotated_bounded_operators(1, 1, 17),
+            ),
+        ],
+        ids=["b11-b21", "b21-b11", "b22-b11", "rotated"],
+    )
+    def test_tensors_match_per_unit_reference(self, make):
+        k1, k2 = make()
+        m = operator_bimodule(k1, k2)
+        # diagonal etas keep every entry exact; rotated ones may round each
+        # product of two eta entries differently
+        exact = all(np.array_equal(e, np.diag(np.diag(e))) for e in (k1.eta, k2.eta))
+        same = np.array_equal if exact else lambda x, y: np.allclose(x, y, 0, 1e-15)
+        # carrier basis: the d2 x d1 matrix units, flattened row-major
+        units = np.eye(m.dim, dtype=complex).reshape(m.dim, k2.dim, k1.dim)
+        for k, t in enumerate(units):
+            for i, b in enumerate(k1.basis):
+                assert np.array_equal(m.action[i][:, k], (t @ b).ravel())
+            for i, a in enumerate(k2.basis):
+                assert np.array_equal(m.left_action[i][:, k], (a @ t).ravel())
+            assert same(m.symmetry[:, k], (k2.eta @ t @ k1.eta).ravel())
+            for j, s in enumerate(units):
+                assert same(m.inner[k, j], k1.eta @ t.conj().T @ k2.eta @ s)
+                assert same(m.left_inner[k, j], t @ k1.eta @ s.conj().T @ k2.eta)
 
     def test_symmetry_squares_to_identity(self):
         m = operator_bimodule(bounded_operators(2, 1), bounded_operators(1, 1))
