@@ -35,6 +35,7 @@ CONFIGS = [
     ["check", "krein-algebra", "--p", "2", "--q", "2", "--samples", "200"],
     ["check", "module", "--p", "2", "--q", "2", "--samples", "50"],
     ["check", "tensor", "--samples", "50"],
+    ["check", "tensor", "--p", "3", "--q", "2", "--samples", "20"],
     ["demo", "minkowski"],
     ["demo", "torus"],
     ["demo", "spinor-m4"],

@@ -281,13 +281,11 @@ def run(config: CheckConfig) -> Report:
     return report
 
 
-def _coverage_check(report: Report, scenario: str, prefix: str = ""):
+def _coverage_check(report: Report, scenario: str):
     names = {r.name for r in report.records}
-    missing = [
-        n for n in COVERAGE_MANIFEST[scenario] if prefix + n not in names
-    ]
+    missing = [n for n in COVERAGE_MANIFEST[scenario] if n not in names]
     report.check(
-        prefix + "coverage manifest complete",
+        "coverage manifest complete",
         float(len(missing)),
         0.5,
         detail="missing: " + ", ".join(missing) if missing else "all present",
@@ -372,8 +370,9 @@ def _scenario_module(config: CheckConfig) -> Report:
         np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex),
     )
     rng = np.random.default_rng(config.seed)
+    # each symmetry's halves, computed once for both laws that read them
     samples = [
-        s
+        SimpleNamespace(**vars(s), halves=fundamental_decomposition(module, s.j))
         for module in (space, matrix_module)
         for s in _symmetry_samples(module, rng, n_random=20)
     ]
@@ -398,7 +397,7 @@ def _scenario_module(config: CheckConfig) -> Report:
     # consecutive symmetries of the same module
     transitions = [
         SimpleNamespace(
-            module=s1.module, eye=s1.eye, j1=s1.j, j2=s2.j,
+            module=s1.module, eye=s1.eye, j1=s1.j, j2=s2.j, halves=s1.halves,
             u=intertwiner(s1.module, s1.j, s2.j),
         )
         for s1, s2 in zip(samples, samples[1:])
@@ -496,14 +495,14 @@ def _half_defect(s, sign: int) -> float:
 
 
 def _decomposition_defect(s) -> float:
-    plus, minus = fundamental_decomposition(s.module, s.j)
+    plus, minus = s.halves
     return float(abs(plus.dim + minus.dim - s.module.rank * s.module.base.vector_dim))
 
 
 def _transition_defect(p) -> float:
     """Rank deficit of the transition maps between the halves of j1 and j2."""
     deficits = []
-    for sign, half in zip((+1, -1), fundamental_decomposition(p.module, p.j1)):
+    for sign, half in zip((+1, -1), p.halves):
         comp = p.module.lift_operator(p.j2.projector(sign) @ p.j1.projector(sign))
         deficits.append(float(abs(numerical_rank(comp @ half.basis) - half.dim)))
     return max(deficits)
@@ -780,7 +779,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     )
     report.extend(
         morita_krein_check(
-            spinor_correspondence(space),
+            module,
             samples=config.samples,
             seed=config.seed + 2,
             tol=config.tol,
@@ -836,10 +835,9 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     report.extend(lu, prefix="left unit: ")
     report.check("left unit law", 0.0 if lu.passed else 1.0, 0.5)
 
+    mpq = krein_space_correspondence(config.p, config.q)
     chain = associativity_iso(
-        krein_space_correspondence(config.p, config.q),
-        krein_space_correspondence(1, 0),
-        krein_space_correspondence(0, 1),
+        mpq, krein_space_correspondence(1, 0), krein_space_correspondence(0, 1)
     )[0]
     assoc = check_morphism(
         chain, samples=config.samples, seed=config.seed + 2, tol=config.tol
@@ -847,7 +845,6 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     report.extend(assoc, prefix="associativity: ")
     report.check("associativity isomorphism", 0.0 if assoc.passed else 1.0, 0.5)
 
-    mpq = krein_space_correspondence(config.p, config.q)
     t = internal_tensor(mpq, mpq)
     report.extend(even_odd_decomposition_check(t, mpq, mpq))
 

@@ -27,6 +27,7 @@ from .linalg import (
     numerical_rank,
     operator_norm,
     random_complex,
+    spectral_projector,
 )
 
 
@@ -170,7 +171,7 @@ class FundamentalSymmetry:
         return self.matrix @ x
 
     def projector(self, sign: int) -> np.ndarray:
-        return (np.eye(self.module.flat_dim) + sign * self.matrix) / 2
+        return spectral_projector(self.matrix, sign)
 
 
 def standard_symmetry(module: KreinModule) -> FundamentalSymmetry:

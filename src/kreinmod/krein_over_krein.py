@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .algebra import KreinCStarAlgebra
+from .algebra import KreinCStarAlgebra, even_odd_split
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
@@ -314,8 +314,7 @@ def check_module_over_krein(
         return worst_of(herm_defect / max(s.nx * s.nx, 1e-30), psd_defect)
 
     def even_odd_exchange(s):
-        ap = alg.alpha(s.p)
-        even, odd = (s.p + ap) / 2, (s.p - ap) / 2
+        even, odd = even_odd_split(alg, s.p)
         return operator_norm(s.pj - (even - odd)) / s.sxy
 
     act, pairing, j = module.act, module.pairing, module.j

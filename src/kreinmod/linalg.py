@@ -156,29 +156,31 @@ def column_space(m) -> Subspace:
 
 
 def quotient_space(ambient_dim: int, relations) -> tuple[int, np.ndarray, np.ndarray]:
-    """Quotient of C^ambient_dim by the span of the relation vectors.
+    """Quotient of C^ambient_dim by the span of the relation vectors, the rows
+    of an (n_relations, ambient_dim) array.
 
     Returns (dim, projector, section): the projector (dim x ambient) maps
     onto an orthonormal complement of the relation span, the section
     (ambient x dim) embeds it back, and projector @ section == identity.
     """
-    rel = [np.asarray(r, dtype=complex).ravel() for r in relations]
-    for r in rel:
-        if r.shape[0] != ambient_dim:
-            raise DimensionMismatchError(
-                f"relation length {r.shape[0]} != ambient_dim {ambient_dim}"
-            )
-    if not rel:
+    rel = np.asarray(relations, dtype=complex)
+    if rel.size == 0:
         eye = np.eye(ambient_dim, dtype=complex)
         return ambient_dim, eye, eye
-    a = np.stack(rel, axis=1)  # ambient x n_relations
+    if rel.ndim != 2 or rel.shape[1] != ambient_dim:
+        raise DimensionMismatchError(
+            f"relations of shape {rel.shape}, expected (n, {ambient_dim})"
+        )
     # the thin U already spans C^ambient when ambient <= n_relations
-    u, s, _ = np.linalg.svd(a, full_matrices=ambient_dim > a.shape[1])
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0 else 0
+    u, s, _ = np.linalg.svd(rel.T, full_matrices=ambient_dim > rel.shape[0])
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     comp = u[:, rank:]
-    projector = comp.conj().T
-    section = comp
-    return ambient_dim - rank, projector, section
+    return ambient_dim - rank, comp.conj().T, comp
+
+
+def spectral_projector(j, sign: int) -> np.ndarray:
+    """(1 + sign·j) / 2: the projector onto the sign eigenspace of an involution j."""
+    return (np.eye(j.shape[0]) + sign * j) / 2
 
 
 def eig_signature(h) -> tuple[int, int]:

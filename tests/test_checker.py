@@ -1,5 +1,6 @@
 import pytest
 
+from kreinmod import checker
 from kreinmod.checker import (
     COVERAGE_MANIFEST,
     DEMOS,
@@ -94,6 +95,21 @@ class TestScenarios:
         for p, q in ((6, 6), (5, 4)):
             with pytest.raises(ResourceBudgetError):
                 run(CheckConfig(scenario="clifford", p=p, q=q, samples=1))
+
+    def test_module_decomposes_each_symmetry_once(self, monkeypatch):
+        # 2 modules x (1 standard + 20 random) symmetries; the transition
+        # laws reuse the halves of their first symmetry
+        calls = []
+
+        def counted(module, symmetry):
+            calls.append(symmetry)
+            return decompose(module, symmetry)
+
+        decompose = checker.fundamental_decomposition
+        monkeypatch.setattr(checker, "fundamental_decomposition", counted)
+        assert run(CheckConfig(scenario="module", p=2, q=2, samples=5)).passed
+        assert len(calls) == 42
+        assert len({id(j) for j in calls}) == 42
 
     def test_spinor_needs_even_dimension(self):
         with pytest.raises(ConfigError):

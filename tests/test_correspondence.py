@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from kreinmod import correspondence
-from kreinmod.algebra import bounded_operators
+from kreinmod.algebra import KreinCStarAlgebra, bounded_operators
 from kreinmod.clifford import PseudoEuclideanSpace
 from kreinmod.correspondence import (
     DegenerateDescentError,
@@ -39,6 +39,13 @@ def m2_algebra():
     return bounded_operators(2, 0)
 
 
+def mixed_basis_b11():
+    """B(C^{1,1}) on a random, non-orthogonal basis."""
+    b = bounded_operators(1, 1)
+    mix = random_complex(np.random.default_rng(21), 4, 4)
+    return KreinCStarAlgebra(np.tensordot(mix, b.basis, axes=(1, 0)), b.eta)
+
+
 def spinor_pair(p, q):
     s = spinor_correspondence(PseudoEuclideanSpace(p, q))
     return s, contragredient(s)
@@ -50,6 +57,29 @@ def assert_correspondence(corr, seed):
     assert report.passed, report.to_text()
     for a in corr.left_algebra.basis:
         assert is_adjointable(corr, corr.left_operator(a))
+
+
+def assert_corrupted_map(kind, size, descends):
+    # a perturbed action no longer commutes with the other side's action
+    # and a perturbed symmetry no longer twists over alpha, so either
+    # moves the balancing relations out of their span once the defect
+    # passes 1e-8; the right action comes from the second factor
+    m = identity_correspondence(bounded_operators(1, 1))
+    noise = size * random_complex(np.random.default_rng(15), m.dim, m.dim)
+    if kind == "symmetry":
+        bad, index = dataclasses.replace(m, symmetry=m.symmetry + noise), 0
+    else:
+        field = {"right action": "action", "left action": "left_action"}[kind]
+        maps = getattr(m, field).copy()
+        maps[2] += noise
+        bad, index = dataclasses.replace(m, **{field: maps}), 2
+    pair = (m, bad) if kind == "right action" else (bad, m)
+    if descends:
+        assert internal_tensor(*pair).dim == m.dim
+        return
+    with pytest.raises(ValidationError, match=f"{kind} does not descend") as err:
+        internal_tensor(*pair)
+    assert str(err.value).endswith(f"(map {index})")
 
 
 class TestCorrespondenceAxioms:
@@ -125,7 +155,8 @@ class TestInternalTensor:
         for _ in range(20):
             x1, y1 = m.random_element(rng), m.random_element(rng)
             x2, y2 = m.random_element(rng), m.random_element(rng)
-            lhs = t.pairing(t.elementary(x1, y1), t.elementary(x2, y2))
+            u1, u2 = t.projector @ np.kron(x1, y1), t.projector @ np.kron(x2, y2)
+            lhs = t.pairing(u1, u2)
             rhs = m.pairing(y1, m.act_left(m.pairing(x1, x2), y2))
             assert operator_norm(lhs - rhs) < 1e-9
 
@@ -154,6 +185,17 @@ class TestInternalTensor:
             internal_tensor(s, sbar)
         monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 64)
         assert internal_tensor(s, sbar).dim == 4
+
+    def test_budget_counts_map_stacks(self, monkeypatch):
+        # S ⊗ C^{1,0} over C for (1,1): the relations and the plain inner
+        # tensor have plain² = 4 entries, the stack of 4 left actions 16
+        s = spinor_correspondence(PseudoEuclideanSpace(1, 1))
+        c = krein_space_correspondence(1, 0)
+        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 15)
+        with pytest.raises(ResourceBudgetError):
+            internal_tensor(s, c)
+        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 16)
+        assert internal_tensor(s, c).dim == 2
 
     @pytest.mark.parametrize("p, q", [(1, 1), (2, 2)])
     def test_descended_inner_matches_loops(self, p, q):
@@ -209,17 +251,19 @@ class TestInternalTensor:
         "size, descends", [(1e-3, False), (1e-7, False), (1e-10, True)]
     )
     def test_one_corrupted_left_action(self, size, descends):
-        # a perturbed left action is no longer right-linear, so it moves the
-        # balancing relations out of their span once the defect passes 1e-8
-        m = identity_correspondence(bounded_operators(1, 1))
-        left = m.left_action.copy()
-        left[2] += size * random_complex(np.random.default_rng(15), m.dim, m.dim)
-        bad = dataclasses.replace(m, left_action=left)
-        if descends:
-            assert internal_tensor(bad, m).dim == m.dim
-        else:
-            with pytest.raises(ValidationError, match="left action does not descend"):
-                internal_tensor(bad, m)
+        assert_corrupted_map("left action", size, descends)
+
+    @pytest.mark.parametrize(
+        "size, descends", [(1e-3, False), (1e-7, False), (1e-10, True)]
+    )
+    def test_one_corrupted_right_action(self, size, descends):
+        assert_corrupted_map("right action", size, descends)
+
+    @pytest.mark.parametrize(
+        "size, descends", [(1e-3, False), (1e-7, False), (1e-10, True)]
+    )
+    def test_corrupted_symmetry(self, size, descends):
+        assert_corrupted_map("symmetry", size, descends)
 
     def test_middle_mismatch_rejected(self):
         m = krein_space_correspondence(1, 1)
@@ -238,6 +282,33 @@ class TestInternalTensor:
         t = internal_tensor(ident, ident)
         report = even_odd_decomposition_check(t, ident, ident)
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize("p, q", [(2, 0), (0, 2)])
+    def test_decomposition_definite(self, p, q):
+        # one half of each factor is zero, so is the odd part: two empty
+        # spaces match
+        m = krein_space_correspondence(p, q)
+        report = even_odd_decomposition_check(internal_tensor(m, m), m, m)
+        assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (krein_space_correspondence(1, 1),) * 2,
+            lambda: (identity_correspondence(bounded_operators(1, 1)),) * 2,
+        ],
+        ids=["c11", "id-b11"],
+    )
+    def test_decomposition_wrong_symmetry_fails(self, make):
+        m, n = make()
+        t = internal_tensor(m, n)
+        # -J swaps the halves; flipping one eigen-direction of the (hermitian)
+        # descended J moves one vector from the even to the odd half
+        v = np.linalg.eigh(t.symmetry)[1][:, :1]
+        for symmetry in (-t.symmetry, t.symmetry - 2 * t.symmetry @ v @ v.conj().T):
+            bad = dataclasses.replace(t, symmetry=symmetry)
+            report = even_odd_decomposition_check(bad, m, n)
+            assert np.allclose([r.max_violation for r in report.records], 1.0)
 
 
 class TestUnitLaws:
@@ -334,6 +405,28 @@ class TestContragredient:
         lhs = mbar.act(x.conj(), a)
         rhs = m.act_left(m.left_algebra.star(a), x).conj()
         assert np.linalg.norm(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: spinor_correspondence(PseudoEuclideanSpace(1, 1)),
+            lambda: spinor_correspondence(PseudoEuclideanSpace(2, 2)),
+            lambda: identity_correspondence(bounded_operators(1, 1)),
+            lambda: identity_correspondence(mixed_basis_b11()),
+        ],
+        ids=["spinor11", "spinor22", "id-b11", "id-b11-mixed"],
+    )
+    def test_actions_match_per_element_reference(self, make):
+        # on the first three bases star permutes the basis elements up to
+        # sign, so only the mixed basis tells a coefficient matrix from its
+        # transpose
+        m = make()
+        mbar = contragredient(m)
+        la, ra = m.left_algebra, m.algebra
+        right = np.stack([m.left_operator(la.star(a)).conj() for a in la.basis])
+        left = np.stack([m.right_operator(ra.star(b)).conj() for b in ra.basis])
+        for got, want in ((mbar.action, right), (mbar.left_action, left)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_double_contragredient_is_identity(self):
         for corr in (

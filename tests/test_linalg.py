@@ -18,6 +18,7 @@ from kreinmod.linalg import (
     operator_norm,
     quotient_space,
     random_complex,
+    spectral_projector,
 )
 
 
@@ -251,6 +252,31 @@ class TestQuotientSpace:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             quotient_space(3, [np.ones(4)])
+
+    def test_relation_array(self):
+        # one relation per row, as a list of rows or an array, and an array
+        # with no rows is no relation
+        rels = random_complex(np.random.default_rng(4), 3, 6)
+        for got, want in zip(quotient_space(6, rels), quotient_space(6, list(rels))):
+            assert np.array_equal(got, want)
+        dim, proj, sect = quotient_space(6, np.zeros((0, 6)))
+        assert dim == 6 and np.array_equal(proj, np.eye(6))
+        for bad in (rels.T, rels[:, :, None]):
+            with pytest.raises(DimensionMismatchError):
+                quotient_space(6, bad)
+
+
+class TestSpectralProjector:
+    def test_non_hermitian_involution(self):
+        # J = S diag(1, 1, -1) S⁻¹: the projectors are oblique but complementary
+        s = random_complex(np.random.default_rng(6), 3, 3)
+        j = s @ np.diag([1.0, 1.0, -1.0]) @ np.linalg.inv(s)
+        plus, minus = spectral_projector(j, +1), spectral_projector(j, -1)
+        for sign, p in ((+1, plus), (-1, minus)):
+            assert np.allclose(p @ p, p, atol=1e-12)
+            assert np.allclose(j @ p, sign * p, atol=1e-12)
+        assert np.allclose(plus + minus, np.eye(3), atol=1e-15)
+        assert numerical_rank(plus) == 2 and numerical_rank(minus) == 1
 
 
 class TestSubspace:
