@@ -113,19 +113,20 @@ def functions_on_points(n_points: int) -> FiniteCStarAlgebra:
 class KreinCStarAlgebra:
     """A concrete *-closed operator algebra on a reference Kreĭn space C^d.
 
-    ``basis`` spans the carrier subalgebra of d x d matrices; ``eta`` is the
+    ``basis`` is a stack of d x d matrices that are pairwise orthogonal and
+    nonzero in the Frobenius inner product ⟨x, y⟩ = tr(x† y): matrix units,
+    Clifford and gamma blades and the scalars all are.  It spans the carrier
+    subalgebra, whose coordinates are then ⟨b_i, a⟩ / ‖b_i‖².  ``eta`` is the
     hermitian involution of the reference space.  The twisted involution is
     ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``.
 
-    The constructor forms the Gram matrix of the flattened basis once.  If
-    every off-diagonal entry is exactly zero (Clifford blades, gamma blades,
-    matrix units), the singular values are the basis norms and no SVD is
-    taken; otherwise a thin SVD gives the same factors.  Either way the rank
-    keeps the singular values above 1e-12 times the largest.
+    The constructor forms the Gram matrix of the flattened basis once and
+    raises ValidationError unless it is exactly diagonal with a positive
+    diagonal.
     """
 
     def __init__(self, basis, eta, *, label: str = "", validate: bool = True):
-        basis = np.asarray(basis, dtype=complex)
+        basis = np.ascontiguousarray(basis, dtype=complex)
         if basis.ndim != 3 or basis.shape[1] != basis.shape[2]:
             raise ValidationError("basis must be a stack of square matrices")
         self.basis = basis
@@ -134,32 +135,24 @@ class KreinCStarAlgebra:
         self.label = label
         if self.eta.shape != (self.dim, self.dim):
             raise DimensionMismatchError("eta shape does not match basis")
-        # _onb: orthonormal rows spanning the carrier, for projection;
-        # _s_inv_uh: S_r⁻¹ U_r† of the thin SVD U S V† of the flattened
-        # basis, so that coordinates are (a @ _onb†) @ _s_inv_uh
-        flat = basis.reshape(basis.shape[0], -1)
+        flat = self._flat
         gram = flat @ flat.conj().T
-        if np.array_equal(gram, np.diag(np.diagonal(gram))):
-            # orthogonal rows: the singular values are the row norms and
-            # V_r's rows are the kept rows over their norms
-            norms = np.sqrt(np.diagonal(gram).real)
-            keep = np.flatnonzero(norms > 1e-12 * norms.max(initial=0.0))
-            self._onb = flat[keep] / norms[keep, None]
-            self._s_inv_uh = (
-                np.eye(len(flat), dtype=complex)[keep] / norms[keep, None]
-            )
-        else:
-            u, s, vh = np.linalg.svd(flat, full_matrices=False)
-            rank = int(np.sum(s > 1e-12 * s[0])) if s.size and s[0] > 0 else 0
-            self._onb = vh[:rank]  # (r, d*d)
-            self._s_inv_uh = (u[:, :rank] / s[:rank]).conj().T  # (r, nb)
-        self._onb_h = self._onb.conj().T
+        if not np.array_equal(gram, np.diag(np.diagonal(gram))):
+            raise ValidationError("basis elements are not Frobenius-orthogonal")
+        self._norms_sq = np.diagonal(gram).real.copy()
+        if not np.all(self._norms_sq > 0):
+            raise ValidationError("basis contains a zero element")
         if validate:
             self._validate()
 
     @property
+    def _flat(self) -> np.ndarray:
+        """The basis as (vector_dim, d²) rows, a view of ``basis``."""
+        return self.basis.reshape(len(self.basis), -1)
+
+    @property
     def vector_dim(self) -> int:
-        return self._onb.shape[0]
+        return len(self.basis)
 
     def _validate(self):
         d = self.dim
@@ -200,7 +193,7 @@ class KreinCStarAlgebra:
             raise DimensionMismatchError(
                 f"expected shape {(self.dim, self.dim)}, got {a.shape}"
             )
-        return ((a.ravel() @ self._onb_h) @ self._onb).reshape(self.dim, self.dim)
+        return (self.coefficients(a) @ self._flat).reshape(self.dim, self.dim)
 
     def contains(self, m) -> bool:
         a = as_complex_matrix(m)
@@ -211,14 +204,14 @@ class KreinCStarAlgebra:
     def _first_outside(self, x, tol: float = 1e-9) -> int:
         """Index of the first matrix in the stack x with
         ‖project(a) − a‖ > tol · max(‖a‖, 1), or -1 if there is none."""
-        flat = x.reshape(len(x), -1)
-        residual = ((flat @ self._onb_h) @ self._onb - flat).reshape(x.shape)
-        return first_exceeding(residual, x, tol)
+        residual = self.coefficients(x) @ self._flat - x.reshape(len(x), -1)
+        return first_exceeding(residual.reshape(x.shape), x, tol)
 
     def coefficients(self, a) -> np.ndarray:
-        """Coordinates in the stored basis of a carrier element or a stack."""
-        a = np.asarray(a, dtype=complex)
-        return (a.reshape(*a.shape[:-2], -1) @ self._onb_h) @ self._s_inv_uh
+        """Coordinates ⟨b_i, a⟩ / ‖b_i‖² of a carrier element or a stack; the
+        conjugate is taken on a's side so the basis is read, never copied."""
+        a = np.asarray(a, dtype=complex).reshape(*np.shape(a)[:-2], -1)
+        return (a.conj() @ self._flat.T).conj() / self._norms_sq
 
     def from_coefficients(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=complex)

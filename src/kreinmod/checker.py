@@ -102,6 +102,7 @@ from .linalg import (
     numerical_rank,
     operator_norm,
     random_complex,
+    spectral_projector,
 )
 from .report import Report, worst_of
 
@@ -490,7 +491,7 @@ def _psd_defect(h) -> float:
 
 def _half_defect(s, sign: int) -> float:
     """Semidefiniteness defect of the form on the sign half of s.j."""
-    pr = s.eye + sign * s.j.matrix
+    pr = spectral_projector(s.j.matrix, sign)
     return _psd_defect(sign * (pr.conj().T @ s.module.gram @ pr))
 
 

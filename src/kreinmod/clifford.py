@@ -218,9 +218,10 @@ def anticommutator_residual(ops, signs, pair: tuple[int, int]) -> float:
     return operator_norm(anti - expected)
 
 
-# clifford_krein_algebra holds up to five N³ complex arrays, N = 2^(p+q):
-# the blade tensor, LAPACK's copy and workspace, V_r and its adjoint.
-# This admits p + q <= 8 (~1.3 GB) and refuses p + q = 9 (~10.7 GB).
+# clifford_krein_algebra peaks at two N³ complex arrays, N = 2^(p+q): the
+# blade tensor and the conjugate its Gram product takes (`check clifford`
+# peak RSS: 95 MiB at p + q = 7, 546 MiB at 8, over a ~32 MiB base).  This
+# admits p + q <= 8 (~0.54 GB) and refuses p + q = 9 (~4.3 GB).
 CLIFFORD_BYTE_BUDGET = 2_000_000_000
 
 
@@ -278,7 +279,7 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
     test suite, not postulated here).  Raises ResourceBudgetError, before
     allocating, when its arrays would exceed ``CLIFFORD_BYTE_BUDGET``.
     """
-    needed = 5 * space.grassmann_dim**3 * 16
+    needed = 2 * space.grassmann_dim**3 * 16
     if needed > CLIFFORD_BYTE_BUDGET:
         raise ResourceBudgetError(
             f"Clifford algebra of R^{{{space.p},{space.q}}} needs about "

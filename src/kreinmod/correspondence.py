@@ -205,10 +205,7 @@ def internal_tensor(
     inner = np.einsum(
         "au,bv,abcd->uvcd", section.conj(), section, ip_plain, optimize=True
     )
-    if numerical_rank(inner.reshape(qdim, -1)) < qdim:
-        raise DegenerateDescentError("descended inner product is degenerate")
-
-    return TensorCorrespondence(
+    t = TensorCorrespondence(
         algebra=n.algebra,
         dim=qdim,
         action=action,
@@ -220,6 +217,9 @@ def internal_tensor(
         projector=projector,
         section=section,
     )
+    if not t.is_nondegenerate():
+        raise DegenerateDescentError("descended inner product is degenerate")
+    return t
 
 
 def _random_unitary(rng: np.random.Generator, k: int) -> np.ndarray:

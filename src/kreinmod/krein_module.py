@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import FiniteCStarAlgebra, KreinCStarAlgebra
+from .algebra import FiniteCStarAlgebra, KreinCStarAlgebra, scalars
 from .linalg import (
     DimensionMismatchError,
     Subspace,
@@ -124,8 +124,6 @@ class KreinModule:
 
 def krein_space(p: int, q: int) -> KreinModule:
     """C^{p,q} as a rank-(p+q) module over the scalars."""
-    from .algebra import scalars
-
     g = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
     return KreinModule(scalars(), p + q, g)
 
@@ -159,9 +157,8 @@ class FundamentalSymmetry:
         if operator_norm(j.conj().T @ g - g @ j) > 1e-9 * gs * scale:
             raise ValidationError("symmetry is not self-adjoint for the inner product")
         for sign in (+1, -1):
-            p = np.eye(nk) + sign * j
-            form = sign * (p.conj().T @ g @ p)
-            if not is_psd(form):
+            p = spectral_projector(j, sign)
+            if not is_psd(sign * (p.conj().T @ g @ p)):
                 raise ValidationError(
                     "a half of the decomposition is not semidefinite"
                 )
@@ -290,18 +287,18 @@ def adjointable_algebra(
     """All A-linear operators on the module, packaged with the twisted
     involution G^{-1} T† G and fundamental symmetry T ↦ J T J.
 
-    The reference basis is rotated so the hilbertified product becomes the
-    standard one; the operator norm is then the |K|^J norm.
+    eta is J in the coordinates of the Cholesky factor l of the hilbertified
+    gram, so the operator norm is the |K|^J norm.  l has no fill-in outside
+    the A-pattern, so l T l⁻¹ spans the same units E_ij ⊗ b as T does.
     """
     _check_owner(module, symmetry)
     g = _pd_gram(module, symmetry)
     l = np.linalg.cholesky(g).conj().T  # g = l† l
-    linv = np.linalg.inv(l)
     # E_ij ⊗ b for the rank x rank matrix units E_ij and the base basis b
     units = np.eye(module.rank**2, dtype=complex).reshape(-1, module.rank, module.rank)
     blocks = np.kron(units[:, None], module.base.basis()[None])
-    basis = l @ blocks.reshape(-1, module.flat_dim, module.flat_dim) @ linv
-    eta = l @ symmetry.matrix @ linv
+    basis = blocks.reshape(-1, module.flat_dim, module.flat_dim)
+    eta = l @ symmetry.matrix @ np.linalg.inv(l)
     eta = (eta + eta.conj().T) / 2
     return KreinCStarAlgebra(basis, eta, label=f"B(module rank {module.rank})")
 

@@ -23,38 +23,21 @@ def eta_pq(p, q):
 
 
 class TestCoefficients:
-    """Coordinates from the constructor's own SVD against numpy's pinv."""
-
-    @staticmethod
-    def _against_pinv(alg):
-        flat = alg.basis.reshape(alg.basis.shape[0], -1)
-        rng = np.random.default_rng(11)
-        elems = np.stack([alg.random_element(rng) for _ in range(4)])
-        expected = elems.reshape(4, -1) @ np.linalg.pinv(flat)
-        assert np.allclose(alg.coefficients(elems), expected, rtol=0, atol=1e-12)
-        for e, c in zip(elems, expected):
-            assert np.allclose(alg.coefficients(e), c, rtol=0, atol=1e-12)
-            assert np.allclose(alg.from_coefficients(c), e, atol=1e-12)
+    """Coordinates are taken against a Frobenius-orthogonal basis only: a
+    basis that is not one is refused at construction."""
 
     def test_non_orthogonal_basis(self):
         units = FiniteCStarAlgebra((2,)).basis()
         mix = random_complex(np.random.default_rng(10), 4, 4) + 3 * np.eye(4)
         basis = np.tensordot(mix, units, axes=(1, 0))
-        self._against_pinv(KreinCStarAlgebra(basis, eta_pq(1, 1)))
+        with pytest.raises(ValidationError, match="not Frobenius-orthogonal"):
+            KreinCStarAlgebra(basis, eta_pq(1, 1))
 
     def test_duplicated_basis_element(self):
         units = FiniteCStarAlgebra((2,)).basis()
         basis = np.concatenate([units, units[1:2]])
-        alg = KreinCStarAlgebra(basis, eta_pq(1, 1))
-        assert alg.vector_dim == 4
-        self._against_pinv(alg)
-
-
-def zero_element_block_algebra():
-    """B(C^2) ⊕ C with one basis element replaced by zero."""
-    basis = FiniteCStarAlgebra((2, 1)).basis()
-    basis = np.concatenate([basis, np.zeros_like(basis[:1])])
-    return KreinCStarAlgebra(basis, np.diag([1.0, -1.0, 1.0]))
+        with pytest.raises(ValidationError, match="not Frobenius-orthogonal"):
+            KreinCStarAlgebra(basis, eta_pq(1, 1))
 
 
 ORTHOGONAL_CARRIERS = {
@@ -62,12 +45,16 @@ ORTHOGONAL_CARRIERS = {
     "clifford (3,1)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(3, 1)),
     "gamma (2,2)": lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))),
     "B(C^{2,1})": lambda: bounded_operators(2, 1),
-    "blocks with a zero element": zero_element_block_algebra,
+    # orthogonal, not orthonormal: coordinates divide by unequal ‖b_i‖²
+    "blocks with unequal norms": lambda: KreinCStarAlgebra(
+        FiniteCStarAlgebra((2, 1)).basis() * np.arange(1, 6)[:, None, None],
+        np.diag([1.0, -1.0, 1.0]),
+    ),
 }
 
 
 class TestGramPath:
-    """Exactly orthogonal bases are factored from their Gram diagonal."""
+    """Every carrier is built from its Gram diagonal, without an SVD."""
 
     @pytest.mark.parametrize("name", ORTHOGONAL_CARRIERS)
     def test_matches_svd_reference(self, name):
@@ -80,20 +67,22 @@ class TestGramPath:
         pinv = np.linalg.pinv(flat, rcond=1e-12)
         rng = np.random.default_rng(12)
         d = alg.dim
-        for v in [random_complex(rng, d, d) for _ in range(3)]:
-            coeffs = v.ravel() @ pinv
+        vs = random_complex(rng, 3, d, d)
+        expected = vs.reshape(3, -1) @ pinv
+        assert np.allclose(alg.coefficients(vs), expected, rtol=0, atol=1e-12)
+        for v, coeffs in zip(vs, expected):
             assert np.allclose(alg.coefficients(v), coeffs, rtol=0, atol=1e-12)
             assert np.allclose(
                 alg.project(v), (coeffs @ flat).reshape(d, d), rtol=0, atol=1e-12
             )
+            assert np.allclose(alg.from_coefficients(coeffs), alg.project(v))
 
-    def test_zero_element_gets_zero_coordinate(self):
-        alg = zero_element_block_algebra()
-        assert alg.vector_dim == 5
-        a = alg.random_element(np.random.default_rng(13))
-        c = alg.coefficients(a)
-        assert c[-1] == 0
-        assert np.allclose(alg.from_coefficients(c), a, atol=1e-12)
+    def test_zero_element_rejected(self):
+        # B(C^2) ⊕ C with a zero element appended: still orthogonal
+        basis = FiniteCStarAlgebra((2, 1)).basis()
+        basis = np.concatenate([basis, np.zeros_like(basis[:1])])
+        with pytest.raises(ValidationError, match="basis contains a zero element"):
+            KreinCStarAlgebra(basis, np.diag([1.0, -1.0, 1.0]))
 
     @staticmethod
     def svd_shapes(monkeypatch):
@@ -116,40 +105,44 @@ class TestGramPath:
         KreinCStarAlgebra(alg.basis, alg.eta, validate=False)
         assert shapes == []
 
-    def test_non_orthogonal_basis_takes_one_svd(self, monkeypatch):
+    def test_non_orthogonal_basis_rejected_without_svd(self, monkeypatch):
         units = FiniteCStarAlgebra((2,)).basis()
         mix = random_complex(np.random.default_rng(10), 4, 4) + 3 * np.eye(4)
         basis = np.tensordot(mix, units, axes=(1, 0))
         shapes = self.svd_shapes(monkeypatch)
-        KreinCStarAlgebra(basis, eta_pq(1, 1), validate=False)
-        assert shapes == [(4, 4)]
+        with pytest.raises(ValidationError, match="not Frobenius-orthogonal"):
+            KreinCStarAlgebra(basis, eta_pq(1, 1), validate=False)
+        assert shapes == []
 
 
 class TestValidation:
     """The constructor's batched carrier checks, in their reporting order."""
 
     def test_complex_rotated_diagonal_algebra(self):
-        # q D q† is *-closed but not closed under entrywise conjugation, so
-        # projecting onto the conjugate span would reject it
-        q, _ = np.linalg.qr(random_complex(np.random.default_rng(1), 3, 3))
-        basis = np.stack([q @ np.diag(e) @ q.conj().T for e in np.eye(3)])
-        alg = KreinCStarAlgebra(basis, np.eye(3))
+        # q D q† for q = [[3, 4i], [4i, 3]], a multiple of a unitary, is
+        # *-closed and exactly orthogonal, but not closed under entrywise
+        # conjugation, so projecting onto the conjugate span would reject it
+        q = np.array([[3, 4j], [4j, 3]])
+        basis = np.stack([q @ np.diag(e) @ q.conj().T for e in np.eye(2)])
+        alg = KreinCStarAlgebra(basis, np.eye(2))
         for b in basis:
             assert np.allclose(alg.project(b), b, atol=1e-12)
             assert alg.contains(b)
-        assert not alg.contains(q @ np.eye(3, k=1) @ q.conj().T)
+        assert not alg.contains(basis[0].conj())
+        assert not alg.contains(q @ np.eye(2, k=1) @ q.conj().T)
 
     @pytest.mark.parametrize(
         "basis, eta, message",
         [
             (np.eye(2, k=1)[None], np.eye(2), "does not contain the identity"),
-            # eta swaps e_1 and e_2, so alpha(E_11) = E_22 leaves span{1, E_11}
-            (np.stack([np.eye(3), np.diag([1.0, 0, 0])]),
+            # eta swaps e_1 and e_2, so alpha(E_11) = E_22 leaves
+            # span{E_11, E_22 + E_33}
+            (np.stack([np.diag([1.0, 0, 0]), np.diag([0.0, 1, 1])]),
              np.eye(3)[[1, 0, 2]], "not closed under alpha"),
             (np.stack([np.eye(2), np.eye(2, k=1)]), np.eye(2),
              "not closed under star"),
-            # span{1, a} is *-closed, but a² = diag(0, 1, 4) leaves it
-            (np.stack([np.eye(3), np.diag([0.0, 1, 2])]), np.eye(3),
+            # span{1, a} is *-closed, but a² = diag(1, 0, 1) leaves it
+            (np.stack([np.eye(3), np.diag([1.0, 0, -1])]), np.eye(3),
              "not closed under products"),
         ],
     )

@@ -40,9 +40,10 @@ def m2_algebra():
 
 
 def mixed_basis_b11():
-    """B(C^{1,1}) on a random, non-orthogonal basis."""
+    """B(C^{1,1}) on the orthogonal basis 1, 2·diag(1, -1), E_12, 3·E_21,
+    whose unequal norms make star's coefficient matrix non-symmetric."""
     b = bounded_operators(1, 1)
-    mix = random_complex(np.random.default_rng(21), 4, 4)
+    mix = np.array([[1, 0, 0, 1], [2, 0, 0, -2], [0, 1, 0, 0], [0, 0, 3, 0]])
     return KreinCStarAlgebra(np.tensordot(mix, b.basis, axes=(1, 0)), b.eta)
 
 
@@ -418,8 +419,8 @@ class TestContragredient:
     )
     def test_actions_match_per_element_reference(self, make):
         # on the first three bases star permutes the basis elements up to
-        # sign, so only the mixed basis tells a coefficient matrix from its
-        # transpose
+        # sign, so only the mixed basis, where star(E_12) = -E_21 is a third
+        # of a basis element, tells a coefficient matrix from its transpose
         m = make()
         mbar = contragredient(m)
         la, ra = m.left_algebra, m.algebra

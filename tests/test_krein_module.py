@@ -320,17 +320,29 @@ class TestAdjointableAlgebra:
             if seed is None
             else random_symmetry(m, np.random.default_rng(seed))
         )
-        g = j.matrix.conj().T @ m.gram
-        l = np.linalg.cholesky((g + g.conj().T) / 2).conj().T
-        linv = np.linalg.inv(l)
         k, ref = m.base.dim, []
         for i in range(m.rank):
             for jdx in range(m.rank):
                 for b in m.base.basis():
                     t = np.zeros((m.flat_dim, m.flat_dim), dtype=complex)
                     t[i * k : (i + 1) * k, jdx * k : (jdx + 1) * k] = b
-                    ref.append(l @ t @ linv)
+                    ref.append(t)
         assert np.array_equal(adjointable_algebra(m, j).basis, np.stack(ref))
+
+    def test_contains_cholesky_conjugated_units(self):
+        # the Cholesky factor l of a gram with blocks in A lies in the
+        # A-linear pattern, so l E l⁻¹ stays in the carrier of the units
+        base = FiniteCStarAlgebra((2, 1))
+        m = KreinModule(base, 2, np.diag([1, -1, 1, -1, 1, -1]).astype(complex))
+        j = random_symmetry(m, np.random.default_rng(28))
+        alg = adjointable_algebra(m, j)
+        g = j.matrix.conj().T @ m.gram
+        l = np.linalg.cholesky((g + g.conj().T) / 2).conj().T
+        linv = np.linalg.inv(l)
+        assert np.array_equal(l, m.project_operator(l))
+        assert operator_norm(l - np.diag(np.diagonal(l))) > 0.1
+        for e in alg.basis:
+            assert alg.contains(l @ e @ linv)
 
     def test_star_transports_krein_adjoint(self):
         m = m2_module()
