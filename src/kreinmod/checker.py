@@ -852,7 +852,7 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     t_rot = internal_tensor(
         mpq, mpq, section_rotation=np.random.default_rng(config.seed + 3)
     )
-    cob = t.projector @ t_rot.section
+    cob = t.section.conj().T @ t_rot.section
     moved = np.einsum("au,bv,abcd->uvcd", cob.conj(), cob, t.inner)
     report.check(
         "section independence",

@@ -19,8 +19,9 @@ import numpy as np
 
 from .algebra import KreinCStarAlgebra, scalar_krein_algebra
 from .clifford import (
+    MultiVector,
     PseudoEuclideanSpace,
-    clifford_krein_algebra,
+    clifford_action,
     gamma_rep,
     spinor_module,
 )
@@ -46,7 +47,7 @@ from .report import Report
 
 
 # complex entries of the largest internal_tensor array (~512 MB): admits the
-# spinor S ⊗ S̄ up to p + q = 9, not from p + q = 10
+# spinor S ⊗ S̄ up to p + q = 8, not from p + q = 10 (spinor needs an even p + q)
 TENSOR_ENTRY_BUDGET = 32_000_000
 
 
@@ -60,9 +61,9 @@ Correspondence = KreinBimodule
 
 @dataclass(frozen=True)
 class TensorCorrespondence(Correspondence):
-    """An internal tensor product, remembering its quotient presentation."""
+    """An internal tensor product, remembering its quotient section S; the
+    projector onto the quotient is S†."""
 
-    projector: np.ndarray = field(default=None, repr=False)
     section: np.ndarray = field(default=None, repr=False)
 
 
@@ -135,6 +136,10 @@ def internal_tensor(
     the relations matrix, a stack of structure maps or the plain inner
     tensor, before any is allocated.
 
+    A plain map T descends iff P T R = 0, for P = section† and R an orthonormal
+    basis of the relation span: ‖P T R‖₂ ≤ 1e-8 · max(‖T‖₂, 1) for each map,
+    and ‖R† ip‖, ‖ip R‖ ≤ 1e-8 · max(‖ip‖, 1) for the plain inner product.
+
     ``section_rotation`` optionally re-picks the orthonormal section by a
     random unitary change of quotient basis; the descended structures must
     not depend on this choice beyond the change of basis itself.
@@ -165,18 +170,14 @@ def internal_tensor(
     # action[k] ⊗ I − I ⊗ left_action[k] (the middle bases are equal)
     blocks = np.kron(m.action, eye_n) - np.kron(eye_m, n.left_action)
     relations = blocks.reshape(nb, plain, dm, dn).transpose(2, 0, 3, 1)
-    qdim, projector, section = quotient_space(plain, relations.reshape(-1, plain))
+    section, span = quotient_space(plain, relations.reshape(-1, plain))
     if section_rotation is not None:
-        w = _random_unitary(section_rotation, qdim)
-        section = section @ w
-        projector = w.conj().T @ projector
-
-    kernel = np.eye(plain) - section @ projector  # projector onto relations
+        section = section @ _random_unitary(section_rotation, section.shape[1])
 
     def descend(maps: np.ndarray, kind: str) -> np.ndarray:
         """A stack of plain maps, each of which must keep the relation span."""
-        pt = projector @ maps
-        k = first_exceeding(pt @ kernel, maps, 1e-8)
+        pt = section.conj().T @ maps
+        k = first_exceeding(pt @ span, maps, 1e-8)
         if k >= 0:
             raise ValidationError(
                 f"{kind} does not descend to the quotient (map {k})"
@@ -197,8 +198,8 @@ def internal_tensor(
     )
     # BLAS contractions; the defects are norms, so their axis order is free
     defect = max(
-        np.linalg.norm(np.tensordot(kernel.conj(), ip_plain, axes=(0, 0))),
-        np.linalg.norm(np.tensordot(ip_plain, kernel, axes=(1, 0))),
+        np.linalg.norm(np.tensordot(span.conj(), ip_plain, axes=(0, 0))),
+        np.linalg.norm(np.tensordot(ip_plain, span, axes=(1, 0))),
     )
     if defect > 1e-8 * max(np.linalg.norm(ip_plain), 1.0):
         raise ValidationError("inner product does not descend to the quotient")
@@ -207,14 +208,13 @@ def internal_tensor(
     )
     t = TensorCorrespondence(
         algebra=n.algebra,
-        dim=qdim,
+        dim=section.shape[1],
         action=action,
         inner=inner,
         symmetry=symmetry,
         left_algebra=m.left_algebra,
         left_action=left_action,
         left_inner=None,
-        projector=projector,
         section=section,
     )
     if not t.is_nondegenerate():
@@ -243,6 +243,7 @@ def even_odd_decomposition_check(
     )
     pm = {s: spectral_projector(m.symmetry, s) for s in (+1, -1)}
     pn = {s: spectral_projector(n.symmetry, s) for s in (+1, -1)}
+    projector = t.section.conj().T
     for sign, name in (
         (+1, "even part matches matched-sign tensors"),
         (-1, "odd part matches mixed-sign tensors"),
@@ -250,7 +251,7 @@ def even_odd_decomposition_check(
         eig = column_space(spectral_projector(t.symmetry, sign))
         # the elementary tensors u ⊗ v of the halves with signs s·s' = sign
         span = column_space(
-            t.projector @ (np.kron(pm[+1], pn[sign]) + np.kron(pm[-1], pn[-sign]))
+            projector @ (np.kron(pm[+1], pn[sign]) + np.kron(pm[-1], pn[-sign]))
         )
         if span.dim != eig.dim:
             report.check(name, 1.0, tol, detail="dimension mismatch")
@@ -292,8 +293,8 @@ def associativity_iso(
     eye_m = np.eye(m.dim, dtype=complex)
     eye_p = np.eye(p.dim, dtype=complex)
     expand = np.kron(mn.section, eye_p)  # (dm*dn*dp, q_mn*dp)
-    regroup = np.kron(eye_m, np_.projector)  # (dm*q_np, dm*dn*dp)
-    matrix = rhs.projector @ regroup @ expand @ lhs.section
+    regroup = np.kron(eye_m, np_.section.conj().T)  # (dm*q_np, dm*dn*dp)
+    matrix = rhs.section.conj().T @ regroup @ expand @ lhs.section
     return CorrespondenceMorphism(lhs, rhs, matrix), lhs, rhs
 
 
@@ -470,7 +471,6 @@ def spinor_factorization_check(
     rep = gamma_rep(space)
     d = rep.spinor_dim
     gamma_alg = s.left_algebra
-    cl = clifford_krein_algebra(space)
     # plain elementary tensors e_i ⊗ e_k -> exterior coordinates of E_ik A,
     # then through the section
     units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
@@ -489,7 +489,7 @@ def spinor_factorization_check(
     def intertwines(s):
         c, x = s
         lhs = v @ (np.tensordot(c, t.left_action, axes=(0, 0)) @ x)
-        rhs = np.tensordot(c, cl.basis, axes=(0, 0)) @ (v @ x)
+        rhs = clifford_action(space, MultiVector(space, c)) @ (v @ x)
         scale = max(np.linalg.norm(c) * np.linalg.norm(x), 1e-30)
         return np.linalg.norm(lhs - rhs) / scale
 

@@ -155,18 +155,18 @@ def column_space(m) -> Subspace:
     return Subspace(a.shape[0], u[:, :r])
 
 
-def quotient_space(ambient_dim: int, relations) -> tuple[int, np.ndarray, np.ndarray]:
+def quotient_space(ambient_dim: int, relations) -> tuple[np.ndarray, np.ndarray]:
     """Quotient of C^ambient_dim by the span of the relation vectors, the rows
     of an (n_relations, ambient_dim) array.
 
-    Returns (dim, projector, section): the projector (dim x ambient) maps
-    onto an orthonormal complement of the relation span, the section
-    (ambient x dim) embeds it back, and projector @ section == identity.
+    Returns (section, span): orthonormal column bases of the complement of the
+    relation span and of the span itself, together a unitary of C^ambient.
+    The section (ambient x dim) embeds the quotient, and section† maps onto it.
     """
     rel = np.asarray(relations, dtype=complex)
     if rel.size == 0:
         eye = np.eye(ambient_dim, dtype=complex)
-        return ambient_dim, eye, eye
+        return eye, eye[:, :0]
     if rel.ndim != 2 or rel.shape[1] != ambient_dim:
         raise DimensionMismatchError(
             f"relations of shape {rel.shape}, expected (n, {ambient_dim})"
@@ -174,8 +174,7 @@ def quotient_space(ambient_dim: int, relations) -> tuple[int, np.ndarray, np.nda
     # the thin U already spans C^ambient when ambient <= n_relations
     u, s, _ = np.linalg.svd(rel.T, full_matrices=ambient_dim > rel.shape[0])
     rank = int(np.sum(s > RANK_TOL * s[0]))
-    comp = u[:, rank:]
-    return ambient_dim - rank, comp.conj().T, comp
+    return u[:, rank:], u[:, :rank]
 
 
 def spectral_projector(j, sign: int) -> np.ndarray:

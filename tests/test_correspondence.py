@@ -30,7 +30,9 @@ from kreinmod.krein_over_krein import check_module_over_krein, is_adjointable
 from kreinmod.linalg import (
     ValidationError,
     eig_signature,
+    first_exceeding,
     operator_norm,
+    quotient_space,
     random_complex,
 )
 
@@ -153,10 +155,11 @@ class TestInternalTensor:
         m = identity_correspondence(m2_algebra())
         t = internal_tensor(m, m)
         rng = np.random.default_rng(8)
+        projector = t.section.conj().T
         for _ in range(20):
             x1, y1 = m.random_element(rng), m.random_element(rng)
             x2, y2 = m.random_element(rng), m.random_element(rng)
-            u1, u2 = t.projector @ np.kron(x1, y1), t.projector @ np.kron(x2, y2)
+            u1, u2 = projector @ np.kron(x1, y1), projector @ np.kron(x2, y2)
             lhs = t.pairing(u1, u2)
             rhs = m.pairing(y1, m.act_left(m.pairing(x1, x2), y2))
             assert operator_norm(lhs - rhs) < 1e-9
@@ -166,7 +169,7 @@ class TestInternalTensor:
         t1 = internal_tensor(m, m)
         t2 = internal_tensor(m, m, section_rotation=np.random.default_rng(9))
         # change of basis from t2 coordinates to t1 coordinates
-        c = t1.projector @ t2.section
+        c = t1.section.conj().T @ t2.section
         moved = np.einsum("au,bv,abcd->uvcd", c.conj(), c, t1.inner)
         assert np.linalg.norm(moved - t2.inner) < 1e-9
 
@@ -266,6 +269,25 @@ class TestInternalTensor:
     def test_corrupted_symmetry(self, size, descends):
         assert_corrupted_map("symmetry", size, descends)
 
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize(
+        "size, descends", [(1e-3, False), (1e-7, False), (1e-10, True)]
+    )
+    def test_corrupted_inner_product(self, side, size, descends):
+        # the actions still descend, but a perturbed inner product no longer
+        # vanishes on the balancing relations once the defect passes 1e-8
+        m = identity_correspondence(bounded_operators(1, 1))
+        noise = size * random_complex(np.random.default_rng(16), *m.inner.shape)
+        bad = dataclasses.replace(m, inner=m.inner + noise)
+        pair = (bad, m) if side == "first" else (m, bad)
+        if descends:
+            assert internal_tensor(*pair).dim == m.dim
+            return
+        with pytest.raises(
+            ValidationError, match="inner product does not descend to the quotient"
+        ):
+            internal_tensor(*pair)
+
     def test_middle_mismatch_rejected(self):
         m = krein_space_correspondence(1, 1)
         ident = identity_correspondence(m2_algebra())
@@ -310,6 +332,74 @@ class TestInternalTensor:
             bad = dataclasses.replace(t, symmetry=symmetry)
             report = even_odd_decomposition_check(bad, m, n)
             assert np.allclose([r.max_violation for r in report.records], 1.0)
+
+
+def balancing_relations(m, n):
+    """The rows e_i·b_k ⊗ e_l − e_i ⊗ b_k·e_l, one (i, k, l) at a time."""
+    e_m, e_n = np.eye(m.dim), np.eye(n.dim)
+    rows = [
+        np.kron(m.action[k] @ e_m[i], e_n[l])
+        - np.kron(e_m[i], n.left_action[k] @ e_n[l])
+        for i in range(m.dim)
+        for k in range(len(m.action))
+        for l in range(n.dim)
+    ]
+    return np.array(rows)
+
+
+def descent_residuals(m, n, maps):
+    """P·T·(I − S·P) with the kernel projector, and P·T·R with the span."""
+    section, span = quotient_space(m.dim * n.dim, balancing_relations(m, n))
+    projector = section.conj().T
+    kernel = np.eye(len(section)) - section @ projector
+    pt = projector @ maps
+    return pt @ kernel, pt @ span, section, span
+
+
+class TestDescentReference:
+    """The span form of the descent test against the kernel-projector form."""
+
+    def assert_same_norms(self, old, new, maps):
+        for o, r, t in zip(old, new, maps):
+            gap = abs(np.linalg.norm(o, 2) - np.linalg.norm(r, 2))
+            assert gap <= 1e-12 * np.linalg.norm(t, 2)
+
+    def test_random_maps(self):
+        # id(B(C^{1,1})) ⊗ id(B(C^{1,1})): 16 plain, 4 quotient, span rank 12
+        m = identity_correspondence(bounded_operators(1, 1))
+        rng = np.random.default_rng(17)
+        maps = random_complex(rng, 6, 16, 16)
+        old, new, section, span = descent_residuals(m, m, maps)
+        assert span.shape == (16, 12)
+        self.assert_same_norms(old, new, maps)
+
+        # maps that keep the span, then one moved out of it by 1e-3
+        keep = (
+            section @ random_complex(rng, 5, 4, 4) @ section.conj().T
+            + span @ random_complex(rng, 5, 12, 16)
+        )
+        keep[3] += 1e-3 * section @ random_complex(rng, 4, 12) @ span.conj().T
+        old, new, _, _ = descent_residuals(m, m, keep)
+        self.assert_same_norms(old, new, keep)
+        assert first_exceeding(old, keep, 1e-8) == first_exceeding(new, keep, 1e-8) == 3
+        assert first_exceeding(old[:3], keep[:3], 1e-8) == -1
+        assert first_exceeding(new[:3], keep[:3], 1e-8) == -1
+
+    def test_spinor_rank_zero_span(self):
+        # S ⊗ S̄ over the scalars at (1,1): every balancing relation is zero
+        m, n = spinor_pair(1, 1)
+        eye_m, eye_n = np.eye(m.dim), np.eye(n.dim)
+        maps = np.concatenate(
+            [
+                np.kron(eye_m, n.action),
+                np.kron(m.left_action, eye_n),
+                np.kron(m.symmetry, n.symmetry)[None],
+            ]
+        )
+        old, new, _, span = descent_residuals(m, n, maps)
+        assert span.shape == (4, 0)
+        self.assert_same_norms(old, new, maps)
+        assert first_exceeding(old, maps, 1e-8) == first_exceeding(new, maps, 1e-8) == -1
 
 
 class TestUnitLaws:

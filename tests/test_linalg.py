@@ -195,23 +195,43 @@ class TestNumericalRank:
             numerical_rank(np.eye(2), 0.0)
 
 
+def assert_quotient_pair(section, span, rels):
+    """section and span are orthonormal, mutually orthogonal and together
+    resolve the identity, and span holds every relation."""
+    ambient = section.shape[0]
+    for basis in (section, span):
+        k = basis.shape[1]
+        assert np.allclose(basis.conj().T @ basis, np.eye(k), atol=1e-12)
+    assert np.allclose(section.conj().T @ span, 0, atol=1e-12)
+    resolution = section @ section.conj().T + span @ span.conj().T
+    assert np.allclose(resolution, np.eye(ambient), atol=1e-12)
+    for r in rels:
+        r = np.asarray(r, dtype=complex)
+        gap = r - span @ (span.conj().T @ r)
+        assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(r)
+
+
 class TestQuotientSpace:
     def test_one_relation(self):
-        dim, proj, sect = quotient_space(3, [np.array([1, 0, 0])])
-        assert dim == 2
-        assert np.allclose(proj @ sect, np.eye(2), atol=1e-12)
+        rels = [np.array([1, 0, 0])]
+        section, span = quotient_space(3, rels)
+        assert section.shape == (3, 2) and span.shape == (3, 1)
+        assert_quotient_pair(section, span, rels)
 
     def test_duplicate_relation(self):
         e1 = np.eye(4)[0]
-        dim, _, _ = quotient_space(4, [e1, e1])
-        assert dim == 3
+        section, span = quotient_space(4, [e1, e1])
+        assert section.shape[1] == 3 and span.shape[1] == 1
+        assert_quotient_pair(section, span, [e1])
 
     def test_projector_kills_relations(self):
+        # section† is the projector onto the quotient
         rng = np.random.default_rng(3)
         rels = [random_complex(rng, 8) for _ in range(3)]
-        _, proj, _ = quotient_space(8, rels)
+        section, span = quotient_space(8, rels)
         for r in rels:
-            assert np.linalg.norm(proj @ r) <= 1e-9 * np.linalg.norm(r)
+            assert np.linalg.norm(section.conj().T @ r) <= 1e-9 * np.linalg.norm(r)
+        assert_quotient_pair(section, span, rels)
 
     @pytest.mark.parametrize(
         "ambient, n_relations, rank", [(8, 3, 3), (8, 5, 2), (6, 20, 4)]
@@ -220,13 +240,12 @@ class TestQuotientSpace:
         # fewer relations than ambient needs the full U of the SVD, more
         # relations only the thin one
         rng = np.random.default_rng(ambient + n_relations)
-        span = random_complex(rng, ambient, rank) @ random_complex(rng, rank, n_relations)
-        rels = list(span.T)
-        dim, proj, sect = quotient_space(ambient, rels)
-        assert dim == ambient - rank
-        assert np.allclose(proj @ sect, np.eye(dim), atol=1e-12)
-        for r in rels:
-            assert np.linalg.norm(proj @ r) <= 1e-9 * np.linalg.norm(r)
+        vectors = random_complex(rng, ambient, rank) @ random_complex(rng, rank, n_relations)
+        rels = list(vectors.T)
+        section, span = quotient_space(ambient, rels)
+        assert section.shape == (ambient, ambient - rank)
+        assert span.shape == (ambient, rank)
+        assert_quotient_pair(section, span, rels)
 
     def test_m2_balancing_span(self):
         # x b (x) y - x (x) b y over matrix-unit bases of M_2: quotient dim 4
@@ -241,13 +260,18 @@ class TestQuotientSpace:
                         np.kron((x @ b).ravel(), y.ravel())
                         - np.kron(x.ravel(), (b @ y).ravel())
                     )
-        dim, _, _ = quotient_space(16, rels)
-        assert dim == 4
+        section, span = quotient_space(16, rels)
+        assert section.shape[1] == 4 and span.shape[1] == 12
+        assert_quotient_pair(section, span, [r for r in rels if r.any()])
 
     def test_no_relations(self):
-        dim, proj, sect = quotient_space(5, [])
-        assert dim == 5
-        assert np.allclose(proj, np.eye(5))
+        # no relation, and only zero relations (the balancing relations
+        # over the scalars), leave an empty span
+        for rels in ([], np.zeros((3, 5))):
+            section, span = quotient_space(5, rels)
+            assert section.shape == (5, 5) and span.shape == (5, 0)
+            assert_quotient_pair(section, span, [])
+        assert np.array_equal(quotient_space(5, [])[0], np.eye(5))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -259,8 +283,8 @@ class TestQuotientSpace:
         rels = random_complex(np.random.default_rng(4), 3, 6)
         for got, want in zip(quotient_space(6, rels), quotient_space(6, list(rels))):
             assert np.array_equal(got, want)
-        dim, proj, sect = quotient_space(6, np.zeros((0, 6)))
-        assert dim == 6 and np.array_equal(proj, np.eye(6))
+        section, span = quotient_space(6, np.zeros((0, 6)))
+        assert np.array_equal(section, np.eye(6)) and span.shape == (6, 0)
         for bad in (rels.T, rels[:, :, None]):
             with pytest.raises(DimensionMismatchError):
                 quotient_space(6, bad)
