@@ -36,6 +36,9 @@ CONFIGS = [
     ["check", "module", "--p", "2", "--q", "2", "--samples", "50"],
     ["check", "tensor", "--samples", "50"],
     ["check", "tensor", "--p", "3", "--q", "2", "--samples", "20"],
+    # ladder sizes: the algebra constructor and the section-independence sum
+    ["check", "clifford", "--p", "4", "--q", "3", "--samples", "5"],
+    ["check", "tensor", "--p", "6", "--q", "6", "--samples", "5"],
     ["demo", "minkowski"],
     ["demo", "torus"],
     ["demo", "spinor-m4"],

@@ -118,7 +118,8 @@ class KreinCStarAlgebra:
     Clifford and gamma blades and the scalars all are.  It spans the carrier
     subalgebra, whose coordinates are then ⟨b_i, a⟩ / ‖b_i‖².  ``eta`` is the
     hermitian involution of the reference space.  The twisted involution is
-    ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``.
+    ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``; ``star``, ``alpha``
+    and ``project`` take a d x d matrix or a stack (..., d, d).
 
     The constructor forms the Gram matrix of the flattened basis once and
     raises ValidationError unless it is exactly diagonal with a positive
@@ -135,8 +136,12 @@ class KreinCStarAlgebra:
         self.label = label
         if self.eta.shape != (self.dim, self.dim):
             raise DimensionMismatchError("eta shape does not match basis")
-        flat = self._flat
-        gram = flat @ flat.conj().T
+        # gram[i, j] = ⟨b_i, b_j⟩, in row blocks so that only one block of the
+        # basis is ever conjugated
+        flat, step = self._flat, max(1, len(basis) // 8)
+        gram = np.empty((len(basis),) * 2, dtype=complex)
+        for i in range(0, len(basis), step):
+            gram[i : i + step] = flat[i : i + step].conj() @ flat.T
         if not np.array_equal(gram, np.diag(np.diagonal(gram))):
             raise ValidationError("basis elements are not Frobenius-orthogonal")
         self._norms_sq = np.diagonal(gram).real.copy()
@@ -167,12 +172,10 @@ class KreinCStarAlgebra:
         # an eighth of the basis at a time: each image stack is ¼ of the basis.
         if self._first_outside(eye[None]) >= 0:
             raise ValidationError("carrier does not contain the identity")
-        eta, step = self.eta, max(1, len(self.basis) // 8)
+        step = max(1, len(self.basis) // 8)
         for i in range(0, len(self.basis), step):
             b = self.basis[i : i + step]
-            images = np.stack(
-                [eta @ b @ eta, eta @ b.conj().swapaxes(1, 2) @ eta], axis=1
-            )
+            images = np.stack([self.alpha(b), self.star(b)], axis=1)
             k = self._first_outside(images.reshape(-1, d, d))
             if k >= 0:
                 kind = "star" if k % 2 else "alpha"
@@ -187,13 +190,18 @@ class KreinCStarAlgebra:
 
     # -- carrier membership ------------------------------------------------
 
+    def _operand(self, a) -> np.ndarray:
+        """A d x d matrix or a stack (..., d, d), complex with finite entries."""
+        a = np.asarray(a, dtype=complex)
+        if a.shape[-2:] != (self.dim, self.dim):
+            raise DimensionMismatchError(f"expected (..., d, d), got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValidationError("matrix has non-finite entries")
+        return a
+
     def project(self, m) -> np.ndarray:
-        a = as_complex_matrix(m)
-        if a.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"expected shape {(self.dim, self.dim)}, got {a.shape}"
-            )
-        return (self.coefficients(a) @ self._flat).reshape(self.dim, self.dim)
+        a = self._operand(m)
+        return (self.coefficients(a) @ self._flat).reshape(a.shape)
 
     def contains(self, m) -> bool:
         a = as_complex_matrix(m)
@@ -204,8 +212,9 @@ class KreinCStarAlgebra:
     def _first_outside(self, x, tol: float = 1e-9) -> int:
         """Index of the first matrix in the stack x with
         ‖project(a) − a‖ > tol · max(‖a‖, 1), or -1 if there is none."""
-        residual = self.coefficients(x) @ self._flat - x.reshape(len(x), -1)
-        return first_exceeding(residual.reshape(x.shape), x, tol)
+        residual = self.project(x)
+        residual -= x
+        return first_exceeding(residual, x, tol)
 
     def coefficients(self, a) -> np.ndarray:
         """Coordinates ⟨b_i, a⟩ / ‖b_i‖² of a carrier element or a stack; the
@@ -228,16 +237,11 @@ class KreinCStarAlgebra:
 
     def star(self, a) -> np.ndarray:
         """The involution twisted by the reference symmetry: eta a† eta."""
-        return self.eta @ hermitian_adjoint(a) @ self.eta
+        return self.eta @ self._operand(a).conj().swapaxes(-1, -2) @ self.eta
 
     def alpha(self, a) -> np.ndarray:
         """The fundamental symmetry automorphism: eta a eta."""
-        a = as_complex_matrix(a)
-        if a.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"expected shape {(self.dim, self.dim)}, got {a.shape}"
-            )
-        return self.eta @ a @ self.eta
+        return self.eta @ self._operand(a) @ self.eta
 
     def norm(self, a) -> float:
         """The C*-norm attached to alpha (operator norm on the hilbertified

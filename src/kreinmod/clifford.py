@@ -161,14 +161,16 @@ def random_multivector(
 # -- Grassmann structure --------------------------------------------------------
 
 
-def _left_matrix(a: MultiVector, disjoint: bool = False) -> np.ndarray:
-    """The operator e_T ↦ a e_T: entry [R, T] is σ[S, T] a_S with S = R xor T;
+def _left_matrix(space: PseudoEuclideanSpace, coeffs, disjoint=False) -> np.ndarray:
+    """The operator e_T ↦ a e_T of coefficients a, or a C-contiguous stack of
+    them for a stack of rows: entry [..., R, T] is σ[S, T] a_S, S = R xor T;
     with ``disjoint`` only pairs S ∩ T = ∅ count (the exterior product)."""
-    t = np.arange(a.space.grassmann_dim)
+    t = np.arange(space.grassmann_dim)
     s = t[:, None] ^ t
-    out = a.space.blade_signs[s, t] * a.coeffs[s]
+    out = np.take(coeffs, s, axis=-1)
+    out *= space.blade_signs[s, t]
     if disjoint:
-        out[(s & t) != 0] = 0
+        out[..., (s & t) != 0] = 0
     return out
 
 
@@ -176,7 +178,8 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     """Exterior product; on monomials e_S ∧ e_T = σ[S, T] e_{S∪T} when
     S ∩ T = ∅, and 0 otherwise."""
     _same_space(a, b)
-    return MultiVector(a.space, _left_matrix(a, disjoint=True) @ b.coeffs)
+    left = _left_matrix(a.space, a.coeffs, disjoint=True)
+    return MultiVector(a.space, left @ b.coeffs)
 
 
 def grassmann_inner(a: MultiVector, b: MultiVector) -> complex:
@@ -218,19 +221,11 @@ def anticommutator_residual(ops, signs, pair: tuple[int, int]) -> float:
     return operator_norm(anti - expected)
 
 
-# clifford_krein_algebra peaks at two N³ complex arrays, N = 2^(p+q): the
-# blade tensor and the conjugate its Gram product takes (`check clifford`
-# peak RSS: 95 MiB at p + q = 7, 546 MiB at 8, over a ~32 MiB base).  This
+# clifford_krein_algebra holds the N³ complex blade tensor, N = 2^(p+q), and up
+# to ~0.8 of it again while validating (`check clifford` peak RSS: 95 MiB at
+# p + q = 7, 488 MiB at 8, over a ~32 MiB base).  Counting two N³ arrays
 # admits p + q <= 8 (~0.54 GB) and refuses p + q = 9 (~4.3 GB).
 CLIFFORD_BYTE_BUDGET = 2_000_000_000
-
-
-def _blade_matrices(space: PseudoEuclideanSpace) -> np.ndarray:
-    """c(e_S) for every monomial: the sign table scattered into N³."""
-    t = np.arange(space.grassmann_dim)
-    out = np.zeros((t.size,) * 3, dtype=complex)
-    out[t[:, None], t[:, None] ^ t, t] = space.blade_signs
-    return out
 
 
 def clifford_action(space: PseudoEuclideanSpace, a: MultiVector) -> np.ndarray:
@@ -238,7 +233,7 @@ def clifford_action(space: PseudoEuclideanSpace, a: MultiVector) -> np.ndarray:
     from the generators."""
     if a.space != space:
         raise DimensionMismatchError("multivector over a different space")
-    return _left_matrix(a)
+    return _left_matrix(space, a.coeffs)
 
 
 def clifford_product(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -286,7 +281,7 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
             f"{needed} bytes, budget {CLIFFORD_BYTE_BUDGET}"
         )
     return KreinCStarAlgebra(
-        _blade_matrices(space),
+        _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex)),
         second_quantized_J(space),
         label=f"CCl(R^{{{space.p},{space.q}}})",
     )

@@ -125,6 +125,16 @@ def spinor_correspondence(space: PseudoEuclideanSpace) -> Correspondence:
 # -- internal tensor product ----------------------------------------------------
 
 
+def check_tensor_budget(entries: int) -> None:
+    """Raise ResourceBudgetError when an internal_tensor array would hold more
+    than ``TENSOR_ENTRY_BUDGET`` complex entries."""
+    if entries > TENSOR_ENTRY_BUDGET:
+        raise ResourceBudgetError(
+            f"internal tensor needs an array of {entries} entries, "
+            f"budget {TENSOR_ENTRY_BUDGET}"
+        )
+
+
 def internal_tensor(
     m: Correspondence,
     n: Correspondence,
@@ -157,12 +167,7 @@ def internal_tensor(
     nb = mid.basis.shape[0]
     dc = n.algebra.dim
     # relations, right and left action stacks, plain inner tensor
-    entries = plain * plain * max(nb, len(n.action), len(m.left_action), dc * dc)
-    if entries > TENSOR_ENTRY_BUDGET:
-        raise ResourceBudgetError(
-            f"internal tensor needs an array of {entries} entries, "
-            f"budget {TENSOR_ENTRY_BUDGET}"
-        )
+    check_tensor_budget(plain**2 * max(nb, len(n.action), len(m.left_action), dc**2))
 
     eye_m = np.eye(dm, dtype=complex)
     eye_n = np.eye(dn, dtype=complex)
@@ -353,11 +358,8 @@ def contragredient(m: Correspondence) -> Correspondence:
     if m.left_inner is None:
         raise ValidationError("contragredient needs both inner products")
     la, ra = m.left_algebra, m.algebra
-    # x̄·a = conj(star(a)·x) and b·x̄ = conj(x·star(b)), star(c) = eta c† eta
-    star_l, star_r = (
-        alg.coefficients(alg.eta @ alg.basis.conj().swapaxes(1, 2) @ alg.eta)
-        for alg in (la, ra)
-    )
+    # x̄·a = conj(star(a)·x) and b·x̄ = conj(x·star(b))
+    star_l, star_r = (alg.coefficients(alg.star(alg.basis)) for alg in (la, ra))
     new_right = np.tensordot(star_l, m.left_action, axes=(1, 0)).conj()
     new_left = np.tensordot(star_r, m.action, axes=(1, 0)).conj()
     return Correspondence(

@@ -216,8 +216,7 @@ def fundamental_decomposition(
 def hilbertify(module: KreinModule, symmetry: FundamentalSymmetry) -> KreinModule:
     """The positive-definite module with gram J† G."""
     _check_owner(module, symmetry)
-    g = symmetry.matrix.conj().T @ module.gram
-    g = (g + g.conj().T) / 2
+    g = _pd_gram(module, symmetry)
     if min_hermitian_eig(g) <= 0:
         raise ValidationError("hilbertified gram is not positive definite")
     return KreinModule(module.base, module.rank, module.project_operator(g))

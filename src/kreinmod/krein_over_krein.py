@@ -137,16 +137,16 @@ def self_module(algebra: KreinCStarAlgebra) -> KreinBimodule:
 
     Right product star(x) y, left product x star(y), symmetry alpha.
     """
-    basis, eta = algebra.basis, algebra.eta
+    basis = algebra.basis
     # structure constants: products[i, j] = coefficients(b_i b_j)
     products = algebra.coefficients(basis[:, None] @ basis[None])
-    stars = eta @ basis.conj().swapaxes(1, 2) @ eta
+    stars = algebra.star(basis)
     return KreinBimodule(
         algebra=algebra,
         dim=len(basis),
         action=products.transpose(1, 2, 0),  # column k of action[j]: b_k b_j
         inner=stars[:, None] @ basis[None],
-        symmetry=algebra.coefficients(eta @ basis @ eta).T,
+        symmetry=algebra.coefficients(algebra.alpha(basis)).T,
         left_algebra=algebra,
         left_action=products.transpose(0, 2, 1),  # column k of left_action[j]: b_j b_k
         left_inner=basis[:, None] @ stars[None],

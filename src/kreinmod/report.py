@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Sequence
 
 # one sampled law: record name, tolerance, residual of one sample
@@ -135,17 +135,7 @@ class Report:
 
     def extend(self, other: "Report", prefix: str = "") -> None:
         for rec in other.records:
-            name = f"{prefix}{rec.name}" if prefix else rec.name
-            self.add(
-                CheckRecord(
-                    name=name,
-                    max_violation=rec.max_violation,
-                    tolerance=rec.tolerance,
-                    detail=rec.detail,
-                    expected_fail=rec.expected_fail,
-                    elapsed=rec.elapsed,
-                )
-            )
+            self.add(replace(rec, name=prefix + rec.name))
 
     @property
     def passed(self) -> bool:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,18 @@ from kreinmod.algebra import (
 )
 from kreinmod.clifford import (
     PseudoEuclideanSpace,
+    _left_matrix,
     clifford_krein_algebra,
     gamma_algebra,
     gamma_rep,
+    second_quantized_J,
 )
-from kreinmod.linalg import ValidationError, operator_norm, random_complex
+from kreinmod.linalg import (
+    DimensionMismatchError,
+    ValidationError,
+    operator_norm,
+    random_complex,
+)
 
 
 def eta_pq(p, q):
@@ -43,6 +52,8 @@ class TestCoefficients:
 ORTHOGONAL_CARRIERS = {
     "clifford (2,2)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 2)),
     "clifford (3,1)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(3, 1)),
+    "clifford (2,1)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 1)),
+    "gamma (1,3)": lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(1, 3))),
     "gamma (2,2)": lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))),
     "B(C^{2,1})": lambda: bounded_operators(2, 1),
     # orthogonal, not orthonormal: coordinates divide by unequal ‖b_i‖²
@@ -113,6 +124,54 @@ class TestGramPath:
         with pytest.raises(ValidationError, match="not Frobenius-orthogonal"):
             KreinCStarAlgebra(basis, eta_pq(1, 1), validate=False)
         assert shapes == []
+
+
+class TestStackedMaps:
+    """star, alpha and project of a stack are the per-element maps.
+
+    star and alpha agree exactly.  project agrees to rounding: its
+    coordinates are a matrix-vector product for one matrix and a
+    matrix-matrix product for a stack, and BLAS sums those in different
+    orders.
+    """
+
+    @pytest.mark.parametrize("name", ORTHOGONAL_CARRIERS)
+    def test_stack_equals_per_element(self, name):
+        alg = ORTHOGONAL_CARRIERS[name]()
+        rng = np.random.default_rng(15)
+        stack = random_complex(rng, 2, 3, alg.dim, alg.dim)
+        for f in (alg.star, alg.alpha):
+            expected = np.array([[f(a) for a in row] for row in stack])
+            assert np.array_equal(f(stack), expected)
+        expected = np.array([[alg.project(a) for a in row] for row in stack])
+        bound = 4 * np.finfo(float).eps * np.abs(stack).max()
+        assert np.abs(alg.project(stack) - expected).max() <= bound
+
+    @pytest.mark.parametrize("name", ORTHOGONAL_CARRIERS)
+    def test_stack_operand_checked(self, name):
+        alg = ORTHOGONAL_CARRIERS[name]()
+        d = alg.dim
+        bad = np.ones((3, d, d), dtype=complex)
+        bad[1, 0, 0] = np.nan
+        for f in (alg.star, alg.alpha, alg.project):
+            with pytest.raises(DimensionMismatchError):
+                f(np.ones((3, d, d + 1)))
+            with pytest.raises(ValidationError):
+                f(bad)
+
+    def test_gram_holds_one_block_of_the_basis(self):
+        # the blocked Gram product conjugates an eighth of the basis at a time
+        space = PseudoEuclideanSpace(3, 3)
+        basis = _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex))
+        eta = second_quantized_J(space)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            KreinCStarAlgebra(basis, eta, validate=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 0.25 * basis.nbytes
 
 
 class TestValidation:

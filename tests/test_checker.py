@@ -96,6 +96,15 @@ class TestScenarios:
             with pytest.raises(ResourceBudgetError):
                 run(CheckConfig(scenario="clifford", p=p, q=q, samples=1))
 
+    def test_spinor_budget_refuses_before_any_work(self, monkeypatch):
+        # S ⊗ S̄ at (5, 5) would hold 1024³ entries; nothing may be built
+        def unreachable(space):
+            raise AssertionError("gamma_rep built before the budget check")
+
+        monkeypatch.setattr(checker, "gamma_rep", unreachable)
+        with pytest.raises(ResourceBudgetError):
+            run(CheckConfig(scenario="spinor", p=5, q=5, samples=1))
+
     def test_module_decomposes_each_symmetry_once(self, monkeypatch):
         # 2 modules x (1 standard + 20 random) symmetries; the transition
         # laws reuse the halves of their first symmetry

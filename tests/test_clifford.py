@@ -8,8 +8,8 @@ from kreinmod.clifford import (
     GammaRep,
     MultiVector,
     PseudoEuclideanSpace,
-    _blade_matrices,
     _gram_diagonal,
+    _left_matrix,
     associativity_residual,
     basis_blade,
     clifford_action,
@@ -487,12 +487,24 @@ class TestSignTableReference:
     def test_blade_tensor_matches_generator_products(self, pq):
         space = PseudoEuclideanSpace(*pq)
         ref = generator_product_blades(space)
-        assert np.array_equal(_blade_matrices(space), ref)
+        eye = np.eye(space.grassmann_dim, dtype=complex)
+        assert np.array_equal(_left_matrix(space, eye), ref)
         a = random_multivector(space, np.random.default_rng(sum(pq)))
         expected = np.tensordot(a.coeffs, ref, axes=(0, 0))
         assert np.allclose(clifford_action(space, a), expected, rtol=0, atol=1e-14)
         for i in range(space.n):
             assert np.array_equal(clifford_generator_matrix(space, i), ref[1 << i])
+
+    def test_left_matrix_of_a_stack(self):
+        space = PseudoEuclideanSpace(2, 1)
+        rng = np.random.default_rng(16)
+        coeffs = random_complex(rng, 5, space.grassmann_dim)
+        stacked = _left_matrix(space, coeffs)
+        expected = np.stack(
+            [clifford_action(space, MultiVector(space, c)) for c in coeffs]
+        )
+        assert np.array_equal(stacked, expected)
+        assert stacked.flags.c_contiguous
 
     def test_sign_table_is_read_only(self):
         with pytest.raises(ValueError):
