@@ -59,7 +59,6 @@ from .correspondence import (
     DegenerateDescentError,
     associativity_iso,
     check_krein_star_hom,
-    check_tensor_budget,
     check_morphism,
     double_contragredient_iso,
     even_odd_decomposition_check,
@@ -118,10 +117,13 @@ SCENARIOS = (
 
 DEMOS = ("minkowski", "torus", "spinor-m4")
 
-MAX_TOTAL_SIGNATURE = 12
-
 # scenarios whose structures live on C^{p,q} and so need p + q >= 1
 NONEMPTY_SIGNATURE = ("krein-algebra", "module", "module-over-krein", "tensor")
+
+# the one limit on a run's predicted peak memory (``_predicted_peak_bytes``):
+# it admits spinor (4,4) at 1.7 GB and refuses Clifford at p + q = 9 (2.8 GB),
+# keeping a run well inside a machine with 8 GB
+BYTE_BUDGET = 2_500_000_000
 
 # sample cap for laws whose residual solves for an adjoint or multiplies
 # operators on the whole exterior algebra
@@ -130,6 +132,10 @@ SLOW_LAW_SAMPLES = 50
 
 class ConfigError(ValueError):
     """Invalid check configuration (a usage error, not a check failure)."""
+
+
+class ResourceBudgetError(RuntimeError):
+    """A run's predicted peak memory exceeds ``BYTE_BUDGET``."""
 
 
 @dataclass(frozen=True)
@@ -149,13 +155,10 @@ class CheckConfig:
         _check_run_parameters(self.seed, self.samples, self.tol)
         if self.p < 0 or self.q < 0:
             raise ConfigError("signature counts must be non-negative")
-        if self.p + self.q > MAX_TOTAL_SIGNATURE:
-            raise ConfigError(
-                f"p + q must not exceed {MAX_TOTAL_SIGNATURE} "
-                "(exterior algebra dimension cap)"
-            )
         if self.p + self.q < 1 and self.scenario in NONEMPTY_SIGNATURE:
             raise ConfigError(f"scenario {self.scenario} needs p + q >= 1")
+        if (self.p + self.q) % 2 and self.scenario == "spinor":
+            raise ConfigError("spinor scenario needs an even total dimension")
 
 
 def _check_run_parameters(seed: int, samples: int, tol: float):
@@ -266,9 +269,19 @@ COVERAGE_MANIFEST = {
 
 
 def run(config: CheckConfig) -> Report:
-    """Execute a scenario; deterministic for fixed config."""
+    """Execute a scenario; deterministic for fixed config.
+
+    Raises ResourceBudgetError, before building anything, when the predicted
+    peak memory of the run exceeds ``BYTE_BUDGET``.
+    """
     if config.scenario == "full-gallery":
         return _full_gallery(config)
+    needed = _predicted_peak_bytes(config)
+    if needed > BYTE_BUDGET:
+        raise ResourceBudgetError(
+            f"{config.scenario} at (p, q) = ({config.p}, {config.q}) needs "
+            f"about {needed:.3g} bytes, budget {BYTE_BUDGET:.3g}"
+        )
     runner = {
         "krein-algebra": _scenario_krein_algebra,
         "module": _scenario_module,
@@ -280,6 +293,27 @@ def run(config: CheckConfig) -> Report:
     report = runner(config)
     _coverage_check(report, config.scenario)
     return report
+
+
+def _predicted_peak_bytes(config: CheckConfig) -> float:
+    """Peak memory of one scenario run beyond the imported interpreter.
+
+    16 B per complex entry times a multiple of the scenario's largest shape,
+    in d = p + q and N = 2^d, plus 16 MiB for the fixed-size parts every run
+    shares (presets, negative controls, numpy's lazily loaded parts).  Each
+    multiple is fitted to child peak RSS at two or more sizes.
+    """
+    d = config.p + config.q
+    n = 2.0 ** min(d, 64)  # keeps N³ finite; from d = 9 on N³ is past the budget
+    entries = {
+        "krein-algebra": 4 * d**4,  # the basis: d² matrices of d x d
+        "module": 140 * d**2,  # d x d symmetries, intertwiners and halves
+        "module-over-krein": 9 * d**6,  # the d² x d² x d x d inner tensor
+        "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
+        "clifford": 1.3 * n**3,  # the N x N x N blade tensor
+        "spinor": 6.1 * n**3,  # the left action on S ⊗ S̄: N maps of N x N
+    }[config.scenario]
+    return 16 * entries + 2**24
 
 
 def _coverage_check(report: Report, scenario: str):
@@ -587,7 +621,6 @@ def _laplace_det(m: np.ndarray) -> complex:
 
 def _scenario_clifford(config: CheckConfig) -> Report:
     space = PseudoEuclideanSpace(config.p, config.q)
-    # built first so that an over-budget signature is refused before sampling
     alg = clifford_krein_algebra(space)
     report = Report(
         title=f"Clifford scenario R^{{{config.p},{config.q}}}",
@@ -713,11 +746,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
 
 
 def _scenario_spinor(config: CheckConfig) -> Report:
-    if (config.p + config.q) % 2 != 0:
-        raise ConfigError("spinor scenario needs an even total dimension")
     space = PseudoEuclideanSpace(config.p, config.q)
-    # S ⊗ S̄ in the morita check holds N³ entries, N = 2^(p+q); refuse first
-    check_tensor_budget(space.grassmann_dim**3)
     rep = gamma_rep(space)
     report = Report(
         title=f"spinor scenario R^{{{config.p},{config.q}}}",

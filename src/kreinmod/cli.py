@@ -15,10 +15,10 @@ from .checker import (
     SCENARIOS,
     CheckConfig,
     ConfigError,
+    ResourceBudgetError,
     run,
     run_demo,
 )
-from .correspondence import ResourceBudgetError
 from .report import Report
 
 SEED_ENV_VAR = "KREIN_CHECK_SEED"

@@ -28,7 +28,6 @@ from .algebra import KreinCStarAlgebra, scalar_krein_algebra
 from .krein_over_krein import KreinBimodule
 from .linalg import (
     DimensionMismatchError,
-    ResourceBudgetError,
     ValidationError,
     eig_signature,
     operator_norm,
@@ -221,13 +220,6 @@ def anticommutator_residual(ops, signs, pair: tuple[int, int]) -> float:
     return operator_norm(anti - expected)
 
 
-# clifford_krein_algebra holds the N³ complex blade tensor, N = 2^(p+q), and up
-# to ~0.8 of it again while validating (`check clifford` peak RSS: 95 MiB at
-# p + q = 7, 488 MiB at 8, over a ~32 MiB base).  Counting two N³ arrays
-# admits p + q <= 8 (~0.54 GB) and refuses p + q = 9 (~4.3 GB).
-CLIFFORD_BYTE_BUDGET = 2_000_000_000
-
-
 def clifford_action(space: PseudoEuclideanSpace, a: MultiVector) -> np.ndarray:
     """The operator c(a) on the exterior algebra, extended multiplicatively
     from the generators."""
@@ -271,15 +263,9 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
 
     The resulting star is the adjoint for the indefinite Gram pairing; it
     coincides with conjugate-reversal of Clifford monomials (verified by the
-    test suite, not postulated here).  Raises ResourceBudgetError, before
-    allocating, when its arrays would exceed ``CLIFFORD_BYTE_BUDGET``.
+    test suite, not postulated here).  Its basis is the N x N x N complex
+    blade tensor, N = 2^(p+q).
     """
-    needed = 2 * space.grassmann_dim**3 * 16
-    if needed > CLIFFORD_BYTE_BUDGET:
-        raise ResourceBudgetError(
-            f"Clifford algebra of R^{{{space.p},{space.q}}} needs about "
-            f"{needed} bytes, budget {CLIFFORD_BYTE_BUDGET}"
-        )
     return KreinCStarAlgebra(
         _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex)),
         second_quantized_J(space),

@@ -33,7 +33,6 @@ from .krein_over_krein import (
 )
 from .linalg import (
     DimensionMismatchError,
-    ResourceBudgetError,
     ValidationError,
     column_space,
     first_exceeding,
@@ -44,11 +43,6 @@ from .linalg import (
     spectral_projector,
 )
 from .report import Report
-
-
-# complex entries of the largest internal_tensor array (~512 MB): admits the
-# spinor S ⊗ S̄ up to p + q = 8, not from p + q = 10 (spinor needs an even p + q)
-TENSOR_ENTRY_BUDGET = 32_000_000
 
 
 class DegenerateDescentError(ValueError):
@@ -125,26 +119,12 @@ def spinor_correspondence(space: PseudoEuclideanSpace) -> Correspondence:
 # -- internal tensor product ----------------------------------------------------
 
 
-def check_tensor_budget(entries: int) -> None:
-    """Raise ResourceBudgetError when an internal_tensor array would hold more
-    than ``TENSOR_ENTRY_BUDGET`` complex entries."""
-    if entries > TENSOR_ENTRY_BUDGET:
-        raise ResourceBudgetError(
-            f"internal tensor needs an array of {entries} entries, "
-            f"budget {TENSOR_ENTRY_BUDGET}"
-        )
-
-
 def internal_tensor(
     m: Correspondence,
     n: Correspondence,
     section_rotation: np.random.Generator | None = None,
 ) -> TensorCorrespondence:
     """The balanced tensor product over the shared middle algebra.
-
-    ``TENSOR_ENTRY_BUDGET`` bounds the complex entries of the largest array,
-    the relations matrix, a stack of structure maps or the plain inner
-    tensor, before any is allocated.
 
     A plain map T descends iff P T R = 0, for P = section† and R an orthonormal
     basis of the relation span: ‖P T R‖₂ ≤ 1e-8 · max(‖T‖₂, 1) for each map,
@@ -166,8 +146,6 @@ def internal_tensor(
     plain = dm * dn
     nb = mid.basis.shape[0]
     dc = n.algebra.dim
-    # relations, right and left action stacks, plain inner tensor
-    check_tensor_budget(plain**2 * max(nb, len(n.action), len(m.left_action), dc**2))
 
     eye_m = np.eye(dm, dtype=complex)
     eye_n = np.eye(dn, dtype=complex)

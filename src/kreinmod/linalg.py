@@ -27,10 +27,6 @@ class ValidationError(ValueError):
     pass
 
 
-class ResourceBudgetError(RuntimeError):
-    """A computation would allocate more than its resource budget."""
-
-
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting NaN/Inf entries."""
     a = np.asarray(m, dtype=complex)
@@ -62,8 +58,7 @@ def first_exceeding(residuals, references, tol: float) -> int:
     passes the Frobenius screen (module docstring) is inside; only the other
     pairs go to a stacked SVD, so the answer is the all-SVD answer.
     """
-    r_fro = np.linalg.norm(residuals, axis=(1, 2))
-    a_fro = np.linalg.norm(references, axis=(1, 2))
+    r_fro, a_fro = _frobenius_norms(residuals), _frobenius_norms(references)
     rank_bound = min(references.shape[1:])
     # written as "not inside" so that a NaN residual goes on to the SVD
     suspects = np.flatnonzero(
@@ -75,6 +70,13 @@ def first_exceeding(residuals, references, tol: float) -> int:
     a_norm = np.linalg.svd(references[suspects], compute_uv=False)[:, 0]
     outside = r_norm > tol * np.maximum(a_norm, 1.0)
     return int(suspects[np.argmax(outside)]) if outside.any() else -1
+
+
+def _frobenius_norms(stack) -> np.ndarray:
+    """‖x‖_F of each matrix of a stack, summed over views of the real and
+    imaginary parts so that the stack is never copied."""
+    re, im = stack.real, stack.imag
+    return np.sqrt(np.einsum("kij,kij->k", re, re) + np.einsum("kij,kij->k", im, im))
 
 
 def expm(m) -> np.ndarray:

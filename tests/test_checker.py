@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from kreinmod import checker
@@ -7,10 +9,10 @@ from kreinmod.checker import (
     SCENARIOS,
     CheckConfig,
     ConfigError,
+    ResourceBudgetError,
     run,
     run_demo,
 )
-from kreinmod.correspondence import ResourceBudgetError
 
 
 class TestCheckConfig:
@@ -32,8 +34,12 @@ class TestCheckConfig:
             CheckConfig(scenario="module", tol=0.0)
 
     def test_signature_cap(self):
-        with pytest.raises(ConfigError):
-            CheckConfig(scenario="clifford", p=7, q=6)
+        # no cap on p + q: both configurations are valid, and the byte
+        # budget inside run() decides
+        assert run(CheckConfig(scenario="krein-algebra", p=8, q=8, samples=2)).passed
+        config = CheckConfig(scenario="clifford", p=7, q=6)
+        with pytest.raises(ResourceBudgetError):
+            run(config)
 
     def test_negative_signature_rejected(self):
         with pytest.raises(ConfigError):
@@ -105,6 +111,31 @@ class TestScenarios:
         with pytest.raises(ResourceBudgetError):
             run(CheckConfig(scenario="spinor", p=5, q=5, samples=1))
 
+    # the scenario sizes of scripts/compare_reports.py
+    @pytest.mark.parametrize(
+        "scenario, p, q, samples",
+        [
+            ("module-over-krein", 2, 2, 20),
+            ("clifford", 3, 3, 20),
+            ("spinor", 3, 3, 10),
+            ("krein-algebra", 2, 2, 200),
+            ("module", 2, 2, 50),
+            ("tensor", 1, 1, 50),
+            ("tensor", 3, 2, 20),
+            ("clifford", 4, 3, 5),
+            ("tensor", 6, 6, 5),
+        ],
+    )
+    def test_prediction_bounds_traced_peak(self, scenario, p, q, samples):
+        config = CheckConfig(scenario=scenario, p=p, q=q, samples=samples)
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= checker._predicted_peak_bytes(config)
+
     def test_module_decomposes_each_symmetry_once(self, monkeypatch):
         # 2 modules x (1 standard + 20 random) symmetries; the transition
         # laws reuse the halves of their first symmetry
@@ -122,7 +153,7 @@ class TestScenarios:
 
     def test_spinor_needs_even_dimension(self):
         with pytest.raises(ConfigError):
-            run(CheckConfig(scenario="spinor", p=2, q=1, samples=1))
+            CheckConfig(scenario="spinor", p=2, q=1, samples=1)
 
 
 class TestFullGallery:

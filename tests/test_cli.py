@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,59 @@ class TestParameterRanges:
     def test_negative_seed_env_var(self, monkeypatch, capsys):
         monkeypatch.setenv(SEED_ENV_VAR, "-1")
         self.assert_usage_error(["check", "krein-algebra"], capsys)
+
+    def test_odd_spinor_dimension(self, capsys):
+        # a usage error even where the byte budget would refuse the size
+        self.assert_usage_error(["check", "spinor", "--p", "9", "--q", "8"], capsys)
+
+
+def _child_run(args):
+    """Exit code, wall seconds and peak RSS (bytes) of a child interpreter.
+
+    The child gets one BLAS thread, 2 GiB of address space and 60 s of CPU,
+    so that a size the guard wrongly admits fails instead of filling memory.
+    """
+    src = str(Path(kreinmod.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+        resource.setrlimit(resource.RLIMIT_CPU, (60, 60))
+
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, *args], env=env, preexec_fn=limit,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    # wait4 reaps the child and returns its own rusage; tell Popen it is done
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, time.perf_counter() - start, usage.ru_maxrss * 1024
+
+
+class TestBudgetRefusal:
+    # each size is past the byte budget; the refusal must come before any
+    # array of the scenario is allocated
+    @pytest.mark.parametrize(
+        "scenario, p, q",
+        [
+            ("krein-algebra", 50, 50),
+            ("module", 2500, 2500),
+            ("module-over-krein", 10, 10),
+            ("clifford", 7, 6),
+            ("spinor", 5, 5),
+            ("tensor", 40, 40),
+        ],
+    )
+    def test_refused_at_import_footprint(self, scenario, p, q):
+        _, _, baseline = _child_run(["-c", "import kreinmod.cli"])
+        code, wall, peak = _child_run(
+            ["-m", "kreinmod.cli", "check", scenario, "--p", str(p), "--q", str(q)]
+        )
+        assert code == EXIT_RESOURCE
+        assert wall < 10
+        assert peak - baseline <= 10 * 2**20
 
 
 class TestSeedPrecedence:

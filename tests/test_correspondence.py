@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kreinmod import correspondence
 from kreinmod.algebra import KreinCStarAlgebra, bounded_operators
 from kreinmod.clifford import PseudoEuclideanSpace
 from kreinmod.correspondence import (
     DegenerateDescentError,
-    ResourceBudgetError,
     TensorCorrespondence,
     associativity_iso,
     check_krein_star_hom,
@@ -172,34 +170,6 @@ class TestInternalTensor:
         c = t1.section.conj().T @ t2.section
         moved = np.einsum("au,bv,abcd->uvcd", c.conj(), c, t1.inner)
         assert np.linalg.norm(moved - t2.inner) < 1e-9
-
-    def test_budget_exceeded(self, monkeypatch):
-        ident = identity_correspondence(m2_algebra())
-        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 10)
-        with pytest.raises(ResourceBudgetError):
-            internal_tensor(ident, ident)
-
-    def test_budget_counts_plain_inner_tensor(self, monkeypatch):
-        # S ⊗ S̄ over C for (1,1): 16 relation entries, but the plain inner
-        # tensor has (2·2)² · 2² = 64 entries
-        s = spinor_correspondence(PseudoEuclideanSpace(1, 1))
-        sbar = contragredient(s)
-        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 63)
-        with pytest.raises(ResourceBudgetError):
-            internal_tensor(s, sbar)
-        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 64)
-        assert internal_tensor(s, sbar).dim == 4
-
-    def test_budget_counts_map_stacks(self, monkeypatch):
-        # S ⊗ C^{1,0} over C for (1,1): the relations and the plain inner
-        # tensor have plain² = 4 entries, the stack of 4 left actions 16
-        s = spinor_correspondence(PseudoEuclideanSpace(1, 1))
-        c = krein_space_correspondence(1, 0)
-        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 15)
-        with pytest.raises(ResourceBudgetError):
-            internal_tensor(s, c)
-        monkeypatch.setattr(correspondence, "TENSOR_ENTRY_BUDGET", 16)
-        assert internal_tensor(s, c).dim == 2
 
     @pytest.mark.parametrize("p, q", [(1, 1), (2, 2)])
     def test_descended_inner_matches_loops(self, p, q):
