@@ -7,14 +7,16 @@ missing.  Each scenario also carries at least one deliberately corrupted
 structure whose check must fail, guarding against vacuous passes.
 
 Sampled laws are stated as tables.  A draw function turns the seeded RNG
-into one sample, computing the quantities several laws share (norms,
-``star(a)``, pairings) once; a law table lists one
+into a batch of samples: it makes the RNG calls sample by sample, stacks
+them on axis 0 and computes the quantities several laws share (norms,
+``star(a)``, pairings) once for the whole stack.  A law table lists one
 ``(record name, tolerance, residual)`` row per law, where the residual maps
-a sample to a non-negative, normalised violation.  ``Report.check_laws``
-feeds the lazily drawn samples through the table and records each law's
-worst residual in table order.  A new law is one table row, and every new
-law needs a negative control: a corrupted structure on which it fails.
-One-off checks that draw nothing stay plain ``Report.check`` calls.
+a batch to one non-negative, normalised violation per sample.
+``Report.check_laws`` draws the batches, feeds each through the table and
+records each law's worst residual in table order.  A new law is one table
+row, and every new law needs a negative control: a corrupted structure on
+which it fails.  One-off checks that draw nothing stay plain
+``Report.check`` calls.
 """
 
 from __future__ import annotations
@@ -97,13 +99,14 @@ from .krein_over_krein import (
 )
 from .linalg import (
     ValidationError,
+    draw_stacks,
     min_hermitian_eig,
     numerical_rank,
     operator_norm,
     random_complex,
     spectral_projector,
 )
-from .report import Report, worst_of
+from .report import Report
 
 SCENARIOS = (
     "krein-algebra",
@@ -350,6 +353,34 @@ def _full_gallery(config: CheckConfig) -> Report:
     return report
 
 
+def _element_draw(algebra: KreinCStarAlgebra, rng):
+    """A draw of one random carrier element per sample, the field ``a``."""
+    d = algebra.dim
+
+    def draw(rows):
+        return SimpleNamespace(
+            a=algebra.project(np.stack([random_complex(rng, d, d) for _ in rows]))
+        )
+
+    return draw
+
+
+def _check_anticommutators(report: Report, name: str, ops, signs):
+    """One law over every ordered pair of generator images; the batch holds
+    the images themselves, so its size counts their bytes."""
+    ops = np.asarray(ops)
+    pairs = np.array(list(product(range(len(signs)), repeat=2))).reshape(-1, 2)
+
+    def draw(rows):
+        i, j = pairs[rows].T
+        return SimpleNamespace(ci=ops[i], cj=ops[j], g=np.where(i == j, signs[i], 0.0))
+
+    report.check_laws(
+        draw, len(pairs),
+        [(name, 1e-12, lambda s: anticommutator_residual(s.ci, s.cj, s.g))],
+    )
+
+
 # -- scenario: the algebra axioms -------------------------------------------------
 
 
@@ -364,9 +395,10 @@ def _scenario_krein_algebra(config: CheckConfig) -> Report:
         a = bounded_operators(pp, qq)
         rng = np.random.default_rng(config.seed + pp * 10 + qq)
         report.check_laws(
-            (a.random_element(rng) for _ in range(config.samples)),
+            _element_draw(a, rng),
+            config.samples,
             [(f"cstar identity on B(C^{{{pp},{qq}}})", config.tol,
-              lambda x: cstar_residual(a, x, a.norm(x)))],
+              lambda s: cstar_residual(a, s.a, a.norm(s.a)))],
         )
 
     d = config.p + config.q
@@ -405,47 +437,60 @@ def _scenario_module(config: CheckConfig) -> Report:
         np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex),
     )
     rng = np.random.default_rng(config.seed)
-    # each symmetry's halves, computed once for both laws that read them
-    samples = [
-        SimpleNamespace(**vars(s), halves=fundamental_decomposition(module, s.j))
+    groups = [
+        _symmetry_samples(module, rng, n_random=20)
         for module in (space, matrix_module)
-        for s in _symmetry_samples(module, rng, n_random=20)
     ]
     tol = config.tol
     report.check_laws(
-        samples,
+        _module_draw(groups),
+        len(groups),
         [
-            ("symmetry squares to identity", tol, _involution_residual),
-            ("symmetry self-adjoint for the form", tol, _form_selfadjoint_residual),
-            ("positive half semidefinite", tol, lambda s: _half_defect(s, +1)),
-            ("negative half semidefinite", tol, lambda s: _half_defect(s, -1)),
+            ("symmetry squares to identity", tol, _per_module(_involution_residual)),
+            ("symmetry self-adjoint for the form", tol,
+             _per_module(_form_selfadjoint_residual)),
+            ("positive half semidefinite", tol,
+             _per_module(lambda g: _half_defect(g, +1))),
+            ("negative half semidefinite", tol,
+             _per_module(lambda g: _half_defect(g, -1))),
             ("hilbertified gram positive definite", tol,
-             lambda s: _psd_defect(hilbertify(s.module, s.j).gram)),
-            ("decomposition exhausts the carrier", tol, _decomposition_defect),
-            ("adjoint solves the inner relation", tol, _adjoint_relation_residual),
+             _per_module(lambda g: np.array(
+                 [_psd_defect(hilbertify(g.module, j).gram) for j in g.j]
+             ))),
+            ("decomposition exhausts the carrier", tol,
+             _per_module(_decomposition_defect)),
+            ("adjoint solves the inner relation", tol,
+             _per_module(_adjoint_relation_residual)),
             ("adjoint dictionary twisted vs hilbertified", tol,
-             lambda s: operator_norm(
-                 s.ts - s.j.matrix @ hilbert_adjoint(s.module, s.j, s.t) @ s.j.matrix
-             ) / max(operator_norm(s.t), 1.0)),
+             _per_module(lambda g: np.array([
+                 operator_norm(
+                     ts - j.matrix @ hilbert_adjoint(g.module, j, t) @ j.matrix
+                 ) / max(operator_norm(t), 1.0)
+                 for j, t, ts in zip(g.j, g.t, g.ts)
+             ]))),
         ],
     )
-    # consecutive symmetries of the same module
+    # consecutive symmetries j1, j2 of the same module
     transitions = [
         SimpleNamespace(
-            module=s1.module, eye=s1.eye, j1=s1.j, j2=s2.j, halves=s1.halves,
-            u=intertwiner(s1.module, s1.j, s2.j),
+            module=g.module, j1=g.j[:-1], j2=g.j[1:], halves=g.halves[:-1],
+            jm1=g.jm[:-1], jm2=g.jm[1:],
+            u=np.stack([intertwiner(g.module, j1, j2) for j1, j2 in zip(g.j, g.j[1:])]),
         )
-        for s1, s2 in zip(samples, samples[1:])
-        if s1.module is s2.module
+        for g in groups
     ]
     report.check_laws(
-        transitions,
+        _module_draw(transitions),
+        len(transitions),
         [
-            ("transition maps bijective", tol, _transition_defect),
+            ("transition maps bijective", tol, _per_module(_transition_defect)),
             ("intertwiner exchanges symmetries", tol,
-             lambda p: operator_norm(p.u @ p.j1.matrix - p.j2.matrix @ p.u)),
+             _per_module(lambda p: operator_norm(p.u @ p.jm1 - p.jm2 @ p.u))),
+            # the Kreĭn adjoint G⁻¹ U† G does not depend on the symmetry passed
             ("intertwiner unitary for the form", tol,
-             lambda p: operator_norm(krein_adjoint(p.module, p.j1, p.u) @ p.u - p.eye)),
+             _per_module(lambda p: operator_norm(
+                 krein_adjoint(p.module, p.j1[0], p.u) @ p.u - np.eye(p.module.flat_dim)
+             ))),
         ],
     )
 
@@ -490,57 +535,80 @@ def _scenario_module(config: CheckConfig) -> Report:
 
 
 def _symmetry_samples(module: KreinModule, rng, n_random: int):
-    """The standard and ``n_random`` random fundamental symmetries, each
-    with a random operator t, its Kreĭn adjoint ts and two random elements."""
+    """The standard and ``n_random`` random fundamental symmetries of a
+    module, each with a random operator t, its Kreĭn adjoint ts, two random
+    elements and its halves: one namespace, with the matrices stacked."""
     symmetries = [standard_symmetry(module)] + [
         random_symmetry(module, rng) for _ in range(n_random)
     ]
-    eye = np.eye(module.flat_dim)
-    for j in symmetries:
-        t = module.random_operator(rng)
-        ts = krein_adjoint(module, j, t)
-        x, y = module.random_element(rng), module.random_element(rng)
-        yield SimpleNamespace(module=module, eye=eye, j=j, t=t, ts=ts, x=x, y=y)
-
-
-def _involution_residual(s) -> float:
-    return operator_norm(s.j.matrix @ s.j.matrix - s.eye)
-
-
-def _form_selfadjoint_residual(s) -> float:
-    jm, gram = s.j.matrix, s.module.gram
-    return operator_norm(jm.conj().T @ gram - gram @ jm)
-
-
-def _adjoint_relation_residual(s) -> float:
-    m = s.module
-    return operator_norm(m.inner(s.t @ s.x, s.y) - m.inner(s.x, s.ts @ s.y)) / max(
-        operator_norm(s.t), 1.0
+    t, x, y = draw_stacks(symmetries, lambda: (
+        module.random_operator(rng),
+        module.random_element(rng),
+        module.random_element(rng),
+    ))
+    return SimpleNamespace(
+        module=module,
+        j=symmetries,
+        jm=np.stack([j.matrix for j in symmetries]),
+        t=t,
+        ts=krein_adjoint(module, symmetries[0], t),  # G⁻¹ T† G, for every symmetry
+        x=x,
+        y=y,
+        halves=[fundamental_decomposition(module, j) for j in symmetries],
     )
 
 
-def _psd_defect(h) -> float:
-    return max(0.0, -min_hermitian_eig(h))
+def _module_draw(groups):
+    """A draw whose samples are modules, each a namespace of stacks
+    precomputed over its symmetries or its pairs of consecutive symmetries."""
+    return lambda rows: SimpleNamespace(modules=groups[rows.start : rows.stop])
 
 
-def _half_defect(s, sign: int) -> float:
-    """Semidefiniteness defect of the form on the sign half of s.j."""
-    pr = spectral_projector(s.j.matrix, sign)
-    return _psd_defect(sign * (pr.conj().T @ s.module.gram @ pr))
+def _per_module(residual):
+    """A law over ``_module_draw`` samples: its worst value over each
+    module's stack."""
+    return lambda batch: np.array([residual(g).max() for g in batch.modules])
 
 
-def _decomposition_defect(s) -> float:
-    plus, minus = s.halves
-    return float(abs(plus.dim + minus.dim - s.module.rank * s.module.base.vector_dim))
+def _involution_residual(g):
+    return operator_norm(g.jm @ g.jm - np.eye(g.module.flat_dim))
 
 
-def _transition_defect(p) -> float:
+def _form_selfadjoint_residual(g):
+    gram = g.module.gram
+    return operator_norm(g.jm.conj().swapaxes(-1, -2) @ gram - gram @ g.jm)
+
+
+def _adjoint_relation_residual(g):
+    m = g.module
+    defect = m.inner(g.t @ g.x, g.y) - m.inner(g.x, g.ts @ g.y)
+    return operator_norm(defect) / np.maximum(operator_norm(g.t), 1.0)
+
+
+def _psd_defect(h):
+    return np.maximum(0.0, -min_hermitian_eig(h))
+
+
+def _half_defect(g, sign: int):
+    """Semidefiniteness defect of the form on the sign half of each symmetry."""
+    pr = spectral_projector(g.jm, sign)
+    return _psd_defect(sign * (pr.conj().swapaxes(-1, -2) @ g.module.gram @ pr))
+
+
+def _decomposition_defect(g):
+    full = g.module.rank * g.module.base.vector_dim
+    return np.array([abs(p.dim + m.dim - full) for p, m in g.halves], dtype=float)
+
+
+def _transition_defect(p):
     """Rank deficit of the transition maps between the halves of j1 and j2."""
-    deficits = []
-    for sign, half in zip((+1, -1), p.halves):
-        comp = p.module.lift_operator(p.j2.projector(sign) @ p.j1.projector(sign))
-        deficits.append(float(abs(numerical_rank(comp @ half.basis) - half.dim)))
-    return max(deficits)
+    deficits = np.zeros(len(p.j1))
+    for k, (j1, j2, halves) in enumerate(zip(p.j1, p.j2, p.halves)):
+        for sign, half in zip((+1, -1), halves):
+            comp = p.module.lift_operator(j2.projector(sign) @ j1.projector(sign))
+            deficit = abs(numerical_rank(comp @ half.basis) - half.dim)
+            deficits[k] = max(deficits[k], deficit)
+    return deficits
 
 
 # -- scenario: modules over Kreĭn algebras -----------------------------------------
@@ -571,17 +639,20 @@ def _scenario_module_over_krein(config: CheckConfig) -> Report:
         symmetry=module.symmetry,
     )
 
-    def draw():
-        x, y = module.random_element(rng), module.random_element(rng)
+    def draw(rows):
+        x, y = draw_stacks(
+            rows, lambda: (module.random_element(rng), module.random_element(rng))
+        )
         t = rank_one(module, x, y)
         return SimpleNamespace(
             x=x, y=y, t=t, ts=krein_adjoint_over_krein(module, t),
-            scale=max(operator_norm(t), 1.0),
+            scale=np.maximum(operator_norm(t), 1.0),
         )
 
     jmat = module.symmetry
     report.check_laws(
-        (draw() for _ in range(min(config.samples, SLOW_LAW_SAMPLES))),
+        draw,
+        min(config.samples, SLOW_LAW_SAMPLES),
         [
             ("adjoint dictionary auxiliary vs twisted", 1e-7,
              lambda s: operator_norm(
@@ -608,14 +679,15 @@ def _scenario_module_over_krein(config: CheckConfig) -> Report:
 # -- scenario: Clifford and Grassmann ----------------------------------------------
 
 
-def _laplace_det(m: np.ndarray) -> complex:
-    k = m.shape[0]
+def _laplace_det(m: np.ndarray):
+    """Determinant of each matrix of a stack by expansion along the first row."""
+    k = m.shape[-1]
     if k == 0:
-        return 1.0 + 0j
+        return np.ones(m.shape[:-2], dtype=complex)
     total = 0j
     for j in range(k):
-        minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += (-1) ** j * m[0, j] * _laplace_det(minor)
+        minor = np.delete(np.delete(m, 0, axis=-2), j, axis=-1)
+        total = total + (-1) ** j * m[..., 0, j] * _laplace_det(minor)
     return total
 
 
@@ -630,29 +702,35 @@ def _scenario_clifford(config: CheckConfig) -> Report:
     )
     n = space.n
     gens = [clifford_generator_matrix(space, i) for i in range(n)]
-    report.check_laws(
-        product(range(n), repeat=2),
-        [("generator anticommutators", 1e-12,
-          lambda ij: anticommutator_residual(gens, space.signs, ij))],
-    )
+    _check_anticommutators(report, "generator anticommutators", gens, space.signs)
 
     rng = np.random.default_rng(config.seed)
     deg = min(2, n)
     g = space.signs
 
-    def decomposables():
-        vs = [random_complex(rng, n) for _ in range(deg)]
-        ws = [random_complex(rng, n) for _ in range(deg)]
+    def decomposables(rows):
+        vs, ws = (
+            stack.reshape(len(rows), deg, n)
+            for stack in draw_stacks(rows, lambda: (
+                [random_complex(rng, n) for _ in range(deg)],
+                [random_complex(rng, n) for _ in range(deg)],
+            ))
+        )
         bv, bw = scalar_one(space), scalar_one(space)
-        for v, w in zip(vs, ws):
-            bv, bw = wedge(bv, vector(space, v)), wedge(bw, vector(space, w))
-        gram = np.array([[np.sum(v.conj() * g * w) for w in ws] for v in vs])
-        return bv, bw, gram
+        for i in range(deg):
+            bv = wedge(bv, vector(space, vs[:, i]))
+            bw = wedge(bw, vector(space, ws[:, i]))
+        gram = np.sum(vs.conj()[:, :, None] * g * ws[:, None], axis=-1)
+        return SimpleNamespace(v=bv.coeffs, w=bw.coeffs, gram=gram)
 
     report.check_laws(
-        (decomposables() for _ in range(config.samples)),
+        decomposables,
+        config.samples,
         [("gram determinant oracle", 1e-10,
-          lambda s: abs(grassmann_inner(s[0], s[1]) - _laplace_det(s[2])))],
+          lambda s: np.abs(
+              grassmann_inner(MultiVector(space, s.v), MultiVector(space, s.w))
+              - _laplace_det(s.gram)
+          ))],
     )
 
     s11 = PseudoEuclideanSpace(1, 1)
@@ -667,32 +745,46 @@ def _scenario_clifford(config: CheckConfig) -> Report:
 
     jmat = second_quantized_J(space)
 
-    def j_pair():
-        a, b = random_multivector(space, rng), random_multivector(space, rng)
-        return SimpleNamespace(
-            a=a, b=b,
-            ja=MultiVector(space, jmat @ a.coeffs),
-            jb=MultiVector(space, jmat @ b.coeffs),
-        )
+    def multivectors(count):
+        """A draw of ``count`` random multivectors per sample, their
+        coefficient stacks in the fields m0, m1, ..."""
+
+        def draw(rows):
+            stacks = draw_stacks(rows, lambda: tuple(
+                random_multivector(space, rng).coeffs for _ in range(count)
+            ))
+            return SimpleNamespace(**{f"m{k}": c for k, c in enumerate(stacks)})
+        return draw
+
+    def vec(c):
+        return MultiVector(space, c)
+
+    def j_pairs(rows):
+        s = multivectors(2)(rows)
+        return SimpleNamespace(**vars(s), j0=s.m0 @ jmat.T, j1=s.m1 @ jmat.T)
 
     def auxiliary_defect(s):
-        aux = grassmann_inner(s.a, s.ja)
-        return worst_of(max(0.0, -aux.real), abs(aux.imag))
+        aux = grassmann_inner(vec(s.m0), vec(s.j0))
+        return np.maximum(np.maximum(0.0, -aux.real), np.abs(aux.imag))
 
     report.check_laws(
-        (j_pair() for _ in range(min(config.samples, SLOW_LAW_SAMPLES))),
+        j_pairs,
+        min(config.samples, SLOW_LAW_SAMPLES),
         [
             ("second quantized symmetry preserves pairing", 1e-9,
-             lambda s: abs(grassmann_inner(s.ja, s.jb) - grassmann_inner(s.a, s.b))),
+             lambda s: np.abs(
+                 grassmann_inner(vec(s.j0), vec(s.j1))
+                 - grassmann_inner(vec(s.m0), vec(s.m1))
+             )),
             ("second quantized auxiliary form positive", 1e-12, auxiliary_defect),
         ],
     )
 
     report.check_laws(
-        (tuple(random_multivector(space, rng) for _ in range(3))
-         for _ in range(config.samples)),
+        multivectors(3),
+        config.samples,
         [("clifford product associative", 1e-10,
-          lambda s: associativity_residual(*s))],
+          lambda s: associativity_residual(vec(s.m0), vec(s.m1), vec(s.m2)))],
     )
 
     # column m is c(e_m)·1, the first column of basis element m
@@ -716,19 +808,26 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         ),
         prefix="algebra: ",
     )
+
+    # c(a) is drawn with a, so that the batch size counts its N² entries
+    def actions(rows):
+        s = multivectors(1)(rows)
+        return SimpleNamespace(m0=s.m0, c0=clifford_action(space, vec(s.m0)))
+
     report.check_laws(
-        (random_multivector(space, rng)
-         for _ in range(min(config.samples, SLOW_LAW_SAMPLES))),
+        actions,
+        min(config.samples, SLOW_LAW_SAMPLES),
         [("star equals conjugate reversal", 1e-10,
-          lambda a: operator_norm(
-              alg.star(clifford_action(space, a))
-              - clifford_action(space, conjugate_reversal_coeffs(a))
+          lambda s: operator_norm(
+              alg.star(s.c0)
+              - clifford_action(space, conjugate_reversal_coeffs(vec(s.m0)))
           ))],
     )
     report.check_laws(
-        (alg.random_element(rng) for _ in range(config.samples)),
+        _element_draw(alg, rng),
+        config.samples,
         [("clifford cstar identity", config.tol,
-          lambda a: cstar_residual(alg, a, alg.norm(a)))],
+          lambda s: cstar_residual(alg, s.a, alg.norm(s.a)))],
     )
 
     degenerate = np.diag(np.concatenate([space.signs[:-1], [0.0]]))
@@ -755,11 +854,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
         environment={"p": config.p, "q": config.q, "spinor_dim": rep.spinor_dim},
     )
     eye = np.eye(rep.spinor_dim)
-    report.check_laws(
-        product(range(space.n), repeat=2),
-        [("gamma anticommutators", 1e-12,
-          lambda ij: anticommutator_residual(rep.gammas, space.signs, ij))],
-    )
+    _check_anticommutators(report, "gamma anticommutators", rep.gammas, space.signs)
     report.check(
         "spinor form hermitian involutive",
         max(
@@ -785,19 +880,22 @@ def _scenario_spinor(config: CheckConfig) -> Report:
         prefix="module: ",
     )
     rng = np.random.default_rng(config.seed + 1)
+    left = module.left_algebra
+
+    def draw(rows):
+        c, psi = draw_stacks(rows, lambda: (
+            random_complex(rng, left.dim, left.dim), module.random_element(rng)
+        ))
+        return SimpleNamespace(c=left.project(c), psi=psi)
 
     def twisting_defect(s):
-        c, psi = s
-        lhs = module.j(module.act_left(c, psi))
-        rhs = module.act_left(module.left_algebra.alpha(c), module.j(psi))
-        return np.linalg.norm(lhs - rhs) / max(
-            np.linalg.norm(psi) * operator_norm(c), 1e-30
-        )
+        lhs = module.j(module.act_left(s.c, s.psi))
+        rhs = module.act_left(left.alpha(s.c), module.j(s.psi))
+        scale = np.linalg.norm(s.psi, axis=-1) * operator_norm(s.c)
+        return np.linalg.norm(lhs - rhs, axis=-1) / np.maximum(scale, 1e-30)
 
     report.check_laws(
-        ((module.left_algebra.random_element(rng), module.random_element(rng))
-         for _ in range(config.samples)),
-        [("spinor twisting over alpha", 1e-10, twisting_defect)],
+        draw, config.samples, [("spinor twisting over alpha", 1e-10, twisting_defect)]
     )
     gram = rep.a @ rep.a
     report.check(
@@ -887,17 +985,19 @@ def _scenario_tensor(config: CheckConfig) -> Report:
 
     rng = np.random.default_rng(config.seed + 4)
 
+    def draw(rows):
+        u, v = draw_stacks(rows, lambda: (t.random_element(rng), t.random_element(rng)))
+        return SimpleNamespace(u=u, v=v)
+
     def gamma_defect(s):
-        u, v = s
-        lhs = t.algebra.alpha(t.pairing(u, v))
-        rhs = t.pairing(t.j(u), t.j(v))
-        return operator_norm(lhs - rhs) / max(
-            np.linalg.norm(u) * np.linalg.norm(v), 1e-30
-        )
+        lhs = t.algebra.alpha(t.pairing(s.u, s.v))
+        rhs = t.pairing(t.j(s.u), t.j(s.v))
+        scale = np.linalg.norm(s.u, axis=-1) * np.linalg.norm(s.v, axis=-1)
+        return operator_norm(lhs - rhs) / np.maximum(scale, 1e-30)
 
     report.check_laws(
-        ((t.random_element(rng), t.random_element(rng))
-         for _ in range(min(config.samples, SLOW_LAW_SAMPLES))),
+        draw,
+        min(config.samples, SLOW_LAW_SAMPLES),
         [("gamma compatibility of descended product", 1e-10, gamma_defect)],
     )
 
@@ -1022,12 +1122,17 @@ def _demo_torus(seed, samples, tol):
         samples=samples,
         environment={"points": points, "fiber_signature": [1, 1]},
     )
+    group = _symmetry_samples(module, np.random.default_rng(seed), n_random=5)
     report.check_laws(
-        _symmetry_samples(module, np.random.default_rng(seed), n_random=5),
+        _module_draw([group]),
+        1,
         [
-            ("fiberwise symmetry squares to identity", tol, _involution_residual),
-            ("fiberwise symmetry self-adjoint", tol, _form_selfadjoint_residual),
-            ("adjoint solves the inner relation", tol, _adjoint_relation_residual),
+            ("fiberwise symmetry squares to identity", tol,
+             _per_module(_involution_residual)),
+            ("fiberwise symmetry self-adjoint", tol,
+             _per_module(_form_selfadjoint_residual)),
+            ("adjoint solves the inner relation", tol,
+             _per_module(_adjoint_relation_residual)),
         ],
     )
     report.check(

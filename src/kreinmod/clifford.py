@@ -12,6 +12,9 @@ exterior algebra by these signed permutations, which realizes it as a
 concrete operator algebra and fixes the linear bijection between the two
 products.
 
+A MultiVector may hold a stack (..., 2^n) of coefficient vectors, one per
+sample; the products, pairings and residuals below then act on each.
+
 Gamma matrices (the irreducible representation for even n) are built by the
 standard 2x2 tensor recursion; the spinor space carries the indefinite form
 psi† A phi with A the normalized product of the positive-square gammas.
@@ -30,6 +33,7 @@ from .linalg import (
     DimensionMismatchError,
     ValidationError,
     eig_signature,
+    matvec,
     operator_norm,
     random_complex,
 )
@@ -84,14 +88,15 @@ class PseudoEuclideanSpace:
 
 @dataclass(frozen=True)
 class MultiVector:
-    """An element of the complexified exterior algebra of the space."""
+    """An element of the complexified exterior algebra of the space, or a
+    stack of them."""
 
     space: PseudoEuclideanSpace
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
-        if c.shape != (self.space.grassmann_dim,):
+        if c.shape[-1:] != (self.space.grassmann_dim,):
             raise DimensionMismatchError(
                 f"coefficient vector must have length {self.space.grassmann_dim}"
             )
@@ -115,8 +120,9 @@ class MultiVector:
         """The degree-k homogeneous component."""
         return MultiVector(self.space, np.where(self.space.grades == k, self.coeffs, 0))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+    def norm(self):
+        norms = np.linalg.norm(self.coeffs, axis=-1)
+        return norms if norms.ndim else float(norms)
 
 
 def _same_space(a: MultiVector, b: MultiVector):
@@ -144,10 +150,10 @@ def generator(space: PseudoEuclideanSpace, i: int) -> MultiVector:
 
 def vector(space: PseudoEuclideanSpace, components) -> MultiVector:
     components = np.asarray(components, dtype=complex)
-    if components.shape != (space.n,):
+    if components.shape[-1:] != (space.n,):
         raise DimensionMismatchError("vector needs one component per generator")
-    c = np.zeros(space.grassmann_dim, dtype=complex)
-    c[1 << np.arange(space.n)] = components
+    c = np.zeros(components.shape[:-1] + (space.grassmann_dim,), dtype=complex)
+    c[..., 1 << np.arange(space.n)] = components
     return MultiVector(space, c)
 
 
@@ -178,7 +184,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     S ∩ T = ∅, and 0 otherwise."""
     _same_space(a, b)
     left = _left_matrix(a.space, a.coeffs, disjoint=True)
-    return MultiVector(a.space, left @ b.coeffs)
+    return MultiVector(a.space, matvec(left, b.coeffs))
 
 
 def grassmann_inner(a: MultiVector, b: MultiVector) -> complex:
@@ -188,7 +194,8 @@ def grassmann_inner(a: MultiVector, b: MultiVector) -> complex:
     distinct degrees (and distinct monomials) pair to zero.
     """
     _same_space(a, b)
-    return complex(np.sum(a.coeffs.conj() * b.coeffs * _gram_diagonal(a.space)))
+    pairing = np.sum(a.coeffs.conj() * b.coeffs * _gram_diagonal(a.space), axis=-1)
+    return pairing if pairing.ndim else complex(pairing)
 
 
 def _gram_diagonal(space: PseudoEuclideanSpace) -> np.ndarray:
@@ -211,13 +218,11 @@ def clifford_generator_matrix(space: PseudoEuclideanSpace, i: int) -> np.ndarray
     return clifford_action(space, generator(space, i))
 
 
-def anticommutator_residual(ops, signs, pair: tuple[int, int]) -> float:
-    """‖{c_i, c_j} − 2 g_ij‖ for the images c_i of the generators of a
-    diagonal metric with entries ``signs``."""
-    i, j = pair
-    anti = ops[i] @ ops[j] + ops[j] @ ops[i]
-    expected = 2.0 * (signs[i] if i == j else 0.0) * np.eye(ops[i].shape[0])
-    return operator_norm(anti - expected)
+def anticommutator_residual(ci, cj, gij):
+    """‖{c_i, c_j} − 2 g_ij‖ for stacks of generator images c_i, c_j and the
+    matching metric entries g_ij."""
+    anti = ci @ cj + cj @ ci
+    return operator_norm(anti - 2.0 * gij[:, None, None] * np.eye(ci.shape[-1]))
 
 
 def clifford_action(space: PseudoEuclideanSpace, a: MultiVector) -> np.ndarray:
@@ -235,15 +240,15 @@ def clifford_product(a: MultiVector, b: MultiVector) -> MultiVector:
     algebra product transported to exterior coordinates.
     """
     _same_space(a, b)
-    return MultiVector(a.space, clifford_action(a.space, a) @ b.coeffs)
+    return MultiVector(a.space, matvec(clifford_action(a.space, a), b.coeffs))
 
 
-def associativity_residual(a: MultiVector, b: MultiVector, c: MultiVector) -> float:
+def associativity_residual(a: MultiVector, b: MultiVector, c: MultiVector):
     """‖(ab)c − a(bc)‖ / max(‖a‖·‖b‖·‖c‖, 1) in coefficient 2-norms: the
     defect relative to the size of a trilinear product."""
     lhs = clifford_product(clifford_product(a, b), c)
     defect = (lhs - clifford_product(a, clifford_product(b, c))).norm()
-    return defect / max(a.norm() * b.norm() * c.norm(), 1.0)
+    return defect / np.maximum(a.norm() * b.norm() * c.norm(), 1.0)
 
 
 def reversal(a: MultiVector) -> MultiVector:

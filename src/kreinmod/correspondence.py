@@ -35,7 +35,9 @@ from .linalg import (
     DimensionMismatchError,
     ValidationError,
     column_space,
+    draw_stacks,
     first_exceeding,
+    matvec,
     numerical_rank,
     operator_norm,
     quotient_space,
@@ -76,7 +78,8 @@ class CorrespondenceMorphism:
         object.__setattr__(self, "matrix", m)
 
     def __call__(self, x) -> np.ndarray:
-        return self.matrix @ np.asarray(x, dtype=complex)
+        """The image of a carrier vector, or of each vector of a stack."""
+        return np.asarray(x, dtype=complex) @ self.matrix.T
 
     @property
     def is_bijective(self) -> bool:
@@ -298,29 +301,37 @@ def check_morphism(
     )
     report.check("bijective", 0.0 if mor.is_bijective else 1.0, 0.5)
 
-    def draw():
-        x = src.random_element(rng)
-        y = src.random_element(rng)
-        a = src.left_algebra.random_element(rng)
-        b = src.algebra.random_element(rng)
-        return SimpleNamespace(x=x, y=y, a=a, b=b, mx=mor(x), nx=np.linalg.norm(x))
+    la, ra = src.left_algebra, src.algebra
+
+    def draw(rows):
+        x, y, a, b = draw_stacks(rows, lambda: (
+            src.random_element(rng),
+            src.random_element(rng),
+            random_complex(rng, la.dim, la.dim),
+            random_complex(rng, ra.dim, ra.dim),
+        ))
+        return SimpleNamespace(
+            x=x, y=y, a=la.project(a), b=ra.project(b),
+            mx=mor(x), nx=np.linalg.norm(x, axis=-1),
+        )
 
     def intertwines_actions(s):
-        scale = max(s.nx * operator_norm(s.a) * operator_norm(s.b), 1e-30)
+        scale = np.maximum(s.nx * operator_norm(s.a) * operator_norm(s.b), 1e-30)
         lhs = mor(src.act(src.act_left(s.a, s.x), s.b))
-        return np.linalg.norm(lhs - dst.act(dst.act_left(s.a, s.mx), s.b)) / scale
+        rhs = dst.act(dst.act_left(s.a, s.mx), s.b)
+        return np.linalg.norm(lhs - rhs, axis=-1) / scale
 
     laws = [
         ("intertwines both actions", tol, intertwines_actions),
         ("preserves inner products", tol,
          lambda s: operator_norm(
              dst.pairing(s.mx, mor(s.y)) - src.pairing(s.x, s.y)
-         ) / max(s.nx * np.linalg.norm(s.y), 1e-30)),
+         ) / np.maximum(s.nx * np.linalg.norm(s.y, axis=-1), 1e-30)),
         ("intertwines symmetries", tol,
-         lambda s: np.linalg.norm(mor(src.j(s.x)) - dst.j(s.mx))
-         / max(s.nx, 1e-30)),
+         lambda s: np.linalg.norm(mor(src.j(s.x)) - dst.j(s.mx), axis=-1)
+         / np.maximum(s.nx, 1e-30)),
     ]
-    report.check_laws((draw() for _ in range(samples)), laws)
+    report.check_laws(draw, samples, laws)
     return report
 
 
@@ -373,7 +384,8 @@ def check_krein_star_hom(
 ) -> Report:
     """Unitality, multiplicativity, star-preservation, and the intertwining
     of the two fundamental automorphisms for an algebra map phi; ``beta``
-    defaults to the target's automorphism."""
+    defaults to the target's automorphism.  phi and beta map a matrix, and
+    a stack of matrices one by one."""
     beta = beta if beta is not None else target.alpha
     rng = np.random.default_rng(seed)
     report = Report(
@@ -385,15 +397,19 @@ def check_krein_star_hom(
     unital = operator_norm(phi(source.identity()) - target.identity())
     report.check("unital", unital, tol)
 
-    def draw():
-        a = source.random_element(rng)
-        b = source.random_element(rng)
+    d = source.dim
+
+    def draw(rows):
+        a, b = draw_stacks(
+            rows, lambda: (random_complex(rng, d, d), random_complex(rng, d, d))
+        )
+        a, b = source.project(a), source.project(b)
         return SimpleNamespace(
             a=a,
             b=b,
             pa=phi(a),
-            na=max(operator_norm(a), 1e-30),
-            nb=max(operator_norm(b), 1e-30),
+            na=np.maximum(operator_norm(a), 1e-30),
+            nb=np.maximum(operator_norm(b), 1e-30),
         )
 
     laws = [
@@ -404,7 +420,7 @@ def check_krein_star_hom(
         ("intertwines alpha and beta", tol,
          lambda s: operator_norm(phi(source.alpha(s.a)) - beta(s.pa)) / s.na),
     ]
-    report.check_laws((draw() for _ in range(samples)), laws)
+    report.check_laws(draw, samples, laws)
     return report
 
 
@@ -462,19 +478,20 @@ def spinor_factorization_check(
     )
     rng = np.random.default_rng(seed)
 
-    def draw():
-        c = random_complex(rng, lam_dim)
-        return c, random_complex(rng, t.dim)
+    def draw(rows):
+        c, x = draw_stacks(
+            rows, lambda: (random_complex(rng, lam_dim), random_complex(rng, t.dim))
+        )
+        return SimpleNamespace(c=c, x=x)
 
     def intertwines(s):
-        c, x = s
-        lhs = v @ (np.tensordot(c, t.left_action, axes=(0, 0)) @ x)
-        rhs = clifford_action(space, MultiVector(space, c)) @ (v @ x)
-        scale = max(np.linalg.norm(c) * np.linalg.norm(x), 1e-30)
-        return np.linalg.norm(lhs - rhs) / scale
+        left = np.tensordot(s.c, t.left_action, axes=(-1, 0))
+        lhs = matvec(left, s.x) @ v.T
+        rhs = matvec(clifford_action(space, MultiVector(space, s.c)), s.x @ v.T)
+        norms = np.linalg.norm(s.c, axis=-1) * np.linalg.norm(s.x, axis=-1)
+        return np.linalg.norm(lhs - rhs, axis=-1) / np.maximum(norms, 1e-30)
 
     report.check_laws(
-        (draw() for _ in range(samples)),
-        [("intertwines left Clifford actions", tol, intertwines)],
+        draw, samples, [("intertwines left Clifford actions", tol, intertwines)]
     )
     return report

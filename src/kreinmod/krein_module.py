@@ -111,11 +111,11 @@ class KreinModule:
         return x @ self.base.project(a)
 
     def inner(self, x, y) -> np.ndarray:
-        """The A-valued inner product."""
+        """The A-valued inner product, of each pair of a stack."""
         x, y = as_complex_matrix(x), as_complex_matrix(y)
-        if x.shape != (self.flat_dim, self.base.dim):
+        if x.shape[-2:] != (self.flat_dim, self.base.dim):
             raise DimensionMismatchError("element shape mismatch")
-        return x.conj().T @ self.gram @ y
+        return x.conj().swapaxes(-1, -2) @ self.gram @ y
 
     def lift_operator(self, m) -> np.ndarray:
         """The flat operator on the row-major vectorized element space."""
@@ -223,14 +223,15 @@ def hilbertify(module: KreinModule, symmetry: FundamentalSymmetry) -> KreinModul
 
 
 def krein_adjoint(module: KreinModule, symmetry: FundamentalSymmetry, t) -> np.ndarray:
-    """Adjoint for the indefinite product: G^{-1} T† G.
+    """Adjoint for the indefinite product: G^{-1} T† G, of an operator or of
+    each operator of a stack.
 
     Coincides with J ∘ (hilbertified adjoint) ∘ J.
     """
     t = as_complex_matrix(t)
-    if t.shape != (module.flat_dim, module.flat_dim):
+    if t.shape[-2:] != (module.flat_dim, module.flat_dim):
         raise DimensionMismatchError("operator shape mismatch")
-    adj = np.linalg.solve(module.gram, t.conj().T @ module.gram)
+    adj = np.linalg.solve(module.gram, t.conj().swapaxes(-1, -2) @ module.gram)
     return module.project_operator(adj)
 
 

@@ -12,6 +12,9 @@ The module symmetry J is a D x D involution twisted over the algebra's
 fundamental automorphism: J(x b) = J(x) alpha(b).  Unlike the definite
 situation, J is in general not adjointable for the algebra-valued product;
 ``krein_adjoint_over_krein`` detects this and raises NonAdjointableError.
+
+The module maps take one carrier vector (D,) and algebra element (d, d), or
+stacks (..., D) and (..., d, d) of them, one per sample.
 """
 
 from __future__ import annotations
@@ -25,12 +28,15 @@ from .algebra import KreinCStarAlgebra, even_odd_split
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
+    draw_stacks,
+    frobenius_norms,
     is_psd,
+    matvec,
     numerical_rank,
     operator_norm,
     random_complex,
 )
-from .report import Report, worst_of
+from .report import Report
 
 
 class NonAdjointableError(ValueError):
@@ -65,20 +71,18 @@ class KreinModuleOverKrein:
 
     def right_operator(self, b) -> np.ndarray:
         """The D x D matrix of x ↦ x · b."""
-        return np.tensordot(self.algebra.coefficients(b), self.action, axes=(0, 0))
+        return np.tensordot(self.algebra.coefficients(b), self.action, axes=(-1, 0))
 
     def act(self, x, b) -> np.ndarray:
         """The right action x · b."""
-        return self.right_operator(b) @ np.asarray(x, dtype=complex)
+        return matvec(self.right_operator(b), np.asarray(x, dtype=complex))
 
     def pairing(self, x, y) -> np.ndarray:
         """The algebra-valued inner product."""
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        return np.einsum("i,j,ijab->ab", x.conj(), y, self.inner)
+        return _contract_pairs(np.asarray(x, dtype=complex).conj(), y, self.inner)
 
     def j(self, x) -> np.ndarray:
-        return self.symmetry @ np.asarray(x, dtype=complex)
+        return np.asarray(x, dtype=complex) @ self.symmetry.T
 
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         return random_complex(rng, self.dim)
@@ -118,18 +122,23 @@ class KreinBimodule(KreinModuleOverKrein):
     def left_operator(self, a) -> np.ndarray:
         """The D x D matrix of x ↦ a · x."""
         c = self.left_algebra.coefficients(a)
-        return np.tensordot(c, self.left_action, axes=(0, 0))
+        return np.tensordot(c, self.left_action, axes=(-1, 0))
 
     def act_left(self, a, x) -> np.ndarray:
-        return self.left_operator(a) @ np.asarray(x, dtype=complex)
+        return matvec(self.left_operator(a), np.asarray(x, dtype=complex))
 
     def pairing_left(self, x, y) -> np.ndarray:
         """The left-algebra-valued product, linear in the first argument."""
         if self.left_inner is None:
             raise ValidationError("this bimodule carries no left inner product")
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        return np.einsum("i,j,ijab->ab", x, y.conj(), self.left_inner)
+        return _contract_pairs(x, np.asarray(y, dtype=complex).conj(), self.left_inner)
+
+
+def _contract_pairs(u, v, inner) -> np.ndarray:
+    """Σ_ij u_i v_j inner[i, j] for vectors u, v (..., D) of a (D, D, d, d) tensor."""
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    outer = u[..., :, None] * v[..., None, :]
+    return np.tensordot(outer, inner, axes=([-2, -1], [0, 1]))
 
 
 def self_module(algebra: KreinCStarAlgebra) -> KreinBimodule:
@@ -194,41 +203,49 @@ def auxiliary_product(module: KreinModuleOverKrein, x, y) -> np.ndarray:
 
 
 def rank_one(module: KreinModuleOverKrein, x, y) -> np.ndarray:
-    """The operator z ↦ x · ⟨y, z⟩."""
+    """The operator z ↦ x · ⟨y, z⟩, or a stack of them for stacks x, y."""
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     # column k is x · ⟨y, e_k⟩; the action is linear in the coefficients
-    pairings = np.einsum("i,ikab->kab", y.conj(), module.inner)
+    pairings = np.tensordot(y.conj(), module.inner, axes=(-1, 0))
     coeffs = module.algebra.coefficients(pairings)
-    return (module.action @ x).T @ coeffs.T
+    actions = matvec(module.action, x[..., None, :])  # row b is action[b] x
+    return actions.swapaxes(-1, -2) @ coeffs.swapaxes(-1, -2)
 
 
-def adjoint_residual(
-    module: KreinModuleOverKrein, t
-) -> tuple[np.ndarray, float]:
+def adjoint_residual(module: KreinModuleOverKrein, t):
     """Best least-squares candidate for the adjoint of T, with the relative
-    residual of the defining relation ⟨T x, y⟩ = ⟨x, S y⟩.
+    residual of the defining relation ⟨T x, y⟩ = ⟨x, S y⟩; for a stack of k
+    operators, the stack of candidates and an array of k residuals.
 
     On basis vectors it reads ⟨T e_i, e_j⟩ = Σ_k inner[i, k] S_kj, so column j
     of S meets only column j of the target R, through the same M = inner as
-    (n·d², n): M S = R is one least squares problem with n right-hand sides.
-    The residual is ‖M S − R‖_F / max(‖R‖_F, 1).
+    (n·d², n): M S = R is one least squares problem with n right-hand sides,
+    and a stack of k operators is one problem with k·n, so M is factored once.
+    Each operator's residual is ‖M S − R‖_F / max(‖R‖_F, 1).
     """
     t = np.asarray(t, dtype=complex)
     d = module.algebra.dim
     n = module.dim
-    if t.shape != (n, n):
+    if t.shape[-2:] != (n, n):
         raise DimensionMismatchError("operator shape mismatch")
+    lead = t.shape[:-2]
 
-    def rows_iab(x):  # (i, j, a, b) -> rows (i, a, b), column j
-        return x.reshape(n, n, d, d).transpose(0, 2, 3, 1).reshape(n * d * d, n)
+    # (k, i, j, a, b) -> rows (i, a, b), columns (k, j)
+    def rows_iab(x):
+        return x.reshape(-1, n, n, d, d).transpose(1, 3, 4, 0, 2).reshape(n * d * d, -1)
 
-    # R[(i, a, b), j] = Σ_k conj(t[k, i]) inner[k, j, a, b] is one matmul
+    # R_k[(i, a, b), j] = Σ_m conj(t_k[m, i]) inner[m, j, a, b] is one matmul
     design = rows_iab(module.inner)
-    target = rows_iab(t.conj().T @ module.inner.reshape(n, -1))
+    target = rows_iab(t.conj().swapaxes(-1, -2) @ module.inner.reshape(n, -1))
     s, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    residual = np.linalg.norm(design @ s - target)
-    return s, residual / max(np.linalg.norm(target), 1.0)
+
+    def per_operator(x):  # Frobenius norm of each operator's n columns
+        return frobenius_norms(x.reshape(n * d * d, -1, n).swapaxes(0, 1))
+
+    residual = per_operator(design @ s - target) / np.maximum(per_operator(target), 1.0)
+    s = s.reshape(n, -1, n).swapaxes(0, 1).reshape(*lead, n, n)
+    return s, residual.reshape(lead) if lead else float(residual[0])
 
 
 def krein_adjoint_over_krein(module: KreinModuleOverKrein, t) -> np.ndarray:
@@ -236,12 +253,15 @@ def krein_adjoint_over_krein(module: KreinModuleOverKrein, t) -> np.ndarray:
 
     The relation is linear in S; it is set up over the carrier basis and
     solved by least squares.  A residual above 1e-8 (relative to the target)
-    means T has no adjoint for the indefinite algebra-valued product.
+    means T has no adjoint for the indefinite algebra-valued product.  A
+    stack of operators gives the stack of adjoints, and raises if any has
+    none.
     """
     s, residual = adjoint_residual(module, t)
-    if residual > 1e-8:
+    worst = np.max(residual)
+    if worst > 1e-8:
         raise NonAdjointableError(
-            f"no adjoint exists: relative residual {residual:.3e}"
+            f"no adjoint exists: relative residual {worst:.3e}"
         )
     return s
 
@@ -281,46 +301,54 @@ def check_module_over_krein(
         "inner non-degenerate", 0.0 if module.is_nondegenerate() else 1.0, 0.5
     )
 
-    def draw():
-        x = module.random_element(rng)
-        y = module.random_element(rng)
-        a = alg.random_element(rng)
-        b = alg.random_element(rng)
-        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+    def draw(rows):
+        d, dl = alg.dim, module.left_algebra.dim if is_bimodule else 0
+        x, y, a, b, *cd = draw_stacks(rows, lambda: (
+            module.random_element(rng),
+            module.random_element(rng),
+            random_complex(rng, d, d),
+            random_complex(rng, d, d),
+            *((random_complex(rng, dl, dl), random_complex(rng, dl, dl))
+              if is_bimodule else ()),
+        ))
+        a, b = alg.project(a), alg.project(b)
+        nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
         s = SimpleNamespace(
             x=x,
             y=y,
             a=a,
             b=b,
             nx=nx,
-            na=max(operator_norm(a), 1e-30),
-            nb=max(operator_norm(b), 1e-30),
-            sxy=max(nx * ny, 1e-30),
+            na=np.maximum(operator_norm(a), 1e-30),
+            nb=np.maximum(operator_norm(b), 1e-30),
+            sxy=np.maximum(nx * ny, 1e-30),
             p=module.pairing(x, y),
             pj=module.pairing(module.j(x), module.j(y)),
         )
         if is_bimodule:
-            s.c = module.left_algebra.random_element(rng)
-            s.d = module.left_algebra.random_element(rng)
-            s.nc = max(operator_norm(s.c), 1e-30)
-            s.nd = max(operator_norm(s.d), 1e-30)
+            s.c, s.d = (module.left_algebra.project(m) for m in cd)
+            s.nc = np.maximum(operator_norm(s.c), 1e-30)
+            s.nd = np.maximum(operator_norm(s.d), 1e-30)
         return s
 
     def auxiliary_defect(s):
         # hermiticity defect of <x, J x> relative to |x|², or 1 if not PSD
         aux = auxiliary_product(module, s.x, s.x)
-        herm_defect = operator_norm(aux - aux.conj().T)
-        psd_defect = 0.0 if is_psd(aux) else 1.0
-        return worst_of(herm_defect / max(s.nx * s.nx, 1e-30), psd_defect)
+        herm_defect = operator_norm(aux - aux.conj().swapaxes(-1, -2))
+        psd_defect = np.where(is_psd(aux), 0.0, 1.0)
+        return np.maximum(herm_defect / np.maximum(s.nx * s.nx, 1e-30), psd_defect)
 
     def even_odd_exchange(s):
         even, odd = even_odd_split(alg, s.p)
         return operator_norm(s.pj - (even - odd)) / s.sxy
 
+    def vnorm(v):
+        return np.linalg.norm(v, axis=-1)
+
     act, pairing, j = module.act, module.pairing, module.j
     laws = [
         ("action associative", tol,
-         lambda s: np.linalg.norm(act(act(s.x, s.a), s.b) - act(s.x, s.a @ s.b))
+         lambda s: vnorm(act(act(s.x, s.a), s.b) - act(s.x, s.a @ s.b))
          / (s.nx * s.na * s.nb)),
         ("inner right-linear", tol,
          lambda s: operator_norm(pairing(s.x, act(s.y, s.b)) - s.p @ s.b)
@@ -328,7 +356,7 @@ def check_module_over_krein(
         ("inner star-hermitian", tol,
          lambda s: operator_norm(alg.star(s.p) - pairing(s.y, s.x)) / s.sxy),
         ("J twists over alpha", tol,
-         lambda s: np.linalg.norm(j(act(s.x, s.b)) - act(j(s.x), alg.alpha(s.b)))
+         lambda s: vnorm(j(act(s.x, s.b)) - act(j(s.x), alg.alpha(s.b)))
          / (s.nx * s.nb)),
         ("alpha of inner is inner of J pair", tol,
          lambda s: operator_norm(alg.alpha(s.p) - s.pj) / s.sxy),
@@ -339,14 +367,13 @@ def check_module_over_krein(
         left, la = module.act_left, module.left_algebra
         laws += [
             ("left action associative", tol,
-             lambda s: np.linalg.norm(left(s.c, left(s.d, s.x)) - left(s.c @ s.d, s.x))
+             lambda s: vnorm(left(s.c, left(s.d, s.x)) - left(s.c @ s.d, s.x))
              / (s.nx * s.nc * s.nd)),
             ("actions commute", tol,
-             lambda s: np.linalg.norm(
-                 left(s.c, act(s.x, s.b)) - act(left(s.c, s.x), s.b)
-             ) / (s.nx * s.nc * s.nb)),
+             lambda s: vnorm(left(s.c, act(s.x, s.b)) - act(left(s.c, s.x), s.b))
+             / (s.nx * s.nc * s.nb)),
             ("J twists over left alpha", tol,
-             lambda s: np.linalg.norm(j(left(s.c, s.x)) - left(la.alpha(s.c), j(s.x)))
+             lambda s: vnorm(j(left(s.c, s.x)) - left(la.alpha(s.c), j(s.x)))
              / (s.nx * s.nc)),
         ]
     if is_bimodule and module.left_inner is not None:
@@ -357,7 +384,7 @@ def check_module_over_krein(
                  - s.c @ module.pairing_left(s.x, s.y)
              ) / (s.sxy * s.nc))
         )
-    report.check_laws((draw() for _ in range(samples)), laws)
+    report.check_laws(draw, samples, laws)
     return report
 
 
@@ -374,18 +401,20 @@ def check_imprimitivity(
         environment={"carrier_dim": module.dim},
     )
 
-    def draw():
-        return tuple(module.random_element(rng) for _ in range(3))
+    def draw(rows):
+        x, y, z = draw_stacks(
+            rows, lambda: tuple(module.random_element(rng) for _ in range(3))
+        )
+        return SimpleNamespace(x=x, y=y, z=z)
 
     def linking(s):
-        x, y, z = s
-        scale = max(np.linalg.norm(x) * np.linalg.norm(y) * np.linalg.norm(z), 1e-30)
-        lhs = module.act_left(module.pairing_left(x, y), z)
-        return np.linalg.norm(lhs - module.act(x, module.pairing(y, z))) / scale
+        norms = [np.linalg.norm(v, axis=-1) for v in (s.x, s.y, s.z)]
+        scale = np.maximum(norms[0] * norms[1] * norms[2], 1e-30)
+        lhs = module.act_left(module.pairing_left(s.x, s.y), s.z)
+        rhs = module.act(s.x, module.pairing(s.y, s.z))
+        return np.linalg.norm(lhs - rhs, axis=-1) / scale
 
-    report.check_laws(
-        (draw() for _ in range(samples)), [("linking identity", tol, linking)]
-    )
+    report.check_laws(draw, samples, [("linking identity", tol, linking)])
     # fullness: the products of all carrier basis pairs span the algebras
     n = module.dim
     for side, algebra, inner in (

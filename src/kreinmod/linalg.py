@@ -28,26 +28,29 @@ class ValidationError(ValueError):
 
 
 def as_complex_matrix(m) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting NaN/Inf entries."""
+    """Coerce to a complex matrix or stack of matrices (..., m, n), rejecting
+    NaN/Inf entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValidationError(f"expected a 2-d array, got ndim={a.ndim}")
+    if a.ndim < 2:
+        raise ValidationError(f"expected a matrix or a stack, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix has non-finite entries")
     return a
 
 
 def hermitian_adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(m).conj().T
+    """Conjugate transpose, of each matrix of a stack."""
+    return as_complex_matrix(m).conj().swapaxes(-1, -2)
 
 
-def operator_norm(m) -> float:
-    """Largest singular value."""
+def operator_norm(m):
+    """Largest singular value: a float for a matrix, an array of one per
+    matrix for a stack (..., m, n)."""
     a = as_complex_matrix(m)
     if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+        return np.zeros(a.shape[:-2]) if a.ndim > 2 else 0.0
+    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    return top if a.ndim > 2 else float(top)
 
 
 def first_exceeding(residuals, references, tol: float) -> int:
@@ -58,7 +61,7 @@ def first_exceeding(residuals, references, tol: float) -> int:
     passes the Frobenius screen (module docstring) is inside; only the other
     pairs go to a stacked SVD, so the answer is the all-SVD answer.
     """
-    r_fro, a_fro = _frobenius_norms(residuals), _frobenius_norms(references)
+    r_fro, a_fro = frobenius_norms(residuals), frobenius_norms(references)
     rank_bound = min(references.shape[1:])
     # written as "not inside" so that a NaN residual goes on to the SVD
     suspects = np.flatnonzero(
@@ -72,11 +75,16 @@ def first_exceeding(residuals, references, tol: float) -> int:
     return int(suspects[np.argmax(outside)]) if outside.any() else -1
 
 
-def _frobenius_norms(stack) -> np.ndarray:
+def frobenius_norms(stack) -> np.ndarray:
     """‖x‖_F of each matrix of a stack, summed over views of the real and
     imaginary parts so that the stack is never copied."""
     re, im = stack.real, stack.imag
     return np.sqrt(np.einsum("kij,kij->k", re, re) + np.einsum("kij,kij->k", im, im))
+
+
+def matvec(m, x) -> np.ndarray:
+    """m x for a matrix (..., m, n) and a vector (..., n), stacks broadcast."""
+    return (m @ x[..., None])[..., 0]
 
 
 def expm(m) -> np.ndarray:
@@ -180,8 +188,9 @@ def quotient_space(ambient_dim: int, relations) -> tuple[np.ndarray, np.ndarray]
 
 
 def spectral_projector(j, sign: int) -> np.ndarray:
-    """(1 + sign·j) / 2: the projector onto the sign eigenspace of an involution j."""
-    return (np.eye(j.shape[0]) + sign * j) / 2
+    """(1 + sign·j) / 2: the projector onto the sign eigenspace of an involution
+    j, or of each involution of a stack."""
+    return (np.eye(j.shape[-1]) + sign * j) / 2
 
 
 def eig_signature(h) -> tuple[int, int]:
@@ -196,18 +205,27 @@ def eig_signature(h) -> tuple[int, int]:
     return pos, neg
 
 
-def min_hermitian_eig(h) -> float:
+def min_hermitian_eig(h):
+    """Least eigenvalue of the hermitian part, of each matrix of a stack."""
     a = as_complex_matrix(h)
-    return float(np.min(np.linalg.eigvalsh((a + a.conj().T) / 2)))
+    least = np.linalg.eigvalsh((a + a.conj().swapaxes(-1, -2)) / 2)[..., 0]
+    return least if a.ndim > 2 else float(least)
 
 
-def is_psd(h) -> bool:
-    """Positive semidefinite up to a relative spectral slack."""
+def is_psd(h):
+    """Positive semidefinite up to a relative spectral slack; an array of one
+    answer per matrix for a stack."""
     a = as_complex_matrix(h)
-    scale = max(operator_norm(a), 1.0)
+    scale = np.maximum(operator_norm(a), 1.0)
     return min_hermitian_eig(a) >= -DEFAULT_TOL * scale
 
 
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
     """I.i.d. complex standard normal entries."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def draw_stacks(rows, one) -> list[np.ndarray]:
+    """Call ``one()`` once per row, in order, and stack each of the arrays it
+    returns on a new axis 0: the RNG calls of a batch follow sample order."""
+    return [np.stack(field) for field in zip(*(one() for _ in rows))]

@@ -4,9 +4,11 @@ The canonical JSON serialization is byte-deterministic for a fixed seed and
 configuration: per-record wall times are kept out of it and only appear in
 the human-readable rendering.
 
-``Report.check_laws`` is the one driver for sampled laws: it evaluates a
-table of ``(name, tolerance, residual)`` rows on every sample and records
-the worst residual of each law.
+``Report.check_laws`` is the one driver for sampled laws.  A draw function
+returns a batch of samples, a namespace whose array fields are stacked on
+axis 0; each row ``(name, tolerance, residual)`` of a law table maps the
+batch to one value per sample, and the driver records each law's worst
+value.
 """
 
 from __future__ import annotations
@@ -15,12 +17,20 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-# one sampled law: record name, tolerance, residual of one sample
-Law = tuple[str, float, Callable[[Any], float]]
+# one sampled law: record name, tolerance, and the residual of a batch of
+# samples, an array of one value per sample
+Law = tuple[str, float, Callable[[Any], Any]]
 
 SCHEMA_VERSION = 1
+
+# bytes of drawn arrays per batch: the first sample's arrays turn this into
+# the number of samples drawn and evaluated together.  A residual's
+# temporaries can be several times its batch (an adjoint's least squares
+# targets, operators built from vectors), so a batch is kept small enough
+# that they do not raise a run's peak memory.
+CHUNK_BYTES = 2**14
 
 
 @dataclass
@@ -64,6 +74,11 @@ def worst_of(*values: float) -> float:
     return max(values)
 
 
+def _array_bytes(batch) -> int:
+    """Bytes of the arrays among a batch's fields."""
+    return sum(getattr(v, "nbytes", 0) for v in vars(batch).values())
+
+
 def _round_float(x: float) -> float:
     # canonical representation; avoids last-bit jitter from thread timing
     # sensitive reductions while staying far below every check tolerance
@@ -105,22 +120,31 @@ class Report:
         )
 
     def check_laws(
-        self, samples: Iterable, laws: Sequence[Law]
+        self, draw: Callable[[range], Any], samples: int, laws: Sequence[Law]
     ) -> list[CheckRecord]:
-        """Record the worst residual of each law over the samples.
+        """Record the worst residual of each law over ``samples`` samples.
 
-        ``samples`` is consumed once, in order, so a lazy generator draws
-        each sample just before its residuals are evaluated.  Records are
-        appended in table order; each carries its law's residual wall time.
+        ``draw(rows)`` returns the batch of the samples numbered ``rows``, a
+        range; ranges come in order, so a draw from a seeded RNG makes its
+        calls sample by sample.  The first batch is one sample, whose array
+        fields fix how many samples make up ``CHUNK_BYTES`` for the later
+        batches.  Each residual maps a batch to an array of one value per
+        sample; a NaN wins over every other value.  Records are appended in
+        table order; each carries its law's residual wall time.
         """
         worst = [0.0] * len(laws)
         elapsed = [0.0] * len(laws)
-        for sample in samples:
+        rows = range(min(1, samples))
+        while rows:
+            batch = draw(rows)
             for k, (_, _, residual) in enumerate(laws):
                 start = time.perf_counter()
-                value = residual(sample)
+                values = residual(batch)
                 elapsed[k] += time.perf_counter() - start
-                worst[k] = worst_of(worst[k], value)
+                worst[k] = worst_of(worst[k], float(values.max()))
+            if rows.start == 0:
+                chunk = max(1, CHUNK_BYTES // max(_array_bytes(batch), 1))
+            rows = range(rows.stop, min(rows.stop + chunk, samples))
         return [
             self.add(
                 CheckRecord(

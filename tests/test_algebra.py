@@ -95,6 +95,16 @@ class TestGramPath:
         with pytest.raises(ValidationError, match="basis contains a zero element"):
             KreinCStarAlgebra(basis, np.diag([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_non_finite_basis_rejected(self, bad, validate):
+        # checked once at construction, before the Gram test could call a
+        # non-finite basis non-orthogonal
+        basis = FiniteCStarAlgebra((2,)).basis()
+        basis[1, 0, 1] = bad
+        with pytest.raises(ValidationError, match="non-finite entries"):
+            KreinCStarAlgebra(basis, eta_pq(1, 1), validate=validate)
+
     @staticmethod
     def svd_shapes(monkeypatch):
         shapes = []

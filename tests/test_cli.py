@@ -270,3 +270,26 @@ class TestImportGraph:
             text=True, check=True,
         )
         assert out.stdout.strip() == "[]"
+
+
+class TestBlasThreads:
+    def test_report_identical_across_blas_threads(self, tmp_path):
+        # stacked products are the first to reach sizes where BLAS may split
+        # work between threads; the canonical report must not notice
+        src = str(Path(kreinmod.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+            )
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            path = tmp_path / f"threads-{threads}.json"
+            args = ["check", "full-gallery", "--samples", "5", "--quiet"]
+            subprocess.run(
+                [sys.executable, "-m", "kreinmod.cli", *args, "--report", str(path)],
+                env=env, check=True,
+            )
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]

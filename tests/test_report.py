@@ -1,7 +1,11 @@
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import kreinmod.report as report_module
+from kreinmod.algebra import bounded_operators, check_krein_cstar_axioms
 from kreinmod.checker import CheckConfig, run
 from kreinmod.report import CheckRecord, Report, worst_of
 
@@ -10,12 +14,19 @@ def report():
     return Report(title="t", seed=0, samples=1)
 
 
+def batches(values):
+    """A draw over fixed per-sample values, stacked in the field ``v``."""
+    values = np.asarray(values, dtype=float)
+    return lambda rows: SimpleNamespace(v=values[rows])
+
+
 class TestCheckLaws:
     def test_running_max_per_law(self):
         r = report()
         r.check_laws(
-            [1.0, 3.0, 2.0],
-            [("identity", 5.0, lambda x: x), ("negated", 5.0, lambda x: -x)],
+            batches([1.0, 3.0, 2.0]),
+            3,
+            [("identity", 5.0, lambda s: s.v), ("negated", 5.0, lambda s: -s.v)],
         )
         assert [rec.max_violation for rec in r.records] == [3.0, 0.0]
 
@@ -23,40 +34,93 @@ class TestCheckLaws:
         r = report()
         r.check("before", 0.0, 1.0)
         names = ["c", "a", "b"]
-        r.check_laws([0.0], [(n, 1.0, lambda x: x) for n in names])
+        r.check_laws(batches([0.0]), 1, [(n, 1.0, lambda s: s.v) for n in names])
         assert [rec.name for rec in r.records] == ["before"] + names
         assert [rec.tolerance for rec in r.records[1:]] == [1.0] * 3
 
     def test_no_samples_records_zero(self):
+        def draw(rows):
+            raise AssertionError("nothing to draw")
+
         r = report()
-        (rec,) = r.check_laws([], [("empty", 1e-9, lambda x: 1.0)])
-        assert rec.max_violation == 0.0 and rec.passed
+        recs = r.check_laws(
+            draw, 0, [("empty", 1e-9, lambda s: 1.0), ("also", 1e-9, lambda s: 2.0)]
+        )
+        assert [rec.max_violation for rec in recs] == [0.0, 0.0]
+        assert all(rec.passed for rec in recs)
 
     @pytest.mark.parametrize("values", [[math.nan, 1.0], [1.0, math.nan, 0.5]])
     def test_nan_is_kept_once_it_appears(self, values):
-        (rec,) = report().check_laws(values, [("law", 10.0, lambda x: x)])
+        (rec,) = report().check_laws(
+            batches(values), len(values), [("law", 10.0, lambda s: s.v)]
+        )
         assert math.isnan(rec.max_violation)
         assert not rec.passed
 
+    def test_nan_in_a_batch_wins_over_larger_values(self):
+        sizes = []
+
+        def residual(s):
+            sizes.append(len(s.v))
+            return s.v
+
+        (rec,) = report().check_laws(
+            batches([1.0, 5.0, math.nan, 7.0]), 4, [("law", 10.0, residual)]
+        )
+        assert sizes == [1, 3]  # NaN and 7.0 come in one batch
+        assert math.isnan(rec.max_violation)
+
     def test_lazy_draw_interleaves_with_residuals(self):
+        # each batch is drawn just before its residuals run; after the first
+        # sample, the samples of CHUNK_BYTES come in one batch
         events = []
 
-        def draw(k):
-            events.append(f"draw {k}")
-            return k
+        def draw(rows):
+            events.append(f"draw {rows.start}:{rows.stop}")
+            return SimpleNamespace(v=np.zeros(len(rows)))
 
         def residual(tag):
-            def fn(k):
-                events.append(f"{tag} {k}")
-                return float(k)
+            def fn(s):
+                events.append(f"{tag} {len(s.v)}")
+                return s.v
 
             return fn
 
         report().check_laws(
-            (draw(k) for k in range(2)),
-            [("a", 1.0, residual("a")), ("b", 1.0, residual("b"))],
+            draw, 3, [("a", 1.0, residual("a")), ("b", 1.0, residual("b"))]
         )
-        assert events == ["draw 0", "a 0", "b 0", "draw 1", "a 1", "b 1"]
+        assert events == ["draw 0:1", "a 1", "b 1", "draw 1:3", "a 2", "b 2"]
+
+    def test_batches_hold_chunk_bytes(self, monkeypatch):
+        # the first sample's 8 bytes turn CHUNK_BYTES = 24 into three samples
+        monkeypatch.setattr(report_module, "CHUNK_BYTES", 24)
+        rows = []
+
+        def draw(r):
+            rows.append((r.start, r.stop))
+            return SimpleNamespace(v=np.zeros(len(r)))
+
+        report().check_laws(draw, 8, [("law", 1.0, lambda s: s.v)])
+        assert rows == [(0, 1), (1, 4), (4, 7), (7, 8)]
+
+    def test_order_and_elapsed_kept(self):
+        def slow(s):
+            return np.array([sum(range(10_000)) * 0.0 for _ in s.v])
+
+        r = report()
+        recs = r.check_laws(
+            batches(np.zeros(5)), 5, [("x", 1.0, slow), ("y", 1.0, slow)]
+        )
+        assert [rec.name for rec in recs] == ["x", "y"]
+        assert all(rec.elapsed > 0 for rec in recs)
+
+    def test_chunked_equals_single_batch(self, monkeypatch):
+        def worst_values(chunk_bytes):
+            monkeypatch.setattr(report_module, "CHUNK_BYTES", chunk_bytes)
+            rep = check_krein_cstar_axioms(bounded_operators(2, 1), samples=40, seed=9)
+            return [rec.max_violation for rec in rep.records]
+
+        assert worst_values(1) == worst_values(2**30)
 
     def test_worst_of(self):
         assert worst_of(0.0, 2.0, 1.0) == 2.0
