@@ -39,6 +39,9 @@ CONFIGS = [
     # ladder sizes: the algebra constructor and the section-independence sum
     ["check", "clifford", "--p", "4", "--q", "3", "--samples", "5"],
     ["check", "tensor", "--p", "6", "--q", "6", "--samples", "5"],
+    # the empty signature: zero-degree and zero-size draws
+    ["check", "clifford", "--p", "0", "--q", "0", "--samples", "5"],
+    ["check", "spinor", "--p", "0", "--q", "0", "--samples", "5"],
     ["demo", "minkowski"],
     ["demo", "torus"],
     ["demo", "spinor-m4"],

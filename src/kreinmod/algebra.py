@@ -20,13 +20,13 @@ from .linalg import (
     DimensionMismatchError,
     ValidationError,
     as_complex_matrix,
-    draw_stacks,
     first_exceeding,
+    gaussians,
     hermitian_adjoint,
     operator_norm,
     random_complex,
 )
-from .report import Report
+from .report import CHUNK_BYTES, Report
 
 
 @dataclass(frozen=True)
@@ -186,13 +186,17 @@ class KreinCStarAlgebra:
             if k >= 0:
                 kind = "star" if k % 2 else "alpha"
                 raise ValidationError(f"carrier is not closed under {kind}")
-        rng = np.random.default_rng(0)
-        products = np.stack([
-            self.random_element(rng) @ self.random_element(rng)
-            for _ in range(min(8, len(self.basis) ** 2))
-        ])
-        if self._first_outside(products) >= 0:
-            raise ValidationError("carrier is not closed under products")
+        # the sample is drawn in stacks of pairs that hold ⅛ of the basis or
+        # CHUNK_BYTES, whichever is more (a pair is 2·d² complex entries).
+        # The lazy map lets no drawn or projected pair outlive its products.
+        rng, pairs = np.random.default_rng(0), min(8, len(self.basis) ** 2)
+        per_draw = max(step, CHUNK_BYTES // (2 * 16 * d * d))
+        for i in range(0, pairs, per_draw):
+            pair = map(
+                self.project, gaussians(rng, min(per_draw, pairs - i), (d, d), (d, d))
+            )
+            if self._first_outside(np.matmul(*pair)) >= 0:
+                raise ValidationError("carrier is not closed under products")
 
     # -- carrier membership ------------------------------------------------
 
@@ -333,14 +337,11 @@ def check_krein_cstar_axioms(
     d = algebra.dim
 
     def draw(rows):
-        raw_a, raw_b, z = draw_stacks(rows, lambda: (
-            random_complex(rng, d, d), random_complex(rng, d, d),
-            rng.standard_normal(2),
-        ))
+        raw_a, raw_b, z = gaussians(rng, len(rows), (d, d), (d, d), ())
         a, b = algebra.project(raw_a), algebra.project(raw_b)
         even, odd = even_odd_split(algebra, a)
         return SimpleNamespace(
-            a=a, b=b, z=(z[:, 0] + 1j * z[:, 1])[:, None, None],
+            a=a, b=b, z=z[:, None, None],
             even=even, odd=odd,
             odd_b=even_odd_split(algebra, b)[1],
             na=np.maximum(operator_norm(a), 1e-30),

@@ -7,8 +7,9 @@ missing.  Each scenario also carries at least one deliberately corrupted
 structure whose check must fail, guarding against vacuous passes.
 
 Sampled laws are stated as tables.  A draw function turns the seeded RNG
-into a batch of samples: it makes the RNG calls sample by sample, stacks
-them on axis 0 and computes the quantities several laws share (norms,
+into a batch of samples: one ``linalg.gaussians`` call gives every drawn
+field as a stack on axis 0, read from the stream in sample order, and the
+draw computes the quantities several laws share (projections, norms,
 ``star(a)``, pairings) once for the whole stack.  A law table lists one
 ``(record name, tolerance, residual)`` row per law, where the residual maps
 a batch to one non-negative, normalised violation per sample.
@@ -47,7 +48,6 @@ from .clifford import (
     clifford_action,
     gamma_algebra,
     gamma_rep,
-    random_multivector,
     scalar_one,
     second_quantized_J,
     spinor_module,
@@ -99,11 +99,10 @@ from .krein_over_krein import (
 )
 from .linalg import (
     ValidationError,
-    draw_stacks,
+    gaussians,
     min_hermitian_eig,
     numerical_rank,
     operator_norm,
-    random_complex,
     spectral_projector,
 )
 from .report import Report
@@ -358,9 +357,7 @@ def _element_draw(algebra: KreinCStarAlgebra, rng):
     d = algebra.dim
 
     def draw(rows):
-        return SimpleNamespace(
-            a=algebra.project(np.stack([random_complex(rng, d, d) for _ in rows]))
-        )
+        return SimpleNamespace(a=algebra.project(gaussians(rng, len(rows), (d, d))[0]))
 
     return draw
 
@@ -541,19 +538,17 @@ def _symmetry_samples(module: KreinModule, rng, n_random: int):
     symmetries = [standard_symmetry(module)] + [
         random_symmetry(module, rng) for _ in range(n_random)
     ]
-    t, x, y = draw_stacks(symmetries, lambda: (
-        module.random_operator(rng),
-        module.random_element(rng),
-        module.random_element(rng),
-    ))
+    f, b = module.flat_dim, module.base.dim
+    t, x, y = gaussians(rng, len(symmetries), (f, f), (f, b), (f, b))
+    t = module.project_operator(t)
     return SimpleNamespace(
         module=module,
         j=symmetries,
         jm=np.stack([j.matrix for j in symmetries]),
         t=t,
         ts=krein_adjoint(module, symmetries[0], t),  # G⁻¹ T† G, for every symmetry
-        x=x,
-        y=y,
+        x=module.project_element(x),
+        y=module.project_element(y),
         halves=[fundamental_decomposition(module, j) for j in symmetries],
     )
 
@@ -640,9 +635,7 @@ def _scenario_module_over_krein(config: CheckConfig) -> Report:
     )
 
     def draw(rows):
-        x, y = draw_stacks(
-            rows, lambda: (module.random_element(rng), module.random_element(rng))
-        )
+        x, y = gaussians(rng, len(rows), (module.dim,), (module.dim,))
         t = rank_one(module, x, y)
         return SimpleNamespace(
             x=x, y=y, t=t, ts=krein_adjoint_over_krein(module, t),
@@ -709,12 +702,12 @@ def _scenario_clifford(config: CheckConfig) -> Report:
     g = space.signs
 
     def decomposables(rows):
+        # deg separate (n,) fields per side; np.array, not np.stack, so that
+        # deg = 0 gives an empty (k, 0, n) stack
+        fields = gaussians(rng, len(rows), *[(n,)] * (2 * deg))
         vs, ws = (
-            stack.reshape(len(rows), deg, n)
-            for stack in draw_stacks(rows, lambda: (
-                [random_complex(rng, n) for _ in range(deg)],
-                [random_complex(rng, n) for _ in range(deg)],
-            ))
+            np.array(side).reshape(deg, len(rows), n).swapaxes(0, 1)
+            for side in (fields[:deg], fields[deg:])
         )
         bv, bw = scalar_one(space), scalar_one(space)
         for i in range(deg):
@@ -750,9 +743,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         coefficient stacks in the fields m0, m1, ..."""
 
         def draw(rows):
-            stacks = draw_stacks(rows, lambda: tuple(
-                random_multivector(space, rng).coeffs for _ in range(count)
-            ))
+            stacks = gaussians(rng, len(rows), *[(space.grassmann_dim,)] * count)
             return SimpleNamespace(**{f"m{k}": c for k, c in enumerate(stacks)})
         return draw
 
@@ -883,9 +874,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     left = module.left_algebra
 
     def draw(rows):
-        c, psi = draw_stacks(rows, lambda: (
-            random_complex(rng, left.dim, left.dim), module.random_element(rng)
-        ))
+        c, psi = gaussians(rng, len(rows), (left.dim, left.dim), (module.dim,))
         return SimpleNamespace(c=left.project(c), psi=psi)
 
     def twisting_defect(s):
@@ -986,7 +975,7 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     rng = np.random.default_rng(config.seed + 4)
 
     def draw(rows):
-        u, v = draw_stacks(rows, lambda: (t.random_element(rng), t.random_element(rng)))
+        u, v = gaussians(rng, len(rows), (t.dim,), (t.dim,))
         return SimpleNamespace(u=u, v=v)
 
     def gamma_defect(s):

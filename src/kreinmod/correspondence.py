@@ -35,8 +35,8 @@ from .linalg import (
     DimensionMismatchError,
     ValidationError,
     column_space,
-    draw_stacks,
     first_exceeding,
+    gaussians,
     matvec,
     numerical_rank,
     operator_norm,
@@ -304,12 +304,9 @@ def check_morphism(
     la, ra = src.left_algebra, src.algebra
 
     def draw(rows):
-        x, y, a, b = draw_stacks(rows, lambda: (
-            src.random_element(rng),
-            src.random_element(rng),
-            random_complex(rng, la.dim, la.dim),
-            random_complex(rng, ra.dim, ra.dim),
-        ))
+        x, y, a, b = gaussians(
+            rng, len(rows), (src.dim,), (src.dim,), (la.dim, la.dim), (ra.dim, ra.dim)
+        )
         return SimpleNamespace(
             x=x, y=y, a=la.project(a), b=ra.project(b),
             mx=mor(x), nx=np.linalg.norm(x, axis=-1),
@@ -400,9 +397,7 @@ def check_krein_star_hom(
     d = source.dim
 
     def draw(rows):
-        a, b = draw_stacks(
-            rows, lambda: (random_complex(rng, d, d), random_complex(rng, d, d))
-        )
+        a, b = gaussians(rng, len(rows), (d, d), (d, d))
         a, b = source.project(a), source.project(b)
         return SimpleNamespace(
             a=a,
@@ -479,9 +474,7 @@ def spinor_factorization_check(
     rng = np.random.default_rng(seed)
 
     def draw(rows):
-        c, x = draw_stacks(
-            rows, lambda: (random_complex(rng, lam_dim), random_complex(rng, t.dim))
-        )
+        c, x = gaussians(rng, len(rows), (lam_dim,), (t.dim,))
         return SimpleNamespace(c=c, x=x)
 
     def intertwines(s):

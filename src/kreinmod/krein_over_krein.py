@@ -28,8 +28,8 @@ from .algebra import KreinCStarAlgebra, even_odd_split
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
-    draw_stacks,
     frobenius_norms,
+    gaussians,
     is_psd,
     matvec,
     numerical_rank,
@@ -302,15 +302,9 @@ def check_module_over_krein(
     )
 
     def draw(rows):
-        d, dl = alg.dim, module.left_algebra.dim if is_bimodule else 0
-        x, y, a, b, *cd = draw_stacks(rows, lambda: (
-            module.random_element(rng),
-            module.random_element(rng),
-            random_complex(rng, d, d),
-            random_complex(rng, d, d),
-            *((random_complex(rng, dl, dl), random_complex(rng, dl, dl))
-              if is_bimodule else ()),
-        ))
+        n, d = module.dim, alg.dim
+        left = [(module.left_algebra.dim,) * 2] * 2 if is_bimodule else []
+        x, y, a, b, *cd = gaussians(rng, len(rows), (n,), (n,), (d, d), (d, d), *left)
         a, b = alg.project(a), alg.project(b)
         nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
         s = SimpleNamespace(
@@ -402,9 +396,7 @@ def check_imprimitivity(
     )
 
     def draw(rows):
-        x, y, z = draw_stacks(
-            rows, lambda: tuple(module.random_element(rng) for _ in range(3))
-        )
+        x, y, z = gaussians(rng, len(rows), *[(module.dim,)] * 3)
         return SimpleNamespace(x=x, y=y, z=z)
 
     def linking(s):

@@ -11,6 +11,7 @@ already proves ‖r‖₂ ≤ tol · max(‖a‖₂, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,12 +221,26 @@ def is_psd(h):
     return min_hermitian_eig(a) >= -DEFAULT_TOL * scale
 
 
+def gaussians(rng: np.random.Generator, k: int, *shapes) -> list[np.ndarray]:
+    """One stack (k, *shape) of i.i.d. complex standard normal entries per
+    shape, from a single ``standard_normal`` call.
+
+    The numbers are laid out sample by sample, then shape by shape, real part
+    before imaginary part, so that k calls with k = 1 read the same samples as
+    one call: a batch of any size draws what single samples would.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    raw = rng.standard_normal((k, 2 * sum(sizes)))
+    stacks, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        # (k, 2, size) real and imaginary blocks -> (k, size) complex pairs
+        parts = raw[:, start : start + 2 * size].reshape(k, 2, size)
+        pairs = np.ascontiguousarray(parts.swapaxes(1, 2))
+        stacks.append(pairs.view(complex).reshape(k, *shape))
+        start += 2 * size
+    return stacks
+
+
 def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
-    """I.i.d. complex standard normal entries."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def draw_stacks(rows, one) -> list[np.ndarray]:
-    """Call ``one()`` once per row, in order, and stack each of the arrays it
-    returns on a new axis 0: the RNG calls of a batch follow sample order."""
-    return [np.stack(field) for field in zip(*(one() for _ in rows))]
+    """I.i.d. complex standard normal entries: one sample of ``gaussians``."""
+    return gaussians(rng, 1, shape)[0][0]

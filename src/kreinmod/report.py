@@ -6,9 +6,9 @@ the human-readable rendering.
 
 ``Report.check_laws`` is the one driver for sampled laws.  A draw function
 returns a batch of samples, a namespace whose array fields are stacked on
-axis 0; each row ``(name, tolerance, residual)`` of a law table maps the
-batch to one value per sample, and the driver records each law's worst
-value.
+axis 0 (random ones drawn by one ``linalg.gaussians`` call); each row
+``(name, tolerance, residual)`` of a law table maps the batch to one value
+per sample, and the driver records each law's worst value.
 """
 
 from __future__ import annotations
@@ -125,12 +125,13 @@ class Report:
         """Record the worst residual of each law over ``samples`` samples.
 
         ``draw(rows)`` returns the batch of the samples numbered ``rows``, a
-        range; ranges come in order, so a draw from a seeded RNG makes its
-        calls sample by sample.  The first batch is one sample, whose array
-        fields fix how many samples make up ``CHUNK_BYTES`` for the later
-        batches.  Each residual maps a batch to an array of one value per
-        sample; a NaN wins over every other value.  Records are appended in
-        table order; each carries its law's residual wall time.
+        range; ranges come in order, and ``linalg.gaussians`` reads a seeded
+        RNG in sample order, so every batching draws the same samples.  The
+        first batch is one sample, whose array fields fix how many samples
+        make up ``CHUNK_BYTES`` for the later batches.  Each residual maps a
+        batch to an array of one value per sample; a NaN wins over every
+        other value.  Records are appended in table order; each carries its
+        law's residual wall time.
         """
         worst = [0.0] * len(laws)
         elapsed = [0.0] * len(laws)

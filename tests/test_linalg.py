@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kreinmod.linalg as linalg
 from kreinmod.linalg import (
     DimensionMismatchError,
     Subspace,
@@ -13,6 +17,7 @@ from kreinmod.linalg import (
     eig_signature,
     expm,
     first_exceeding,
+    gaussians,
     hermitian_adjoint,
     numerical_rank,
     operator_norm,
@@ -324,3 +329,54 @@ class TestEigSignature:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             eig_signature(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+class TestGaussians:
+    SHAPES = [(3, 3), (), (2, 0), (4,), (2, 1, 3)]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_stream_is_k_rounds_of_random_complex(self, k):
+        drawn, rounds, parts = (np.random.default_rng(11) for _ in range(3))
+        stacks = gaussians(drawn, k, *self.SHAPES)
+        expected = [
+            [random_complex(rounds, *shape) for shape in self.SHAPES] for _ in range(k)
+        ]
+        # the same stream read as real part, then imaginary part, per field
+        by_parts = [
+            [parts.standard_normal(shape) + 1j * parts.standard_normal(shape)
+             for shape in self.SHAPES]
+            for _ in range(k)
+        ]
+        for field, (shape, stack) in enumerate(zip(self.SHAPES, stacks)):
+            assert stack.shape == (k, *shape) and stack.dtype == complex
+            reference = np.array([sample[field] for sample in expected])
+            assert stack.tobytes() == reference.reshape(k, *shape).tobytes()
+            assert np.array_equal(stack, [sample[field] for sample in by_parts])
+        state = drawn.bit_generator.state
+        assert state == rounds.bit_generator.state == parts.bit_generator.state
+
+    def test_no_shapes(self):
+        assert gaussians(np.random.default_rng(0), 4) == []
+
+
+def test_standard_normal_only_in_gaussians():
+    """Every draw reads the one layout of ``gaussians``: a second call site
+    would let the batched and the single-sample streams drift apart."""
+    inside, everywhere = 0, 0
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if path.name == "linalg.py" and getattr(node, "name", "") == "gaussians":
+                inside += _standard_normal_uses(node)
+        everywhere += _standard_normal_uses(tree)
+    assert inside >= 1
+    assert everywhere == inside
+
+
+def _standard_normal_uses(tree) -> int:
+    """Attribute reads and names of standard_normal."""
+    return sum(
+        getattr(node, "attr", None) == "standard_normal"
+        or getattr(node, "id", None) == "standard_normal"
+        for node in ast.walk(tree)
+    )

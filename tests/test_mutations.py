@@ -1,0 +1,112 @@
+"""Mutation table for the sampled laws of ``check_module_over_krein``.
+
+Each law row of the table, run on the operator bimodule of B(C^{1,1}) and
+B(C^{2,1}), gets one named corruption of the module.  The corruption must
+push that law at least one decade above its own tolerance, and the law must
+pass on the uncorrupted module, so the tolerance sits between the two sides.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from kreinmod.algebra import bounded_operators
+from kreinmod.krein_over_krein import check_module_over_krein, operator_bimodule
+from kreinmod.linalg import spectral_projector
+
+MODULE = operator_bimodule(bounded_operators(1, 1), bounded_operators(2, 1))
+SAMPLES = 20
+
+# records of the plain checks before the law table
+PLAIN_CHECKS = ("J involutive", "inner non-degenerate")
+
+
+def bumped(tensor, index, delta):
+    out = tensor.copy()
+    out[index] = out[index] + delta
+    return out
+
+
+def swapped(tensor, i, k):
+    out = tensor.copy()
+    out[[i, k]] = out[[k, i]]
+    return out
+
+
+def j_scaled_on_one_half(m):
+    plus, minus = (spectral_projector(m.symmetry, s) for s in (+1, -1))
+    return replace(m, symmetry=plus - 2 * minus)
+
+
+# law -> (corruption name, corrupted module)
+MUTATIONS = {
+    "action associative": (
+        "one right action entry perturbed",
+        lambda m: replace(m, action=bumped(m.action, (1, 0, 1), 1.0)),
+    ),
+    "inner right-linear": (
+        "inner block <e_0, e_1> shifted by the unit",
+        lambda m: replace(m, inner=bumped(m.inner, (0, 1), np.eye(m.algebra.dim))),
+    ),
+    "inner star-hermitian": (
+        "inner product times i",
+        lambda m: replace(m, inner=1j * m.inner),
+    ),
+    "J twists over alpha": ("J scaled on its minus half", j_scaled_on_one_half),
+    "alpha of inner is inner of J pair": (
+        "J doubled",
+        lambda m: replace(m, symmetry=2 * m.symmetry),
+    ),
+    "auxiliary product positive": (
+        "J negated",
+        lambda m: replace(m, symmetry=-m.symmetry),
+    ),
+    "even odd parts exchange under J": (
+        "J replaced by the identity",
+        lambda m: replace(m, symmetry=np.eye(m.dim)),
+    ),
+    "left action associative": (
+        "two left actions swapped",
+        lambda m: replace(m, left_action=swapped(m.left_action, 0, 1)),
+    ),
+    "actions commute": (
+        "a right action added to a left action",
+        lambda m: replace(m, left_action=bumped(m.left_action, 0, m.action[1])),
+    ),
+    "J twists over left alpha": (
+        "left algebra untwisted to B(C^{3,0})",
+        lambda m: replace(m, left_algebra=bounded_operators(3, 0)),
+    ),
+    "left inner left-linear": (
+        "left inner block <e_0, e_0> shifted by the unit",
+        lambda m: replace(
+            m, left_inner=bumped(m.left_inner, (0, 0), np.eye(m.left_algebra.dim))
+        ),
+    ),
+}
+
+
+def laws(module) -> dict:
+    report = check_module_over_krein(module, samples=SAMPLES, seed=0)
+    return {r.name: r for r in report.records if r.name not in PLAIN_CHECKS}
+
+
+def test_table_names_every_law_and_each_passes_on_the_module():
+    records = laws(MODULE)
+    assert len(records) == 11
+    assert sorted(records) == sorted(MUTATIONS)
+    for record in records.values():
+        assert record.max_violation <= record.tolerance, record.name
+
+
+@pytest.mark.parametrize(
+    "law",
+    list(MUTATIONS),
+    ids=[f"{law}: {name}" for law, (name, _) in MUTATIONS.items()],
+)
+def test_corruption_breaks_its_law_by_a_decade(law):
+    _, corrupt = MUTATIONS[law]
+    record = laws(corrupt(MODULE))[law]
+    assert record.max_violation >= 10 * record.tolerance
+    assert not record.passed
