@@ -76,9 +76,7 @@ from .correspondence import (
 from .krein_module import (
     FundamentalSymmetry,
     KreinModule,
-    fundamental_decomposition,
     hilbert_adjoint,
-    hilbertify,
     hyperbolic_symmetry,
     intertwiner,
     krein_adjoint,
@@ -126,6 +124,8 @@ NONEMPTY_SIGNATURE = ("krein-algebra", "module", "module-over-krein", "tensor")
 # it admits spinor (4,4) at 1.7 GB and refuses Clifford at p + q = 9 (2.8 GB),
 # keeping a run well inside a machine with 8 GB
 BYTE_BUDGET = 2_500_000_000
+
+SIGNS = np.array([1, -1])[:, None, None, None]  # the halves +, − of a stack
 
 # sample cap for laws whose residual solves for an adjoint or multiplies
 # operators on the whole exterior algebra
@@ -309,7 +309,7 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
     n = 2.0 ** min(d, 64)  # keeps N³ finite; from d = 9 on N³ is past the budget
     entries = {
         "krein-algebra": 4 * d**4,  # the basis: d² matrices of d x d
-        "module": 140 * d**2,  # d x d symmetries, intertwiners and halves
+        "module": 280 * d**2,  # stacks of 21 d x d symmetries and their products
         "module-over-krein": 9 * d**6,  # the d² x d² x d x d inner tensor
         "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
         "clifford": 1.3 * n**3,  # the N x N x N blade tensor
@@ -451,42 +451,24 @@ def _scenario_module(config: CheckConfig) -> Report:
             ("negative half semidefinite", tol,
              _per_module(lambda g: _half_defect(g, -1))),
             ("hilbertified gram positive definite", tol,
-             _per_module(lambda g: np.array(
-                 [_psd_defect(hilbertify(g.module, j).gram) for j in g.j]
-             ))),
+             _per_module(_hilbertified_gram_defect)),
             ("decomposition exhausts the carrier", tol,
              _per_module(_decomposition_defect)),
             ("adjoint solves the inner relation", tol,
              _per_module(_adjoint_relation_residual)),
             ("adjoint dictionary twisted vs hilbertified", tol,
-             _per_module(lambda g: np.array([
-                 operator_norm(
-                     ts - j.matrix @ hilbert_adjoint(g.module, j, t) @ j.matrix
-                 ) / max(operator_norm(t), 1.0)
-                 for j, t, ts in zip(g.j, g.t, g.ts)
-             ]))),
-        ],
-    )
-    # consecutive symmetries j1, j2 of the same module
-    transitions = [
-        SimpleNamespace(
-            module=g.module, j1=g.j[:-1], j2=g.j[1:], halves=g.halves[:-1],
-            jm1=g.jm[:-1], jm2=g.jm[1:],
-            u=np.stack([intertwiner(g.module, j1, j2) for j1, j2 in zip(g.j, g.j[1:])]),
-        )
-        for g in groups
-    ]
-    report.check_laws(
-        _module_draw(transitions),
-        len(transitions),
-        [
+             _per_module(lambda g: operator_norm(
+                 g.ts - g.j.matrix @ hilbert_adjoint(g.module, g.j, g.t) @ g.j.matrix
+             ) / np.maximum(operator_norm(g.t), 1.0))),
             ("transition maps bijective", tol, _per_module(_transition_defect)),
             ("intertwiner exchanges symmetries", tol,
-             _per_module(lambda p: operator_norm(p.u @ p.jm1 - p.jm2 @ p.u))),
+             _per_module(lambda g: operator_norm(
+                 g.u @ g.j.matrix[:-1] - g.j.matrix[1:] @ g.u
+             ))),
             # the Kreĭn adjoint G⁻¹ U† G does not depend on the symmetry passed
             ("intertwiner unitary for the form", tol,
-             _per_module(lambda p: operator_norm(
-                 krein_adjoint(p.module, p.j1[0], p.u) @ p.u - np.eye(p.module.flat_dim)
+             _per_module(lambda g: operator_norm(
+                 krein_adjoint(g.module, g.j, g.u) @ g.u - np.eye(g.module.flat_dim)
              ))),
         ],
     )
@@ -533,29 +515,28 @@ def _scenario_module(config: CheckConfig) -> Report:
 
 def _symmetry_samples(module: KreinModule, rng, n_random: int):
     """The standard and ``n_random`` random fundamental symmetries of a
-    module, each with a random operator t, its Kreĭn adjoint ts, two random
-    elements and its halves: one namespace, with the matrices stacked."""
-    symmetries = [standard_symmetry(module)] + [
-        random_symmetry(module, rng) for _ in range(n_random)
-    ]
+    module as one stack j, with a random operator t and its Kreĭn adjoint ts,
+    two random elements x and y per symmetry, and the intertwiners u of the
+    consecutive pairs j[:-1], j[1:]: one namespace of stacks."""
+    drawn = random_symmetry(module, rng, n_random).matrix
+    jm = np.concatenate([standard_symmetry(module).matrix[None], drawn])
+    j, j1, j2 = (FundamentalSymmetry._built(module, m) for m in (jm, jm[:-1], jm[1:]))
     f, b = module.flat_dim, module.base.dim
-    t, x, y = gaussians(rng, len(symmetries), (f, f), (f, b), (f, b))
+    t, x, y = gaussians(rng, n_random + 1, (f, f), (f, b), (f, b))
     t = module.project_operator(t)
     return SimpleNamespace(
         module=module,
-        j=symmetries,
-        jm=np.stack([j.matrix for j in symmetries]),
+        j=j,
         t=t,
-        ts=krein_adjoint(module, symmetries[0], t),  # G⁻¹ T† G, for every symmetry
+        ts=krein_adjoint(module, j, t),  # G⁻¹ T† G, for every symmetry
         x=module.project_element(x),
         y=module.project_element(y),
-        halves=[fundamental_decomposition(module, j) for j in symmetries],
+        u=intertwiner(module, j1, j2),
     )
 
 
 def _module_draw(groups):
-    """A draw whose samples are modules, each a namespace of stacks
-    precomputed over its symmetries or its pairs of consecutive symmetries."""
+    """A draw whose samples are modules, each a ``_symmetry_samples`` group."""
     return lambda rows: SimpleNamespace(modules=groups[rows.start : rows.stop])
 
 
@@ -566,12 +547,12 @@ def _per_module(residual):
 
 
 def _involution_residual(g):
-    return operator_norm(g.jm @ g.jm - np.eye(g.module.flat_dim))
+    return operator_norm(g.j.matrix @ g.j.matrix - np.eye(g.module.flat_dim))
 
 
 def _form_selfadjoint_residual(g):
-    gram = g.module.gram
-    return operator_norm(g.jm.conj().swapaxes(-1, -2) @ gram - gram @ g.jm)
+    gram, j = g.module.gram, g.j.matrix
+    return operator_norm(j.conj().swapaxes(-1, -2) @ gram - gram @ j)
 
 
 def _adjoint_relation_residual(g):
@@ -586,24 +567,34 @@ def _psd_defect(h):
 
 def _half_defect(g, sign: int):
     """Semidefiniteness defect of the form on the sign half of each symmetry."""
-    pr = spectral_projector(g.jm, sign)
+    pr = spectral_projector(g.j.matrix, sign)
     return _psd_defect(sign * (pr.conj().swapaxes(-1, -2) @ g.module.gram @ pr))
 
 
+def _hilbertified_gram_defect(g):
+    """Positivity defect of the hilbertified gram J† G of each symmetry."""
+    return _psd_defect(g.j.matrix.conj().swapaxes(-1, -2) @ g.module.gram)
+
+
+def _carrier_rank(module: KreinModule, operators):
+    """Rank of the image of the carrier under each operator of a stack."""
+    carrier = module.basis_elements().reshape(-1, module.ambient_dim).T
+    return numerical_rank(module.lift_operator(operators) @ carrier)
+
+
 def _decomposition_defect(g):
-    full = g.module.rank * g.module.base.vector_dim
-    return np.array([abs(p.dim + m.dim - full) for p, m in g.halves], dtype=float)
+    """|rank(lift(P₊)·carrier) + rank(lift(P₋)·carrier) − dim carrier|, per J."""
+    m, halves = g.module, spectral_projector(g.j.matrix, SIGNS)
+    return np.abs(_carrier_rank(m, halves).sum(0) - m.rank * m.base.vector_dim)
 
 
-def _transition_defect(p):
-    """Rank deficit of the transition maps between the halves of j1 and j2."""
-    deficits = np.zeros(len(p.j1))
-    for k, (j1, j2, halves) in enumerate(zip(p.j1, p.j2, p.halves)):
-        for sign, half in zip((+1, -1), halves):
-            comp = p.module.lift_operator(j2.projector(sign) @ j1.projector(sign))
-            deficit = abs(numerical_rank(comp @ half.basis) - half.dim)
-            deficits[k] = max(deficits[k], deficit)
-    return deficits
+def _transition_defect(g):
+    """Rank deficit of the transition maps P₂± P₁± from the halves of j1 = j[:-1]
+    to those of j2 = j[1:]: rank(lift(P₂± P₁±)·carrier) − rank(lift(P₁±)·carrier)."""
+    halves = spectral_projector(g.j.matrix, SIGNS)
+    p1, p2 = halves[:, :-1], halves[:, 1:]
+    deficit = _carrier_rank(g.module, p2 @ p1) - _carrier_rank(g.module, p1)
+    return np.abs(deficit).max(0)
 
 
 # -- scenario: modules over Kreĭn algebras -----------------------------------------
@@ -1124,10 +1115,8 @@ def _demo_torus(seed, samples, tol):
              _per_module(_adjoint_relation_residual)),
         ],
     )
-    report.check(
-        "hilbertified gram positive definite",
-        _psd_defect(hilbertify(module, standard_symmetry(module)).gram),
-        tol,
+    report.check(  # of the standard symmetry, the first of the stack
+        "hilbertified gram positive definite", _hilbertified_gram_defect(group)[0], tol
     )
     narrative = (
         "A rank-2 module over the commutative algebra of functions on 16\n"

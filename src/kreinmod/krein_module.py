@@ -22,6 +22,7 @@ from .linalg import (
     as_complex_matrix,
     column_space,
     expm,
+    gaussians,
     is_psd,
     min_hermitian_eig,
     numerical_rank,
@@ -77,10 +78,9 @@ class KreinModule:
         return np.tile(self.base.mask, (self.rank, 1))
 
     def _in_pattern(self, m) -> bool:
-        scale = max(operator_norm(m), 1.0)
-        return (
-            operator_norm(np.where(self.operator_pattern, m, 0.0) - m) <= 1e-10 * scale
-        )
+        scale = np.maximum(operator_norm(m), 1.0)
+        off = operator_norm(np.where(self.operator_pattern, m, 0.0) - m)
+        return bool(np.all(off <= 1e-10 * scale))
 
     def project_operator(self, m) -> np.ndarray:
         """Restrict a flat matrix to the A-linear operator pattern."""
@@ -136,7 +136,8 @@ def hyperbolic_symmetry(t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FundamentalSymmetry:
-    """An A-linear involution splitting the module into semidefinite halves."""
+    """An A-linear involution splitting the module into semidefinite halves,
+    or a stack (..., nk, nk) of them; the constructor checks each matrix."""
 
     module: KreinModule
     matrix: np.ndarray = field(repr=False)
@@ -145,24 +146,30 @@ class FundamentalSymmetry:
         m = self.module
         j = as_complex_matrix(self.matrix)
         nk = m.flat_dim
-        if j.shape != (nk, nk):
+        if j.shape[-2:] != (nk, nk):
             raise DimensionMismatchError(f"symmetry must be {nk} x {nk}")
-        scale = max(operator_norm(j), 1.0)
+        scale = np.maximum(operator_norm(j), 1.0)
         if not m._in_pattern(j):
             raise ValidationError("symmetry blocks do not lie in the base algebra")
-        if operator_norm(j @ j - np.eye(nk)) > 1e-9 * scale * scale:
+        if np.any(operator_norm(j @ j - np.eye(nk)) > 1e-9 * scale * scale):
             raise ValidationError("symmetry does not square to the identity")
         g = m.gram
         gs = operator_norm(g)
-        if operator_norm(j.conj().T @ g - g @ j) > 1e-9 * gs * scale:
+        jh = j.conj().swapaxes(-1, -2)
+        if np.any(operator_norm(jh @ g - g @ j) > 1e-9 * gs * scale):
             raise ValidationError("symmetry is not self-adjoint for the inner product")
-        for sign in (+1, -1):
-            p = spectral_projector(j, sign)
-            if not is_psd(sign * (p.conj().T @ g @ p)):
-                raise ValidationError(
-                    "a half of the decomposition is not semidefinite"
-                )
+        signs = np.array([1, -1]).reshape(2, *[1] * j.ndim)  # both halves at once
+        p = spectral_projector(j, signs)
+        if not np.all(is_psd(signs * (p.conj().swapaxes(-1, -2) @ g @ p))):
+            raise ValidationError("a half of the decomposition is not semidefinite")
         object.__setattr__(self, "matrix", j)
+
+    @classmethod
+    def _built(cls, module: KreinModule, matrix: np.ndarray) -> "FundamentalSymmetry":
+        """A library-built symmetry or stack, unchecked: the module laws check it."""
+        symmetry = object.__new__(cls)
+        symmetry.__dict__.update(module=module, matrix=matrix)
+        return symmetry
 
     def __call__(self, x) -> np.ndarray:
         return self.matrix @ x
@@ -176,23 +183,24 @@ def standard_symmetry(module: KreinModule) -> FundamentalSymmetry:
     g = module.gram
     w, v = np.linalg.eigh((g + g.conj().T) / 2)
     j = v @ np.diag(np.sign(w)) @ v.conj().T
-    return FundamentalSymmetry(module, module.project_operator(j))
+    return FundamentalSymmetry._built(module, module.project_operator(j))
 
 
 def random_symmetry(
-    module: KreinModule, rng: np.random.Generator
+    module: KreinModule, rng: np.random.Generator, count: int | None = None
 ) -> FundamentalSymmetry:
     """Conjugate the standard symmetry by a random unitary of the indefinite
-    form (the exponential of a form-skew-adjoint A-linear operator)."""
+    form (the exponential of a form-skew-adjoint A-linear operator).  A count
+    gives a stack (count, nk, nk), drawn as ``count`` single calls would."""
     j0 = standard_symmetry(module).matrix
-    s = module.random_operator(rng)
-    s = (s - s.conj().T) / 2
-    s *= 0.3 / max(operator_norm(s), 1e-30)  # the generator's operator norm
-    x = np.linalg.solve(module.gram, s)  # skew-adjoint for the form
-    x = module.project_operator(x)
+    f, k = module.flat_dim, 1 if count is None else count
+    s = module.project_operator(gaussians(rng, k, (f, f))[0])
+    s = (s - s.conj().swapaxes(-1, -2)) / 2
+    s *= 0.3 / np.maximum(operator_norm(s), 1e-30)[:, None, None]  # generator norm
+    x = module.project_operator(np.linalg.solve(module.gram, s))  # form-skew-adjoint
     u = module.project_operator(expm(x))
-    j = u @ j0 @ np.linalg.inv(u)
-    return FundamentalSymmetry(module, module.project_operator(j))
+    j = module.project_operator(u @ j0 @ np.linalg.inv(u))
+    return FundamentalSymmetry._built(module, j[0] if count is None else j)
 
 
 # -- operations ----------------------------------------------------------------
@@ -236,9 +244,9 @@ def krein_adjoint(module: KreinModule, symmetry: FundamentalSymmetry, t) -> np.n
 
 
 def hilbert_adjoint(module: KreinModule, symmetry: FundamentalSymmetry, t) -> np.ndarray:
-    """Adjoint in the hilbertified module |K|^J."""
-    g = symmetry.matrix.conj().T @ module.gram
-    adj = np.linalg.solve(g, as_complex_matrix(t).conj().T @ g)
+    """Adjoint in the hilbertified module |K|^J; stacks broadcast."""
+    g = symmetry.matrix.conj().swapaxes(-1, -2) @ module.gram
+    adj = np.linalg.solve(g, as_complex_matrix(t).conj().swapaxes(-1, -2) @ g)
     return module.project_operator(adj)
 
 
@@ -256,14 +264,14 @@ def norm_equivalence_constants(
 
 
 def _pd_gram(module: KreinModule, j: FundamentalSymmetry) -> np.ndarray:
-    g = j.matrix.conj().T @ module.gram
-    return (g + g.conj().T) / 2
+    g = j.matrix.conj().swapaxes(-1, -2) @ module.gram
+    return (g + g.conj().swapaxes(-1, -2)) / 2
 
 
 def intertwiner(
     module: KreinModule, j1: FundamentalSymmetry, j2: FundamentalSymmetry
 ) -> np.ndarray:
-    """A unitary (for the indefinite form) with U J1 = J2 U.
+    """A unitary (for the indefinite form) with U J1 = J2 U; stacks pair up.
 
     The direct sum of the two transition maps already exchanges the
     splittings but is only approximately isometric; replacing it by its
@@ -272,8 +280,8 @@ def intertwiner(
     """
     a = (np.eye(module.flat_dim) + j2.matrix @ j1.matrix) / 2
     # orthonormal coordinates: G_i' = R_i† R_i, so x ↦ R_i x is isometric
-    r1 = np.linalg.cholesky(_pd_gram(module, j1)).conj().T
-    r2 = np.linalg.cholesky(_pd_gram(module, j2)).conj().T
+    r1 = np.linalg.cholesky(_pd_gram(module, j1)).conj().swapaxes(-1, -2)
+    r2 = np.linalg.cholesky(_pd_gram(module, j2)).conj().swapaxes(-1, -2)
     # there a reads C = R2 a R1⁻¹ = W Σ V†, and a* a = R1⁻¹ (C† C) R1, so the
     # polar factor a (a* a)^{-1/2} is R2⁻¹ (W V†) R1
     w, _, vh = np.linalg.svd(r2 @ a @ np.linalg.inv(r1))

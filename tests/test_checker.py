@@ -1,5 +1,7 @@
 import tracemalloc
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from kreinmod import checker
@@ -13,6 +15,7 @@ from kreinmod.checker import (
     run,
     run_demo,
 )
+from kreinmod.krein_module import FundamentalSymmetry, hyperbolic_symmetry, krein_space
 
 
 class TestCheckConfig:
@@ -136,20 +139,48 @@ class TestScenarios:
             tracemalloc.stop()
         assert peak <= checker._predicted_peak_bytes(config)
 
-    def test_module_decomposes_each_symmetry_once(self, monkeypatch):
-        # 2 modules x (1 standard + 20 random) symmetries; the transition
-        # laws reuse the halves of their first symmetry
-        calls = []
+    def test_module_draws_once_per_module_and_checks_no_built_symmetry(
+        self, monkeypatch
+    ):
+        # one random_symmetry call per module and one for the negative
+        # control; the one constructor check is on the hyperbolic symmetry
+        # the scenario passes in
+        draws, checked = [], []
 
-        def counted(module, symmetry):
-            calls.append(symmetry)
-            return decompose(module, symmetry)
+        def counted(module, rng, count=None):
+            draws.append(count)
+            return draw(module, rng, count)
 
-        decompose = checker.fundamental_decomposition
-        monkeypatch.setattr(checker, "fundamental_decomposition", counted)
+        def recorded(symmetry):
+            checked.append(symmetry.matrix)
+            validate(symmetry)
+
+        draw = checker.random_symmetry
+        validate = FundamentalSymmetry.__post_init__
+        monkeypatch.setattr(checker, "random_symmetry", counted)
+        monkeypatch.setattr(FundamentalSymmetry, "__post_init__", recorded)
         assert run(CheckConfig(scenario="module", p=2, q=2, samples=5)).passed
-        assert len(calls) == 42
-        assert len({id(j) for j in calls}) == 42
+        assert draws == [20, 20, None]
+        assert len(checked) == 1
+        assert np.array_equal(checked[0], hyperbolic_symmetry(0.3))
+
+    @pytest.mark.parametrize(
+        "residual, corrupt",
+        [
+            (checker._hilbertified_gram_defect, np.negative),
+            (checker._decomposition_defect, np.zeros_like),
+        ],
+        ids=["gram", "decomposition"],
+    )
+    def test_module_law_reports_a_corrupted_symmetry(self, residual, corrupt):
+        module = krein_space(2, 2)
+        group = checker._symmetry_samples(module, np.random.default_rng(0), 3)
+        bad = group.j.matrix.copy()
+        bad[2] = corrupt(bad[2])
+        j = FundamentalSymmetry._built(module, bad)
+        values = residual(SimpleNamespace(**{**vars(group), "j": j}))
+        assert values[2] > 1e-9
+        assert np.delete(values, 2).tolist() == [0.0] * 3
 
     def test_spinor_needs_even_dimension(self):
         with pytest.raises(ConfigError):

@@ -123,6 +123,38 @@ class TestFundamentalSymmetry:
         with pytest.raises(ValidationError):
             FundamentalSymmetry(m, -np.diag([1.0, 1.0, -1.0]).astype(complex))
 
+    @pytest.mark.parametrize(
+        "module, bad",
+        [
+            (krein_space(2, 1), np.diag([1.0, 1.0, -2.0])),  # not involutive
+            (krein_space(2, 1), -np.diag([1.0, 1.0, -1.0])),  # wrong-sign halves
+            (  # off the diagonal pattern of C ⊕ C
+                KreinModule(
+                    FiniteCStarAlgebra((1, 1)), 1, np.diag([1.0, -1.0]).astype(complex)
+                ),
+                np.array([[0.0, 1.0], [1.0, 0.0]]),
+            ),
+        ],
+        ids=["non-involutive", "wrong-sign", "off-pattern"],
+    )
+    def test_stack_with_one_bad_member_raises_its_error(self, module, bad):
+        good = random_symmetry(module, np.random.default_rng(5), 2).matrix
+        FundamentalSymmetry(module, good)
+        with pytest.raises(ValidationError) as alone:
+            FundamentalSymmetry(module, bad)
+        with pytest.raises(ValidationError) as stacked:
+            FundamentalSymmetry(module, np.stack([good[0], bad, good[1]]))
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize(
+        "module", [krein_space(2, 2), m2_module()], ids=["c22", "m2"]
+    )
+    def test_random_symmetry_stack_is_single_draws(self, module):
+        stack = random_symmetry(module, np.random.default_rng(9), 4).matrix
+        rng = np.random.default_rng(9)
+        singles = [random_symmetry(module, rng).matrix for _ in range(4)]
+        assert np.array_equal(stack, np.stack(singles))
+
     def test_random_symmetry_valid_over_m2(self):
         m = m2_module()
         rng = np.random.default_rng(6)

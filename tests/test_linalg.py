@@ -118,6 +118,15 @@ class TestExpm:
     def test_zero_matrix(self):
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
 
+    def test_stack_is_bit_equal_to_single_calls(self):
+        # 1-norms 0, 0.1, 3 and 40: squaring counts 0, 0, 3 and 7
+        members = [np.zeros((5, 5))] + [rand(60 + k, 5, 5) for k in range(3)]
+        for m, norm in zip(members[1:], (0.1, 3.0, 40.0)):
+            m *= norm / np.linalg.norm(m, 1)
+        stack = np.stack(members).reshape(2, 2, 5, 5)
+        expected = np.stack([expm(m) for m in stack.reshape(-1, 5, 5)])
+        assert np.array_equal(expm(stack), expected.reshape(2, 2, 5, 5))
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             expm(np.zeros((2, 3)))
@@ -198,6 +207,13 @@ class TestNumericalRank:
     def test_requires_positive_tol(self):
         with pytest.raises(ValidationError):
             numerical_rank(np.eye(2), 0.0)
+
+    def test_stack_counts_each_matrix(self):
+        u, v = rand(12, 4, 1), rand(13, 1, 4)
+        w = rand(14, 4, 2) @ rand(15, 2, 4)
+        stack = np.stack([np.zeros((4, 4)), u @ v, np.eye(4), w])
+        ranks = numerical_rank(stack)
+        assert ranks.tolist() == [numerical_rank(m) for m in stack] == [0, 1, 4, 2]
 
 
 def assert_quotient_pair(section, span, rels):
