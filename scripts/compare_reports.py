@@ -38,7 +38,7 @@ CONFIGS = [
     ["check", "module", "--p", "5", "--q", "3", "--samples", "10"],
     ["check", "tensor", "--samples", "50"],
     ["check", "tensor", "--p", "3", "--q", "2", "--samples", "20"],
-    # ladder sizes: the algebra constructor and the section-independence sum
+    # ladder sizes: the algebra constructor and the tensor of C^{p,q} with itself
     ["check", "clifford", "--p", "4", "--q", "3", "--samples", "5"],
     ["check", "tensor", "--p", "6", "--q", "6", "--samples", "5"],
     # the empty signature: zero-degree and zero-size draws

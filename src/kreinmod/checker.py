@@ -57,7 +57,6 @@ from .clifford import (
     grassmann_inner,
 )
 from .correspondence import (
-    Correspondence,
     DegenerateDescentError,
     associativity_iso,
     check_krein_star_hom,
@@ -400,9 +399,7 @@ def _scenario_krein_algebra(config: CheckConfig) -> Report:
 
     d = config.p + config.q
     bad_eta = np.diag(np.concatenate([np.ones(d - 1), [-2.0]])).astype(complex)
-    bad = KreinCStarAlgebra(
-        FiniteCStarAlgebra((d,)).basis(), bad_eta, validate=False
-    )
+    bad = KreinCStarAlgebra(alg.basis, bad_eta, validate=False)
     bad_report = check_krein_cstar_axioms(bad, samples=10, seed=config.seed)
     viol = next(
         r.max_violation for r in bad_report.records if r.name == "eta involutive"
@@ -578,14 +575,13 @@ def _hilbertified_gram_defect(g):
 
 def _carrier_rank(module: KreinModule, operators):
     """Rank of the image of the carrier under each operator of a stack."""
-    carrier = module.basis_elements().reshape(-1, module.ambient_dim).T
-    return numerical_rank(module.lift_operator(operators) @ carrier)
+    return numerical_rank(module.lift_operator(operators)[..., module.carrier])
 
 
 def _decomposition_defect(g):
     """|rank(lift(P₊)·carrier) + rank(lift(P₋)·carrier) − dim carrier|, per J."""
     m, halves = g.module, spectral_projector(g.j.matrix, SIGNS)
-    return np.abs(_carrier_rank(m, halves).sum(0) - m.rank * m.base.vector_dim)
+    return np.abs(_carrier_rank(m, halves).sum(0) - len(m.carrier))
 
 
 def _transition_defect(g):
@@ -952,11 +948,13 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     t = internal_tensor(mpq, mpq)
     report.extend(even_odd_decomposition_check(t, mpq, mpq))
 
+    # the section of mpq ⊗ mpq, a tensor over the scalars, is exactly I; the
+    # 16 x 4 section of t22 is a real choice
     t_rot = internal_tensor(
-        mpq, mpq, section_rotation=np.random.default_rng(config.seed + 3)
+        ident2, ident2, section_rotation=np.random.default_rng(config.seed + 3)
     )
-    cob = t.section.conj().T @ t_rot.section
-    moved = np.einsum("au,bv,abcd->uvcd", cob.conj(), cob, t.inner, optimize=True)
+    cob = t22.section.conj().T @ t_rot.section
+    moved = np.einsum("au,bv,abcd->uvcd", cob.conj(), cob, t22.inner, optimize=True)
     report.check(
         "section independence",
         float(np.linalg.norm(moved - t_rot.inner)),
@@ -1025,15 +1023,8 @@ def _scenario_tensor(config: CheckConfig) -> Report:
 
     bad_inner = mpq.inner.copy()
     bad_inner[mpq.dim - 1, mpq.dim - 1] = 0.0
-    bad = Correspondence(
-        algebra=mpq.algebra,
-        dim=mpq.dim,
-        action=mpq.action,
-        inner=bad_inner,
-        symmetry=np.eye(mpq.dim, dtype=complex),
-        left_algebra=mpq.left_algebra,
-        left_action=mpq.left_action,
-        left_inner=None,
+    bad = replace(
+        mpq, inner=bad_inner, symmetry=np.eye(mpq.dim, dtype=complex), left_inner=None
     )
     try:
         internal_tensor(bad, identity_correspondence(mpq.algebra))

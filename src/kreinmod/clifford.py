@@ -116,10 +116,6 @@ class MultiVector:
     def __neg__(self) -> "MultiVector":
         return MultiVector(self.space, -self.coeffs)
 
-    def grade(self, k: int) -> "MultiVector":
-        """The degree-k homogeneous component."""
-        return MultiVector(self.space, np.where(self.space.grades == k, self.coeffs, 0))
-
     def norm(self):
         norms = np.linalg.norm(self.coeffs, axis=-1)
         return norms if norms.ndim else float(norms)

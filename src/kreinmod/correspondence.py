@@ -291,6 +291,8 @@ def check_morphism(
     tol: float = 1e-9,
 ) -> Report:
     """Bimodule-map property, bijectivity, and inner preservation."""
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     src, dst = mor.source, mor.target
     report = Report(
@@ -383,6 +385,8 @@ def check_krein_star_hom(
     of the two fundamental automorphisms for an algebra map phi; ``beta``
     defaults to the target's automorphism.  phi and beta map a matrix, and
     a stack of matrices one by one."""
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
     beta = beta if beta is not None else target.alpha
     rng = np.random.default_rng(seed)
     report = Report(
@@ -440,6 +444,8 @@ def spinor_factorization_check(
     The identification sends psi ⊗ phi-bar to the operator psi phi† A,
     expanded over gamma-matrix monomials and read as exterior coordinates.
     """
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
     s = spinor_correspondence(space)
     sbar = contragredient(s)
     t = internal_tensor(s, sbar)

@@ -77,6 +77,12 @@ class KreinModule:
     def element_pattern(self) -> np.ndarray:
         return np.tile(self.base.mask, (self.rank, 1))
 
+    @cached_property
+    def carrier(self) -> np.ndarray:
+        """Positions of the carrier in the row-major vectorized element space:
+        the element pattern, rank copies of the base's block pattern."""
+        return np.flatnonzero(self.element_pattern)
+
     def _in_pattern(self, m) -> bool:
         scale = np.maximum(operator_norm(m), 1.0)
         off = operator_norm(np.where(self.operator_pattern, m, 0.0) - m)
@@ -96,13 +102,6 @@ class KreinModule:
 
     def random_operator(self, rng: np.random.Generator) -> np.ndarray:
         return self.project_operator(random_complex(rng, self.flat_dim, self.flat_dim))
-
-    def basis_elements(self) -> np.ndarray:
-        """Linear basis of the carrier, rank copies of the algebra basis: the
-        stack e_i ⊗ b of shape (rank · vector_dim, flat_dim, base.dim)."""
-        column_units = np.eye(self.rank, dtype=complex)[:, None, :, None]
-        stack = np.kron(column_units, self.base.basis()[None])
-        return stack.reshape(-1, self.flat_dim, self.base.dim)
 
     # -- module structure -----------------------------------------------------
 
@@ -211,12 +210,11 @@ def fundamental_decomposition(
 ) -> tuple[Subspace, Subspace]:
     """Ranges of (1 ± J)/2 inside the vectorized carrier."""
     _check_owner(module, symmetry)
-    carrier = module.basis_elements().reshape(-1, module.ambient_dim).T
     plus, minus = (
-        column_space(module.lift_operator(symmetry.projector(sign)) @ carrier)
+        column_space(module.lift_operator(symmetry.projector(sign))[:, module.carrier])
         for sign in (+1, -1)
     )
-    if plus.dim + minus.dim != numerical_rank(carrier):
+    if plus.dim + minus.dim != len(module.carrier):
         raise ValidationError("decomposition does not exhaust the carrier")
     return plus, minus
 

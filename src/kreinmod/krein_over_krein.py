@@ -387,6 +387,8 @@ def check_imprimitivity(
 ) -> Report:
     """Randomized check of the linking identity _A⟨x,y⟩ z = x ⟨y,z⟩_B, and
     exact two-sided fullness from the rank of the full pairing tensors."""
+    if samples < 1:
+        raise ValidationError("samples must be at least 1")
     rng = np.random.default_rng(seed)
     report = Report(
         title="imprimitivity",

@@ -121,9 +121,14 @@ def numerical_rank(m, tol: float = RANK_TOL):
     a = as_complex_matrix(m)
     if a.size == 0:
         return np.zeros(a.shape[:-2], dtype=int) if a.ndim > 2 else 0
-    s = np.linalg.svd(a, compute_uv=False)
-    rank = np.sum(s > tol * s[..., :1], axis=-1)
+    rank = _rank(np.linalg.svd(a, compute_uv=False), tol)
     return rank if a.ndim > 2 else int(rank)
+
+
+def _rank(s, tol: float = RANK_TOL):
+    """Count of the descending singular values s (..., k) above tol times the
+    first one; an empty or all-zero spectrum has rank 0."""
+    return np.sum(s > tol * s[..., :1], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -163,10 +168,7 @@ def column_space(m) -> Subspace:
     """Orthonormal basis of the column space, via SVD."""
     a = as_complex_matrix(m)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if a.size == 0 or s[0] == 0.0:
-        return Subspace(a.shape[0], np.zeros((a.shape[0], 0)))
-    r = int(np.sum(s > RANK_TOL * s[0]))
-    return Subspace(a.shape[0], u[:, :r])
+    return Subspace(a.shape[0], u[:, : _rank(s)])
 
 
 def quotient_space(ambient_dim: int, relations) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +189,7 @@ def quotient_space(ambient_dim: int, relations) -> tuple[np.ndarray, np.ndarray]
         )
     # the thin U already spans C^ambient when ambient <= n_relations
     u, s, _ = np.linalg.svd(rel.T, full_matrices=ambient_dim > rel.shape[0])
-    rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank = _rank(s)
     return u[:, rank:], u[:, :rank]
 
 

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kreinmod.algebra import KreinCStarAlgebra, bounded_operators
+from kreinmod.algebra import (
+    KreinCStarAlgebra,
+    bounded_operators,
+    check_krein_cstar_axioms,
+)
 from kreinmod.clifford import PseudoEuclideanSpace
 from kreinmod.correspondence import (
     DegenerateDescentError,
@@ -24,7 +28,11 @@ from kreinmod.correspondence import (
     spinor_correspondence,
     spinor_factorization_check,
 )
-from kreinmod.krein_over_krein import check_module_over_krein, is_adjointable
+from kreinmod.krein_over_krein import (
+    check_imprimitivity,
+    check_module_over_krein,
+    is_adjointable,
+)
 from kreinmod.linalg import (
     ValidationError,
     eig_signature,
@@ -129,6 +137,18 @@ class TestInternalTensor:
         ident = identity_correspondence(m2_algebra())
         t = internal_tensor(ident, ident)
         assert t.dim == 4
+
+    def test_section_rotation_moves_only_a_proper_section(self):
+        # over the scalars there are no relations and the section is I
+        mpq = krein_space_correspondence(2, 1)
+        assert np.array_equal(internal_tensor(mpq, mpq).section, np.eye(mpq.dim**2))
+        ident = identity_correspondence(m2_algebra())
+        plain = internal_tensor(ident, ident).section
+        rotated = internal_tensor(
+            ident, ident, section_rotation=np.random.default_rng(3)
+        ).section
+        assert plain.shape == rotated.shape == (16, 4)
+        assert not np.allclose(plain, rotated)
 
     def test_m2_self_tensor_is_correspondence(self):
         ident = identity_correspondence(m2_algebra())
@@ -588,3 +608,36 @@ class TestDegenerateDescent:
         ident = identity_correspondence(m.algebra)
         with pytest.raises(DegenerateDescentError):
             internal_tensor(bad, ident)
+
+
+B11 = bounded_operators(1, 1)
+SAMPLED_SUITES = {
+    "krein cstar axioms": lambda n: check_krein_cstar_axioms(B11, samples=n),
+    "module over krein": lambda n: check_module_over_krein(
+        identity_correspondence(B11), samples=n
+    ),
+    "imprimitivity": lambda n: check_imprimitivity(
+        identity_correspondence(B11), samples=n
+    ),
+    "morphism": lambda n: check_morphism(
+        right_unit_iso(identity_correspondence(B11)), samples=n
+    ),
+    # the corruption of the tensor scenario's negative control
+    "krein star hom": lambda n: check_krein_star_hom(
+        lambda a: a, B11, B11, beta=lambda b: b, samples=n
+    ),
+    "spinor factorization": lambda n: spinor_factorization_check(
+        PseudoEuclideanSpace(1, 1), samples=n
+    ),
+    "morita krein": lambda n: morita_krein_check(
+        identity_correspondence(B11), samples=n
+    ),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("suite", SAMPLED_SUITES)
+def test_sampled_suites_refuse_fewer_than_one_sample(suite, samples):
+    # with no samples every sampled law would record a vacuous 0.0 pass
+    with pytest.raises(ValidationError, match="samples must be at least 1"):
+        SAMPLED_SUITES[suite](samples)

@@ -57,7 +57,7 @@ class TestKreinModule:
         with pytest.raises(ValidationError):
             KreinModule(alg, 1, g)
 
-    def test_basis_elements_match_per_copy_reference(self):
+    def test_carrier_matches_per_copy_reference(self):
         m = KreinModule(
             FiniteCStarAlgebra((2, 1)),
             3,
@@ -69,7 +69,9 @@ class TestKreinModule:
                 x = np.zeros((m.flat_dim, k), dtype=complex)
                 x[i * k : (i + 1) * k] = b
                 ref.append(x)
-        assert np.array_equal(m.basis_elements(), np.stack(ref))
+        # the stacked e_i ⊗ b are the unit vectors at the carrier positions
+        stacked = np.stack(ref).reshape(len(ref), m.ambient_dim).T
+        assert np.array_equal(stacked, np.eye(m.ambient_dim)[:, m.carrier])
 
     def test_inner_lands_in_base(self):
         m = m2_module()

@@ -337,6 +337,11 @@ class TestSubspace:
         assert s.dim == 1
         assert s.contains(u * 2.5)
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 0)])
+    def test_column_space_of_no_columns_or_zeros_is_empty(self, shape):
+        s = column_space(np.zeros(shape))
+        assert s.dim == 0 and s.ambient_dim == 4
+
 
 class TestEigSignature:
     def test_diag(self):
