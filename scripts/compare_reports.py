@@ -38,9 +38,11 @@ CONFIGS = [
     ["check", "module", "--p", "5", "--q", "3", "--samples", "10"],
     ["check", "tensor", "--samples", "50"],
     ["check", "tensor", "--p", "3", "--q", "2", "--samples", "20"],
-    # ladder sizes: the algebra constructor and the tensor of C^{p,q} with itself
+    # ladder sizes: the algebra constructor, the tensor of C^{p,q} with itself
+    # and S ⊗ S̄ at the largest spinor size the byte budget admits
     ["check", "clifford", "--p", "4", "--q", "3", "--samples", "5"],
     ["check", "tensor", "--p", "6", "--q", "6", "--samples", "5"],
+    ["check", "spinor", "--p", "4", "--q", "4", "--samples", "5"],
     # the empty signature: zero-degree and zero-size draws
     ["check", "clifford", "--p", "0", "--q", "0", "--samples", "5"],
     ["check", "spinor", "--p", "0", "--q", "0", "--samples", "5"],

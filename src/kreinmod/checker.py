@@ -120,11 +120,9 @@ DEMOS = ("minkowski", "torus", "spinor-m4")
 NONEMPTY_SIGNATURE = ("krein-algebra", "module", "module-over-krein", "tensor")
 
 # the one limit on a run's predicted peak memory (``_predicted_peak_bytes``):
-# it admits spinor (4,4) at 1.7 GB and refuses Clifford at p + q = 9 (2.8 GB),
+# it admits spinor (4,4) at 0.85 GB and refuses Clifford at p + q = 9 (2.8 GB),
 # keeping a run well inside a machine with 8 GB
 BYTE_BUDGET = 2_500_000_000
-
-SIGNS = np.array([1, -1])[:, None, None, None]  # the halves +, − of a stack
 
 # sample cap for laws whose residual solves for an adjoint or multiplies
 # operators on the whole exterior algebra
@@ -312,7 +310,7 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
         "module-over-krein": 9 * d**6,  # the d² x d² x d x d inner tensor
         "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
         "clifford": 1.3 * n**3,  # the N x N x N blade tensor
-        "spinor": 6.1 * n**3,  # the left action on S ⊗ S̄: N maps of N x N
+        "spinor": 3.1 * n**3,  # S ⊗ S̄: both actions and the inner, each N³
     }[config.scenario]
     return 16 * entries + 2**24
 
@@ -579,18 +577,26 @@ def _carrier_rank(module: KreinModule, operators):
 
 
 def _decomposition_defect(g):
-    """|rank(lift(P₊)·carrier) + rank(lift(P₋)·carrier) − dim carrier|, per J."""
-    m, halves = g.module, spectral_projector(g.j.matrix, SIGNS)
-    return np.abs(_carrier_rank(m, halves).sum(0) - len(m.carrier))
+    """|rank(lift(P₊)·carrier) + rank(lift(P₋)·carrier) − dim carrier|, per J;
+    one sign at a time, so only one stack of halves is lifted at once."""
+    m = g.module
+    ranks = sum(
+        _carrier_rank(m, spectral_projector(g.j.matrix, sign)) for sign in (1, -1)
+    )
+    return np.abs(ranks - len(m.carrier))
 
 
 def _transition_defect(g):
     """Rank deficit of the transition maps P₂± P₁± from the halves of j1 = j[:-1]
-    to those of j2 = j[1:]: rank(lift(P₂± P₁±)·carrier) − rank(lift(P₁±)·carrier)."""
-    halves = spectral_projector(g.j.matrix, SIGNS)
-    p1, p2 = halves[:, :-1], halves[:, 1:]
-    deficit = _carrier_rank(g.module, p2 @ p1) - _carrier_rank(g.module, p1)
-    return np.abs(deficit).max(0)
+    to those of j2 = j[1:]: rank(lift(P₂± P₁±)·carrier) − rank(lift(P₁±)·carrier),
+    one sign at a time."""
+
+    def deficit(sign):
+        halves = spectral_projector(g.j.matrix, sign)
+        p1, p2 = halves[:-1], halves[1:]
+        return np.abs(_carrier_rank(g.module, p2 @ p1) - _carrier_rank(g.module, p1))
+
+    return np.maximum(deficit(1), deficit(-1))
 
 
 # -- scenario: modules over Kreĭn algebras -----------------------------------------

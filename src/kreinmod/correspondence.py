@@ -6,8 +6,9 @@ product and a symmetry twisting over both fundamental automorphisms:
 J(a x b) = alpha(a) J(x) beta(b).  The tensor product over B is realized
 constructively: quotient the plain tensor by the balancing relations
 x·b ⊗ y − x ⊗ b·y, then push every structure map through an explicit
-orthonormal section of the quotient.  Well-definedness of each descended
-map is verified numerically rather than assumed.
+orthonormal section of the quotient, which over the scalars is I.
+Well-definedness of each descended map is verified numerically rather than
+assumed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .krein_over_krein import (
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
+    _rank,
     column_space,
     first_exceeding,
     gaussians,
@@ -133,6 +135,14 @@ def internal_tensor(
     basis of the relation span: ‖P T R‖₂ ≤ 1e-8 · max(‖T‖₂, 1) for each map,
     and ‖R† ip‖, ‖ip R‖ ≤ 1e-8 · max(‖ip‖, 1) for the plain inner product.
 
+    When every balancing relation is zero, as over the scalars, and no
+    ``section_rotation`` is given, the section is I and the plain maps and
+    inner product are kept.  Over a one-element middle basis that inner
+    product is a ⊗ B, nondegenerate iff the sorted products of the factors'
+    singular values pass the cut of ``numerical_rank`` (Horn & Johnson,
+    Topics in Matrix Analysis, Thm 4.2.15); every other tensor takes the SVD
+    of its descended inner product.
+
     ``section_rotation`` optionally re-picks the orthonormal section by a
     random unitary change of quotient basis; the descended structures must
     not depend on this choice beyond the change of basis itself.
@@ -159,9 +169,12 @@ def internal_tensor(
     section, span = quotient_space(plain, relations.reshape(-1, plain))
     if section_rotation is not None:
         section = section @ _random_unitary(section_rotation, section.shape[1])
+    identity_section = span.shape[1] == 0 and section_rotation is None
 
     def descend(maps: np.ndarray, kind: str) -> np.ndarray:
         """A stack of plain maps, each of which must keep the relation span."""
+        if identity_section:
+            return maps
         pt = section.conj().T @ maps
         k = first_exceeding(pt @ span, maps, 1e-8)
         if k >= 0:
@@ -174,24 +187,28 @@ def internal_tensor(
     left_action = descend(np.kron(m.left_action, eye_n), "left action")
     (symmetry,) = descend(np.kron(m.symmetry, n.symmetry)[None], "symmetry")
 
-    # plain inner product <x1 (x) y1, x2 (x) y2> = <y1, <x1,x2> y2>, with
-    # lmats[i, j] the left operator of <e_i, e_j>
-    lmats = np.tensordot(
-        n.left_algebra.coefficients(m.inner), n.left_action, axes=(2, 0)
-    )
-    ip_plain = np.einsum("ijml,kmab->ikjlab", lmats, n.inner).reshape(
+    # plain inner product <x1 (x) y1, x2 (x) y2> = <y1, <x1,x2> y2>
+    # = Σ_b c[i, j, b] lb[b, k, l], with c the middle coefficients of
+    # <e_i, e_j> and lb[b, k, l] = <e_k, b·e_l>: one outer product per middle
+    # basis element, written in C order so that the reshape is a view
+    c = n.left_algebra.coefficients(m.inner)
+    lb = np.einsum("kmab,nml->nklab", n.inner, n.left_action)
+    ip_plain = np.einsum("ijn,nklab->ikjlab", c, lb, order="C").reshape(
         plain, plain, dc, dc
     )
-    # BLAS contractions; the defects are norms, so their axis order is free
-    defect = max(
-        np.linalg.norm(np.tensordot(span.conj(), ip_plain, axes=(0, 0))),
-        np.linalg.norm(np.tensordot(ip_plain, span, axes=(1, 0))),
-    )
-    if defect > 1e-8 * max(np.linalg.norm(ip_plain), 1.0):
-        raise ValidationError("inner product does not descend to the quotient")
-    inner = np.einsum(
-        "au,bv,abcd->uvcd", section.conj(), section, ip_plain, optimize=True
-    )
+    if identity_section:
+        inner = ip_plain
+    else:
+        # BLAS contractions; the defects are norms, so their axis order is free
+        defect = max(
+            np.linalg.norm(np.tensordot(span.conj(), ip_plain, axes=(0, 0))),
+            np.linalg.norm(np.tensordot(ip_plain, span, axes=(1, 0))),
+        )
+        if defect > 1e-8 * max(np.linalg.norm(ip_plain), 1.0):
+            raise ValidationError("inner product does not descend to the quotient")
+        inner = np.einsum(
+            "au,bv,abcd->uvcd", section.conj(), section, ip_plain, optimize=True
+        )
     t = TensorCorrespondence(
         algebra=n.algebra,
         dim=section.shape[1],
@@ -203,7 +220,14 @@ def internal_tensor(
         left_inner=None,
         section=section,
     )
-    if not t.is_nondegenerate():
+    if identity_section and nb == 1:
+        # the inner product is c[..., 0] ⊗ lb[0] as a dim x dim·dc² matrix
+        factors = (c[..., 0], lb[0].reshape(dn, -1))
+        s = np.outer(*(np.linalg.svd(f, compute_uv=False) for f in factors))
+        nondegenerate = _rank(np.sort(s, axis=None)[::-1]) == plain
+    else:
+        nondegenerate = t.is_nondegenerate()
+    if not nondegenerate:
         raise DegenerateDescentError("descended inner product is degenerate")
     return t
 

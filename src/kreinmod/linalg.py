@@ -178,15 +178,16 @@ def quotient_space(ambient_dim: int, relations) -> tuple[np.ndarray, np.ndarray]
     Returns (section, span): orthonormal column bases of the complement of the
     relation span and of the span itself, together a unitary of C^ambient.
     The section (ambient x dim) embeds the quotient, and section† maps onto it.
+    With no relation, or only zero ones, the section is exactly I.
     """
     rel = np.asarray(relations, dtype=complex)
-    if rel.size == 0:
-        eye = np.eye(ambient_dim, dtype=complex)
-        return eye, eye[:, :0]
-    if rel.ndim != 2 or rel.shape[1] != ambient_dim:
+    if rel.size and (rel.ndim != 2 or rel.shape[1] != ambient_dim):
         raise DimensionMismatchError(
             f"relations of shape {rel.shape}, expected (n, {ambient_dim})"
         )
+    if not rel.any():
+        eye = np.eye(ambient_dim, dtype=complex)
+        return eye, eye[:, :0]
     # the thin U already spans C^ambient when ambient <= n_relations
     u, s, _ = np.linalg.svd(rel.T, full_matrices=ambient_dim > rel.shape[0])
     rank = _rank(s)

@@ -121,6 +121,7 @@ class TestScenarios:
             ("module-over-krein", 2, 2, 20),
             ("clifford", 3, 3, 20),
             ("spinor", 3, 3, 10),
+            ("spinor", 4, 4, 5),
             ("krein-algebra", 2, 2, 200),
             ("module", 2, 2, 50),
             ("tensor", 1, 1, 50),

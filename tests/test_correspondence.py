@@ -37,6 +37,7 @@ from kreinmod.linalg import (
     ValidationError,
     eig_signature,
     first_exceeding,
+    numerical_rank,
     operator_norm,
     quotient_space,
     random_complex,
@@ -240,6 +241,31 @@ class TestInternalTensor:
             "au,bv,abcd->uvcd", t.section.conj(), t.section, ip, optimize=True
         )
         assert np.array_equal(t.inner, ref)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: spinor_pair(1, 1),
+            lambda: spinor_pair(2, 2),
+            lambda: (krein_space_correspondence(2, 1),) * 2,
+        ],
+        ids=["spinor11", "spinor22", "c21"],
+    )
+    def test_tensor_over_scalars_is_the_plain_tensor(self, make):
+        # every balancing relation is zero, so the section is I and each
+        # structure is its dense Kronecker or einsum formula
+        m, n = make()
+        t = internal_tensor(m, n)
+        eye_m, eye_n = np.eye(m.dim), np.eye(n.dim)
+        lmats = np.tensordot(
+            n.left_algebra.coefficients(m.inner), n.left_action, axes=(2, 0)
+        )
+        inner = np.einsum("ijml,kmab->ikjlab", lmats, n.inner)
+        assert np.array_equal(t.section, np.eye(m.dim * n.dim))
+        assert np.array_equal(t.action, np.kron(eye_m, n.action))
+        assert np.array_equal(t.left_action, np.kron(m.left_action, eye_n))
+        assert np.array_equal(t.symmetry, np.kron(m.symmetry, n.symmetry))
+        assert np.array_equal(t.inner, inner.reshape(t.inner.shape))
 
     @pytest.mark.parametrize(
         "size, descends", [(1e-3, False), (1e-7, False), (1e-10, True)]
@@ -608,6 +634,47 @@ class TestDegenerateDescent:
         ident = identity_correspondence(m.algebra)
         with pytest.raises(DegenerateDescentError):
             internal_tensor(bad, ident)
+
+
+def planted(rng, spectrum, cols):
+    """A len(spectrum) x cols matrix with the given singular values."""
+    rows = len(spectrum)
+    u = np.linalg.qr(random_complex(rng, rows, rows))[0]
+    v = np.linalg.qr(random_complex(rng, cols, rows))[0]
+    return (u * spectrum) @ v.conj().T
+
+
+@pytest.mark.parametrize(
+    "sa, sb, nondegenerate",
+    [
+        ([1, 1e-3], [1, 1e-4], True),
+        ([2, 2e-4], [3, 6e-4], True),  # smallest product 2e-8 of the largest
+        ([2, 2e-4], [3, 1.5e-4], False),  # 5e-9 of the largest
+        ([1, 1e-5], [1, 1e-5], False),  # both factors have full rank
+        ([1, 1e-9], [1, 1], False),  # a rank-deficient factor, either side
+        ([1, 1], [1, 0], False),
+    ],
+)
+def test_factor_spectra_decide_nondegeneracy_as_the_dense_rank(sa, sb, nondegenerate):
+    # C^2 with inner a over the scalars, tensored with S̄ at (1,1) with inner
+    # B: the plain inner product a ⊗ B is 4 x 4·dc², with the products of
+    # the factors' singular values; rank(a)·rank(B) would read 4 for the
+    # full-rank factors whose product falls below the cut
+    rng = np.random.default_rng(18)
+    _, sbar = spinor_pair(1, 1)
+    dn, dc = sbar.dim, sbar.algebra.dim
+    a, b = planted(rng, sa, 2), planted(rng, sb, dn * dc * dc)
+    m = dataclasses.replace(
+        krein_space_correspondence(2, 0), inner=a[:, :, None, None]
+    )
+    n = dataclasses.replace(sbar, inner=b.reshape(sbar.inner.shape))
+    assert (numerical_rank(np.kron(a, b)) == 4) == nondegenerate
+    if nondegenerate:
+        t = internal_tensor(m, n)
+        assert numerical_rank(t.inner.reshape(t.dim, -1)) == t.dim
+    else:
+        with pytest.raises(DegenerateDescentError):
+            internal_tensor(m, n)
 
 
 B11 = bounded_operators(1, 1)

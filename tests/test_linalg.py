@@ -287,12 +287,12 @@ class TestQuotientSpace:
 
     def test_no_relations(self):
         # no relation, and only zero relations (the balancing relations
-        # over the scalars), leave an empty span
-        for rels in ([], np.zeros((3, 5))):
+        # over the scalars), fewer or more than the ambient dimension, leave
+        # an empty span and the section I itself
+        for rels in ([], np.zeros((3, 5)), np.zeros((9, 5))):
             section, span = quotient_space(5, rels)
-            assert section.shape == (5, 5) and span.shape == (5, 0)
+            assert np.array_equal(section, np.eye(5)) and span.shape == (5, 0)
             assert_quotient_pair(section, span, [])
-        assert np.array_equal(quotient_space(5, [])[0], np.eye(5))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
