@@ -320,14 +320,9 @@ def check_krein_cstar_axioms(
     Draws ``samples`` random carrier elements and records the worst relative
     violation of each law.  Violations are reported, never raised.
     """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    report = Report(
-        title=f"Kreĭn algebra axioms: {algebra.label or 'carrier'}",
-        seed=seed,
-        samples=samples,
-        environment={"dim": algebra.dim, "carrier_dim": algebra.vector_dim},
+    report, rng = Report.sampled(
+        f"Kreĭn algebra axioms: {algebra.label or 'carrier'}", seed, samples,
+        dim=algebra.dim, carrier_dim=algebra.vector_dim,
     )
 
     eta = algebra.eta

@@ -128,6 +128,10 @@ BYTE_BUDGET = 2_500_000_000
 # operators on the whole exterior algebra
 SLOW_LAW_SAMPLES = 50
 
+# the most random fundamental symmetries the module scenario draws per module,
+# one per sample
+MODULE_SYMMETRIES = 20
+
 
 class ConfigError(ValueError):
     """Invalid check configuration (a usage error, not a check failure)."""
@@ -306,7 +310,9 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
     n = 2.0 ** min(d, 64)  # keeps N³ finite; from d = 9 on N³ is past the budget
     entries = {
         "krein-algebra": 4 * d**4,  # the basis: d² matrices of d x d
-        "module": 280 * d**2,  # stacks of 21 d x d symmetries and their products
+        # about 12 d x d matrices per symmetry of the stack: the symmetries,
+        # t, its adjoint, the intertwiners, one sign's halves and products
+        "module": 12 * (min(config.samples, MODULE_SYMMETRIES) + 1) * d**2,
         "module-over-krein": 9 * d**6,  # the d² x d² x d x d inner tensor
         "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
         "clifford": 1.3 * n**3,  # the N x N x N blade tensor
@@ -429,10 +435,8 @@ def _scenario_module(config: CheckConfig) -> Report:
         np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex),
     )
     rng = np.random.default_rng(config.seed)
-    groups = [
-        _symmetry_samples(module, rng, n_random=20)
-        for module in (space, matrix_module)
-    ]
+    n_random = min(config.samples, MODULE_SYMMETRIES)
+    groups = [_symmetry_samples(m, rng, n_random) for m in (space, matrix_module)]
     tol = config.tol
     report.check_laws(
         _module_draw(groups),
@@ -460,11 +464,8 @@ def _scenario_module(config: CheckConfig) -> Report:
              _per_module(lambda g: operator_norm(
                  g.u @ g.j.matrix[:-1] - g.j.matrix[1:] @ g.u
              ))),
-            # the Kreĭn adjoint G⁻¹ U† G does not depend on the symmetry passed
             ("intertwiner unitary for the form", tol,
-             _per_module(lambda g: operator_norm(
-                 krein_adjoint(g.module, g.j, g.u) @ g.u - np.eye(g.module.flat_dim)
-             ))),
+             _per_module(lambda g: _unitarity_defect(g.module, g.j, g.u))),
         ],
     )
 
@@ -486,7 +487,7 @@ def _scenario_module(config: CheckConfig) -> Report:
     )
     report.check(
         "negative control: scaled minus transition",
-        operator_norm(krein_adjoint(space, ja, bad) @ bad - np.eye(space.flat_dim)),
+        _unitarity_defect(space, ja, bad),
         config.tol,
         detail="doubling the negative transition map must break unitarity",
         expected_fail=True,
@@ -539,6 +540,12 @@ def _per_module(residual):
     """A law over ``_module_draw`` samples: its worst value over each
     module's stack."""
     return lambda batch: np.array([residual(g).max() for g in batch.modules])
+
+
+def _unitarity_defect(module: KreinModule, j: FundamentalSymmetry, u):
+    """‖U♯ U − 1‖ of an operator or of each operator of a stack; the Kreĭn
+    adjoint U♯ = G⁻¹ U† G does not depend on the symmetry passed."""
+    return operator_norm(krein_adjoint(module, j, u) @ u - np.eye(module.flat_dim))
 
 
 def _involution_residual(g):
@@ -839,14 +846,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     )
     eye = np.eye(rep.spinor_dim)
     _check_anticommutators(report, "gamma anticommutators", rep.gammas, space.signs)
-    report.check(
-        "spinor form hermitian involutive",
-        max(
-            operator_norm(rep.a - rep.a.conj().T),
-            operator_norm(rep.a @ rep.a - eye),
-        ),
-        1e-12,
-    )
+    report.check("spinor form hermitian involutive", _form_defect(rep.a), 1e-12)
     for (pp, qq), expected in (((1, 1), (1, 1)), ((1, 3), (2, 2)), ((2, 2), (2, 2))):
         sig = spinor_signature(PseudoEuclideanSpace(pp, qq))
         report.check(
@@ -897,15 +897,21 @@ def _scenario_spinor(config: CheckConfig) -> Report:
             space, samples=config.samples, seed=config.seed + 3, tol=config.tol
         )
     )
-    bad = 2.0 * rep.a
     report.check(
         "negative control: scaled spinor form",
-        operator_norm(bad @ bad - eye),
+        _form_defect(2.0 * rep.a),
         1e-10,
         detail="doubling the form matrix must break involutivity",
         expected_fail=True,
     )
     return report
+
+
+def _form_defect(a):
+    """max(‖A − A†‖, ‖A² − 1‖): how far a form matrix is from a hermitian
+    involution."""
+    eye = np.eye(a.shape[-1])
+    return max(operator_norm(a - a.conj().T), operator_norm(a @ a - eye))
 
 
 # -- scenario: the tensor category --------------------------------------------------
@@ -986,7 +992,7 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     )
 
     # left_operator(b_k) is left_action[k]: the middle basis is orthogonal
-    adjointable = all(is_adjointable(t22, op) for op in t22.left_action)
+    adjointable = is_adjointable(t22, t22.left_action)
     report.check(
         "left action adjointable on tensor", 0.0 if adjointable else 1.0, 0.5
     )

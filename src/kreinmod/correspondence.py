@@ -315,15 +315,10 @@ def check_morphism(
     tol: float = 1e-9,
 ) -> Report:
     """Bimodule-map property, bijectivity, and inner preservation."""
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
     src, dst = mor.source, mor.target
-    report = Report(
-        title="correspondence morphism",
-        seed=seed,
-        samples=samples,
-        environment={"source_dim": src.dim, "target_dim": dst.dim},
+    report, rng = Report.sampled(
+        "correspondence morphism", seed, samples,
+        source_dim=src.dim, target_dim=dst.dim,
     )
     report.check("bijective", 0.0 if mor.is_bijective else 1.0, 0.5)
 
@@ -409,15 +404,10 @@ def check_krein_star_hom(
     of the two fundamental automorphisms for an algebra map phi; ``beta``
     defaults to the target's automorphism.  phi and beta map a matrix, and
     a stack of matrices one by one."""
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
     beta = beta if beta is not None else target.alpha
-    rng = np.random.default_rng(seed)
-    report = Report(
-        title="Kreĭn *-homomorphism",
-        seed=seed,
-        samples=samples,
-        environment={"source_dim": source.dim, "target_dim": target.dim},
+    report, rng = Report.sampled(
+        "Kreĭn *-homomorphism", seed, samples,
+        source_dim=source.dim, target_dim=target.dim,
     )
     unital = operator_norm(phi(source.identity()) - target.identity())
     report.check("unital", unital, tol)
@@ -468,17 +458,12 @@ def spinor_factorization_check(
     The identification sends psi ⊗ phi-bar to the operator psi phi† A,
     expanded over gamma-matrix monomials and read as exterior coordinates.
     """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
+    report, rng = Report.sampled(
+        "spinor factorization", seed, samples, p=space.p, q=space.q
+    )
     s = spinor_correspondence(space)
     sbar = contragredient(s)
     t = internal_tensor(s, sbar)
-    report = Report(
-        title="spinor factorization",
-        seed=seed,
-        samples=samples,
-        environment={"p": space.p, "q": space.q},
-    )
     lam_dim = space.grassmann_dim
     report.check(
         "dimension product matches exterior algebra",
@@ -501,7 +486,6 @@ def spinor_factorization_check(
         0.0 if numerical_rank(v) == lam_dim else 1.0,
         0.5,
     )
-    rng = np.random.default_rng(seed)
 
     def draw(rows):
         c, x = gaussians(rng, len(rows), (lam_dim,), (t.dim,))

@@ -54,20 +54,18 @@ class KreinModuleOverKrein:
     symmetry: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        nb = self.algebra.basis.shape[0]
-        d = self.algebra.dim
-        action = np.asarray(self.action, dtype=complex)
-        inner = np.asarray(self.inner, dtype=complex)
-        symmetry = np.asarray(self.symmetry, dtype=complex)
-        if action.shape != (nb, self.dim, self.dim):
-            raise DimensionMismatchError("action tensor shape mismatch")
-        if inner.shape != (self.dim, self.dim, d, d):
-            raise DimensionMismatchError("inner tensor shape mismatch")
-        if symmetry.shape != (self.dim, self.dim):
-            raise DimensionMismatchError("symmetry shape mismatch")
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "symmetry", symmetry)
+        n, d = self.dim, self.algebra.dim
+        self._coerce("action", (self.algebra.vector_dim, n, n), "action tensor")
+        self._coerce("inner", (n, n, d, d), "inner tensor")
+        self._coerce("symmetry", (n, n), "symmetry")
+
+    def _coerce(self, name: str, shape: tuple, what: str):
+        """Store the field ``name`` as a complex array of ``shape``; raises
+        DimensionMismatchError("<what> shape mismatch") for any other shape."""
+        value = np.asarray(getattr(self, name), dtype=complex)
+        if value.shape != shape:
+            raise DimensionMismatchError(f"{what} shape mismatch")
+        object.__setattr__(self, name, value)
 
     def right_operator(self, b) -> np.ndarray:
         """The D x D matrix of x ↦ x · b."""
@@ -107,17 +105,10 @@ class KreinBimodule(KreinModuleOverKrein):
         super().__post_init__()
         if self.left_algebra is None:
             raise ValidationError("left algebra is required")
-        na = self.left_algebra.basis.shape[0]
-        dl = self.left_algebra.dim
-        la = np.asarray(self.left_action, dtype=complex)
-        if la.shape != (na, self.dim, self.dim):
-            raise DimensionMismatchError("left action tensor shape mismatch")
-        object.__setattr__(self, "left_action", la)
+        n, left = self.dim, self.left_algebra
+        self._coerce("left_action", (left.vector_dim, n, n), "left action tensor")
         if self.left_inner is not None:
-            li = np.asarray(self.left_inner, dtype=complex)
-            if li.shape != (self.dim, self.dim, dl, dl):
-                raise DimensionMismatchError("left inner tensor shape mismatch")
-            object.__setattr__(self, "left_inner", li)
+            self._coerce("left_inner", (n, n, left.dim, left.dim), "left inner tensor")
 
     def left_operator(self, a) -> np.ndarray:
         """The D x D matrix of x ↦ a · x."""
@@ -281,16 +272,11 @@ def check_module_over_krein(
     tol: float = 1e-9,
 ) -> Report:
     """Randomized verification of the twisted-module axioms."""
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
     alg = module.algebra
     is_bimodule = isinstance(module, KreinBimodule)
-    report = Report(
-        title="module over Kreĭn algebra",
-        seed=seed,
-        samples=samples,
-        environment={"carrier_dim": module.dim, "algebra_dim": alg.dim},
+    report, rng = Report.sampled(
+        "module over Kreĭn algebra", seed, samples,
+        carrier_dim=module.dim, algebra_dim=alg.dim,
     )
 
     jmat = module.symmetry
@@ -387,15 +373,7 @@ def check_imprimitivity(
 ) -> Report:
     """Randomized check of the linking identity _A⟨x,y⟩ z = x ⟨y,z⟩_B, and
     exact two-sided fullness from the rank of the full pairing tensors."""
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    report = Report(
-        title="imprimitivity",
-        seed=seed,
-        samples=samples,
-        environment={"carrier_dim": module.dim},
-    )
+    report, rng = Report.sampled("imprimitivity", seed, samples, carrier_dim=module.dim)
 
     def draw(rows):
         x, y, z = gaussians(rng, len(rows), *[(module.dim,)] * 3)

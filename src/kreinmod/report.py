@@ -19,6 +19,10 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
+from .linalg import ValidationError
+
 # one sampled law: record name, tolerance, and the residual of a batch of
 # samples, an array of one value per sample
 Law = tuple[str, float, Callable[[Any], Any]]
@@ -96,6 +100,16 @@ class Report:
     samples: int
     records: list[CheckRecord] = field(default_factory=list)
     environment: dict = field(default_factory=dict)
+
+    @classmethod
+    def sampled(cls, title: str, seed: int, samples: int, **environment):
+        """The report of a suite that draws ``samples`` samples, and the
+        generator ``default_rng(seed)`` it draws them from.  Raises
+        ValidationError when ``samples < 1``."""
+        if samples < 1:
+            raise ValidationError("samples must be at least 1")
+        report = cls(title=title, seed=seed, samples=samples, environment=environment)
+        return report, np.random.default_rng(seed)
 
     def add(self, record: CheckRecord) -> CheckRecord:
         self.records.append(record)

@@ -143,9 +143,9 @@ class TestScenarios:
     def test_module_draws_once_per_module_and_checks_no_built_symmetry(
         self, monkeypatch
     ):
-        # one random_symmetry call per module and one for the negative
-        # control; the one constructor check is on the hyperbolic symmetry
-        # the scenario passes in
+        # one random_symmetry call per module, of one symmetry per sample,
+        # and one for the negative control; the one constructor check is on
+        # the hyperbolic symmetry the scenario passes in
         draws, checked = [], []
 
         def counted(module, rng, count=None):
@@ -161,7 +161,7 @@ class TestScenarios:
         monkeypatch.setattr(checker, "random_symmetry", counted)
         monkeypatch.setattr(FundamentalSymmetry, "__post_init__", recorded)
         assert run(CheckConfig(scenario="module", p=2, q=2, samples=5)).passed
-        assert draws == [20, 20, None]
+        assert draws == [5, 5, None]
         assert len(checked) == 1
         assert np.array_equal(checked[0], hyperbolic_symmetry(0.3))
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,13 @@ from kreinmod.krein_over_krein import (
     rank_one,
     self_module,
 )
-from kreinmod.linalg import is_psd, min_hermitian_eig, operator_norm, random_complex
+from kreinmod.linalg import (
+    DimensionMismatchError,
+    is_psd,
+    min_hermitian_eig,
+    operator_norm,
+    random_complex,
+)
 
 
 def b11():
@@ -39,6 +47,37 @@ MODULES = pytest.mark.parametrize(
     ],
     ids=["self-b11", "operator-b11-b21"],
 )
+
+
+# the five tensor fields of a bimodule, each with its shape error
+FIELDS = pytest.mark.parametrize(
+    "name, what",
+    [
+        ("action", "action tensor"),
+        ("inner", "inner tensor"),
+        ("symmetry", "symmetry"),
+        ("left_action", "left action tensor"),
+        ("left_inner", "left inner tensor"),
+    ],
+)
+
+
+class TestFieldShapes:
+    # the two algebras differ in size, so no field fits another's shape
+    MODULE = operator_bimodule(b11(), bounded_operators(2, 1))
+
+    @FIELDS
+    def test_wrong_shape_names_its_field(self, name, what):
+        cut = getattr(self.MODULE, name)[..., :-1]
+        with pytest.raises(DimensionMismatchError, match=f"^{what} shape mismatch$"):
+            replace(self.MODULE, **{name: cut})
+
+    @FIELDS
+    def test_valid_field_comes_back_complex(self, name, what):
+        real = getattr(self.MODULE, name).real
+        value = getattr(replace(self.MODULE, **{name: real}), name)
+        assert value.dtype == complex
+        assert np.array_equal(value, real)
 
 
 class TestSelfModule:

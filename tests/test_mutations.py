@@ -4,6 +4,11 @@ Each law row of the table, run on the operator bimodule of B(C^{1,1}) and
 B(C^{2,1}), gets one named corruption of the module.  The corruption must
 push that law at least one decade above its own tolerance, and the law must
 pass on the uncorrupted module, so the tolerance sits between the two sides.
+
+The checker's negative controls that run a law's own residual get one row
+each in the same style: the residual stays within the law's tolerance on the
+real structure and reaches ten times the control's tolerance on the
+control's corruption.
 """
 
 from dataclasses import replace
@@ -11,7 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kreinmod import checker
 from kreinmod.algebra import bounded_operators
+from kreinmod.clifford import PseudoEuclideanSpace, gamma_rep
+from kreinmod.krein_module import (
+    intertwiner,
+    krein_space,
+    random_symmetry,
+    standard_symmetry,
+)
 from kreinmod.krein_over_krein import check_module_over_krein, operator_bimodule
 from kreinmod.linalg import spectral_projector
 
@@ -110,3 +123,40 @@ def test_corruption_breaks_its_law_by_a_decade(law):
     record = laws(corrupt(MODULE))[law]
     assert record.max_violation >= 10 * record.tolerance
     assert not record.passed
+
+
+# the module scenario's control pair on C^{2,2} and the spinor form of R^{2,2}
+SPACE = krein_space(2, 2)
+JA = standard_symmetry(SPACE)
+JB = random_symmetry(SPACE, np.random.default_rng(43))
+FORM = gamma_rep(PseudoEuclideanSpace(2, 2)).a
+
+
+def doubled_minus_transition():
+    plus = JB.projector(+1) @ JA.projector(+1)
+    return plus + 2.0 * (JB.projector(-1) @ JA.projector(-1))
+
+
+# control record -> (law tolerance, control tolerance, residual on the real
+# structure, residual on the control's corruption)
+CONTROLS = {
+    "negative control: scaled minus transition": (
+        1e-9,
+        1e-9,
+        lambda: checker._unitarity_defect(SPACE, JA, intertwiner(SPACE, JA, JB)),
+        lambda: checker._unitarity_defect(SPACE, JA, doubled_minus_transition()),
+    ),
+    "negative control: scaled spinor form": (
+        1e-12,
+        1e-10,
+        lambda: checker._form_defect(FORM),
+        lambda: checker._form_defect(2.0 * FORM),
+    ),
+}
+
+
+@pytest.mark.parametrize("control", list(CONTROLS))
+def test_control_residual_separates_structure_from_corruption(control):
+    law_tol, control_tol, real, corrupted = CONTROLS[control]
+    assert real() <= law_tol
+    assert corrupted() >= 10 * control_tol

@@ -7,6 +7,7 @@ import pytest
 import kreinmod.report as report_module
 from kreinmod.algebra import bounded_operators, check_krein_cstar_axioms
 from kreinmod.checker import CheckConfig, run
+from kreinmod.linalg import ValidationError, gaussians
 from kreinmod.report import CheckRecord, Report, worst_of
 
 
@@ -125,6 +126,24 @@ class TestCheckLaws:
     def test_worst_of(self):
         assert worst_of(0.0, 2.0, 1.0) == 2.0
         assert math.isnan(worst_of(3.0, math.nan))
+
+
+class TestSampled:
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_refuses_fewer_than_one_sample(self, samples):
+        with pytest.raises(ValidationError, match="samples must be at least 1"):
+            Report.sampled("t", 0, samples)
+
+    def test_opened_report_and_generator_follow_the_seed(self):
+        (first, rng1), (second, rng2) = (
+            Report.sampled("t", 7, 3, dim=2) for _ in range(2)
+        )
+        assert (first.title, first.seed, first.samples) == ("t", 7, 3)
+        assert first.environment == {"dim": 2} and first.records == []
+        sample = gaussians(rng1, 1, (4,))[0]
+        assert np.array_equal(sample, gaussians(rng2, 1, (4,))[0])
+        _, other = Report.sampled("t", 8, 3)
+        assert not np.array_equal(sample, gaussians(other, 1, (4,))[0])
 
 
 class TestNaNRecords:
