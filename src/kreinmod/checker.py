@@ -75,6 +75,7 @@ from .correspondence import (
 from .krein_module import (
     FundamentalSymmetry,
     KreinModule,
+    _pd_gram,
     hilbert_adjoint,
     hyperbolic_symmetry,
     intertwiner,
@@ -96,11 +97,13 @@ from .krein_over_krein import (
 )
 from .linalg import (
     ValidationError,
+    _rank,
     gaussians,
+    hermitian_defect,
+    involution_defect,
     min_hermitian_eig,
     numerical_rank,
     operator_norm,
-    spectral_projector,
 )
 from .report import Report
 
@@ -401,16 +404,10 @@ def _scenario_krein_algebra(config: CheckConfig) -> Report:
               lambda s: cstar_residual(a, s.a, a.norm(s.a)))],
         )
 
-    d = config.p + config.q
-    bad_eta = np.diag(np.concatenate([np.ones(d - 1), [-2.0]])).astype(complex)
-    bad = KreinCStarAlgebra(alg.basis, bad_eta, validate=False)
-    bad_report = check_krein_cstar_axioms(bad, samples=10, seed=config.seed)
-    viol = next(
-        r.max_violation for r in bad_report.records if r.name == "eta involutive"
-    )
+    bad_eta = np.diag(np.concatenate([np.ones(alg.dim - 1), [-2.0]])).astype(complex)
     report.check(
         "negative control: corrupted eta",
-        viol,
+        involution_defect(bad_eta),
         1e-10,
         detail="eta with an eigenvalue of -2 must break involutivity",
         expected_fail=True,
@@ -422,11 +419,9 @@ def _scenario_krein_algebra(config: CheckConfig) -> Report:
 
 
 def _scenario_module(config: CheckConfig) -> Report:
-    report = Report(
-        title="Kreĭn module scenario",
-        seed=config.seed,
-        samples=config.samples,
-        environment={"p": config.p, "q": config.q, "rank": 2},
+    report, rng = Report.sampled(
+        "Kreĭn module scenario", config.seed, config.samples,
+        p=config.p, q=config.q, rank=2,
     )
     space = krein_space(config.p, config.q)
     matrix_module = KreinModule(
@@ -434,21 +429,26 @@ def _scenario_module(config: CheckConfig) -> Report:
         2,
         np.kron(np.diag([1.0, -1.0]), np.eye(2)).astype(complex),
     )
-    rng = np.random.default_rng(config.seed)
     n_random = min(config.samples, MODULE_SYMMETRIES)
     groups = [_symmetry_samples(m, rng, n_random) for m in (space, matrix_module)]
+    for g in groups:  # the intertwiners of the consecutive pairs j[:-1], j[1:]
+        g.u = intertwiner(g.module, *(
+            FundamentalSymmetry._built(g.module, m)
+            for m in (g.j.matrix[:-1], g.j.matrix[1:])
+        ))
     tol = config.tol
     report.check_laws(
         _module_draw(groups),
         len(groups),
         [
-            ("symmetry squares to identity", tol, _per_module(_involution_residual)),
+            ("symmetry squares to identity", tol,
+             _per_module(lambda g: involution_defect(g.j.matrix))),
             ("symmetry self-adjoint for the form", tol,
-             _per_module(_form_selfadjoint_residual)),
+             _per_module(lambda g: g.j.selfadjoint_defect())),
             ("positive half semidefinite", tol,
-             _per_module(lambda g: _half_defect(g, +1))),
+             _per_module(lambda g: _psd_defect(g.j.half_form(+1)))),
             ("negative half semidefinite", tol,
-             _per_module(lambda g: _half_defect(g, -1))),
+             _per_module(lambda g: _psd_defect(g.j.half_form(-1)))),
             ("hilbertified gram positive definite", tol,
              _per_module(_hilbertified_gram_defect)),
             ("decomposition exhausts the carrier", tol,
@@ -480,16 +480,20 @@ def _scenario_module(config: CheckConfig) -> Report:
         detail="rotation parameter t = 0.3",
     )
 
+    # the minus transition is doubled, or the plus one on a space with no
+    # minus half
     ja = standard_symmetry(space)
     jb = random_symmetry(space, np.random.default_rng(config.seed + 1))
-    bad = jb.projector(+1) @ ja.projector(+1) + 2.0 * (
-        jb.projector(-1) @ ja.projector(-1)
+    doubled, half = (-1, "negative") if config.q else (+1, "positive")
+    bad = sum(
+        (2.0 if sign == doubled else 1.0) * (jb.projector(sign) @ ja.projector(sign))
+        for sign in (+1, -1)
     )
     report.check(
         "negative control: scaled minus transition",
         _unitarity_defect(space, ja, bad),
         config.tol,
-        detail="doubling the negative transition map must break unitarity",
+        detail=f"doubling the {half} transition map must break unitarity",
         expected_fail=True,
     )
     try:
@@ -511,12 +515,11 @@ def _scenario_module(config: CheckConfig) -> Report:
 
 def _symmetry_samples(module: KreinModule, rng, n_random: int):
     """The standard and ``n_random`` random fundamental symmetries of a
-    module as one stack j, with a random operator t and its Kreĭn adjoint ts,
-    two random elements x and y per symmetry, and the intertwiners u of the
-    consecutive pairs j[:-1], j[1:]: one namespace of stacks."""
+    module as one stack j, with a random operator t and its Kreĭn adjoint ts
+    and two random elements x and y per symmetry: one namespace of stacks."""
     drawn = random_symmetry(module, rng, n_random).matrix
     jm = np.concatenate([standard_symmetry(module).matrix[None], drawn])
-    j, j1, j2 = (FundamentalSymmetry._built(module, m) for m in (jm, jm[:-1], jm[1:]))
+    j = FundamentalSymmetry._built(module, jm)
     f, b = module.flat_dim, module.base.dim
     t, x, y = gaussians(rng, n_random + 1, (f, f), (f, b), (f, b))
     t = module.project_operator(t)
@@ -527,7 +530,6 @@ def _symmetry_samples(module: KreinModule, rng, n_random: int):
         ts=krein_adjoint(module, j, t),  # G⁻¹ T† G, for every symmetry
         x=module.project_element(x),
         y=module.project_element(y),
-        u=intertwiner(module, j1, j2),
     )
 
 
@@ -548,15 +550,6 @@ def _unitarity_defect(module: KreinModule, j: FundamentalSymmetry, u):
     return operator_norm(krein_adjoint(module, j, u) @ u - np.eye(module.flat_dim))
 
 
-def _involution_residual(g):
-    return operator_norm(g.j.matrix @ g.j.matrix - np.eye(g.module.flat_dim))
-
-
-def _form_selfadjoint_residual(g):
-    gram, j = g.module.gram, g.j.matrix
-    return operator_norm(j.conj().swapaxes(-1, -2) @ gram - gram @ j)
-
-
 def _adjoint_relation_residual(g):
     m = g.module
     defect = m.inner(g.t @ g.x, g.y) - m.inner(g.x, g.ts @ g.y)
@@ -567,43 +560,36 @@ def _psd_defect(h):
     return np.maximum(0.0, -min_hermitian_eig(h))
 
 
-def _half_defect(g, sign: int):
-    """Semidefiniteness defect of the form on the sign half of each symmetry."""
-    pr = spectral_projector(g.j.matrix, sign)
-    return _psd_defect(sign * (pr.conj().swapaxes(-1, -2) @ g.module.gram @ pr))
-
-
 def _hilbertified_gram_defect(g):
     """Positivity defect of the hilbertified gram J† G of each symmetry."""
-    return _psd_defect(g.j.matrix.conj().swapaxes(-1, -2) @ g.module.gram)
+    return _psd_defect(_pd_gram(g.module, g.j))
 
 
-def _carrier_rank(module: KreinModule, operators):
-    """Rank of the image of the carrier under each operator of a stack."""
-    return numerical_rank(module.lift_operator(operators)[..., module.carrier])
+def _halves_rank(module: KreinModule, plus, minus):
+    """rank(lift(plus)·carrier) + rank(lift(minus)·carrier) for each pair of
+    the two stacks, under one cut relative to the larger top singular value
+    of the pair, so that a rounding-level empty half counts 0.  One stack is
+    lifted at a time."""
+    spectra = np.concatenate([
+        np.linalg.svd(module.lift_operator(h)[..., module.carrier], compute_uv=False)
+        for h in (plus, minus)
+    ], axis=-1)
+    return _rank(-np.sort(-spectra, axis=-1))
 
 
 def _decomposition_defect(g):
-    """|rank(lift(P₊)·carrier) + rank(lift(P₋)·carrier) − dim carrier|, per J;
-    one sign at a time, so only one stack of halves is lifted at once."""
-    m = g.module
-    ranks = sum(
-        _carrier_rank(m, spectral_projector(g.j.matrix, sign)) for sign in (1, -1)
-    )
-    return np.abs(ranks - len(m.carrier))
+    """|rank(lift(P₊)·carrier) + rank(lift(P₋)·carrier) − dim carrier|, per J."""
+    ranks = _halves_rank(g.module, g.j.projector(+1), g.j.projector(-1))
+    return np.abs(ranks - len(g.module.carrier))
 
 
 def _transition_defect(g):
-    """Rank deficit of the transition maps P₂± P₁± from the halves of j1 = j[:-1]
-    to those of j2 = j[1:]: rank(lift(P₂± P₁±)·carrier) − rank(lift(P₁±)·carrier),
-    one sign at a time."""
-
-    def deficit(sign):
-        halves = spectral_projector(g.j.matrix, sign)
-        p1, p2 = halves[:-1], halves[1:]
-        return np.abs(_carrier_rank(g.module, p2 @ p1) - _carrier_rank(g.module, p1))
-
-    return np.maximum(deficit(1), deficit(-1))
+    """Summed rank deficit of the transition maps P₂± P₁± from the halves of
+    j1 = j[:-1] to those of j2 = j[1:], against the halves P₁± themselves."""
+    plus, minus = g.j.projector(+1), g.j.projector(-1)
+    sources = _halves_rank(g.module, plus[:-1], minus[:-1])
+    images = _halves_rank(g.module, plus[1:] @ plus[:-1], minus[1:] @ minus[:-1])
+    return np.abs(images - sources)
 
 
 # -- scenario: modules over Kreĭn algebras -----------------------------------------
@@ -687,17 +673,14 @@ def _laplace_det(m: np.ndarray):
 def _scenario_clifford(config: CheckConfig) -> Report:
     space = PseudoEuclideanSpace(config.p, config.q)
     alg = clifford_krein_algebra(space)
-    report = Report(
-        title=f"Clifford scenario R^{{{config.p},{config.q}}}",
-        seed=config.seed,
-        samples=config.samples,
-        environment={"p": config.p, "q": config.q},
+    report, rng = Report.sampled(
+        f"Clifford scenario R^{{{config.p},{config.q}}}", config.seed, config.samples,
+        p=config.p, q=config.q,
     )
     n = space.n
     gens = [clifford_generator_matrix(space, i) for i in range(n)]
     _check_anticommutators(report, "generator anticommutators", gens, space.signs)
 
-    rng = np.random.default_rng(config.seed)
     deg = min(2, n)
     g = space.signs
 
@@ -837,16 +820,19 @@ def _scenario_clifford(config: CheckConfig) -> Report:
 
 def _scenario_spinor(config: CheckConfig) -> Report:
     space = PseudoEuclideanSpace(config.p, config.q)
-    rep = gamma_rep(space)
+    module = spinor_module(space)
+    left, form = module.left_algebra, module.symmetry
     report = Report(
         title=f"spinor scenario R^{{{config.p},{config.q}}}",
         seed=config.seed,
         samples=config.samples,
-        environment={"p": config.p, "q": config.q, "spinor_dim": rep.spinor_dim},
+        environment={"p": config.p, "q": config.q, "spinor_dim": module.dim},
     )
-    eye = np.eye(rep.spinor_dim)
-    _check_anticommutators(report, "gamma anticommutators", rep.gammas, space.signs)
-    report.check("spinor form hermitian involutive", _form_defect(rep.a), 1e-12)
+    # the blade of mask 2^i is the gamma Γ_i (``gamma_algebra``), and the
+    # module symmetry is the spinor form A
+    gammas = left.basis[[1 << i for i in range(space.n)]]
+    _check_anticommutators(report, "gamma anticommutators", gammas, space.signs)
+    report.check("spinor form hermitian involutive", _form_defect(form), 1e-12)
     for (pp, qq), expected in (((1, 1), (1, 1)), ((1, 3), (2, 2)), ((2, 2), (2, 2))):
         sig = spinor_signature(PseudoEuclideanSpace(pp, qq))
         report.check(
@@ -856,7 +842,6 @@ def _scenario_spinor(config: CheckConfig) -> Report:
             detail=f"signature {sig}",
         )
 
-    module = spinor_module(space)
     report.extend(
         check_module_over_krein(
             module, samples=config.samples, seed=config.seed, tol=config.tol
@@ -864,7 +849,6 @@ def _scenario_spinor(config: CheckConfig) -> Report:
         prefix="module: ",
     )
     rng = np.random.default_rng(config.seed + 1)
-    left = module.left_algebra
 
     def draw(rows):
         c, psi = gaussians(rng, len(rows), (left.dim, left.dim), (module.dim,))
@@ -879,10 +863,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     report.check_laws(
         draw, config.samples, [("spinor twisting over alpha", 1e-10, twisting_defect)]
     )
-    gram = rep.a @ rep.a
-    report.check(
-        "spinor auxiliary gram standard", operator_norm(gram - eye), 1e-12
-    )
+    report.check("spinor auxiliary gram standard", involution_defect(form), 1e-12)
     report.extend(
         morita_krein_check(
             module,
@@ -899,7 +880,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     )
     report.check(
         "negative control: scaled spinor form",
-        _form_defect(2.0 * rep.a),
+        _form_defect(2.0 * form),
         1e-10,
         detail="doubling the form matrix must break involutivity",
         expected_fail=True,
@@ -910,8 +891,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
 def _form_defect(a):
     """max(‖A − A†‖, ‖A² − 1‖): how far a form matrix is from a hermitian
     involution."""
-    eye = np.eye(a.shape[-1])
-    return max(operator_norm(a - a.conj().T), operator_norm(a @ a - eye))
+    return max(hermitian_defect(a), involution_defect(a))
 
 
 # -- scenario: the tensor category --------------------------------------------------
@@ -1099,21 +1079,18 @@ def _demo_torus(seed, samples, tol):
     base = functions_on_points(points)
     gram = np.kron(np.diag([1.0, -1.0]), np.eye(points)).astype(complex)
     module = KreinModule(base, 2, gram)
-    report = Report(
-        title="demo: torus",
-        seed=seed,
-        samples=samples,
-        environment={"points": points, "fiber_signature": [1, 1]},
+    report, rng = Report.sampled(
+        "demo: torus", seed, samples, points=points, fiber_signature=[1, 1]
     )
-    group = _symmetry_samples(module, np.random.default_rng(seed), n_random=5)
+    group = _symmetry_samples(module, rng, n_random=5)
     report.check_laws(
         _module_draw([group]),
         1,
         [
             ("fiberwise symmetry squares to identity", tol,
-             _per_module(_involution_residual)),
+             _per_module(lambda g: involution_defect(g.j.matrix))),
             ("fiberwise symmetry self-adjoint", tol,
-             _per_module(_form_selfadjoint_residual)),
+             _per_module(lambda g: g.j.selfadjoint_defect())),
             ("adjoint solves the inner relation", tol,
              _per_module(_adjoint_relation_residual)),
         ],

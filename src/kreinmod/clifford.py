@@ -59,10 +59,6 @@ class PseudoEuclideanSpace:
         return np.concatenate([np.ones(self.p), -np.ones(self.q)])
 
     @property
-    def metric(self) -> np.ndarray:
-        return np.diag(self.signs).astype(complex)
-
-    @property
     def grassmann_dim(self) -> int:
         return 1 << self.n
 
@@ -112,9 +108,6 @@ class MultiVector:
 
     def __rmul__(self, z: complex) -> "MultiVector":
         return MultiVector(self.space, z * self.coeffs)
-
-    def __neg__(self) -> "MultiVector":
-        return MultiVector(self.space, -self.coeffs)
 
     def norm(self):
         norms = np.linalg.norm(self.coeffs, axis=-1)

@@ -23,7 +23,6 @@ from .clifford import (
     MultiVector,
     PseudoEuclideanSpace,
     clifford_action,
-    gamma_rep,
     spinor_module,
 )
 from .krein_over_krein import (
@@ -474,13 +473,10 @@ def spinor_factorization_check(
     if t.dim != lam_dim:
         return report
 
-    rep = gamma_rep(space)
-    d = rep.spinor_dim
-    gamma_alg = s.left_algebra
     # plain elementary tensors e_i ⊗ e_k -> exterior coordinates of E_ik A,
-    # then through the section
-    units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
-    v = gamma_alg.coefficients(units @ rep.a).T @ t.section
+    # A = s.symmetry, then through the section
+    units = np.eye(s.dim**2, dtype=complex).reshape(-1, s.dim, s.dim)
+    v = s.left_algebra.coefficients(units @ s.symmetry).T @ t.section
     report.check(
         "identification bijective",
         0.0 if numerical_rank(v) == lam_dim else 1.0,

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import FiniteCStarAlgebra, KreinCStarAlgebra, scalars
+from .algebra import FiniteCStarAlgebra, scalars
 from .linalg import (
     DimensionMismatchError,
     Subspace,
@@ -23,6 +23,8 @@ from .linalg import (
     column_space,
     expm,
     gaussians,
+    hermitian_defect,
+    involution_defect,
     is_psd,
     min_hermitian_eig,
     numerical_rank,
@@ -48,8 +50,7 @@ class KreinModule:
         nk = self.rank * self.base.dim
         if g.shape != (nk, nk):
             raise DimensionMismatchError(f"gram must be {nk} x {nk}")
-        scale = max(operator_norm(g), 1.0)
-        if operator_norm(g - g.conj().T) > 1e-10 * scale:
+        if hermitian_defect(g) > 1e-10 * max(operator_norm(g), 1.0):
             raise ValidationError("gram is not hermitian")
         if not self._in_pattern(g):
             raise ValidationError("gram blocks do not lie in the base algebra")
@@ -150,18 +151,13 @@ class FundamentalSymmetry:
         scale = np.maximum(operator_norm(j), 1.0)
         if not m._in_pattern(j):
             raise ValidationError("symmetry blocks do not lie in the base algebra")
-        if np.any(operator_norm(j @ j - np.eye(nk)) > 1e-9 * scale * scale):
+        if np.any(involution_defect(j) > 1e-9 * scale * scale):
             raise ValidationError("symmetry does not square to the identity")
-        g = m.gram
-        gs = operator_norm(g)
-        jh = j.conj().swapaxes(-1, -2)
-        if np.any(operator_norm(jh @ g - g @ j) > 1e-9 * gs * scale):
-            raise ValidationError("symmetry is not self-adjoint for the inner product")
-        signs = np.array([1, -1]).reshape(2, *[1] * j.ndim)  # both halves at once
-        p = spectral_projector(j, signs)
-        if not np.all(is_psd(signs * (p.conj().swapaxes(-1, -2) @ g @ p))):
-            raise ValidationError("a half of the decomposition is not semidefinite")
         object.__setattr__(self, "matrix", j)
+        if np.any(self.selfadjoint_defect() > 1e-9 * operator_norm(m.gram) * scale):
+            raise ValidationError("symmetry is not self-adjoint for the inner product")
+        if not all(np.all(is_psd(self.half_form(sign))) for sign in (1, -1)):
+            raise ValidationError("a half of the decomposition is not semidefinite")
 
     @classmethod
     def _built(cls, module: KreinModule, matrix: np.ndarray) -> "FundamentalSymmetry":
@@ -175,6 +171,17 @@ class FundamentalSymmetry:
 
     def projector(self, sign: int) -> np.ndarray:
         return spectral_projector(self.matrix, sign)
+
+    def selfadjoint_defect(self):
+        """‖J†G − GJ‖, of the symmetry or of each symmetry of the stack."""
+        j, g = self.matrix, self.module.gram
+        return operator_norm(j.conj().swapaxes(-1, -2) @ g - g @ j)
+
+    def half_form(self, sign: int) -> np.ndarray:
+        """sign·P†GP on the sign half P = (1 + sign·J)/2: semidefinite for a
+        fundamental symmetry."""
+        p = self.projector(sign)
+        return sign * (p.conj().swapaxes(-1, -2) @ self.module.gram @ p)
 
 
 def standard_symmetry(module: KreinModule) -> FundamentalSymmetry:
@@ -285,28 +292,6 @@ def intertwiner(
     w, _, vh = np.linalg.svd(r2 @ a @ np.linalg.inv(r1))
     u = np.linalg.solve(r2, w @ vh @ r1)
     return module.project_operator(u)
-
-
-def adjointable_algebra(
-    module: KreinModule, symmetry: FundamentalSymmetry
-) -> KreinCStarAlgebra:
-    """All A-linear operators on the module, packaged with the twisted
-    involution G^{-1} T† G and fundamental symmetry T ↦ J T J.
-
-    eta is J in the coordinates of the Cholesky factor l of the hilbertified
-    gram, so the operator norm is the |K|^J norm.  l has no fill-in outside
-    the A-pattern, so l T l⁻¹ spans the same units E_ij ⊗ b as T does.
-    """
-    _check_owner(module, symmetry)
-    g = _pd_gram(module, symmetry)
-    l = np.linalg.cholesky(g).conj().T  # g = l† l
-    # E_ij ⊗ b for the rank x rank matrix units E_ij and the base basis b
-    units = np.eye(module.rank**2, dtype=complex).reshape(-1, module.rank, module.rank)
-    blocks = np.kron(units[:, None], module.base.basis()[None])
-    basis = blocks.reshape(-1, module.flat_dim, module.flat_dim)
-    eta = l @ symmetry.matrix @ np.linalg.inv(l)
-    eta = (eta + eta.conj().T) / 2
-    return KreinCStarAlgebra(basis, eta, label=f"B(module rank {module.rank})")
 
 
 def _check_owner(module: KreinModule, symmetry: FundamentalSymmetry):

@@ -54,6 +54,16 @@ def operator_norm(m):
     return top if a.ndim > 2 else float(top)
 
 
+def involution_defect(x):
+    """‖x² − 1‖₂, of a matrix or of each matrix of a stack."""
+    return operator_norm(x @ x - np.eye(x.shape[-1]))
+
+
+def hermitian_defect(x):
+    """‖x − x†‖₂, of a matrix or of each matrix of a stack."""
+    return operator_norm(x - x.conj().swapaxes(-1, -2))
+
+
 def first_exceeding(residuals, references, tol: float) -> int:
     """Index of the first k with ‖residuals[k]‖₂ > tol · max(‖references[k]‖₂, 1),
     or -1 if there is none.

@@ -108,9 +108,9 @@ class TestScenarios:
     def test_spinor_budget_refuses_before_any_work(self, monkeypatch):
         # S ⊗ S̄ at (5, 5) would hold 1024³ entries; nothing may be built
         def unreachable(space):
-            raise AssertionError("gamma_rep built before the budget check")
+            raise AssertionError("spinor module built before the budget check")
 
-        monkeypatch.setattr(checker, "gamma_rep", unreachable)
+        monkeypatch.setattr(checker, "spinor_module", unreachable)
         with pytest.raises(ResourceBudgetError):
             run(CheckConfig(scenario="spinor", p=5, q=5, samples=1))
 
@@ -182,6 +182,20 @@ class TestScenarios:
         values = residual(SimpleNamespace(**{**vars(group), "j": j}))
         assert values[2] > 1e-9
         assert np.delete(values, 2).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("p, q", [(1, 0), (0, 1), (2, 0), (0, 2)])
+    def test_module_passes_on_a_definite_space(self, p, q):
+        # one half is empty: its rounding-level rank must count 0, and the
+        # control doubles the other half's transition
+        report = run(CheckConfig(scenario="module", p=p, q=q, samples=5))
+        assert report.passed, [r.name for r in report.failures()]
+        control = next(
+            r for r in report.records
+            if r.name == "negative control: scaled minus transition"
+        )
+        assert control.max_violation >= 10 * control.tolerance
+        half = "positive" if q == 0 else "negative"
+        assert f"doubling the {half} transition" in control.detail
 
     def test_spinor_needs_even_dimension(self):
         with pytest.raises(ConfigError):

@@ -4,11 +4,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinmod.algebra import FiniteCStarAlgebra, check_krein_cstar_axioms
+from kreinmod.algebra import FiniteCStarAlgebra
 from kreinmod.krein_module import (
     FundamentalSymmetry,
     KreinModule,
-    adjointable_algebra,
     fundamental_decomposition,
     hilbert_adjoint,
     hilbertify,
@@ -156,6 +155,16 @@ class TestFundamentalSymmetry:
         rng = np.random.default_rng(9)
         singles = [random_symmetry(module, rng).matrix for _ in range(4)]
         assert np.array_equal(stack, np.stack(singles))
+
+    def test_laws_read_off_a_stack(self):
+        m = krein_space(2, 1)
+        j = random_symmetry(m, np.random.default_rng(7), 3)
+        assert j.selfadjoint_defect().shape == (3,)
+        assert np.all(j.selfadjoint_defect() < 1e-12)
+        for sign, rank in ((+1, 2), (-1, 1)):
+            half = j.half_form(sign)
+            assert np.all(min_hermitian_eig(half) > -1e-12)
+            assert np.all(numerical_rank(half) == rank)
 
     def test_random_symmetry_valid_over_m2(self):
         m = m2_module()
@@ -331,64 +340,6 @@ class TestNormEquivalence:
             n2 = np.sqrt(operator_norm(h2.inner(x, x)))
             assert lo * n1 <= n2 * (1 + 1e-9)
             assert n2 <= hi * n1 * (1 + 1e-9)
-
-
-class TestAdjointableAlgebra:
-    def test_c11_case_is_bounded_operators(self):
-        m = krein_space(1, 1)
-        alg = adjointable_algebra(m, standard_symmetry(m))
-        assert alg.dim == 2 and alg.vector_dim == 4
-        assert np.allclose(alg.eta, np.diag([1.0, -1.0]))
-
-    def test_axioms_pass_over_m2(self):
-        m = m2_module()
-        alg = adjointable_algebra(m, random_symmetry(m, np.random.default_rng(23)))
-        report = check_krein_cstar_axioms(alg, samples=200, seed=24)
-        assert report.passed, report.to_text()
-
-    @pytest.mark.parametrize("seed", [None, 27])
-    def test_basis_matches_per_block_reference(self, seed):
-        m = m2_module()
-        j = (
-            standard_symmetry(m)
-            if seed is None
-            else random_symmetry(m, np.random.default_rng(seed))
-        )
-        k, ref = m.base.dim, []
-        for i in range(m.rank):
-            for jdx in range(m.rank):
-                for b in m.base.basis():
-                    t = np.zeros((m.flat_dim, m.flat_dim), dtype=complex)
-                    t[i * k : (i + 1) * k, jdx * k : (jdx + 1) * k] = b
-                    ref.append(t)
-        assert np.array_equal(adjointable_algebra(m, j).basis, np.stack(ref))
-
-    def test_contains_cholesky_conjugated_units(self):
-        # the Cholesky factor l of a gram with blocks in A lies in the
-        # A-linear pattern, so l E l⁻¹ stays in the carrier of the units
-        base = FiniteCStarAlgebra((2, 1))
-        m = KreinModule(base, 2, np.diag([1, -1, 1, -1, 1, -1]).astype(complex))
-        j = random_symmetry(m, np.random.default_rng(28))
-        alg = adjointable_algebra(m, j)
-        g = j.matrix.conj().T @ m.gram
-        l = np.linalg.cholesky((g + g.conj().T) / 2).conj().T
-        linv = np.linalg.inv(l)
-        assert np.array_equal(l, m.project_operator(l))
-        assert operator_norm(l - np.diag(np.diagonal(l))) > 0.1
-        for e in alg.basis:
-            assert alg.contains(l @ e @ linv)
-
-    def test_star_transports_krein_adjoint(self):
-        m = m2_module()
-        j = random_symmetry(m, np.random.default_rng(25))
-        alg = adjointable_algebra(m, j)
-        g = (j.matrix.conj().T @ m.gram + m.gram @ j.matrix) / 2
-        l = np.linalg.cholesky(g).conj().T
-        linv = np.linalg.inv(l)
-        t = m.random_operator(np.random.default_rng(26))
-        lhs = alg.star(l @ t @ linv)
-        rhs = l @ krein_adjoint(m, j, t) @ linv
-        assert operator_norm(lhs - rhs) < 1e-8 * max(operator_norm(t), 1.0)
 
 
 class TestInnerProductOp:

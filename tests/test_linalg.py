@@ -19,6 +19,8 @@ from kreinmod.linalg import (
     first_exceeding,
     gaussians,
     hermitian_adjoint,
+    hermitian_defect,
+    involution_defect,
     numerical_rank,
     operator_norm,
     quotient_space,
@@ -61,6 +63,24 @@ class TestHermitianAdjoint:
     def test_involution_bit_exact(self, seed):
         m = rand(seed, 4, 3)
         assert np.array_equal(hermitian_adjoint(hermitian_adjoint(m)), m)
+
+
+class TestSymmetryDefects:
+    def test_involution_defect(self):
+        # diag(1, -2)² − 1 = diag(0, 3)
+        assert involution_defect(np.diag([1.0, -2.0]).astype(complex)) == 3.0
+        assert involution_defect(np.diag([1.0, -1.0]).astype(complex)) == 0.0
+
+    def test_hermitian_defect(self):
+        assert hermitian_defect(np.array([[0, 1], [0, 0]], dtype=complex)) == 1.0
+        assert hermitian_defect(np.array([[1, 1j], [-1j, 2]])) == 0.0
+
+    @pytest.mark.parametrize("defect", [involution_defect, hermitian_defect])
+    def test_stack_gives_one_value_per_matrix(self, defect):
+        stack = rand(3, 5, 4, 4)
+        values = defect(stack)
+        assert values.shape == (5,)
+        assert np.array_equal(values, [defect(m) for m in stack])
 
 
 class TestOperatorNorm:

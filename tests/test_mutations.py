@@ -26,7 +26,7 @@ from kreinmod.krein_module import (
     standard_symmetry,
 )
 from kreinmod.krein_over_krein import check_module_over_krein, operator_bimodule
-from kreinmod.linalg import spectral_projector
+from kreinmod.linalg import involution_defect, spectral_projector
 
 MODULE = operator_bimodule(bounded_operators(1, 1), bounded_operators(2, 1))
 SAMPLES = 20
@@ -125,11 +125,15 @@ def test_corruption_breaks_its_law_by_a_decade(law):
     assert not record.passed
 
 
-# the module scenario's control pair on C^{2,2} and the spinor form of R^{2,2}
+# the module scenario's control pair on C^{2,2}, the spinor form of R^{2,2}
+# and the reference symmetry of C^{2,1} with the krein-algebra scenario's
+# corruption
 SPACE = krein_space(2, 2)
 JA = standard_symmetry(SPACE)
 JB = random_symmetry(SPACE, np.random.default_rng(43))
 FORM = gamma_rep(PseudoEuclideanSpace(2, 2)).a
+ETA = bounded_operators(2, 1).eta
+BAD_ETA = np.diag([1.0, 1.0, -2.0]).astype(complex)
 
 
 def doubled_minus_transition():
@@ -151,6 +155,12 @@ CONTROLS = {
         1e-10,
         lambda: checker._form_defect(FORM),
         lambda: checker._form_defect(2.0 * FORM),
+    ),
+    "negative control: corrupted eta": (
+        1e-10,
+        1e-10,
+        lambda: involution_defect(ETA),
+        lambda: involution_defect(BAD_ETA),
     ),
 }
 
