@@ -42,7 +42,6 @@ from .clifford import (
     PseudoEuclideanSpace,
     anticommutator_residual,
     associativity_residual,
-    clifford_generator_matrix,
     clifford_krein_algebra,
     conjugate_reversal_coeffs,
     clifford_action,
@@ -58,6 +57,8 @@ from .clifford import (
 )
 from .correspondence import (
     DegenerateDescentError,
+    _factorization,
+    alpha_beta_defect,
     associativity_iso,
     check_krein_star_hom,
     check_morphism,
@@ -70,12 +71,12 @@ from .correspondence import (
     morita_krein_check,
     right_unit_iso,
     spinor_correspondence,
-    spinor_factorization_check,
 )
 from .krein_module import (
     FundamentalSymmetry,
     KreinModule,
     _pd_gram,
+    halves_rank,
     hilbert_adjoint,
     hyperbolic_symmetry,
     intertwiner,
@@ -86,7 +87,6 @@ from .krein_module import (
     standard_symmetry,
 )
 from .krein_over_krein import (
-    KreinModuleOverKrein,
     adjoint_residual,
     check_module_over_krein,
     is_adjointable,
@@ -97,7 +97,6 @@ from .krein_over_krein import (
 )
 from .linalg import (
     ValidationError,
-    _rank,
     gaussians,
     hermitian_defect,
     involution_defect,
@@ -106,18 +105,6 @@ from .linalg import (
     operator_norm,
 )
 from .report import Report
-
-SCENARIOS = (
-    "krein-algebra",
-    "module",
-    "module-over-krein",
-    "clifford",
-    "spinor",
-    "tensor",
-    "full-gallery",
-)
-
-DEMOS = ("minkowski", "torus", "spinor-m4")
 
 # scenarios whose structures live on C^{p,q} and so need p + q >= 1
 NONEMPTY_SIGNATURE = ("krein-algebra", "module", "module-over-krein", "tensor")
@@ -288,15 +275,7 @@ def run(config: CheckConfig) -> Report:
             f"{config.scenario} at (p, q) = ({config.p}, {config.q}) needs "
             f"about {needed:.3g} bytes, budget {BYTE_BUDGET:.3g}"
         )
-    runner = {
-        "krein-algebra": _scenario_krein_algebra,
-        "module": _scenario_module,
-        "module-over-krein": _scenario_module_over_krein,
-        "clifford": _scenario_clifford,
-        "spinor": _scenario_spinor,
-        "tensor": _scenario_tensor,
-    }[config.scenario]
-    report = runner(config)
+    report = _SCENARIOS[config.scenario][0](config)
     _coverage_check(report, config.scenario)
     return report
 
@@ -342,19 +321,8 @@ def _full_gallery(config: CheckConfig) -> Report:
         samples=config.samples,
         environment={"scenarios": list(COVERAGE_MANIFEST)},
     )
-    presets = {
-        "krein-algebra": replace(config, scenario="krein-algebra", p=2, q=1),
-        "module": replace(config, scenario="module", p=2, q=2),
-        "module-over-krein": replace(
-            config, scenario="module-over-krein", p=1, q=1
-        ),
-        "clifford": replace(config, scenario="clifford", p=2, q=2),
-        "spinor": replace(config, scenario="spinor", p=1, q=1),
-        "tensor": replace(config, scenario="tensor", p=1, q=1),
-    }
-    for name, sub in presets.items():
-        sub_report = run(sub)
-        report.extend(sub_report, prefix=f"{name}: ")
+    for name, (_, p, q) in _SCENARIOS.items():
+        report.extend(run(replace(config, scenario=name, p=p, q=q)), prefix=f"{name}: ")
     return report
 
 
@@ -565,31 +533,19 @@ def _hilbertified_gram_defect(g):
     return _psd_defect(_pd_gram(g.module, g.j))
 
 
-def _halves_rank(module: KreinModule, plus, minus):
-    """rank(lift(plus)·carrier) + rank(lift(minus)·carrier) for each pair of
-    the two stacks, under one cut relative to the larger top singular value
-    of the pair, so that a rounding-level empty half counts 0.  One stack is
-    lifted at a time."""
-    spectra = np.concatenate([
-        np.linalg.svd(module.lift_operator(h)[..., module.carrier], compute_uv=False)
-        for h in (plus, minus)
-    ], axis=-1)
-    return _rank(-np.sort(-spectra, axis=-1))
-
-
 def _decomposition_defect(g):
-    """|rank(lift(P₊)·carrier) + rank(lift(P₋)·carrier) − dim carrier|, per J."""
-    ranks = _halves_rank(g.module, g.j.projector(+1), g.j.projector(-1))
-    return np.abs(ranks - len(g.module.carrier))
+    """|r₊ + r₋ − dim carrier| of the ``halves_rank`` of P₊ and P₋, per J."""
+    ranks = halves_rank(g.module, g.j.projector(+1), g.j.projector(-1))
+    return np.abs(sum(ranks) - len(g.module.carrier))
 
 
 def _transition_defect(g):
     """Summed rank deficit of the transition maps P₂± P₁± from the halves of
     j1 = j[:-1] to those of j2 = j[1:], against the halves P₁± themselves."""
     plus, minus = g.j.projector(+1), g.j.projector(-1)
-    sources = _halves_rank(g.module, plus[:-1], minus[:-1])
-    images = _halves_rank(g.module, plus[1:] @ plus[:-1], minus[1:] @ minus[:-1])
-    return np.abs(images - sources)
+    sources = halves_rank(g.module, plus[:-1], minus[:-1])
+    images = halves_rank(g.module, plus[1:] @ plus[:-1], minus[1:] @ minus[:-1])
+    return np.abs(sum(images) - sum(sources))
 
 
 # -- scenario: modules over Kreĭn algebras -----------------------------------------
@@ -611,13 +567,8 @@ def _scenario_module_over_krein(config: CheckConfig) -> Report:
     )
 
     rng = np.random.default_rng(config.seed + 3)
-    aux_inner = np.einsum("kj,ikab->ijab", module.symmetry, module.inner)
-    aux_module = KreinModuleOverKrein(
-        algebra=module.algebra,
-        dim=module.dim,
-        action=module.action,
-        inner=aux_inner,
-        symmetry=module.symmetry,
+    aux_module = replace(
+        module, inner=np.einsum("kj,ikab->ijab", module.symmetry, module.inner)
     )
 
     def draw(rows):
@@ -678,7 +629,8 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         p=config.p, q=config.q,
     )
     n = space.n
-    gens = [clifford_generator_matrix(space, i) for i in range(n)]
+    # the blade of mask 2^i is the generator image c(e_i)
+    gens = alg.basis[[1 << i for i in range(n)]]
     _check_anticommutators(report, "generator anticommutators", gens, space.signs)
 
     deg = min(2, n)
@@ -874,9 +826,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
         prefix="morita: ",
     )
     report.extend(
-        spinor_factorization_check(
-            space, samples=config.samples, seed=config.seed + 3, tol=config.tol
-        )
+        _factorization(module, space, config.samples, config.seed + 3, config.tol)
     )
     report.check(
         "negative control: scaled spinor form",
@@ -997,17 +947,10 @@ def _scenario_tensor(config: CheckConfig) -> Report:
         tol=config.tol,
     )
     report.extend(hom)
-    bad_hom = check_krein_star_hom(
-        lambda a: a, b11, b11, beta=lambda b: b, samples=20, seed=config.seed + 7
-    )
-    viol = next(
-        r.max_violation
-        for r in bad_hom.records
-        if r.name == "intertwines alpha and beta"
-    )
+    odd = b11.basis[1]  # E₀₁: alpha(E₀₁) = −E₀₁, so the defect is 2
     report.check(
         "negative control: non-intertwining homomorphism",
-        viol,
+        alpha_beta_defect(lambda a: a, b11, lambda b: b, odd, odd),
         config.tol,
         detail="identity map against a trivialized target automorphism",
         expected_fail=True,
@@ -1033,6 +976,18 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     return report
 
 
+# scenario -> (runner, gallery p, gallery q), in gallery order
+_SCENARIOS = {
+    "krein-algebra": (_scenario_krein_algebra, 2, 1),
+    "module": (_scenario_module, 2, 2),
+    "module-over-krein": (_scenario_module_over_krein, 1, 1),
+    "clifford": (_scenario_clifford, 2, 2),
+    "spinor": (_scenario_spinor, 1, 1),
+    "tensor": (_scenario_tensor, 1, 1),
+}
+SCENARIOS = (*_SCENARIOS, "full-gallery")
+
+
 # -- demos -------------------------------------------------------------------------
 
 
@@ -1043,11 +998,7 @@ def run_demo(
     if name not in DEMOS:
         raise ConfigError(f"unknown demo {name!r}")
     _check_run_parameters(seed, samples, tol)
-    if name == "minkowski":
-        return _demo_minkowski(seed, samples, tol)
-    if name == "torus":
-        return _demo_torus(seed, samples, tol)
-    return _demo_spinor_m4(seed, samples, tol)
+    return DEMOS[name](seed, samples, tol)
 
 
 def _demo_minkowski(seed, samples, tol):
@@ -1110,6 +1061,7 @@ def _demo_torus(seed, samples, tol):
 
 def _demo_spinor_m4(seed, samples, tol):
     space = PseudoEuclideanSpace(1, 3)
+    s = spinor_correspondence(space)
     report = Report(
         title="demo: spinor-m4",
         seed=seed,
@@ -1117,14 +1069,9 @@ def _demo_spinor_m4(seed, samples, tol):
         environment={"p": 1, "q": 3},
     )
     report.extend(
-        morita_krein_check(
-            spinor_correspondence(space), samples=samples, seed=seed, tol=tol
-        ),
-        prefix="morita: ",
+        morita_krein_check(s, samples=samples, seed=seed, tol=tol), prefix="morita: "
     )
-    report.extend(
-        spinor_factorization_check(space, samples=samples, seed=seed + 1, tol=tol)
-    )
+    report.extend(_factorization(s, space, samples, seed + 1, tol))
     narrative = (
         "The spinor bimodule for the four-dimensional (1,3) space: full on\n"
         "both sides and imprimitive, so it certifies an equivalence between\n"
@@ -1134,3 +1081,10 @@ def _demo_spinor_m4(seed, samples, tol):
         "actions."
     )
     return report, narrative
+
+
+DEMOS = {
+    "minkowski": _demo_minkowski,
+    "torus": _demo_torus,
+    "spinor-m4": _demo_spinor_m4,
+}

@@ -430,10 +430,16 @@ def check_krein_star_hom(
         ("star-preserving", tol,
          lambda s: operator_norm(phi(source.star(s.a)) - target.star(s.pa)) / s.na),
         ("intertwines alpha and beta", tol,
-         lambda s: operator_norm(phi(source.alpha(s.a)) - beta(s.pa)) / s.na),
+         lambda s: alpha_beta_defect(phi, source, beta, s.a, s.pa) / s.na),
     ]
     report.check_laws(draw, samples, laws)
     return report
+
+
+def alpha_beta_defect(phi, source: KreinCStarAlgebra, beta, a, pa):
+    """‖phi(alpha(a)) − beta(pa)‖ for pa = phi(a), of a matrix or of each
+    matrix of a stack."""
+    return operator_norm(phi(source.alpha(a)) - beta(pa))
 
 
 def morita_krein_check(
@@ -457,10 +463,14 @@ def spinor_factorization_check(
     The identification sends psi ⊗ phi-bar to the operator psi phi† A,
     expanded over gamma-matrix monomials and read as exterior coordinates.
     """
+    return _factorization(spinor_correspondence(space), space, samples, seed, tol)
+
+
+def _factorization(s, space, samples, seed, tol) -> Report:
+    """``spinor_factorization_check`` of the spinor bimodule s of space."""
     report, rng = Report.sampled(
         "spinor factorization", seed, samples, p=space.p, q=space.q
     )
-    s = spinor_correspondence(space)
     sbar = contragredient(s)
     t = internal_tensor(s, sbar)
     lam_dim = space.grassmann_dim

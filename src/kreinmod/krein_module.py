@@ -16,11 +16,11 @@ import numpy as np
 
 from .algebra import FiniteCStarAlgebra, scalars
 from .linalg import (
+    RANK_TOL,
     DimensionMismatchError,
     Subspace,
     ValidationError,
     as_complex_matrix,
-    column_space,
     expm,
     gaussians,
     hermitian_defect,
@@ -212,18 +212,34 @@ def random_symmetry(
 # -- operations ----------------------------------------------------------------
 
 
+def halves_rank(module: KreinModule, plus, minus):
+    """Carrier ranks (r₊, r₋) of lift(plus) and lift(minus), or of each pair
+    of two stacks, under one cut relative to the larger top singular value of
+    the pair, so that a rounding-level empty half counts 0.  One half is
+    lifted at a time."""
+    spectra = [
+        np.linalg.svd(module.lift_operator(h)[..., module.carrier], compute_uv=False)
+        for h in (plus, minus)
+    ]
+    top = np.maximum(*(s[..., :1] for s in spectra))
+    return tuple(np.sum(s > RANK_TOL * top, axis=-1) for s in spectra)
+
+
 def fundamental_decomposition(
     module: KreinModule, symmetry: FundamentalSymmetry
 ) -> tuple[Subspace, Subspace]:
-    """Ranges of (1 ± J)/2 inside the vectorized carrier."""
+    """Ranges of (1 ± J)/2 inside the vectorized carrier, of the dimensions
+    ``halves_rank`` counts."""
     _check_owner(module, symmetry)
-    plus, minus = (
-        column_space(module.lift_operator(symmetry.projector(sign))[:, module.carrier])
-        for sign in (+1, -1)
-    )
-    if plus.dim + minus.dim != len(module.carrier):
+    halves = [symmetry.projector(sign) for sign in (+1, -1)]
+    ranks = halves_rank(module, *halves)
+    if sum(ranks) != len(module.carrier):
         raise ValidationError("decomposition does not exhaust the carrier")
-    return plus, minus
+    lifted = (module.lift_operator(h)[:, module.carrier] for h in halves)
+    return tuple(
+        Subspace(module.ambient_dim, np.linalg.svd(a, full_matrices=False)[0][:, :r])
+        for a, r in zip(lifted, ranks)
+    )
 
 
 def hilbertify(module: KreinModule, symmetry: FundamentalSymmetry) -> KreinModule:

@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from kreinmod import checker
+from kreinmod import checker, correspondence
+from kreinmod.clifford import spinor_module
 from kreinmod.checker import (
     COVERAGE_MANIFEST,
     DEMOS,
@@ -196,6 +197,30 @@ class TestScenarios:
         assert control.max_violation >= 10 * control.tolerance
         half = "positive" if q == 0 else "negative"
         assert f"doubling the {half} transition" in control.detail
+
+    @pytest.mark.parametrize(
+        "run_spinor",
+        [
+            pytest.param(
+                lambda: run(CheckConfig(scenario="spinor", p=1, q=1, samples=5)),
+                id="check spinor (1,1)",
+            ),
+            pytest.param(
+                lambda: run_demo("spinor-m4", samples=5)[0], id="demo spinor-m4"
+            ),
+        ],
+    )
+    def test_spinor_run_builds_one_bimodule(self, monkeypatch, run_spinor):
+        calls = []
+
+        def counted(space):
+            calls.append((space.p, space.q))
+            return spinor_module(space)
+
+        for binding in (checker, correspondence):
+            monkeypatch.setattr(binding, "spinor_module", counted)
+        assert run_spinor().passed
+        assert len(calls) == 1
 
     def test_spinor_needs_even_dimension(self):
         with pytest.raises(ConfigError):

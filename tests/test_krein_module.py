@@ -196,6 +196,39 @@ class TestDecompositionAndHilbertify:
         plus, minus = fundamental_decomposition(m, standard_symmetry(m))
         assert plus.dim == 4 and minus.dim == 4  # one M_2 slot each
 
+    # definite modules, where one half is empty up to rounding: each half is
+    # cut against the larger top singular value of the pair, not its own
+    @pytest.mark.parametrize(
+        "module, seed, dims",
+        [
+            *(
+                pytest.param(krein_space(p, q), seed, (p, q), id=f"C{p},{q}-seed{seed}")
+                for p, q in ((1, 0), (0, 1), (2, 0), (0, 2), (3, 0))
+                for seed in range(5)
+            ),
+            pytest.param(
+                KreinModule(
+                    FiniteCStarAlgebra((1,)),
+                    3,
+                    np.array([[4, 1, 0.5], [1, 3, 0.2], [0.5, 0.2, 2]], dtype=complex),
+                ),
+                None,
+                (3, 0),
+                id="non-diagonal-pd-gram-standard",
+            ),
+            pytest.param(m2_module((1, 1, 1, 1)), 0, (8, 0), id="m2-identity-gram"),
+        ],
+    )
+    def test_definite_halves(self, module, seed, dims):
+        j = (
+            standard_symmetry(module)
+            if seed is None
+            else random_symmetry(module, np.random.default_rng(seed))
+        )
+        plus, minus = fundamental_decomposition(module, j)
+        assert (plus.dim, minus.dim) == dims
+        assert plus.dim + minus.dim == len(module.carrier)
+
     def test_hilbertify_positive(self):
         m = m2_module()
         j = random_symmetry(m, np.random.default_rng(7))

@@ -19,6 +19,7 @@ import pytest
 from kreinmod import checker
 from kreinmod.algebra import bounded_operators
 from kreinmod.clifford import PseudoEuclideanSpace, gamma_rep
+from kreinmod.correspondence import alpha_beta_defect
 from kreinmod.krein_module import (
     intertwiner,
     krein_space,
@@ -125,6 +126,27 @@ def test_corruption_breaks_its_law_by_a_decade(law):
     assert not record.passed
 
 
+# the module-over-Kreĭn scenario's "rank-one adjoint swaps arguments", whose
+# residual reads ‖T♯ − |y><x|‖ for T = |x><y|: it must catch an adjoint that
+# keeps the arguments in place
+def rank_one_adjoint_record():
+    report = checker.run(
+        checker.CheckConfig(scenario="module-over-krein", p=1, q=1, samples=10)
+    )
+    law = "rank-one adjoint swaps arguments"
+    (record,) = (r for r in report.records if r.name == law)
+    return record
+
+
+def test_rank_one_adjoint_law_fails_on_an_unswapped_adjoint(monkeypatch):
+    assert rank_one_adjoint_record().passed
+    # the adjoint of |x><y| left as |x><y|, the arguments not swapped
+    monkeypatch.setattr(checker, "krein_adjoint_over_krein", lambda module, t: t)
+    record = rank_one_adjoint_record()
+    assert record.max_violation >= 10 * record.tolerance
+    assert not record.passed
+
+
 # the module scenario's control pair on C^{2,2}, the spinor form of R^{2,2}
 # and the reference symmetry of C^{2,1} with the krein-algebra scenario's
 # corruption
@@ -134,6 +156,8 @@ JB = random_symmetry(SPACE, np.random.default_rng(43))
 FORM = gamma_rep(PseudoEuclideanSpace(2, 2)).a
 ETA = bounded_operators(2, 1).eta
 BAD_ETA = np.diag([1.0, 1.0, -2.0]).astype(complex)
+B11 = bounded_operators(1, 1)
+ODD = B11.basis[1]  # E₀₁, which alpha negates
 
 
 def doubled_minus_transition():
@@ -161,6 +185,12 @@ CONTROLS = {
         1e-10,
         lambda: involution_defect(ETA),
         lambda: involution_defect(BAD_ETA),
+    ),
+    "negative control: non-intertwining homomorphism": (
+        1e-9,
+        1e-9,
+        lambda: alpha_beta_defect(lambda a: a, B11, B11.alpha, ODD, ODD),
+        lambda: alpha_beta_defect(lambda a: a, B11, lambda b: b, ODD, ODD),
     ),
 }
 
