@@ -34,9 +34,8 @@ CONFIGS = [
     ["check", "spinor", "--p", "3", "--q", "3", "--samples", "10"],
     ["check", "krein-algebra", "--p", "2", "--q", "2", "--samples", "200"],
     ["check", "module", "--p", "2", "--q", "2", "--samples", "50"],
-    # expm's squaring counts differ within one stack of symmetries here; the
-    # stack holds one symmetry per sample up to 20, and the first 10 share one
-    # count, so this needs all 20
+    # a stack of 20 random symmetries, one per sample, at a non-square
+    # signature
     ["check", "module", "--p", "5", "--q", "3", "--samples", "20"],
     ["check", "tensor", "--samples", "50"],
     ["check", "tensor", "--p", "3", "--q", "2", "--samples", "20"],

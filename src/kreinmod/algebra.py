@@ -265,8 +265,10 @@ class KreinCStarAlgebra:
 
     @property
     def is_trivially_definite(self) -> bool:
-        """True when eta = identity, i.e. the algebra is a plain C*-algebra."""
-        return bool(np.allclose(self.eta, np.eye(self.dim), atol=1e-12))
+        """True when eta = ±identity: then star(a) = a† and alpha = id, so the
+        algebra is a plain C*-algebra."""
+        eye = np.eye(self.dim)
+        return any(np.allclose(self.eta, s * eye, atol=1e-12) for s in (1, -1))
 
 
 def bounded_operators(p: int, q: int) -> KreinCStarAlgebra:

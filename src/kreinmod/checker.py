@@ -31,7 +31,6 @@ import numpy as np
 
 from .algebra import (
     FiniteCStarAlgebra,
-    KreinCStarAlgebra,
     bounded_operators,
     check_krein_cstar_axioms,
     cstar_residual,
@@ -326,14 +325,33 @@ def _full_gallery(config: CheckConfig) -> Report:
     return report
 
 
-def _element_draw(algebra: KreinCStarAlgebra, rng):
-    """A draw of one random carrier element per sample, the field ``a``."""
+def _check_cstar_identity(report: Report, name: str, algebra, rng, samples, tol):
+    """The C* identity ‖a* a‖ = ‖a‖² on one random element a per sample."""
     d = algebra.dim
 
     def draw(rows):
         return SimpleNamespace(a=algebra.project(gaussians(rng, len(rows), (d, d))[0]))
 
-    return draw
+    law = (name, tol, lambda s: cstar_residual(algebra, s.a, algebra.norm(s.a)))
+    report.check_laws(draw, samples, [law])
+
+
+def _check_morphism_law(report: Report, name, mor, samples, seed, tol, prefix=""):
+    """``check_morphism`` of a morphism, its records extended under a given
+    prefix, and a 0/1 record for its verdict."""
+    law = check_morphism(mor, samples=samples, seed=seed, tol=tol)
+    if prefix:
+        report.extend(law, prefix=prefix)
+    report.check(name, 0.0 if law.passed else 1.0, 0.5)
+
+
+def _raised(error, build) -> float:
+    """1.0 when ``build()`` raises ``error``, else 0.0."""
+    try:
+        build()
+    except error:
+        return 1.0
+    return 0.0
 
 
 def _check_anticommutators(report: Report, name: str, ops, signs):
@@ -363,13 +381,10 @@ def _scenario_krein_algebra(config: CheckConfig) -> Report:
     report.title = f"Kreĭn algebra scenario {alg.label}"
 
     for pp, qq in ((1, 1), (2, 1), (2, 2)):
-        a = bounded_operators(pp, qq)
         rng = np.random.default_rng(config.seed + pp * 10 + qq)
-        report.check_laws(
-            _element_draw(a, rng),
-            config.samples,
-            [(f"cstar identity on B(C^{{{pp},{qq}}})", config.tol,
-              lambda s: cstar_residual(a, s.a, a.norm(s.a)))],
+        _check_cstar_identity(
+            report, f"cstar identity on B(C^{{{pp},{qq}}})", bounded_operators(pp, qq),
+            rng, config.samples, config.tol,
         )
 
     bad_eta = np.diag(np.concatenate([np.ones(alg.dim - 1), [-2.0]])).astype(complex)
@@ -464,16 +479,11 @@ def _scenario_module(config: CheckConfig) -> Report:
         detail=f"doubling the {half} transition map must break unitarity",
         expected_fail=True,
     )
-    try:
-        KreinModule(
-            FiniteCStarAlgebra((1,)), 2, np.diag([1.0, 0.0]).astype(complex)
-        )
-        rejected = 0.0
-    except ValidationError:
-        rejected = 1.0
     report.check(
         "negative control: degenerate gram rejected",
-        rejected,
+        _raised(ValidationError, lambda: KreinModule(
+            FiniteCStarAlgebra((1,)), 2, np.diag([1.0, 0.0]).astype(complex)
+        )),
         0.5,
         detail="a singular gram matrix must be refused at construction",
         expected_fail=True,
@@ -749,11 +759,8 @@ def _scenario_clifford(config: CheckConfig) -> Report:
               - clifford_action(space, conjugate_reversal_coeffs(vec(s.m0)))
           ))],
     )
-    report.check_laws(
-        _element_draw(alg, rng),
-        config.samples,
-        [("clifford cstar identity", config.tol,
-          lambda s: cstar_residual(alg, s.a, alg.norm(s.a)))],
+    _check_cstar_identity(
+        report, "clifford cstar identity", alg, rng, config.samples, config.tol
     )
 
     degenerate = np.diag(np.concatenate([space.signs[:-1], [0.0]]))
@@ -786,13 +793,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     _check_anticommutators(report, "gamma anticommutators", gammas, space.signs)
     report.check("spinor form hermitian involutive", _form_defect(form), 1e-12)
     for (pp, qq), expected in (((1, 1), (1, 1)), ((1, 3), (2, 2)), ((2, 2), (2, 2))):
-        sig = spinor_signature(PseudoEuclideanSpace(pp, qq))
-        report.check(
-            f"spinor signature ({pp},{qq})",
-            float(abs(sig[0] - expected[0]) + abs(sig[1] - expected[1])),
-            0.5,
-            detail=f"signature {sig}",
-        )
+        _check_spinor_signature(report, pp, qq, expected)
 
     report.extend(
         check_module_over_krein(
@@ -816,17 +817,8 @@ def _scenario_spinor(config: CheckConfig) -> Report:
         draw, config.samples, [("spinor twisting over alpha", 1e-10, twisting_defect)]
     )
     report.check("spinor auxiliary gram standard", involution_defect(form), 1e-12)
-    report.extend(
-        morita_krein_check(
-            module,
-            samples=config.samples,
-            seed=config.seed + 2,
-            tol=config.tol,
-        ),
-        prefix="morita: ",
-    )
-    report.extend(
-        _factorization(module, space, config.samples, config.seed + 3, config.tol)
+    _check_equivalence(
+        report, module, space, config.samples, config.seed + 2, config.tol
     )
     report.check(
         "negative control: scaled spinor form",
@@ -836,6 +828,25 @@ def _scenario_spinor(config: CheckConfig) -> Report:
         expected_fail=True,
     )
     return report
+
+
+def _check_spinor_signature(report: Report, p: int, q: int, expected):
+    sig = spinor_signature(PseudoEuclideanSpace(p, q))
+    report.check(
+        f"spinor signature ({p},{q})",
+        float(abs(sig[0] - expected[0]) + abs(sig[1] - expected[1])),
+        0.5,
+        detail=f"signature {sig}",
+    )
+
+
+def _check_equivalence(report: Report, s, space, samples, seed, tol):
+    """Morita certification of the spinor bimodule s (under ``morita: ``),
+    then its factorization S ⊗ S̄ ≅ exterior algebra at seed + 1."""
+    report.extend(
+        morita_krein_check(s, samples=samples, seed=seed, tol=tol), prefix="morita: "
+    )
+    report.extend(_factorization(s, space, samples, seed + 1, tol))
 
 
 def _form_defect(a):
@@ -863,29 +874,18 @@ def _scenario_tensor(config: CheckConfig) -> Report:
         0.5,
         detail=f"dimension {t22.dim}",
     )
-    ru = check_morphism(
-        right_unit_iso(ident2), samples=config.samples, seed=config.seed, tol=config.tol
-    )
-    report.extend(ru, prefix="right unit: ")
-    report.check("right unit law", 0.0 if ru.passed else 1.0, 0.5)
-    lu = check_morphism(
-        left_unit_iso(ident2),
-        samples=config.samples,
-        seed=config.seed + 1,
-        tol=config.tol,
-    )
-    report.extend(lu, prefix="left unit: ")
-    report.check("left unit law", 0.0 if lu.passed else 1.0, 0.5)
-
     mpq = krein_space_correspondence(config.p, config.q)
     chain = associativity_iso(
         mpq, krein_space_correspondence(1, 0), krein_space_correspondence(0, 1)
     )[0]
-    assoc = check_morphism(
-        chain, samples=config.samples, seed=config.seed + 2, tol=config.tol
-    )
-    report.extend(assoc, prefix="associativity: ")
-    report.check("associativity isomorphism", 0.0 if assoc.passed else 1.0, 0.5)
+    for k, (prefix, name, mor) in enumerate((
+        ("right unit: ", "right unit law", right_unit_iso(ident2)),
+        ("left unit: ", "left unit law", left_unit_iso(ident2)),
+        ("associativity: ", "associativity isomorphism", chain),
+    )):
+        _check_morphism_law(
+            report, name, mor, config.samples, config.seed + k, config.tol, prefix
+        )
 
     t = internal_tensor(mpq, mpq)
     report.extend(even_odd_decomposition_check(t, mpq, mpq))
@@ -927,14 +927,9 @@ def _scenario_tensor(config: CheckConfig) -> Report:
         "left action adjointable on tensor", 0.0 if adjointable else 1.0, 0.5
     )
 
-    dc = check_morphism(
-        double_contragredient_iso(ident2),
-        samples=min(config.samples, SLOW_LAW_SAMPLES),
-        seed=config.seed + 5,
-        tol=config.tol,
-    )
-    report.check(
-        "double contragredient identity", 0.0 if dc.passed else 1.0, 0.5
+    _check_morphism_law(
+        report, "double contragredient identity", double_contragredient_iso(ident2),
+        min(config.samples, SLOW_LAW_SAMPLES), config.seed + 5, config.tol,
     )
 
     b11 = bounded_operators(1, 1)
@@ -961,14 +956,11 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     bad = replace(
         mpq, inner=bad_inner, symmetry=np.eye(mpq.dim, dtype=complex), left_inner=None
     )
-    try:
-        internal_tensor(bad, identity_correspondence(mpq.algebra))
-        degenerate = 0.0
-    except DegenerateDescentError:
-        degenerate = 1.0
     report.check(
         "negative control: degenerate descent",
-        degenerate,
+        _raised(DegenerateDescentError, lambda: internal_tensor(
+            bad, identity_correspondence(mpq.algebra)
+        )),
         0.5,
         detail="a rank-deficient pairing must be reported after descent",
         expected_fail=True,
@@ -1006,13 +998,7 @@ def _demo_minkowski(seed, samples, tol):
     alg = gamma_algebra(gamma_rep(space))
     report = check_krein_cstar_axioms(alg, samples=samples, seed=seed, tol=tol)
     report.title = "demo: minkowski"
-    sig = spinor_signature(space)
-    report.check(
-        "spinor signature (1,3)",
-        float(abs(sig[0] - 2) + abs(sig[1] - 2)),
-        0.5,
-        detail=f"signature {sig}",
-    )
+    _check_spinor_signature(report, 1, 3, (2, 2))
     narrative = (
         "Four-dimensional space with one positive and three negative\n"
         "directions.  The gamma matrices realize its Clifford algebra on a\n"
@@ -1068,10 +1054,7 @@ def _demo_spinor_m4(seed, samples, tol):
         samples=samples,
         environment={"p": 1, "q": 3},
     )
-    report.extend(
-        morita_krein_check(s, samples=samples, seed=seed, tol=tol), prefix="morita: "
-    )
-    report.extend(_factorization(s, space, samples, seed + 1, tol))
+    _check_equivalence(report, s, space, samples, seed, tol)
     narrative = (
         "The spinor bimodule for the four-dimensional (1,3) space: full on\n"
         "both sides and imprimitive, so it certifies an equivalence between\n"

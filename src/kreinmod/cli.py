@@ -84,8 +84,12 @@ def _resolve_seed(flag_value: int | None) -> int:
 
 def _emit(report: Report, args) -> int:
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            msg = f"cannot write report {args.report}: {exc.strerror}"
+            raise ConfigError(msg) from None
     if not args.quiet:
         sys.stdout.write(report.to_text())
     return EXIT_PASS if report.passed else EXIT_FAIL

@@ -21,7 +21,6 @@ from .linalg import (
     Subspace,
     ValidationError,
     as_complex_matrix,
-    expm,
     gaussians,
     hermitian_defect,
     involution_defect,
@@ -196,15 +195,17 @@ def random_symmetry(
     module: KreinModule, rng: np.random.Generator, count: int | None = None
 ) -> FundamentalSymmetry:
     """Conjugate the standard symmetry by a random unitary of the indefinite
-    form (the exponential of a form-skew-adjoint A-linear operator).  A count
-    gives a stack (count, nk, nk), drawn as ``count`` single calls would."""
+    form: the Cayley transform (1 − X/2)⁻¹(1 + X/2) of a form-skew-adjoint
+    A-linear X of norm 0.3, so that ‖U‖ and ‖U⁻¹‖ are at most 1.15/0.85.  A
+    count gives a stack (count, nk, nk), drawn as ``count`` single calls would."""
     j0 = standard_symmetry(module).matrix
     f, k = module.flat_dim, 1 if count is None else count
     s = module.project_operator(gaussians(rng, k, (f, f))[0])
-    s = (s - s.conj().swapaxes(-1, -2)) / 2
-    s *= 0.3 / np.maximum(operator_norm(s), 1e-30)[:, None, None]  # generator norm
+    s = s - s.conj().swapaxes(-1, -2)
     x = module.project_operator(np.linalg.solve(module.gram, s))  # form-skew-adjoint
-    u = module.project_operator(expm(x))
+    x *= 0.3 / np.maximum(operator_norm(x), 1e-30)[:, None, None]
+    eye = np.eye(f)
+    u = module.project_operator(np.linalg.solve(eye - x / 2, eye + x / 2))
     j = module.project_operator(u @ j0 @ np.linalg.inv(u))
     return FundamentalSymmetry._built(module, j[0] if count is None else j)
 

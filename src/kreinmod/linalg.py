@@ -98,31 +98,6 @@ def matvec(m, x) -> np.ndarray:
     return (m @ x[..., None])[..., 0]
 
 
-def expm(m) -> np.ndarray:
-    """Matrix exponential by scaling and squaring a Taylor polynomial, of a
-    matrix or of each matrix of a stack (..., n, n).
-
-    s is the least power with ‖m / 2^s‖₁ ≤ 1/2, where the degree-18 Taylor
-    tail is below (1/2)^19 / 19! < 1e-22; the polynomial is summed by Horner's
-    rule and squared s times (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
-    Each matrix of a stack has its own s, so it gets what it would alone.
-    """
-    a = as_complex_matrix(m)
-    if a.shape[-2] != a.shape[-1]:
-        raise DimensionMismatchError(f"expected square matrices, got {a.shape}")
-    norm = np.linalg.norm(a, 1, axis=(-2, -1))
-    squarings = np.ceil(np.log2(np.maximum(2 * norm, 1.0))).astype(int)
-    a = a / 2.0 ** squarings[..., None, None]
-    eye = np.eye(a.shape[-1], dtype=complex)
-    e = eye
-    for k in range(18, 0, -1):
-        e = eye + (a @ e) / k
-    for step in range(squarings.max(initial=0)):
-        todo = squarings > step
-        e[todo] = e[todo] @ e[todo]
-    return e
-
-
 def numerical_rank(m, tol: float = RANK_TOL):
     """Count of singular values above tol times the largest one: an int for a
     matrix, an array of one count per matrix for a stack (..., m, n)."""

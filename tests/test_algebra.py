@@ -363,6 +363,14 @@ class TestFundamentalSymmetry:
         assert np.allclose(A.alpha(a), a)
 
 
+class TestTriviallyDefinite:
+    def test_eta_plus_or_minus_identity(self):
+        # eta = -1 gives star(a) = a† and alpha = id, as eta = 1 does
+        definite = [bounded_operators(p, q).is_trivially_definite
+                    for p, q in ((2, 0), (0, 2), (1, 1))]
+        assert definite == [True, True, False]
+
+
 class TestCStarNorm:
     def test_identity(self):
         A = bounded_operators(2, 2)

@@ -198,6 +198,14 @@ class TestScenarios:
         half = "positive" if q == 0 else "negative"
         assert f"doubling the {half} transition" in control.detail
 
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_module_over_krein_passes_on_a_negative_definite_algebra(self, q):
+        # eta = -1: star(a) = a† and alpha = id, so the symmetry is adjointable
+        # and the not-adjointable control must not expect a failure
+        config = CheckConfig(scenario="module-over-krein", p=0, q=q, samples=5)
+        report = run(config)
+        assert report.passed, [r.name for r in report.failures()]
+
     @pytest.mark.parametrize(
         "run_spinor",
         [

@@ -86,6 +86,15 @@ class TestParameterRanges:
         monkeypatch.setenv(SEED_ENV_VAR, "-1")
         self.assert_usage_error(["check", "krein-algebra"], capsys)
 
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "dir"])
+    def test_unwritable_report_path(self, missing, tmp_path, capsys):
+        # a usage error that names the path, not a traceback and exit 1
+        path = str(tmp_path / "absent" / "r.json" if missing else tmp_path)
+        args = ["check", "krein-algebra", "--samples", "2", "--report", path]
+        assert main(args + ["--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+
     def test_odd_spinor_dimension(self, capsys):
         # a usage error even where the byte budget would refuse the size
         self.assert_usage_error(["check", "spinor", "--p", "9", "--q", "8"], capsys)

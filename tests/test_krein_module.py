@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kreinmod.algebra import FiniteCStarAlgebra
+from kreinmod.algebra import FiniteCStarAlgebra, scalars
 from kreinmod.krein_module import (
     FundamentalSymmetry,
     KreinModule,
@@ -155,6 +155,15 @@ class TestFundamentalSymmetry:
         rng = np.random.default_rng(9)
         singles = [random_symmetry(module, rng).matrix for _ in range(4)]
         assert np.array_equal(stack, np.stack(singles))
+
+    def test_random_symmetry_bounded_on_an_ill_conditioned_gram(self):
+        # the Cayley generator X has norm 0.3 whatever ‖G⁻¹‖, so ‖U‖ and
+        # ‖U⁻¹‖ are at most 1.15/0.85 and ‖J‖ = ‖U J₀ U⁻¹‖ at most their product
+        m = KreinModule(scalars(), 3, np.diag([1e-2, 1.0, -1.0]).astype(complex))
+        for seed in range(20):
+            j = random_symmetry(m, np.random.default_rng(seed))
+            assert operator_norm(j.matrix) <= (1.15 / 0.85) ** 2, seed
+            FundamentalSymmetry(m, j.matrix)
 
     def test_laws_read_off_a_stack(self):
         m = krein_space(2, 1)

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,6 @@ from kreinmod.linalg import (
     column_space,
     as_complex_matrix,
     eig_signature,
-    expm,
     first_exceeding,
     gaussians,
     hermitian_adjoint,
@@ -114,42 +112,6 @@ class TestOperatorNorm:
         m = rand(seed, 5, 5)
         lhs = operator_norm(hermitian_adjoint(m) @ m)
         assert lhs == pytest.approx(operator_norm(m) ** 2, rel=1e-9)
-
-
-class TestExpm:
-    """scipy.linalg.expm is the reference (test-only)."""
-
-    @staticmethod
-    def rel_err(m):
-        ref = scipy.linalg.expm(m)
-        return np.linalg.norm(expm(m) - ref) / np.linalg.norm(ref)
-
-    @pytest.mark.parametrize("n", [1, 2, 8, 64])
-    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 3.0, 30.0])
-    def test_matches_scipy(self, n, scale):
-        m = rand(n, n, n)
-        m *= scale / operator_norm(m)
-        assert self.rel_err(m) < 1e-12
-
-    def test_non_normal_jordan_block(self):
-        m = 0.5 * np.eye(8) + 5.0 * np.eye(8, k=1)
-        assert self.rel_err(m) < 1e-12
-
-    def test_zero_matrix(self):
-        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
-
-    def test_stack_is_bit_equal_to_single_calls(self):
-        # 1-norms 0, 0.1, 3 and 40: squaring counts 0, 0, 3 and 7
-        members = [np.zeros((5, 5))] + [rand(60 + k, 5, 5) for k in range(3)]
-        for m, norm in zip(members[1:], (0.1, 3.0, 40.0)):
-            m *= norm / np.linalg.norm(m, 1)
-        stack = np.stack(members).reshape(2, 2, 5, 5)
-        expected = np.stack([expm(m) for m in stack.reshape(-1, 5, 5)])
-        assert np.array_equal(expm(stack), expected.reshape(2, 2, 5, 5))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionMismatchError):
-            expm(np.zeros((2, 3)))
 
 
 def first_exceeding_by_svd(residuals, references, tol):
