@@ -79,8 +79,7 @@ class FiniteCStarAlgebra:
         a = as_complex_matrix(m)
         if a.shape != (self.dim, self.dim):
             return False
-        scale = max(operator_norm(a), 1.0)
-        return operator_norm(self.project(a) - a) <= 1e-10 * scale
+        return first_exceeding((self.project(a) - a)[None], a[None], 1e-10) < 0
 
     def basis(self) -> np.ndarray:
         """Matrix units of every block, stacked as a (vector_dim, d, d) array.
@@ -268,7 +267,7 @@ class KreinCStarAlgebra:
         """True when eta = ±identity: then star(a) = a† and alpha = id, so the
         algebra is a plain C*-algebra."""
         eye = np.eye(self.dim)
-        return any(np.allclose(self.eta, s * eye, atol=1e-12) for s in (1, -1))
+        return any(operator_norm(self.eta - s * eye) <= 1e-12 for s in (1, -1))
 
 
 def bounded_operators(p: int, q: int) -> KreinCStarAlgebra:

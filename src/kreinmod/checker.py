@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import combinations_with_replacement
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,6 +86,7 @@ from .krein_module import (
     standard_symmetry,
 )
 from .krein_over_krein import (
+    ADJOINT_TOL,
     adjoint_residual,
     check_module_over_krein,
     is_adjointable,
@@ -355,10 +356,13 @@ def _raised(error, build) -> float:
 
 
 def _check_anticommutators(report: Report, name: str, ops, signs):
-    """One law over every ordered pair of generator images; the batch holds
-    the images themselves, so its size counts their bytes."""
+    """One law over every unordered pair i ≤ j of generator images, since
+    {c_i, c_j} = {c_j, c_i} to the bit; the batch holds the images
+    themselves, so its size counts their bytes."""
     ops = np.asarray(ops)
-    pairs = np.array(list(product(range(len(signs)), repeat=2))).reshape(-1, 2)
+    pairs = np.array(
+        list(combinations_with_replacement(range(len(signs)), 2))
+    ).reshape(-1, 2)
 
     def draw(rows):
         i, j = pairs[rows].T
@@ -608,7 +612,7 @@ def _scenario_module_over_krein(config: CheckConfig) -> Report:
     report.check(
         "negative control: symmetry not adjointable",
         residual,
-        1e-8,
+        ADJOINT_TOL,
         detail="the twisted symmetry of a genuinely indefinite algebra "
         "admits no adjoint",
         expected_fail=not definite,
@@ -619,16 +623,15 @@ def _scenario_module_over_krein(config: CheckConfig) -> Report:
 # -- scenario: Clifford and Grassmann ----------------------------------------------
 
 
-def _laplace_det(m: np.ndarray):
-    """Determinant of each matrix of a stack by expansion along the first row."""
+def _gram_det(m: np.ndarray):
+    """Determinant of each matrix of a stack (..., k, k) with k ≤ 2, the
+    Gram matrices of the decomposables the oracle draws."""
     k = m.shape[-1]
     if k == 0:
         return np.ones(m.shape[:-2], dtype=complex)
-    total = 0j
-    for j in range(k):
-        minor = np.delete(np.delete(m, 0, axis=-2), j, axis=-1)
-        total = total + (-1) ** j * m[..., 0, j] * _laplace_det(minor)
-    return total
+    if k == 1:
+        return m[..., 0, 0]
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def _scenario_clifford(config: CheckConfig) -> Report:
@@ -667,7 +670,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         [("gram determinant oracle", 1e-10,
           lambda s: np.abs(
               grassmann_inner(MultiVector(space, s.v), MultiVector(space, s.w))
-              - _laplace_det(s.gram)
+              - _gram_det(s.gram)
           ))],
     )
 
@@ -1019,7 +1022,7 @@ def _demo_torus(seed, samples, tol):
     report, rng = Report.sampled(
         "demo: torus", seed, samples, points=points, fiber_signature=[1, 1]
     )
-    group = _symmetry_samples(module, rng, n_random=5)
+    group = _symmetry_samples(module, rng, min(samples, MODULE_SYMMETRIES))
     report.check_laws(
         _module_draw([group]),
         1,

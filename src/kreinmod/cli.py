@@ -7,6 +7,7 @@ error, 3 a resource budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -82,6 +83,18 @@ def _resolve_seed(flag_value: int | None) -> int:
     return 42
 
 
+def _check_report_path(path: str):
+    """Refuse, before the run, a report path that is a directory or whose
+    directory does not exist; nothing is created or truncated."""
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(os.path.dirname(path) or "."):
+        code = errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write report {path}: {os.strerror(code)}")
+
+
 def _emit(report: Report, args) -> int:
     if args.report:
         try:
@@ -108,6 +121,8 @@ def main(argv=None) -> int:
                 print(f"  {d}")
             return EXIT_PASS
         seed = _resolve_seed(args.seed)
+        if args.report:
+            _check_report_path(args.report)
         if args.command == "check":
             config = CheckConfig(
                 scenario=args.scenario,

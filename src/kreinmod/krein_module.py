@@ -21,6 +21,7 @@ from .linalg import (
     Subspace,
     ValidationError,
     as_complex_matrix,
+    first_exceeding,
     gaussians,
     hermitian_defect,
     involution_defect,
@@ -84,9 +85,10 @@ class KreinModule:
         return np.flatnonzero(self.element_pattern)
 
     def _in_pattern(self, m) -> bool:
-        scale = np.maximum(operator_norm(m), 1.0)
-        off = operator_norm(np.where(self.operator_pattern, m, 0.0) - m)
-        return bool(np.all(off <= 1e-10 * scale))
+        """Every matrix of m, one or a stack, in the operator pattern."""
+        stack = m.reshape(-1, *m.shape[-2:])
+        off = np.where(self.operator_pattern, stack, 0.0) - stack
+        return first_exceeding(off, stack, 1e-10) < 0
 
     def project_operator(self, m) -> np.ndarray:
         """Restrict a flat matrix to the A-linear operator pattern."""

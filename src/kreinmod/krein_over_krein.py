@@ -28,6 +28,7 @@ from .algebra import KreinCStarAlgebra, even_odd_split
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
+    as_complex_matrix,
     frobenius_norms,
     gaussians,
     hermitian_defect,
@@ -39,6 +40,9 @@ from .linalg import (
     random_complex,
 )
 from .report import Report
+
+# the relative residual of ⟨T x, y⟩ = ⟨x, S y⟩ above which T has no adjoint
+ADJOINT_TOL = 1e-8
 
 
 class NonAdjointableError(ValueError):
@@ -217,7 +221,7 @@ def adjoint_residual(module: KreinModuleOverKrein, t):
     and a stack of k operators is one problem with k·n, so M is factored once.
     Each operator's residual is ‖M S − R‖_F / max(‖R‖_F, 1).
     """
-    t = np.asarray(t, dtype=complex)
+    t = as_complex_matrix(t)
     d = module.algebra.dim
     n = module.dim
     if t.shape[-2:] != (n, n):
@@ -245,14 +249,14 @@ def krein_adjoint_over_krein(module: KreinModuleOverKrein, t) -> np.ndarray:
     """Solve ⟨T x, y⟩ = ⟨x, S y⟩ for S, raising when no solution exists.
 
     The relation is linear in S; it is set up over the carrier basis and
-    solved by least squares.  A residual above 1e-8 (relative to the target)
-    means T has no adjoint for the indefinite algebra-valued product.  A
-    stack of operators gives the stack of adjoints, and raises if any has
-    none.
+    solved by least squares.  A residual above ``ADJOINT_TOL`` (relative to
+    the target) means T has no adjoint for the indefinite algebra-valued
+    product.  A stack of operators gives the stack of adjoints, and raises if
+    any has none.
     """
     s, residual = adjoint_residual(module, t)
     worst = np.max(residual)
-    if worst > 1e-8:
+    if not worst <= ADJOINT_TOL:
         raise NonAdjointableError(
             f"no adjoint exists: relative residual {worst:.3e}"
         )
@@ -260,11 +264,7 @@ def krein_adjoint_over_krein(module: KreinModuleOverKrein, t) -> np.ndarray:
 
 
 def is_adjointable(module: KreinModuleOverKrein, t) -> bool:
-    try:
-        krein_adjoint_over_krein(module, t)
-    except NonAdjointableError:
-        return False
-    return True
+    return bool(np.max(adjoint_residual(module, t)[1]) <= ADJOINT_TOL)
 
 
 def check_module_over_krein(

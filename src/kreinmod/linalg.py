@@ -129,8 +129,7 @@ class Subspace:
             raise DimensionMismatchError(
                 f"basis rows {b.shape[0]} != ambient_dim {self.ambient_dim}"
             )
-        gram = b.conj().T @ b
-        if not np.allclose(gram, np.eye(b.shape[1]), atol=1e-10):
+        if operator_norm(b.conj().T @ b - np.eye(b.shape[1])) > 1e-10:
             raise ValidationError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -188,7 +187,7 @@ def spectral_projector(j, sign: int) -> np.ndarray:
 def eig_signature(h) -> tuple[int, int]:
     """(positive, negative) eigenvalue counts of a hermitian matrix."""
     a = as_complex_matrix(h)
-    if not np.allclose(a, a.conj().T, atol=1e-10 * max(1.0, operator_norm(a))):
+    if hermitian_defect(a) > 1e-10 * max(1.0, operator_norm(a)):
         raise ValidationError("matrix is not hermitian")
     w = np.linalg.eigvalsh(a)
     scale = max(np.max(np.abs(w)), 1.0) if w.size else 1.0

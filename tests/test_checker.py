@@ -264,6 +264,12 @@ class TestDemos:
         assert report.passed, [r.name for r in report.failures()]
         assert len(narrative) > 100
 
+    def test_torus_draws_one_symmetry_per_sample(self):
+        # up to MODULE_SYMMETRIES, as the module scenario does
+        reports = [run_demo("torus", samples=k)[0] for k in (1, 3)]
+        values = [[r.max_violation for r in report.records] for report in reports]
+        assert values[0] != values[1]
+
     def test_unknown_demo_rejected(self):
         with pytest.raises(ConfigError):
             run_demo("nope")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kreinmod
+from kreinmod import cli
 from kreinmod.cli import (
     EXIT_FAIL,
     EXIT_PASS,
@@ -87,13 +88,21 @@ class TestParameterRanges:
         self.assert_usage_error(["check", "krein-algebra"], capsys)
 
     @pytest.mark.parametrize("missing", [True, False], ids=["missing-dir", "dir"])
-    def test_unwritable_report_path(self, missing, tmp_path, capsys):
-        # a usage error that names the path, not a traceback and exit 1
+    def test_unwritable_report_path(self, monkeypatch, missing, tmp_path, capsys):
+        # a usage error that names the path, not a traceback and exit 1, and
+        # refused before the run, creating nothing
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(cli, "run_demo", refuse)
         path = str(tmp_path / "absent" / "r.json" if missing else tmp_path)
-        args = ["check", "krein-algebra", "--samples", "2", "--report", path]
-        assert main(args + ["--quiet"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+        for command in (["check", "krein-algebra"], ["demo", "torus"]):
+            args = command + ["--samples", "2", "--report", path]
+            assert main(args + ["--quiet"]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+        assert os.listdir(tmp_path) == []
 
     def test_odd_spinor_dimension(self, capsys):
         # a usage error even where the byte budget would refuse the size

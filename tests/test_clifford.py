@@ -30,6 +30,7 @@ from kreinmod.clifford import (
     vector,
     wedge,
 )
+from kreinmod.checker import _gram_det
 from kreinmod.krein_over_krein import (
     auxiliary_product,
     check_imprimitivity,
@@ -61,6 +62,16 @@ def laplace_det(m: np.ndarray) -> complex:
         minor = np.delete(np.delete(m, 0, axis=0), j, axis=1)
         total += (-1) ** j * m[0, j] * laplace_det(minor)
     return total
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_gram_det_is_the_cofactor_expansion(k):
+    # the oracle's closed form on k x k stacks; Gaussian-integer entries make
+    # both sides exact, so any difference is the formula's, not rounding's
+    rng = np.random.default_rng(k)
+    stack = rng.integers(-9, 10, (50, k, k)) + 1j * rng.integers(-9, 10, (50, k, k))
+    expected = [laplace_det(m) for m in stack]
+    assert list(_gram_det(stack)) == expected
 
 
 class TestWedge:

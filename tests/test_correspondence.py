@@ -310,6 +310,14 @@ class TestInternalTensor:
         with pytest.raises(ValidationError):
             internal_tensor(m, ident)
 
+    def test_middle_basis_off_by_a_relative_1e_6_rejected(self):
+        ident = identity_correspondence(bounded_operators(1, 1))
+        left = ident.left_algebra
+        scaled = KreinCStarAlgebra(left.basis * (1 + 1e-6), left.eta)
+        n = dataclasses.replace(ident, left_algebra=scaled)
+        with pytest.raises(ValidationError, match="middle algebras do not match"):
+            internal_tensor(ident, n)
+
     def test_decomposition_even_odd(self):
         m = krein_space_correspondence(1, 1)
         t = internal_tensor(m, m)

@@ -21,6 +21,7 @@ from kreinmod.krein_over_krein import (
 )
 from kreinmod.linalg import (
     DimensionMismatchError,
+    ValidationError,
     is_psd,
     min_hermitian_eig,
     operator_norm,
@@ -178,6 +179,17 @@ class TestSymmetryAdjointability:
             axis=1,
         )
         assert operator_norm(adj - lstar) < 1e-8
+
+    @pytest.mark.parametrize(
+        "decide", [adjoint_residual, is_adjointable, krein_adjoint_over_krein]
+    )
+    def test_non_finite_operator_is_refused(self, decide):
+        # a NaN operator is neither certified adjointable nor given a NaN adjoint
+        m = self_module(b11())
+        t = np.eye(m.dim, dtype=complex)
+        t[0, 1] = np.nan
+        with pytest.raises(ValidationError):
+            decide(m, t)
 
     def test_adjoint_relation_holds(self):
         m = self_module(b11())

@@ -311,6 +311,11 @@ class TestSubspace:
         with pytest.raises(ValidationError):
             Subspace(2, np.array([[1.0], [1.0]]))
 
+    def test_rejects_a_column_off_unit_norm_by_more_than_the_tolerance(self):
+        # ‖b†b − I‖ = 8e-6 > 1e-10
+        with pytest.raises(ValidationError):
+            Subspace(2, np.array([[1.0 + 4e-6], [0.0]]))
+
     def test_column_space_rank(self):
         rng = np.random.default_rng(5)
         u = random_complex(rng, 6)
@@ -332,6 +337,11 @@ class TestEigSignature:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError):
             eig_signature(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    def test_rejects_a_defect_above_the_relative_tolerance(self):
+        # ‖a − a†‖ = 5e-6 against 1e-10 · ‖a‖
+        with pytest.raises(ValidationError):
+            eig_signature(np.array([[1.0, 1.0], [1.0 + 5e-6, -1.0]]))
 
 
 class TestGaussians:
