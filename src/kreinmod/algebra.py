@@ -117,9 +117,14 @@ class KreinCStarAlgebra:
     ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``; ``star``, ``alpha``
     and ``project`` take a d x d matrix or a stack (..., d, d).
 
-    The constructor checks the basis for non-finite entries once, forms the
-    Gram matrix of the flattened basis once and raises ValidationError unless
-    it is exactly diagonal with a positive diagonal.
+    The constructor checks the basis for non-finite entries once, and the
+    basis decides the path.  Elements with pairwise disjoint supports
+    (matrix units, Clifford blades, the scalars) are exactly orthogonal;
+    their nonzeros are stored once, and coordinates and projections gather
+    and scatter through them.  Any other basis is read by products with the
+    flattened basis, after one Gram product that raises ValidationError
+    unless it is exactly diagonal.  A zero element is refused on either
+    path.  A diagonal ``eta`` twists entrywise, any other by two products.
     """
 
     def __init__(self, basis, eta, *, label: str = "", validate: bool = True):
@@ -134,17 +139,25 @@ class KreinCStarAlgebra:
         self.label = label
         if self.eta.shape != (self.dim, self.dim):
             raise DimensionMismatchError("eta shape does not match basis")
-        # gram[i, j] = ⟨b_i, b_j⟩, in row blocks so that only one block of the
-        # basis is ever conjugated
-        flat, step = self._flat, max(1, len(basis) // 8)
-        gram = np.empty((len(basis),) * 2, dtype=complex)
-        for i in range(0, len(basis), step):
-            gram[i : i + step] = flat[i : i + step].conj() @ flat.T
-        if not np.array_equal(gram, np.diag(np.diagonal(gram))):
-            raise ValidationError("basis elements are not Frobenius-orthogonal")
-        self._norms_sq = np.diagonal(gram).real.copy()
+        self._support = _disjoint_support(basis)
+        if self._support is None:
+            # gram[i, j] = ⟨b_i, b_j⟩, in row blocks so that only one block of
+            # the basis is ever conjugated
+            flat, step = self._flat, max(1, len(basis) // 8)
+            gram = np.empty((len(basis),) * 2, dtype=complex)
+            for i in range(0, len(basis), step):
+                gram[i : i + step] = flat[i : i + step].conj() @ flat.T
+            if not np.array_equal(gram, np.diag(np.diagonal(gram))):
+                raise ValidationError("basis elements are not Frobenius-orthogonal")
+            self._norms_sq = np.diagonal(gram).real.copy()
+        else:
+            self._norms_sq = self._support.norms_sq
         if not np.all(self._norms_sq > 0):
             raise ValidationError("basis contains a zero element")
+        e = np.diagonal(self.eta)
+        self._eta_outer = (
+            e[:, None] * e if np.count_nonzero(self.eta) == np.count_nonzero(e) else None
+        )
         if validate:
             self._validate()
 
@@ -207,8 +220,15 @@ class KreinCStarAlgebra:
         return self._project(self._operand(m))
 
     def _project(self, a) -> np.ndarray:
-        """``project`` of an operand that is already checked."""
-        return (self.coefficients(a) @ self._flat).reshape(a.shape)
+        """``project`` of an operand that is already checked.  On the support
+        path each entry is the coordinate of its owner times the entry's
+        value, which is zero where no element owns it."""
+        s = self._support
+        if s is None:
+            return (self.coefficients(a) @ self._flat).reshape(a.shape)
+        out = np.take(self.coefficients(a), s.owner, axis=-1)
+        _scale_rows(out, s.entry_values)
+        return out.reshape(a.shape)
 
     def contains(self, m) -> bool:
         a = as_complex_matrix(m)
@@ -224,10 +244,21 @@ class KreinCStarAlgebra:
         return first_exceeding(residual, x, tol)
 
     def coefficients(self, a) -> np.ndarray:
-        """Coordinates ⟨b_i, a⟩ / ‖b_i‖² of a carrier element or a stack; the
-        conjugate is taken on a's side so the basis is read, never copied."""
+        """Coordinates ⟨b_i, a⟩ / ‖b_i‖² of a carrier element or a stack.
+
+        On the support path one gather of a's entries, summed per element;
+        on the Gram path the conjugate is taken on a's side so the basis is
+        read, never copied."""
         a = np.asarray(a, dtype=complex).reshape(*np.shape(a)[:-2], -1)
-        return (a.conj() @ self._flat.T).conj() / self._norms_sq
+        s = self._support
+        if s is None:
+            return (a.conj() @ self._flat.T).conj() / self._norms_sq
+        # rebinding c frees the gathered entries once they are summed
+        c = np.take(a, s.entries, axis=-1)
+        _scale_rows(c, s.conj_values)
+        c = np.add.reduceat(c, s.starts, axis=-1)
+        c /= self._norms_sq
+        return c
 
     def from_coefficients(self, c) -> np.ndarray:
         c = np.asarray(c, dtype=complex)
@@ -251,8 +282,11 @@ class KreinCStarAlgebra:
         return self._twist(self._operand(a))
 
     def _twist(self, a) -> np.ndarray:
-        """eta a eta of an operand that is already checked; rebinding ``a``
-        frees a temporary operand before the second product."""
+        """eta a eta of an operand that is already checked: entrywise
+        e_r a[r, t] e_t for a diagonal eta, C-ordered like a product, else two
+        products, where rebinding ``a`` frees the first before the second."""
+        if self._eta_outer is not None:
+            return np.multiply(a, self._eta_outer, order="C")
         a = self.eta @ a
         return a @ self.eta
 
@@ -268,6 +302,55 @@ class KreinCStarAlgebra:
         algebra is a plain C*-algebra."""
         eye = np.eye(self.dim)
         return any(operator_norm(self.eta - s * eye) <= 1e-12 for s in (1, -1))
+
+
+def _disjoint_support(basis) -> SimpleNamespace | None:
+    """The nonzeros of a basis (n, d, d) whose elements have pairwise
+    disjoint supports, or None when two elements share an entry: the flat
+    ``entries`` r·d + t sorted by element, with ``starts`` and
+    ``conj_values``, and for each of the d² entries its ``owner`` and
+    ``entry_values`` (0 and 0 where no element owns it)."""
+    n, dd = len(basis), basis.shape[1] ** 2
+    # disjoint supports hold at most d² nonzeros in all, so a count first keeps
+    # every index array below d² entries whatever the basis
+    if np.count_nonzero(basis) > dd:
+        return None
+    nonzero = np.flatnonzero(basis)
+    element, entries = np.divmod(nonzero, dd)
+    if np.bincount(entries, minlength=dd).max(initial=0) > 1:
+        return None
+    values = basis.reshape(-1)[nonzero]
+    counts = np.bincount(element, minlength=n)
+    owner = np.zeros(dd, dtype=np.intp)
+    owner[entries] = element
+    entry_values = np.zeros(dd, dtype=complex)
+    entry_values[entries] = values
+    return SimpleNamespace(
+        entries=entries,
+        starts=np.cumsum(counts) - counts,
+        conj_values=values.conj(),
+        owner=owner,
+        entry_values=entry_values,
+        norms_sq=np.bincount(
+            element, weights=values.real**2 + values.imag**2, minlength=n
+        ),
+    )
+
+
+def _scale_rows(x, v):
+    """x *= v in place, for a C-contiguous stack x (..., k) and a vector v (k,).
+
+    numpy 2.4 buffers a broadcast product in up to 8192 entries, which at
+    Clifford (3,3) is a quarter of an (8, N²) stack on top of the stack that
+    ``project`` holds; a product of one row needs no buffer and, for rows of
+    1024 entries or more, is as fast, so long rows are scaled one at a time.
+    The threshold and the buffer were measured with numpy 2.4.6 only.
+    """
+    if x.shape[-1] < 1024:
+        x *= v
+    else:
+        for row in x.reshape(-1, x.shape[-1]):
+            row *= v
 
 
 def bounded_operators(p: int, q: int) -> KreinCStarAlgebra:

@@ -258,7 +258,9 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
     The resulting star is the adjoint for the indefinite Gram pairing; it
     coincides with conjugate-reversal of Clifford monomials (verified by the
     test suite, not postulated here).  Its basis is the N x N x N complex
-    blade tensor, N = 2^(p+q).
+    blade tensor, N = 2^(p+q); the blades are signed permutations with
+    disjoint supports, so the algebra reads coordinates through their
+    nonzeros.
     """
     return KreinCStarAlgebra(
         _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex)),

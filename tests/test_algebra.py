@@ -6,10 +6,12 @@ import pytest
 from kreinmod.algebra import (
     FiniteCStarAlgebra,
     KreinCStarAlgebra,
+    _disjoint_support,
     bounded_operators,
     check_krein_cstar_axioms,
     even_odd_split,
     functions_on_points,
+    scalar_krein_algebra,
 )
 from kreinmod.clifford import (
     PseudoEuclideanSpace,
@@ -29,6 +31,14 @@ from kreinmod.linalg import (
 
 def eta_pq(p, q):
     return np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
+
+
+def rotated_diagonal_basis():
+    """q E_ii q† for q = [[3, 4i], [4i, 3]], a multiple of a unitary: exactly
+    orthogonal, dense and *-closed, but not closed under entrywise
+    conjugation."""
+    q = np.array([[3, 4j], [4j, 3]])
+    return np.stack([q @ np.diag(e) @ q.conj().T for e in np.eye(2)])
 
 
 class TestCoefficients:
@@ -59,6 +69,12 @@ ORTHOGONAL_CARRIERS = {
     # orthogonal, not orthonormal: coordinates divide by unequal ‖b_i‖²
     "blocks with unequal norms": lambda: KreinCStarAlgebra(
         FiniteCStarAlgebra((2, 1)).basis() * np.arange(1, 6)[:, None, None],
+        np.diag([1.0, -1.0, 1.0]),
+    ),
+    # complex entries: coordinates read the conjugated values
+    "blocks with complex scales": lambda: KreinCStarAlgebra(
+        FiniteCStarAlgebra((2, 1)).basis()
+        * np.array([1, 2j, -3, 1 - 1j, 0.5j])[:, None, None],
         np.diag([1.0, -1.0, 1.0]),
     ),
 }
@@ -136,6 +152,67 @@ class TestGramPath:
         assert shapes == []
 
 
+class TestSupportPath:
+    """A basis whose elements have pairwise disjoint supports is read through
+    its nonzeros; any other basis through its Gram matrix.  Both read the
+    coordinates ⟨b_i, a⟩ / ‖b_i‖² and twist by eta a eta."""
+
+    @pytest.mark.parametrize(
+        "build, on_support",
+        [
+            (lambda: bounded_operators(2, 1), True),
+            (scalar_krein_algebra, True),
+            (lambda: KreinCStarAlgebra(FiniteCStarAlgebra((2, 1)).basis(),
+                                       eta_pq(2, 1)), True),
+            (lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 1)), True),
+            # gamma blades are monomial but overlap, q E_ii q† is dense
+            (lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))), False),
+            (lambda: KreinCStarAlgebra(rotated_diagonal_basis(), np.eye(2)), False),
+        ],
+        ids=["B(C^{2,1})", "scalars", "blocks (2,1)", "clifford (2,1)",
+             "gamma (2,2)", "rotated diagonal"],
+    )
+    def test_path_selection(self, build, on_support):
+        assert (build()._support is not None) == on_support
+
+    @pytest.mark.parametrize("name", ORTHOGONAL_CARRIERS)
+    def test_matches_dense_formulas(self, name):
+        alg = ORTHOGONAL_CARRIERS[name]()
+        flat = alg.basis.reshape(alg.vector_dim, -1)
+        norms_sq = np.einsum("ki,ki->k", flat.conj(), flat).real
+        a = random_complex(np.random.default_rng(16), 2, 3, alg.dim, alg.dim)
+        coeffs = (a.reshape(2, 3, -1).conj() @ flat.T).conj() / norms_sq
+        eta = alg.eta
+        bound = 4 * np.finfo(float).eps * np.abs(a).max()
+        for got, expected in [
+            (alg.coefficients(a), coeffs),
+            (alg.project(a), (coeffs @ flat).reshape(a.shape)),
+            (alg.star(a), eta @ a.conj().swapaxes(-1, -2) @ eta),
+            (alg.alpha(a), eta @ a @ eta),
+        ]:
+            assert np.abs(got - expected).max() <= bound
+
+    def test_zero_element_refused_before_any_coordinates(self, monkeypatch):
+        # a zero element owns no entry, so summing each element's entries
+        # would read its neighbour's; the norms refuse it first
+        def no_coordinates(self, a):
+            raise AssertionError("coordinates read before the zero check")
+
+        monkeypatch.setattr(KreinCStarAlgebra, "coefficients", no_coordinates)
+        units = FiniteCStarAlgebra((2, 1)).basis()
+        basis = np.concatenate([units[:2], np.zeros_like(units[:1]), units[2:]])
+        assert _disjoint_support(basis) is not None
+        with pytest.raises(ValidationError, match="basis contains a zero element"):
+            KreinCStarAlgebra(basis, eta_pq(2, 1))
+
+    def test_overlapping_monomials_refused(self):
+        # E_11 and the identity are monomial and share the entry (0, 0)
+        basis = np.stack([np.diag([1.0, 0.0]), np.eye(2)])
+        assert _disjoint_support(basis) is None
+        with pytest.raises(ValidationError, match="not Frobenius-orthogonal"):
+            KreinCStarAlgebra(basis, eta_pq(1, 1), validate=False)
+
+
 class TestStackedMaps:
     """star, alpha and project of a stack are the per-element maps.
 
@@ -170,42 +247,83 @@ class TestStackedMaps:
                 f(bad)
 
     @staticmethod
-    def construction_peak(validate: bool) -> float:
-        """Traced peak of building the Clifford (3,3) algebra, beyond the
-        memory held before, as a fraction of the basis bytes."""
+    def construction_bases():
+        """The Clifford (3,3) blades with their J, which have disjoint supports,
+        and their conjugates by the 64 x 64 Sylvester-Hadamard matrix h, a
+        multiple of a real orthogonal matrix: dense, with integer entries, so
+        that their Gram matrix is exactly diagonal and is read."""
         space = PseudoEuclideanSpace(3, 3)
         basis = _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex))
         eta = second_quantized_J(space)
-        # a first construction loads numpy's lazily initialised parts
-        KreinCStarAlgebra(basis, eta, validate=validate)
+        h = np.ones((1, 1))
+        while len(h) < len(basis):
+            h = np.block([[h, h], [h, -h]])
+        return {
+            "support": (basis, eta),
+            "gram": (h @ basis @ h.T, h @ eta @ h.T / len(h)),
+        }
+
+    @staticmethod
+    def traced_peak(f) -> int:
+        """Traced peak of f() beyond the memory held before, after a first
+        call has loaded numpy's lazily initialised parts."""
+        f()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            KreinCStarAlgebra(basis, eta, validate=validate)
-            peak = tracemalloc.get_traced_memory()[1]
+            f()
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        return (peak - before) / basis.nbytes
+
+    def construction_peaks(self, validate: bool) -> dict:
+        """Peak of building each construction basis's algebra, as a fraction
+        of the basis bytes."""
+        return {
+            path: self.traced_peak(
+                lambda: KreinCStarAlgebra(basis, eta, validate=validate)
+            ) / basis.nbytes
+            for path, (basis, eta) in self.construction_bases().items()
+        }
 
     def test_gram_holds_one_block_of_the_basis(self):
-        # the blocked Gram product conjugates an eighth of the basis at a time
-        assert self.construction_peak(validate=False) <= 0.25
+        # the blocked Gram product conjugates an eighth of the basis at a
+        # time; the support path holds index arrays of the d² entries
+        peaks = self.construction_peaks(validate=False)
+        assert max(peaks.values()) <= 0.25, peaks
 
     def test_closure_check_holds_a_fraction_of_the_basis(self):
         # one image stack, a sixteenth of the basis times two, and one
         # conjugate or projection of it
-        assert self.construction_peak(validate=True) <= 0.4
+        peaks = self.construction_peaks(validate=True)
+        assert max(peaks.values()) <= 0.4, peaks
+
+    def test_project_holds_one_stack(self):
+        # projecting an (8, N, N) stack on Clifford (3,3) through the
+        # supports peaks no higher than the dense (8, N²) x (N², N) product
+        # this basis took before they were read: the result, the (8, N)
+        # coordinates and object overhead
+        alg = clifford_krein_algebra(PseudoEuclideanSpace(3, 3))
+        stack = random_complex(np.random.default_rng(17), 8, alg.dim, alg.dim)
+        flat = alg.basis.reshape(alg.vector_dim, -1)
+        norms_sq = np.einsum("ki,ki->k", flat.conj(), flat).real
+
+        def dense():
+            a = stack.reshape(len(stack), -1)
+            coeffs = (a.conj() @ flat.T).conj() / norms_sq
+            return (coeffs @ flat).reshape(stack.shape)
+
+        assert alg._support is not None
+        assert self.traced_peak(lambda: alg.project(stack)) <= self.traced_peak(dense)
 
 
 class TestValidation:
     """The constructor's batched carrier checks, in their reporting order."""
 
     def test_complex_rotated_diagonal_algebra(self):
-        # q D q† for q = [[3, 4i], [4i, 3]], a multiple of a unitary, is
-        # *-closed and exactly orthogonal, but not closed under entrywise
-        # conjugation, so projecting onto the conjugate span would reject it
+        # projecting onto the conjugate span would reject this basis
+        basis = rotated_diagonal_basis()
         q = np.array([[3, 4j], [4j, 3]])
-        basis = np.stack([q @ np.diag(e) @ q.conj().T for e in np.eye(2)])
         alg = KreinCStarAlgebra(basis, np.eye(2))
         for b in basis:
             assert np.allclose(alg.project(b), b, atol=1e-12)
