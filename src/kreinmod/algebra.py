@@ -220,15 +220,8 @@ class KreinCStarAlgebra:
         return self._project(self._operand(m))
 
     def _project(self, a) -> np.ndarray:
-        """``project`` of an operand that is already checked.  On the support
-        path each entry is the coordinate of its owner times the entry's
-        value, which is zero where no element owns it."""
-        s = self._support
-        if s is None:
-            return (self.coefficients(a) @ self._flat).reshape(a.shape)
-        out = np.take(self.coefficients(a), s.owner, axis=-1)
-        _scale_rows(out, s.entry_values)
-        return out.reshape(a.shape)
+        """``project`` of an operand that is already checked."""
+        return self.from_coefficients(self.coefficients(a))
 
     def contains(self, m) -> bool:
         a = as_complex_matrix(m)
@@ -261,8 +254,16 @@ class KreinCStarAlgebra:
         return c
 
     def from_coefficients(self, c) -> np.ndarray:
+        """Σ_k c_k b_k of coordinates (..., vector_dim) laid out as ``coefficients``
+        returns them.  On the support path each entry is its owner's coordinate
+        times its value, which is zero where no element owns it."""
         c = np.asarray(c, dtype=complex)
-        return np.tensordot(c, self.basis, axes=(0, 0))
+        shape, s = (*c.shape[:-1], self.dim, self.dim), self._support
+        if s is None:
+            return (c @ self._flat).reshape(shape)
+        out = np.take(c, s.owner, axis=-1)
+        _scale_rows(out, s.entry_values)
+        return out.reshape(shape)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)

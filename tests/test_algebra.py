@@ -213,6 +213,34 @@ class TestSupportPath:
             KreinCStarAlgebra(basis, eta_pq(1, 1), validate=False)
 
 
+class TestSynthesis:
+    """``from_coefficients`` is Σ_k c_k b_k of coordinates laid out as
+    ``coefficients`` returns them, the last axis indexing the basis."""
+
+    @pytest.mark.parametrize("name", ORTHOGONAL_CARRIERS)
+    def test_stack_of_coordinates(self, name):
+        alg = ORTHOGONAL_CARRIERS[name]()
+        c = random_complex(np.random.default_rng(18), 2, 3, alg.vector_dim)
+        expected = np.tensordot(c, alg.basis, axes=(-1, 0))
+        bound = 4 * np.finfo(float).eps * np.abs(c).max() * np.abs(alg.basis).max()
+        got = alg.from_coefficients(c)
+        assert got.shape == (2, 3, alg.dim, alg.dim)
+        assert np.abs(got - expected).max() <= bound
+
+    def test_support_path_reads_no_dense_basis(self):
+        alg = clifford_krein_algebra(PseudoEuclideanSpace(2, 1))
+        assert alg._support is not None
+        rng = np.random.default_rng(19)
+        c = random_complex(rng, 3, alg.vector_dim)
+        a = random_complex(rng, 3, alg.dim, alg.dim)
+        before = alg.from_coefficients(c), alg.project(a)
+        alg.basis = np.full_like(alg.basis, np.nan)
+        after = alg.from_coefficients(c), alg.project(a)
+        for old, new in zip(before, after):
+            assert np.isfinite(new).all()
+            assert np.array_equal(new, old)
+
+
 class TestStackedMaps:
     """star, alpha and project of a stack are the per-element maps.
 

@@ -30,7 +30,7 @@ from kreinmod.clifford import (
     vector,
     wedge,
 )
-from kreinmod.checker import _gram_det, _monomial_rank
+from kreinmod.checker import _gram_det
 from kreinmod.krein_over_krein import (
     auxiliary_product,
     check_imprimitivity,
@@ -72,33 +72,6 @@ def test_gram_det_is_the_cofactor_expansion(k):
     stack = rng.integers(-9, 10, (50, k, k)) + 1j * rng.integers(-9, 10, (50, k, k))
     expected = [laplace_det(m) for m in stack]
     assert list(_gram_det(stack)) == expected
-
-
-def test_monomial_rank_drops_when_two_blades_share_a_first_column_row():
-    # the blades' first columns c(e_S)·1 = e_S hit every row once; giving
-    # blade 1 the first column of blade 2 leaves row 1 unhit
-    columns = clifford_krein_algebra(PseudoEuclideanSpace(2, 1)).basis[:, :, 0]
-    assert _monomial_rank(columns) == 8
-    shared = columns.copy()
-    shared[1] = columns[2]
-    assert _monomial_rank(shared) == 7
-
-
-@pytest.mark.parametrize(
-    "columns, rank",
-    [
-        ([[1, 0, 0], [0, 0, 2j], [0, -1, 0]], 3),
-        ([[1, 0, 0], [0, 0, 0], [0, 0, 1]], 2),
-        # hits all three rows with rank 2; the second nonzero is subtracted
-        ([[1, 1, 0], [0, 0, 0], [0, 0, 1]], 2),
-        # rank 1, counted as 0: a lower bound off the monomial columns
-        ([[1, 1], [1, 1]], 0),
-    ],
-)
-def test_monomial_rank_never_exceeds_the_rank(columns, rank):
-    columns = np.array(columns)
-    assert _monomial_rank(columns) == rank
-    assert rank <= np.linalg.matrix_rank(columns)
 
 
 class TestWedge:

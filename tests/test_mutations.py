@@ -8,7 +8,8 @@ pass on the uncorrupted module, so the tolerance sits between the two sides.
 The checker's negative controls that run a law's own residual get one row
 each in the same style: the residual stays within the law's tolerance on the
 real structure and reaches ten times the control's tolerance on the
-control's corruption.
+control's corruption.  So do the scenario laws whose residual is a library
+or checker function, each against its own tolerance.
 """
 
 from dataclasses import replace
@@ -17,17 +18,35 @@ import numpy as np
 import pytest
 
 from kreinmod import checker
-from kreinmod.algebra import bounded_operators
-from kreinmod.clifford import PseudoEuclideanSpace, gamma_rep
-from kreinmod.correspondence import alpha_beta_defect
+from kreinmod.algebra import KreinCStarAlgebra, bounded_operators
+from kreinmod.clifford import (
+    PseudoEuclideanSpace,
+    clifford_krein_algebra,
+    gamma_rep,
+    spinor_module,
+)
+from kreinmod.correspondence import (
+    alpha_beta_defect,
+    identity_correspondence,
+    internal_tensor,
+)
 from kreinmod.krein_module import (
     intertwiner,
     krein_space,
     random_symmetry,
     standard_symmetry,
 )
-from kreinmod.krein_over_krein import check_module_over_krein, operator_bimodule
-from kreinmod.linalg import involution_defect, spectral_projector
+from kreinmod.krein_over_krein import (
+    check_module_over_krein,
+    left_twist_defect,
+    operator_bimodule,
+)
+from kreinmod.linalg import (
+    gaussians,
+    involution_defect,
+    operator_norm,
+    spectral_projector,
+)
 
 MODULE = operator_bimodule(bounded_operators(1, 1), bounded_operators(2, 1))
 SAMPLES = 20
@@ -200,3 +219,86 @@ def test_control_residual_separates_structure_from_corruption(control):
     law_tol, control_tol, real, corrupted = CONTROLS[control]
     assert real() <= law_tol
     assert corrupted() >= 10 * control_tol
+
+
+# scenario laws whose residual is a library or checker function, each with
+# its scenario's normalisation: law -> (tolerance, residual on the real
+# structure, residual on a corruption of it)
+SPINOR = spinor_module(PseudoEuclideanSpace(2, 2))
+IDENT11 = identity_correspondence(B11)
+TENSOR11 = internal_tensor(IDENT11, IDENT11)
+
+
+def spinor_twisting(module):
+    """The spinor scenario's "spinor twisting over alpha" on SAMPLES draws."""
+    left = module.left_algebra
+    c, x = gaussians(np.random.default_rng(5), SAMPLES, (left.dim,) * 2, (module.dim,))
+    c = left.project(c)
+    scale = np.linalg.norm(x, axis=-1) * operator_norm(c)
+    return np.max(left_twist_defect(module, c, x) / scale)
+
+
+def inner_twist(t):
+    """The tensor scenario's "gamma compatibility of descended product"."""
+    u, v = gaussians(np.random.default_rng(6), SAMPLES, (t.dim,), (t.dim,))
+    return np.max(checker._inner_twist_residual(t, u, v))
+
+
+SCENARIO_LAWS = {
+    "spinor twisting over alpha": (
+        1e-10,
+        lambda: spinor_twisting(SPINOR),
+        lambda: spinor_twisting(j_scaled_on_one_half(SPINOR)),
+    ),
+    "gamma compatibility of descended product": (
+        1e-10,
+        lambda: inner_twist(TENSOR11),
+        lambda: inner_twist(replace(TENSOR11, symmetry=2 * TENSOR11.symmetry)),
+    ),
+}
+
+
+@pytest.mark.parametrize("law", list(SCENARIO_LAWS))
+def test_scenario_law_separates_structure_from_corruption(law):
+    tol, real, corrupted = SCENARIO_LAWS[law]
+    assert real() <= tol
+    assert corrupted() >= 10 * tol
+
+
+def test_tensor_scenario_twist_law_meets_a_quotient(monkeypatch):
+    # over the scalars the section is I, and over B(C^{2,0}) alpha and J are
+    # the identity: on either the law could not tell J from I
+    seen = []
+    residual = checker._inner_twist_residual
+    monkeypatch.setattr(
+        checker, "_inner_twist_residual",
+        lambda t, u, v: seen.append(t) or residual(t, u, v),
+    )
+    checker.run(checker.CheckConfig(scenario="tensor", samples=3))
+    assert seen and all(t.section.shape == (16, 4) for t in seen)
+    assert not any(t.algebra.is_trivially_definite for t in seen)
+
+
+# the Clifford scenario's "clifford grassmann bijection" reads c(e_S)·1 = e_S
+# off the blades' first columns
+def grassmann_run():
+    report = checker.run(checker.CheckConfig(scenario="clifford", p=2, q=2, samples=5))
+    law = "clifford grassmann bijection"
+    (record,) = (r for r in report.records if r.name == law)
+    return report, record
+
+
+def test_grassmann_bijection_fails_on_negated_first_columns(monkeypatch):
+    report, record = grassmann_run()
+    assert record.max_violation == 0.0
+    real = clifford_krein_algebra(PseudoEuclideanSpace(2, 2))
+    basis = real.basis.copy()
+    basis[:, :, 0] *= -1
+    monkeypatch.setattr(
+        checker, "clifford_krein_algebra",
+        lambda space: KreinCStarAlgebra(basis, real.eta, validate=False),
+    )
+    corrupted, record = grassmann_run()
+    assert record.max_violation >= 10 * record.tolerance
+    assert not record.passed
+    assert [r.name for r in corrupted.records] == [r.name for r in report.records]
