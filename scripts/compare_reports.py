@@ -22,8 +22,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# scenario configurations at the sizes the benchmark and gallery use, and
-# the three demos, each at its default seed unless given
+# the 20 configurations: scenarios at the sizes the benchmark and gallery
+# use, and the three demos, each at its default seed unless given
 CONFIGS = [
     *(
         ["check", "full-gallery", "--samples", "100", "--seed", str(seed)]
@@ -42,6 +42,8 @@ CONFIGS = [
     # ladder sizes: the algebra constructor, the tensor of C^{p,q} with itself
     # and S ⊗ S̄ at the largest spinor size the byte budget admits
     ["check", "clifford", "--p", "4", "--q", "3", "--samples", "5"],
+    # Clifford (4,4), where a dense N x N x N blade tensor would take 268 MB
+    ["check", "clifford", "--p", "4", "--q", "4", "--samples", "2"],
     ["check", "tensor", "--p", "6", "--q", "6", "--samples", "5"],
     ["check", "spinor", "--p", "4", "--q", "4", "--samples", "5"],
     # the empty signature: zero-degree and zero-size draws

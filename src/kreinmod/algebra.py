@@ -117,14 +117,15 @@ class KreinCStarAlgebra:
     ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``; ``star``, ``alpha``
     and ``project`` take a d x d matrix or a stack (..., d, d).
 
-    The constructor checks the basis for non-finite entries once, and the
-    basis decides the path.  Elements with pairwise disjoint supports
-    (matrix units, Clifford blades, the scalars) are exactly orthogonal;
-    their nonzeros are stored once, and coordinates and projections gather
-    and scatter through them.  Any other basis is read by products with the
-    flattened basis, after one Gram product that raises ValidationError
-    unless it is exactly diagonal.  A zero element is refused on either
-    path.  A diagonal ``eta`` twists entrywise, any other by two products.
+    The library's monomial algebras (matrix units, Clifford blades, the
+    scalars) state their support: the owner and value of each entry.  Their
+    nonzeros are stored once, coordinates and projections gather and scatter
+    through them, and ``basis`` is synthesised when first read.  A basis
+    given as a dense stack is checked for non-finite entries once and read
+    by products with its flattened rows, after one Gram product that raises
+    ValidationError unless it is exactly diagonal.  A zero element is
+    refused on either path.  A diagonal ``eta`` twists entrywise, any other
+    by two products.
     """
 
     def __init__(self, basis, eta, *, label: str = "", validate: bool = True):
@@ -133,25 +134,36 @@ class KreinCStarAlgebra:
             raise ValidationError("basis must be a stack of square matrices")
         if not np.isfinite(basis).all():
             raise ValidationError("basis has non-finite entries")
-        self.basis = basis
+        self.basis, self._support = basis, None
+        self._flat = flat = basis.reshape(len(basis), -1)  # a view of the stack
+        # gram[i, j] = ⟨b_i, b_j⟩, in row blocks so that only one block of
+        # the basis is ever conjugated
+        step = max(1, len(basis) // 8)
+        gram = np.empty((len(basis),) * 2, dtype=complex)
+        for i in range(0, len(basis), step):
+            gram[i : i + step] = flat[i : i + step].conj() @ flat.T
+        if not np.array_equal(gram, np.diag(np.diagonal(gram))):
+            raise ValidationError("basis elements are not Frobenius-orthogonal")
+        norms_sq = np.diagonal(gram).real.copy()
+        self._finish(norms_sq, eta, basis.shape[1], label, validate)
+
+    @classmethod
+    def _monomial(cls, owner, entry_values, eta, label: str) -> "KreinCStarAlgebra":
+        """A library-built algebra of elements with pairwise disjoint supports,
+        from the ``owner`` and the value of each of the d² entries r·d + t."""
+        algebra = object.__new__(cls)
+        algebra._support = _support(owner, entry_values)
+        algebra._finish(algebra._support.norms_sq, eta, len(eta), label, True)
+        return algebra
+
+    def _finish(self, norms_sq, eta, dim: int, label: str, validate: bool):
+        """The tail both constructors share, from the elements' ‖b_i‖²."""
+        self._norms_sq = norms_sq
         self.eta = as_complex_matrix(eta)
-        self.dim = basis.shape[1]
+        self.dim = dim
         self.label = label
         if self.eta.shape != (self.dim, self.dim):
             raise DimensionMismatchError("eta shape does not match basis")
-        self._support = _disjoint_support(basis)
-        if self._support is None:
-            # gram[i, j] = ⟨b_i, b_j⟩, in row blocks so that only one block of
-            # the basis is ever conjugated
-            flat, step = self._flat, max(1, len(basis) // 8)
-            gram = np.empty((len(basis),) * 2, dtype=complex)
-            for i in range(0, len(basis), step):
-                gram[i : i + step] = flat[i : i + step].conj() @ flat.T
-            if not np.array_equal(gram, np.diag(np.diagonal(gram))):
-                raise ValidationError("basis elements are not Frobenius-orthogonal")
-            self._norms_sq = np.diagonal(gram).real.copy()
-        else:
-            self._norms_sq = self._support.norms_sq
         if not np.all(self._norms_sq > 0):
             raise ValidationError("basis contains a zero element")
         e = np.diagonal(self.eta)
@@ -161,14 +173,14 @@ class KreinCStarAlgebra:
         if validate:
             self._validate()
 
-    @property
-    def _flat(self) -> np.ndarray:
-        """The basis as (vector_dim, d²) rows, a view of ``basis``."""
-        return self.basis.reshape(len(self.basis), -1)
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The stack (vector_dim, d, d), unless it was given dense."""
+        return self.from_coefficients(np.eye(self.vector_dim))
 
     @property
     def vector_dim(self) -> int:
-        return len(self.basis)
+        return len(self._norms_sq)
 
     def _validate(self):
         d = self.dim
@@ -184,9 +196,9 @@ class KreinCStarAlgebra:
         # its slices directly.
         if self._first_outside(np.eye(d)[None]) >= 0:
             raise ValidationError("carrier does not contain the identity")
-        step = max(1, len(self.basis) // 16)
-        for i in range(0, len(self.basis), step):
-            b = self.basis[i : i + step]
+        step, eye = max(1, self.vector_dim // 16), np.eye(self.vector_dim)
+        for i in range(0, self.vector_dim, step):
+            b = self.from_coefficients(eye[i : i + step])
             k = self._first_outside(np.stack(
                 [self._twist(b), self._twist(b.conj().swapaxes(-1, -2))], axis=1
             ).reshape(-1, d, d))
@@ -196,7 +208,7 @@ class KreinCStarAlgebra:
         # the sample is drawn in stacks of pairs that hold ⅛ of the basis or
         # CHUNK_BYTES, whichever is more (a pair is 2·d² complex entries).
         # The lazy map lets no drawn or projected pair outlive its products.
-        rng, pairs = np.random.default_rng(0), min(8, len(self.basis) ** 2)
+        rng, pairs = np.random.default_rng(0), min(8, self.vector_dim**2)
         per_draw = max(step, CHUNK_BYTES // (2 * 16 * d * d))
         for i in range(0, pairs, per_draw):
             pair = map(
@@ -305,36 +317,22 @@ class KreinCStarAlgebra:
         return any(operator_norm(self.eta - s * eye) <= 1e-12 for s in (1, -1))
 
 
-def _disjoint_support(basis) -> SimpleNamespace | None:
-    """The nonzeros of a basis (n, d, d) whose elements have pairwise
-    disjoint supports, or None when two elements share an entry: the flat
-    ``entries`` r·d + t sorted by element, with ``starts`` and
-    ``conj_values``, and for each of the d² entries its ``owner`` and
-    ``entry_values`` (0 and 0 where no element owns it)."""
-    n, dd = len(basis), basis.shape[1] ** 2
-    # disjoint supports hold at most d² nonzeros in all, so a count first keeps
-    # every index array below d² entries whatever the basis
-    if np.count_nonzero(basis) > dd:
-        return None
-    nonzero = np.flatnonzero(basis)
-    element, entries = np.divmod(nonzero, dd)
-    if np.bincount(entries, minlength=dd).max(initial=0) > 1:
-        return None
-    values = basis.reshape(-1)[nonzero]
-    counts = np.bincount(element, minlength=n)
-    owner = np.zeros(dd, dtype=np.intp)
-    owner[entries] = element
-    entry_values = np.zeros(dd, dtype=complex)
-    entry_values[entries] = values
+def _support(owner, entry_values) -> SimpleNamespace:
+    """The support of a basis whose elements have pairwise disjoint supports,
+    from the ``owner`` and the ``entry_values`` of each of the d² entries:
+    the flat ``entries`` r·d + t sorted stably by element, with ``starts``,
+    ``conj_values`` and ``norms_sq``."""
+    entry_values = np.asarray(entry_values, dtype=complex)
+    entries = np.argsort(owner, kind="stable")
+    element, values = owner[entries], entry_values[entries]
+    counts = np.bincount(element)
     return SimpleNamespace(
         entries=entries,
         starts=np.cumsum(counts) - counts,
         conj_values=values.conj(),
         owner=owner,
         entry_values=entry_values,
-        norms_sq=np.bincount(
-            element, weights=values.real**2 + values.imag**2, minlength=n
-        ),
+        norms_sq=np.bincount(element, weights=values.real**2 + values.imag**2),
     )
 
 
@@ -360,15 +358,14 @@ def bounded_operators(p: int, q: int) -> KreinCStarAlgebra:
     if d < 1:
         raise ValidationError("p + q must be at least 1")
     eta = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
-    basis = FiniteCStarAlgebra((d,)).basis()
-    return KreinCStarAlgebra(basis, eta, label=f"B(C^{{{p},{q}}})")
+    return KreinCStarAlgebra._monomial(
+        np.arange(d * d), np.ones(d * d), eta, label=f"B(C^{{{p},{q}}})"
+    )
 
 
 def scalar_krein_algebra() -> KreinCStarAlgebra:
     """The base field C with the trivial reference symmetry."""
-    return KreinCStarAlgebra(
-        np.ones((1, 1, 1), dtype=complex), np.eye(1, dtype=complex), label="C"
-    )
+    return KreinCStarAlgebra._monomial(np.zeros(1, int), np.ones(1), np.eye(1), "C")
 
 
 # -- operations ---------------------------------------------------------------

@@ -257,14 +257,15 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
 
     The resulting star is the adjoint for the indefinite Gram pairing; it
     coincides with conjugate-reversal of Clifford monomials (verified by the
-    test suite, not postulated here).  Its basis is the N x N x N complex
-    blade tensor, N = 2^(p+q); the blades are signed permutations with
-    disjoint supports, so the algebra reads coordinates through their
-    nonzeros.
+    test suite, not postulated here).  Blade S is the signed permutation
+    e_T ↦ σ[S, T] e_{S xor T}, so entry (R, T) is σ[R xor T, T] in blade
+    R xor T; the algebra is built from that table, and the N x N x N blade
+    tensor, N = 2^(p+q), only if its ``basis`` is read.
     """
-    return KreinCStarAlgebra(
-        _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex)),
-        second_quantized_J(space),
+    t = np.arange(space.grassmann_dim)
+    s = t[:, None] ^ t
+    return KreinCStarAlgebra._monomial(
+        s.ravel(), space.blade_signs[s, t].ravel(), second_quantized_J(space),
         label=f"CCl(R^{{{space.p},{space.q}}})",
     )
 

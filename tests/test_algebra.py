@@ -6,7 +6,6 @@ import pytest
 from kreinmod.algebra import (
     FiniteCStarAlgebra,
     KreinCStarAlgebra,
-    _disjoint_support,
     bounded_operators,
     check_krein_cstar_axioms,
     even_odd_split,
@@ -153,17 +152,19 @@ class TestGramPath:
 
 
 class TestSupportPath:
-    """A basis whose elements have pairwise disjoint supports is read through
-    its nonzeros; any other basis through its Gram matrix.  Both read the
-    coordinates ⟨b_i, a⟩ / ‖b_i‖² and twist by eta a eta."""
+    """The library's monomial algebras state their support and are read
+    through its nonzeros; a basis given as a dense stack is read through its
+    Gram matrix.  Both read the coordinates ⟨b_i, a⟩ / ‖b_i‖² and twist by
+    eta a eta."""
 
     @pytest.mark.parametrize(
         "build, on_support",
         [
             (lambda: bounded_operators(2, 1), True),
             (scalar_krein_algebra, True),
+            # a dense stack takes the Gram path, monomial or not
             (lambda: KreinCStarAlgebra(FiniteCStarAlgebra((2, 1)).basis(),
-                                       eta_pq(2, 1)), True),
+                                       eta_pq(2, 1)), False),
             (lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 1)), True),
             # gamma blades are monomial but overlap, q E_ii q† is dense
             (lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))), False),
@@ -201,16 +202,78 @@ class TestSupportPath:
         monkeypatch.setattr(KreinCStarAlgebra, "coefficients", no_coordinates)
         units = FiniteCStarAlgebra((2, 1)).basis()
         basis = np.concatenate([units[:2], np.zeros_like(units[:1]), units[2:]])
-        assert _disjoint_support(basis) is not None
         with pytest.raises(ValidationError, match="basis contains a zero element"):
             KreinCStarAlgebra(basis, eta_pq(2, 1))
+
+    def test_declared_zero_element_refused_before_any_coordinates(self, monkeypatch):
+        # element 2 owns no entry of the declared table
+        def no_coordinates(self, a):
+            raise AssertionError("coordinates read before the zero check")
+
+        monkeypatch.setattr(KreinCStarAlgebra, "coefficients", no_coordinates)
+        with pytest.raises(ValidationError, match="basis contains a zero element"):
+            KreinCStarAlgebra._monomial(
+                np.array([0, 1, 3, 4]), np.ones(4), eta_pq(1, 1), ""
+            )
 
     def test_overlapping_monomials_refused(self):
         # E_11 and the identity are monomial and share the entry (0, 0)
         basis = np.stack([np.diag([1.0, 0.0]), np.eye(2)])
-        assert _disjoint_support(basis) is None
         with pytest.raises(ValidationError, match="not Frobenius-orthogonal"):
             KreinCStarAlgebra(basis, eta_pq(1, 1), validate=False)
+
+
+def declared_clifford(p, q):
+    space = PseudoEuclideanSpace(p, q)
+    return (
+        lambda: clifford_krein_algebra(space),
+        lambda: _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex)),
+    )
+
+
+# each declared algebra with the dense stack of its basis
+DECLARED = {
+    **{f"clifford ({p},{q})": declared_clifford(p, q)
+       for p, q in ((2, 2), (3, 1), (0, 0))},
+    "B(C^{2,1})": (
+        lambda: bounded_operators(2, 1), lambda: FiniteCStarAlgebra((3,)).basis()
+    ),
+    "scalars": (scalar_krein_algebra, lambda: np.ones((1, 1, 1), dtype=complex)),
+}
+
+
+class TestDeclaredSupport:
+    """The library's monomial algebras are built from their index tables:
+    they read as their dense stacks do, and hold no stack until ``basis`` is
+    read."""
+
+    @pytest.mark.parametrize("name", DECLARED)
+    def test_basis_synthesised_on_first_read(self, name):
+        build, dense = DECLARED[name]
+        alg = build()
+        assert "basis" not in vars(alg)
+        basis, expected = alg.basis, dense()
+        assert "basis" in vars(alg)
+        assert basis.dtype == expected.dtype and basis.shape == expected.shape
+        assert basis.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", DECLARED)
+    def test_maps_match_dense_stack(self, name):
+        build, dense = DECLARED[name]
+        alg = build()
+        ref = KreinCStarAlgebra(dense(), alg.eta)
+        a = random_complex(np.random.default_rng(20), 2, 3, alg.dim, alg.dim)
+        bound = 4 * np.finfo(float).eps * np.abs(a).max()
+        for f in ("coefficients", "project", "star", "alpha"):
+            got, expected = getattr(alg, f)(a), getattr(ref, f)(a)
+            assert np.abs(got - expected).max() <= bound, f
+        assert "basis" not in vars(alg)
+
+    def test_clifford_construction_holds_no_blade_tensor(self):
+        # the N x N x N stack alone is N³ · 16 B = 4 MiB at (3,3)
+        space = PseudoEuclideanSpace(3, 3)
+        peak = TestStackedMaps.traced_peak(lambda: clifford_krein_algebra(space))
+        assert peak < space.grassmann_dim**3 * 16 / 2
 
 
 class TestSynthesis:
@@ -276,10 +339,10 @@ class TestStackedMaps:
 
     @staticmethod
     def construction_bases():
-        """The Clifford (3,3) blades with their J, which have disjoint supports,
-        and their conjugates by the 64 x 64 Sylvester-Hadamard matrix h, a
-        multiple of a real orthogonal matrix: dense, with integer entries, so
-        that their Gram matrix is exactly diagonal and is read."""
+        """The Clifford (3,3) blades with their J as a dense stack, and their
+        conjugates by the 64 x 64 Sylvester-Hadamard matrix h, a multiple of
+        a real orthogonal matrix: dense, with integer entries, so that their
+        Gram matrix is exactly diagonal.  Both are read through it."""
         space = PseudoEuclideanSpace(3, 3)
         basis = _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex))
         eta = second_quantized_J(space)
@@ -287,8 +350,8 @@ class TestStackedMaps:
         while len(h) < len(basis):
             h = np.block([[h, h], [h, -h]])
         return {
-            "support": (basis, eta),
-            "gram": (h @ basis @ h.T, h @ eta @ h.T / len(h)),
+            "blades": (basis, eta),
+            "conjugated blades": (h @ basis @ h.T, h @ eta @ h.T / len(h)),
         }
 
     @staticmethod
@@ -316,7 +379,7 @@ class TestStackedMaps:
 
     def test_gram_holds_one_block_of_the_basis(self):
         # the blocked Gram product conjugates an eighth of the basis at a
-        # time; the support path holds index arrays of the d² entries
+        # time
         peaks = self.construction_peaks(validate=False)
         assert max(peaks.values()) <= 0.25, peaks
 

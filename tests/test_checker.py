@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kreinmod import checker, correspondence
-from kreinmod.clifford import spinor_module
+from kreinmod.clifford import clifford_krein_algebra, spinor_module
 from kreinmod.checker import (
     COVERAGE_MANIFEST,
     DEMOS,
@@ -101,10 +101,22 @@ class TestScenarios:
         assert {n: tolerances[n] for n in names} == dict.fromkeys(names, 1e-3)
 
     def test_clifford_budget(self):
-        # (5, 4): the blade tensor alone would take 512³ · 16 B ≈ 2.1 GB
+        # (5, 4): the 1.3 N³ entries the budget allows for the constructor's
+        # closure-check slices, N = 512, come to about 2.8 GB
         for p, q in ((6, 6), (5, 4)):
             with pytest.raises(ResourceBudgetError):
                 run(CheckConfig(scenario="clifford", p=p, q=q, samples=1))
+
+    def test_clifford_scenario_reads_no_dense_basis(self, monkeypatch):
+        built = []
+
+        def keep(space):
+            built.append(clifford_krein_algebra(space))
+            return built[-1]
+
+        monkeypatch.setattr(checker, "clifford_krein_algebra", keep)
+        run(CheckConfig("clifford", p=2, q=2, samples=3))
+        assert built and all("basis" not in vars(alg) for alg in built)
 
     def test_spinor_budget_refuses_before_any_work(self, monkeypatch):
         # S ⊗ S̄ at (5, 5) would hold 1024³ entries; nothing may be built
