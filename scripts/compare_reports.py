@@ -22,7 +22,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the 20 configurations: scenarios at the sizes the benchmark and gallery
+# the 22 configurations: scenarios at the sizes the benchmark and gallery
 # use, and the three demos, each at its default seed unless given
 CONFIGS = [
     *(
@@ -32,6 +32,11 @@ CONFIGS = [
     ["check", "module-over-krein", "--p", "2", "--q", "2", "--samples", "20"],
     ["check", "clifford", "--p", "3", "--q", "3", "--samples", "20"],
     ["check", "spinor", "--p", "3", "--q", "3", "--samples", "10"],
+    # A diagonal, so the gamma algebra twists entrywise
+    ["check", "spinor", "--p", "2", "--q", "2", "--samples", "10"],
+    # the spinor module's law table at the demo's signature, whose demo runs
+    # only the Morita half
+    ["check", "spinor", "--p", "1", "--q", "3", "--samples", "10"],
     ["check", "krein-algebra", "--p", "2", "--q", "2", "--samples", "200"],
     ["check", "module", "--p", "2", "--q", "2", "--samples", "50"],
     # a stack of 20 random symmetries, one per sample, at a non-square

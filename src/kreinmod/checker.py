@@ -47,7 +47,6 @@ from .clifford import (
     gamma_algebra,
     gamma_rep,
     scalar_one,
-    second_quantized_J,
     spinor_module,
     spinor_signature,
     vector,
@@ -686,7 +685,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         1e-12,
     )
 
-    jmat = second_quantized_J(space)
+    jmat = alg.eta
 
     def multivectors(count):
         """A draw of ``count`` random multivectors per sample, their

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import KreinCStarAlgebra, scalar_krein_algebra
-from .krein_over_krein import KreinBimodule
+from .krein_over_krein import KreinBimodule, operator_bimodule
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
@@ -120,9 +120,7 @@ def _same_space(a: MultiVector, b: MultiVector):
 
 
 def scalar_one(space: PseudoEuclideanSpace) -> MultiVector:
-    c = np.zeros(space.grassmann_dim, dtype=complex)
-    c[0] = 1.0
-    return MultiVector(space, c)
+    return basis_blade(space, 0)
 
 
 def basis_blade(space: PseudoEuclideanSpace, mask: int) -> MultiVector:
@@ -344,28 +342,12 @@ def gamma_algebra(rep: GammaRep) -> KreinCStarAlgebra:
 
 
 def spinor_module(space: PseudoEuclideanSpace) -> KreinBimodule:
-    """Spinors as a Clifford-C bimodule.
+    """Spinors as the operator bimodule B(C, S) of the spinor space S.
 
-    Right action of the scalars, indefinite scalar product psi† A phi,
-    symmetry J = A, left gamma action, left Clifford-valued product
-    psi phi† A.  The twisting J(c psi) = alpha(c) J(psi) holds with alpha
-    the conjugation by A on the gamma image.
+    The maps C -> S are the spinors themselves, with reference forms 1 on C
+    and A on S: right action of the scalars, indefinite scalar product
+    psi† A phi, symmetry J = A, left gamma action and left Clifford-valued
+    product psi phi† A.  The twisting J(c psi) = alpha(c) J(psi) holds with
+    alpha the conjugation by A on the gamma image.
     """
-    rep = gamma_rep(space)
-    d = rep.spinor_dim
-    left = gamma_algebra(rep)
-    right = scalar_krein_algebra()
-    inner = rep.a[:, :, None, None].copy()
-    eye = np.eye(d, dtype=complex)
-    # left_inner[i, j] = e_i e_j† A
-    left_inner = np.einsum("ai,jb->ijab", eye, rep.a)
-    return KreinBimodule(
-        algebra=right,
-        dim=d,
-        action=eye[None, :, :].copy(),
-        inner=inner,
-        symmetry=rep.a.copy(),
-        left_algebra=left,
-        left_action=left.basis,
-        left_inner=left_inner,
-    )
+    return operator_bimodule(scalar_krein_algebra(), gamma_algebra(gamma_rep(space)))

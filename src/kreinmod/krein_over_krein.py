@@ -167,6 +167,8 @@ def operator_bimodule(
     Carrier: d2 x d1 matrices T, flattened.  Right action by composition,
     right product eta1 T† eta2 S; left product T eta1 S† eta2; the symmetry
     is T ↦ eta2 T eta1.  Both algebras must have full matrix carriers.
+    Spinors are the instance B(C, S): k1 the scalars with form 1, k2 the
+    gamma algebra on the spinor space S with form A (``spinor_module``).
     """
     d1, d2 = k1.dim, k2.dim
     for alg in (k1, k2):

@@ -407,6 +407,24 @@ class TestGammaRep:
 
 
 class TestSpinorModule:
+    @pytest.mark.parametrize("pq", [(0, 0), (1, 1), (1, 3), (2, 2), (3, 3)])
+    def test_tensors_equal_spinor_formulas(self, pq):
+        """The operator bimodule B(C, S) carries, value for value, the
+        spinor tensors written out from the gamma representation."""
+        rep = gamma_rep(PseudoEuclideanSpace(*pq))
+        a, eye = rep.a, np.eye(rep.spinor_dim, dtype=complex)
+        m = spinor_module(rep.space)
+        assert np.array_equal(m.algebra.basis, np.ones((1, 1, 1)))
+        assert np.array_equal(m.algebra.eta, np.ones((1, 1)))
+        assert np.array_equal(m.left_algebra.eta, a)
+        assert np.array_equal(m.action, eye[None])
+        # inner[i, j] = e_i† A e_j as a 1 x 1 scalar matrix
+        assert np.array_equal(m.inner, a[:, :, None, None])
+        assert np.array_equal(m.symmetry, a)
+        assert np.array_equal(m.left_action, gamma_algebra(rep).basis)
+        # left_inner[i, j] = e_i e_j† A
+        assert np.array_equal(m.left_inner, np.einsum("ai,jb->ijab", eye, a))
+
     def test_axioms_11(self):
         report = check_module_over_krein(spinor_module(S11), samples=150, seed=15)
         assert report.passed, report.to_text()
