@@ -22,7 +22,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the 22 configurations: scenarios at the sizes the benchmark and gallery
+# the 23 configurations: scenarios at the sizes the benchmark and gallery
 # use, and the three demos, each at its default seed unless given
 CONFIGS = [
     *(
@@ -44,6 +44,8 @@ CONFIGS = [
     ["check", "module", "--p", "5", "--q", "3", "--samples", "20"],
     ["check", "tensor", "--samples", "50"],
     ["check", "tensor", "--p", "3", "--q", "2", "--samples", "20"],
+    # J = −I, so the odd half of C^{0,2} ⊗ C^{0,2} is empty
+    ["check", "tensor", "--p", "0", "--q", "2", "--samples", "20"],
     # ladder sizes: the algebra constructor, the tensor of C^{p,q} with itself
     # and S ⊗ S̄ at the largest spinor size the byte budget admits
     ["check", "clifford", "--p", "4", "--q", "3", "--samples", "5"],

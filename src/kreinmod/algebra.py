@@ -277,9 +277,6 @@ class KreinCStarAlgebra:
         _scale_rows(out, s.entry_values)
         return out.reshape(shape)
 
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
-
     def random_element(self, rng: np.random.Generator) -> np.ndarray:
         """I.i.d. complex normal matrix, projected into the carrier."""
         return self.project(random_complex(rng, self.dim, self.dim))

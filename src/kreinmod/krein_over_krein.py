@@ -209,6 +209,14 @@ def left_twist_defect(module: KreinBimodule, c, x):
     return np.linalg.norm(j(left(c, x)) - left(alpha(c), j(x)), axis=-1)
 
 
+def inner_twist_defect(module: KreinModuleOverKrein, x, y):
+    """‖alpha(⟨x, y⟩) − ⟨Jx, Jy⟩‖, unnormalised, of each pair of carrier
+    vectors (..., D): the law alpha(⟨x, y⟩) = ⟨Jx, Jy⟩ of a symmetry J
+    twisted over alpha."""
+    pairing, j = module.pairing, module.j
+    return operator_norm(module.algebra.alpha(pairing(x, y)) - pairing(j(x), j(y)))
+
+
 def rank_one(module: KreinModuleOverKrein, x, y) -> np.ndarray:
     """The operator z ↦ x · ⟨y, z⟩, or a stack of them for stacks x, y."""
     x = np.asarray(x, dtype=complex)
@@ -349,7 +357,7 @@ def check_module_over_krein(
          lambda s: vnorm(j(act(s.x, s.b)) - act(j(s.x), alg.alpha(s.b)))
          / (s.nx * s.nb)),
         ("alpha of inner is inner of J pair", tol,
-         lambda s: operator_norm(alg.alpha(s.p) - s.pj) / s.sxy),
+         lambda s: inner_twist_defect(module, s.x, s.y) / s.sxy),
         ("auxiliary product positive", tol, auxiliary_defect),
         ("even odd parts exchange under J", tol, even_odd_exchange),
     ]

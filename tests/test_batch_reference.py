@@ -198,7 +198,7 @@ def test_clifford_tables_at_21(samples):
         )
         aux = grassmann_inner(a, ja)
         out["second quantized auxiliary form positive"].append(
-            max(max(0.0, -aux.real), abs(aux.imag))
+            max(max(0.0, -aux.real), abs(aux.imag)) / np.vdot(a.coeffs, a.coeffs).real
         )
     for _ in range(samples):
         a, b, c = (random_multivector(space, rng) for _ in range(3))

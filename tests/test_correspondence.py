@@ -28,6 +28,7 @@ from kreinmod.correspondence import (
     spinor_correspondence,
     spinor_factorization_check,
 )
+from kreinmod.krein_module import krein_space, random_symmetry
 from kreinmod.krein_over_krein import (
     check_imprimitivity,
     check_module_over_krein,
@@ -41,7 +42,10 @@ from kreinmod.linalg import (
     operator_norm,
     quotient_space,
     random_complex,
+    spectral_projector,
 )
+
+EPS = np.finfo(float).eps
 
 
 def m2_algebra():
@@ -357,6 +361,35 @@ class TestInternalTensor:
             report = even_odd_decomposition_check(bad, m, n)
             assert np.allclose([r.max_violation for r in report.records], 1.0)
 
+    @staticmethod
+    def matched_halves(j, k, sign):
+        """P₊⊗Q_sign + P₋⊗Q₋sign from the four halves of j and k."""
+        p = {s: spectral_projector(j, s) for s in (+1, -1)}
+        q = {s: spectral_projector(k, s) for s in (+1, -1)}
+        return np.kron(p[+1], q[sign]) + np.kron(p[-1], q[-sign])
+
+    @pytest.mark.parametrize(
+        "pq, rs", [((2, 1), (1, 2)), ((2, 2), (1, 1)), ((3, 2), (0, 2))]
+    )
+    def test_matched_halves_are_the_kronecker_eigenspaces(self, pq, rs):
+        # (1 + sign·J⊗K)/2, the projector the even/odd check reads
+        rng = np.random.default_rng(21)
+        js, ks = (random_symmetry(krein_space(*s), rng, 4).matrix for s in (pq, rs))
+        for j, k in zip(js, ks):
+            jk = np.kron(j, k)
+            for sign in (+1, -1):
+                defect = spectral_projector(jk, sign) - self.matched_halves(j, k, sign)
+                assert operator_norm(defect) <= 4 * EPS * operator_norm(jk)
+
+    @pytest.mark.parametrize(
+        "pq, rs", [((2, 1), (1, 2)), ((1, 1), (0, 2)), ((3, 0), (2, 2))]
+    )
+    def test_matched_halves_exact_on_diagonal_symmetries(self, pq, rs):
+        j, k = (krein_space_correspondence(*s).symmetry for s in (pq, rs))
+        for sign in (+1, -1):
+            got = spectral_projector(np.kron(j, k), sign)
+            assert np.array_equal(got, self.matched_halves(j, k, sign))
+
 
 def balancing_relations(m, n):
     """The rows e_i·b_k ⊗ e_l − e_i ⊗ b_k·e_l, one (i, k, l) at a time."""
@@ -542,6 +575,28 @@ class TestContragredient:
         left = np.stack([m.right_operator(ra.star(b)).conj() for b in ra.basis])
         for got, want in ((mbar.action, right), (mbar.left_action, left)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: spinor_correspondence(PseudoEuclideanSpace(1, 3)),
+            lambda: identity_correspondence(bounded_operators(1, 1)),
+            lambda: krein_space_correspondence(2, 1),
+        ],
+        ids=["spinor13", "id-b11", "c21"],
+    )
+    def test_actions_equal_coefficient_formulas(self, make):
+        # the actions through the operator maps are, to the bit, the star
+        # coefficient matrices contracted with the other side's action tensor
+        m = make()
+        mbar = contragredient(m)
+        star_l, star_r = (
+            a.coefficients(a.star(a.basis)) for a in (m.left_algebra, m.algebra)
+        )
+        right = np.tensordot(star_l, m.left_action, axes=(1, 0)).conj()
+        left = np.tensordot(star_r, m.action, axes=(1, 0)).conj()
+        assert np.array_equal(mbar.action, right)
+        assert np.array_equal(mbar.left_action, left)
 
     def test_double_contragredient_is_identity(self):
         for corr in (

@@ -38,6 +38,7 @@ from kreinmod.krein_module import (
 )
 from kreinmod.krein_over_krein import (
     check_module_over_krein,
+    inner_twist_defect,
     left_twist_defect,
     operator_bimodule,
 )
@@ -241,7 +242,8 @@ def spinor_twisting(module):
 def inner_twist(t):
     """The tensor scenario's "gamma compatibility of descended product"."""
     u, v = gaussians(np.random.default_rng(6), SAMPLES, (t.dim,), (t.dim,))
-    return np.max(checker._inner_twist_residual(t, u, v))
+    scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
+    return np.max(inner_twist_defect(t, u, v) / scale)
 
 
 SCENARIO_LAWS = {
@@ -269,36 +271,66 @@ def test_tensor_scenario_twist_law_meets_a_quotient(monkeypatch):
     # over the scalars the section is I, and over B(C^{2,0}) alpha and J are
     # the identity: on either the law could not tell J from I
     seen = []
-    residual = checker._inner_twist_residual
     monkeypatch.setattr(
-        checker, "_inner_twist_residual",
-        lambda t, u, v: seen.append(t) or residual(t, u, v),
+        checker, "inner_twist_defect",
+        lambda t, u, v: seen.append(t) or inner_twist_defect(t, u, v),
     )
     checker.run(checker.CheckConfig(scenario="tensor", samples=3))
     assert seen and all(t.section.shape == (16, 4) for t in seen)
     assert not any(t.algebra.is_trivially_definite for t in seen)
 
 
-# the Clifford scenario's "clifford grassmann bijection" reads c(e_S)·1 = e_S
-# off the blades' first columns
-def grassmann_run():
+# the Clifford scenario's "clifford grassmann bijection" and "representation
+# faithful" read the symbol map a ↦ c(a)·1, the blades' first columns, and
+# "second quantized auxiliary form positive" reads the algebra's eta as J
+CLIFFORD22 = clifford_krein_algebra(PseudoEuclideanSpace(2, 2))
+
+
+def clifford_records(monkeypatch=None, basis=None, eta=None):
+    """The Clifford (2,2) scenario's records by name, on the real algebra or,
+    given a monkeypatch, on a blade stack or eta that replaces its own."""
+    if monkeypatch is not None:
+        basis = CLIFFORD22.basis if basis is None else basis
+        eta = CLIFFORD22.eta if eta is None else eta
+        monkeypatch.setattr(
+            checker, "clifford_krein_algebra",
+            lambda space: KreinCStarAlgebra(basis, eta, validate=False),
+        )
     report = checker.run(checker.CheckConfig(scenario="clifford", p=2, q=2, samples=5))
-    law = "clifford grassmann bijection"
-    (record,) = (r for r in report.records if r.name == law)
-    return report, record
+    return {r.name: r for r in report.records}
+
+
+def first_columns_scaled(factor):
+    basis = CLIFFORD22.basis.copy()
+    basis[:, :, 0] *= factor
+    return basis
 
 
 def test_grassmann_bijection_fails_on_negated_first_columns(monkeypatch):
-    report, record = grassmann_run()
-    assert record.max_violation == 0.0
-    real = clifford_krein_algebra(PseudoEuclideanSpace(2, 2))
-    basis = real.basis.copy()
-    basis[:, :, 0] *= -1
-    monkeypatch.setattr(
-        checker, "clifford_krein_algebra",
-        lambda space: KreinCStarAlgebra(basis, real.eta, validate=False),
-    )
-    corrupted, record = grassmann_run()
+    real = clifford_records()
+    assert real["clifford grassmann bijection"].max_violation == 0.0
+    corrupted = clifford_records(monkeypatch, basis=first_columns_scaled(-1))
+    record = corrupted["clifford grassmann bijection"]
     assert record.max_violation >= 10 * record.tolerance
     assert not record.passed
-    assert [r.name for r in corrupted.records] == [r.name for r in report.records]
+    assert list(corrupted) == list(real)
+    # negated columns stay independent: the representation is still faithful
+    assert corrupted["representation faithful"].max_violation == 0.0
+
+
+def test_faithfulness_fails_on_zeroed_first_columns(monkeypatch):
+    assert clifford_records()["representation faithful"].max_violation == 0.0
+    corrupted = clifford_records(monkeypatch, basis=first_columns_scaled(0))
+    record = corrupted["representation faithful"]
+    assert record.max_violation == 16  # every symbol is zero
+    assert record.max_violation >= 10 * record.tolerance
+    assert not record.passed
+
+
+def test_auxiliary_form_reads_one_under_negated_J(monkeypatch):
+    law = "second quantized auxiliary form positive"
+    assert clifford_records()[law].max_violation <= 1e-15
+    # ⟨m, −Jm⟩ = −‖m‖², summed as the normalisation sums it
+    record = clifford_records(monkeypatch, eta=-CLIFFORD22.eta)[law]
+    assert record.max_violation == 1.0
+    assert not record.passed
