@@ -22,7 +22,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the 23 configurations: scenarios at the sizes the benchmark and gallery
+# the 25 configurations: scenarios at the sizes the benchmark and gallery
 # use, and the three demos, each at its default seed unless given
 CONFIGS = [
     *(
@@ -30,6 +30,8 @@ CONFIGS = [
         for seed in (0, 1, 42)
     ),
     ["check", "module-over-krein", "--p", "2", "--q", "2", "--samples", "20"],
+    # a non-square signature: B(C^{3,2}) over itself and into B(C^{1,1})
+    ["check", "module-over-krein", "--p", "3", "--q", "2", "--samples", "10"],
     ["check", "clifford", "--p", "3", "--q", "3", "--samples", "20"],
     ["check", "spinor", "--p", "3", "--q", "3", "--samples", "10"],
     # A diagonal, so the gamma algebra twists entrywise
@@ -55,6 +57,8 @@ CONFIGS = [
     ["check", "spinor", "--p", "4", "--q", "4", "--samples", "5"],
     # the empty signature: zero-degree and zero-size draws
     ["check", "clifford", "--p", "0", "--q", "0", "--samples", "5"],
+    # a single generator, the one whose metric entry the degenerate control nulls
+    ["check", "clifford", "--p", "0", "--q", "1", "--samples", "5"],
     ["check", "spinor", "--p", "0", "--q", "0", "--samples", "5"],
     ["demo", "minkowski"],
     ["demo", "torus"],

@@ -661,7 +661,9 @@ def _scenario_clifford(config: CheckConfig) -> Report:
             bv = wedge(bv, vector(space, vs[:, i]))
             bw = wedge(bw, vector(space, ws[:, i]))
         gram = np.sum(vs.conj()[:, :, None] * g * ws[:, None], axis=-1)
-        return SimpleNamespace(v=bv.coeffs, w=bw.coeffs, gram=gram)
+        # the pairing is linear in each vector: relative to ∏ᵢ ‖vᵢ‖‖wᵢ‖
+        scale = np.prod(np.linalg.norm(vs, axis=-1) * np.linalg.norm(ws, axis=-1), -1)
+        return SimpleNamespace(v=bv.coeffs, w=bw.coeffs, gram=gram, scale=scale)
 
     report.check_laws(
         decomposables,
@@ -670,7 +672,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
           lambda s: np.abs(
               grassmann_inner(MultiVector(space, s.v), MultiVector(space, s.w))
               - _gram_det(s.gram)
-          ))],
+          ) / s.scale)],
     )
 
     s11 = PseudoEuclideanSpace(1, 1)
@@ -711,11 +713,12 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         j_pairs,
         min(config.samples, SLOW_LAW_SAMPLES),
         [
+            # the Gram diagonal is ±1, so |⟨m0, m1⟩| ≤ ‖m0‖‖m1‖
             ("second quantized symmetry preserves pairing", 1e-9,
              lambda s: np.abs(
                  grassmann_inner(vec(s.j0), vec(s.j1))
                  - grassmann_inner(vec(s.m0), vec(s.m1))
-             )),
+             ) / (np.linalg.norm(s.m0, axis=-1) * np.linalg.norm(s.m1, axis=-1))),
             ("second quantized auxiliary form positive", 1e-12, auxiliary_defect),
         ],
     )
@@ -747,7 +750,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         prefix="algebra: ",
     )
 
-    # c(a) is drawn with a, so that the batch size counts its N² entries
+    # c(a) drawn with a: the batch counts its N² entries; ‖a‖ ≤ ‖c(a)‖₂ as c(a)·1 = a
     def actions(rows):
         s = multivectors(1)(rows)
         return SimpleNamespace(m0=s.m0, c0=alg.from_coefficients(s.m0))
@@ -759,18 +762,18 @@ def _scenario_clifford(config: CheckConfig) -> Report:
           lambda s: operator_norm(
               alg.star(s.c0)
               - alg.from_coefficients(conjugate_reversal_coeffs(vec(s.m0)).coeffs)
-          ))],
+          ) / np.linalg.norm(s.m0, axis=-1))],
     )
     _check_cstar_identity(
         report, "clifford cstar identity", alg, rng, config.samples, config.tol
     )
 
-    degenerate = np.diag(np.concatenate([space.signs[:-1], [0.0]]))
+    null = anticommutator_residual(gens[-1:], gens[-1:], np.zeros(1))
     report.check(
         "negative control: degenerate metric gram",
-        float(n - numerical_rank(degenerate + 0j)) if n else 1.0,
-        0.5,
-        detail="a null direction must make the metric gram rank-deficient",
+        float(null[0]) if n else 1.0,
+        1e-12,
+        detail="the last generator must break {c, c} = 2g at a null metric entry g = 0",
         expected_fail=True,
     )
     return report
@@ -895,7 +898,7 @@ def _scenario_tensor(config: CheckConfig) -> Report:
     moved = np.einsum("au,bv,abcd->uvcd", cob.conj(), cob, t22.inner, optimize=True)
     report.check(
         "section independence",
-        float(np.linalg.norm(moved - t_rot.inner)),
+        float(np.linalg.norm(moved - t_rot.inner) / np.linalg.norm(t_rot.inner)),
         config.tol,
     )
 
@@ -915,7 +918,9 @@ def _scenario_tensor(config: CheckConfig) -> Report:
         draw,
         min(config.samples, SLOW_LAW_SAMPLES),
         [("gamma compatibility of descended product", 1e-10,
-          lambda s: inner_twist_defect(t11, s.u, s.v) / s.scale)],
+          lambda s: inner_twist_defect(
+              t11.algebra, t11.pairing(s.u, s.v), t11.pairing(t11.j(s.u), t11.j(s.v))
+          ) / s.scale)],
     )
 
     # left_operator(b_k) is left_action[k]: the middle basis is orthogonal

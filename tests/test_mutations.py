@@ -21,9 +21,13 @@ from kreinmod import checker
 from kreinmod.algebra import KreinCStarAlgebra, bounded_operators
 from kreinmod.clifford import (
     PseudoEuclideanSpace,
+    anticommutator_residual,
     clifford_krein_algebra,
     gamma_rep,
+    grassmann_inner,
     spinor_module,
+    vector,
+    wedge,
 )
 from kreinmod.correspondence import (
     alpha_beta_defect,
@@ -134,6 +138,14 @@ def test_table_names_every_law_and_each_passes_on_the_module():
         assert record.max_violation <= record.tolerance, record.name
 
 
+def test_twin_records_read_one_residual():
+    # alpha(p) = p₊ − p₋, so ⟨Jx, Jy⟩ = p₊ − p₋ is alpha(⟨x, y⟩) = ⟨Jx, Jy⟩
+    twins = ("even odd parts exchange under J", "alpha of inner is inner of J pair")
+    for module in (MODULE, spinor_module(PseudoEuclideanSpace(1, 3))):
+        records = laws(module)
+        assert records[twins[0]].max_violation == records[twins[1]].max_violation
+
+
 @pytest.mark.parametrize(
     "law",
     list(MUTATIONS),
@@ -167,13 +179,16 @@ def test_rank_one_adjoint_law_fails_on_an_unswapped_adjoint(monkeypatch):
     assert not record.passed
 
 
-# the module scenario's control pair on C^{2,2}, the spinor form of R^{2,2}
-# and the reference symmetry of C^{2,1} with the krein-algebra scenario's
-# corruption
+# the module scenario's control pair on C^{2,2}, the spinor form and the
+# Clifford generator images of R^{2,2}, and the reference symmetry of C^{2,1}
+# with the krein-algebra scenario's corruption
 SPACE = krein_space(2, 2)
 JA = standard_symmetry(SPACE)
 JB = random_symmetry(SPACE, np.random.default_rng(43))
-FORM = gamma_rep(PseudoEuclideanSpace(2, 2)).a
+S22 = PseudoEuclideanSpace(2, 2)
+FORM = gamma_rep(S22).a
+CLIFFORD22 = clifford_krein_algebra(S22)
+GENS = CLIFFORD22.from_coefficients(vector(S22, np.eye(S22.n)).coeffs)
 ETA = bounded_operators(2, 1).eta
 BAD_ETA = np.diag([1.0, 1.0, -2.0]).astype(complex)
 B11 = bounded_operators(1, 1)
@@ -206,6 +221,13 @@ CONTROLS = {
         lambda: involution_defect(ETA),
         lambda: involution_defect(BAD_ETA),
     ),
+    # {c_i, c_i} = 2 g_ii for each real generator, against g = 0 for the control
+    "negative control: degenerate metric gram": (
+        1e-12,
+        1e-12,
+        lambda: np.max(anticommutator_residual(GENS, GENS, S22.signs)),
+        lambda: np.max(anticommutator_residual(GENS[-1:], GENS[-1:], np.zeros(1))),
+    ),
     "negative control: non-intertwining homomorphism": (
         1e-9,
         1e-9,
@@ -225,7 +247,7 @@ def test_control_residual_separates_structure_from_corruption(control):
 # scenario laws whose residual is a library or checker function, each with
 # its scenario's normalisation: law -> (tolerance, residual on the real
 # structure, residual on a corruption of it)
-SPINOR = spinor_module(PseudoEuclideanSpace(2, 2))
+SPINOR = spinor_module(S22)
 IDENT11 = identity_correspondence(B11)
 TENSOR11 = internal_tensor(IDENT11, IDENT11)
 
@@ -243,7 +265,35 @@ def inner_twist(t):
     """The tensor scenario's "gamma compatibility of descended product"."""
     u, v = gaussians(np.random.default_rng(6), SAMPLES, (t.dim,), (t.dim,))
     scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
-    return np.max(inner_twist_defect(t, u, v) / scale)
+    p, pj = t.pairing(u, v), t.pairing(t.j(u), t.j(v))
+    return np.max(inner_twist_defect(t.algebra, p, pj) / scale)
+
+
+def gram_oracle(signs):
+    """The Clifford scenario's "gram determinant oracle" on SAMPLES pairs of
+    2-blades v₀∧v₁, w₀∧w₁ of R^{2,2}, the reference Gram matrix ⟨vᵢ, wⱼ⟩ read
+    with the metric ``signs``."""
+    vs, ws = gaussians(np.random.default_rng(7), SAMPLES, (2, S22.n), (2, S22.n))
+    v, w = (wedge(vector(S22, x[:, 0]), vector(S22, x[:, 1])) for x in (vs, ws))
+    gram = np.einsum("kin,n,kjn->kij", vs.conj(), signs, ws)
+    scale = np.prod(np.linalg.norm(vs, axis=-1) * np.linalg.norm(ws, axis=-1), -1)
+    return np.max(np.abs(grassmann_inner(v, w) - checker._gram_det(gram)) / scale)
+
+
+IDENT2 = identity_correspondence(bounded_operators(2, 0))
+
+
+def section_independence(moved_by_cob):
+    """The tensor scenario's "section independence" of id(B(C^{2,0})) ⊗ itself:
+    its inner product moved to a rotated section by the change of basis, or
+    left where it is."""
+    t, t_rot = (
+        internal_tensor(IDENT2, IDENT2, section_rotation=rotation)
+        for rotation in (None, np.random.default_rng(3))
+    )
+    cob = t.section.conj().T @ t_rot.section if moved_by_cob else np.eye(t.dim)
+    moved = np.einsum("au,bv,abcd->uvcd", cob.conj(), cob, t.inner)
+    return np.linalg.norm(moved - t_rot.inner) / np.linalg.norm(t_rot.inner)
 
 
 SCENARIO_LAWS = {
@@ -256,6 +306,16 @@ SCENARIO_LAWS = {
         1e-10,
         lambda: inner_twist(TENSOR11),
         lambda: inner_twist(replace(TENSOR11, symmetry=2 * TENSOR11.symmetry)),
+    ),
+    "gram determinant oracle": (
+        1e-10,
+        lambda: gram_oracle(S22.signs),
+        lambda: gram_oracle(S22.signs * [1, 1, 1, -1]),  # one metric sign flipped
+    ),
+    "section independence": (
+        1e-9,
+        lambda: section_independence(True),
+        lambda: section_independence(False),  # the change of basis dropped
     ),
 }
 
@@ -270,22 +330,25 @@ def test_scenario_law_separates_structure_from_corruption(law):
 def test_tensor_scenario_twist_law_meets_a_quotient(monkeypatch):
     # over the scalars the section is I, and over B(C^{2,0}) alpha and J are
     # the identity: on either the law could not tell J from I
-    seen = []
+    tensors, seen = [], []
+    monkeypatch.setattr(
+        checker, "internal_tensor",
+        lambda *args, **kw: tensors.append(internal_tensor(*args, **kw)) or tensors[-1],
+    )
     monkeypatch.setattr(
         checker, "inner_twist_defect",
-        lambda t, u, v: seen.append(t) or inner_twist_defect(t, u, v),
+        lambda alg, p, pj: seen.append(alg) or inner_twist_defect(alg, p, pj),
     )
     checker.run(checker.CheckConfig(scenario="tensor", samples=3))
-    assert seen and all(t.section.shape == (16, 4) for t in seen)
-    assert not any(t.algebra.is_trivially_definite for t in seen)
+    # the pairings come from the scenario's tensors over the algebra they twist by
+    twisted = [t for t in tensors if any(t.algebra is alg for alg in seen)]
+    assert twisted and all(t.section.shape == (16, 4) for t in twisted)
+    assert seen and not any(alg.is_trivially_definite for alg in seen)
 
 
 # the Clifford scenario's "clifford grassmann bijection" and "representation
 # faithful" read the symbol map a ↦ c(a)·1, the blades' first columns, and
 # "second quantized auxiliary form positive" reads the algebra's eta as J
-CLIFFORD22 = clifford_krein_algebra(PseudoEuclideanSpace(2, 2))
-
-
 def clifford_records(monkeypatch=None, basis=None, eta=None):
     """The Clifford (2,2) scenario's records by name, on the real algebra or,
     given a monkeypatch, on a blade stack or eta that replaces its own."""
