@@ -81,6 +81,17 @@ class PseudoEuclideanSpace:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def product_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s, σ[s, T]) over the entries (R, T): s = R xor T is the one blade
+        that maps e_T to e_R, e_s e_T = σ[s, T] e_R.  The signs are read-only;
+        s is not, since ``np.take`` copies a read-only index on every call."""
+        t = np.arange(self.grassmann_dim)
+        s = t[:, None] ^ t
+        signs = self.blade_signs[s, t]
+        signs.flags.writeable = False
+        return s, signs
+
 
 @dataclass(frozen=True)
 class MultiVector:
@@ -157,12 +168,11 @@ def _left_matrix(space: PseudoEuclideanSpace, coeffs, disjoint=False) -> np.ndar
     """The operator e_T ↦ a e_T of coefficients a, or a C-contiguous stack of
     them for a stack of rows: entry [..., R, T] is σ[S, T] a_S, S = R xor T;
     with ``disjoint`` only pairs S ∩ T = ∅ count (the exterior product)."""
-    t = np.arange(space.grassmann_dim)
-    s = t[:, None] ^ t
+    s, signs = space.product_table
     out = np.take(coeffs, s, axis=-1)
-    out *= space.blade_signs[s, t]
+    out *= signs
     if disjoint:
-        out[..., (s & t) != 0] = 0
+        out[..., (s & np.arange(len(s))) != 0] = 0
     return out
 
 
@@ -257,13 +267,12 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
     coincides with conjugate-reversal of Clifford monomials (verified by the
     test suite, not postulated here).  Blade S is the signed permutation
     e_T ↦ σ[S, T] e_{S xor T}, so entry (R, T) is σ[R xor T, T] in blade
-    R xor T; the algebra is built from that table, and the N x N x N blade
-    tensor, N = 2^(p+q), only if its ``basis`` is read.
+    R xor T; the algebra is built from that table, ``space.product_table``, and
+    the N x N x N blade tensor, N = 2^(p+q), only if its ``basis`` is read.
     """
-    t = np.arange(space.grassmann_dim)
-    s = t[:, None] ^ t
+    s, signs = space.product_table
     return KreinCStarAlgebra._monomial(
-        s.ravel(), space.blade_signs[s, t].ravel(), second_quantized_J(space),
+        s.ravel(), signs.ravel(), second_quantized_J(space),
         label=f"CCl(R^{{{space.p},{space.q}}})",
     )
 

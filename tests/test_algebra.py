@@ -487,6 +487,37 @@ class TestValidation:
             KreinCStarAlgebra(basis, eta)
 
 
+class TestClosureCheckWhereItCanFail:
+    """d² pairwise orthogonal nonzero elements span all of M_d, so construction
+    runs no closure check there; any smaller carrier keeps every check."""
+
+    BUILDS = {
+        "B(C^{2,2})": (lambda: bounded_operators(2, 2), False),
+        "gamma (3,3)": (lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(3, 3))),
+                        False),
+        "scalars": (scalar_krein_algebra, False),
+        "clifford (2,2)": (lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 2)),
+                           True),
+        "blocks (2,1) dense": (
+            lambda: KreinCStarAlgebra(FiniteCStarAlgebra((2, 1)).basis(), eta_pq(2, 1)),
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(BUILDS))
+    def test_closure_checked_only_below_full_dimension(self, name, monkeypatch):
+        build, checked = self.BUILDS[name]
+        calls = []
+        first_outside = KreinCStarAlgebra._first_outside
+        monkeypatch.setattr(
+            KreinCStarAlgebra, "_first_outside",
+            lambda alg, *args: calls.append(args) or first_outside(alg, *args),
+        )
+        alg = build()
+        assert (alg.vector_dim < alg.dim**2) == checked
+        assert bool(calls) == checked
+
+
 class TestFiniteCStarAlgebra:
     def test_dims(self):
         alg = FiniteCStarAlgebra((2, 1))

@@ -9,7 +9,8 @@ The checker's negative controls that run a law's own residual get one row
 each in the same style: the residual stays within the law's tolerance on the
 real structure and reaches ten times the control's tolerance on the
 control's corruption.  So do the scenario laws whose residual is a library
-or checker function, each against its own tolerance.
+or checker function, each against its own tolerance, and the C* identity of
+the algebra axioms.
 """
 
 from dataclasses import replace
@@ -17,8 +18,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kreinmod import checker
-from kreinmod.algebra import KreinCStarAlgebra, bounded_operators
+from kreinmod import checker, correspondence
+from kreinmod.algebra import (
+    FiniteCStarAlgebra,
+    KreinCStarAlgebra,
+    bounded_operators,
+    check_krein_cstar_axioms,
+)
 from kreinmod.clifford import (
     PseudoEuclideanSpace,
     anticommutator_residual,
@@ -43,13 +49,11 @@ from kreinmod.krein_module import (
 from kreinmod.krein_over_krein import (
     check_module_over_krein,
     inner_twist_defect,
-    left_twist_defect,
     operator_bimodule,
 )
 from kreinmod.linalg import (
     gaussians,
     involution_defect,
-    operator_norm,
     spectral_projector,
 )
 
@@ -138,12 +142,87 @@ def test_table_names_every_law_and_each_passes_on_the_module():
         assert record.max_violation <= record.tolerance, record.name
 
 
-def test_twin_records_read_one_residual():
+def scenario_records(scenario, p, q) -> dict:
+    report = checker.run(checker.CheckConfig(scenario=scenario, p=p, q=q, samples=3))
+    return {r.name: r for r in report.records}
+
+
+def inner_twins(module):
     # alpha(p) = p₊ − p₋, so ⟨Jx, Jy⟩ = p₊ − p₋ is alpha(⟨x, y⟩) = ⟨Jx, Jy⟩
+    records = laws(module)
     twins = ("even odd parts exchange under J", "alpha of inner is inner of J pair")
-    for module in (MODULE, spinor_module(PseudoEuclideanSpace(1, 3))):
-        records = laws(module)
-        assert records[twins[0]].max_violation == records[twins[1]].max_violation
+    return [(records[twins[0]], records[twins[1]], 1.0)]
+
+
+def spinor_twins(p, q):
+    """The Morita block repeats the module table, and the spinor twisting law
+    is its left-twist row, held to 1e-10."""
+    records = scenario_records("spinor", p, q)
+    table = [n.removeprefix("module: ") for n in records if n.startswith("module: ")]
+    assert len(table) == 13
+    twist = records["spinor twisting over alpha"]
+    assert twist.tolerance == 1e-10
+    return [
+        *((records[f"morita: {n}"], records[f"module: {n}"], 1.0) for n in table),
+        (twist, records["module: J twists over left alpha"], 1.0),
+    ]
+
+
+def clifford_cstar_twins():
+    records = clifford_records()
+    twin = records["algebra: cstar identity"]
+    return [(records["clifford cstar identity"], twin, 1.0)]
+
+
+def grading_twins(algebra):
+    # alpha(a₊) − a₊ = −(alpha(a₋) + a₋) = (alpha²(a) − a)/2
+    report = check_krein_cstar_axioms(algebra, samples=SAMPLES, seed=0)
+    records = {r.name: r for r in report.records}
+    return [(records["even part alpha-fixed"], records["alpha involutive"], 0.5)]
+
+
+def rotated_eta_algebra():
+    """B(C^2) with eta = R diag(1, −1) Rᵀ for a rotation R by 0.3: an eta with
+    inexact entries, on which alpha² is the identity only to rounding."""
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    return KreinCStarAlgebra(
+        FiniteCStarAlgebra((2,)).basis(), rot @ np.diag([1.0, -1.0]) @ rot.T
+    )
+
+
+# each case -> (record, the twin whose evaluation it reads, factor) triples
+TWINS = {
+    "inner twist, operator bimodule": lambda: inner_twins(MODULE),
+    "inner twist, spinor (1,3)": lambda: inner_twins(
+        spinor_module(PseudoEuclideanSpace(1, 3))
+    ),
+    "spinor (1,1)": lambda: spinor_twins(1, 1),
+    "spinor (1,3)": lambda: spinor_twins(1, 3),
+    "spinor (3,3)": lambda: spinor_twins(3, 3),
+    "clifford (2,2) cstar identity": clifford_cstar_twins,
+    "krein-algebra (2,1) grading": lambda: grading_twins(bounded_operators(2, 1)),
+    "rotated eta grading": lambda: grading_twins(rotated_eta_algebra()),
+}
+
+
+@pytest.mark.parametrize("case", list(TWINS))
+def test_twin_records_read_one_residual(case):
+    for record, twin, factor in TWINS[case]():
+        assert record.max_violation == factor * twin.max_violation, record.name
+
+
+def test_spinor_scenario_runs_the_module_table_once(monkeypatch):
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(args[0])
+        return check_module_over_krein(*args, **kw)
+
+    for namespace in (checker, correspondence):
+        monkeypatch.setattr(namespace, "check_module_over_krein", spy)
+    checker.run(checker.CheckConfig(scenario="spinor", p=1, q=1, samples=3))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -253,12 +332,9 @@ TENSOR11 = internal_tensor(IDENT11, IDENT11)
 
 
 def spinor_twisting(module):
-    """The spinor scenario's "spinor twisting over alpha" on SAMPLES draws."""
-    left = module.left_algebra
-    c, x = gaussians(np.random.default_rng(5), SAMPLES, (left.dim,) * 2, (module.dim,))
-    c = left.project(c)
-    scale = np.linalg.norm(x, axis=-1) * operator_norm(c)
-    return np.max(left_twist_defect(module, c, x) / scale)
+    """The spinor scenario's "spinor twisting over alpha": the spinor module's
+    own "J twists over left alpha" on SAMPLES draws."""
+    return laws(module)["J twists over left alpha"].max_violation
 
 
 def inner_twist(t):
@@ -325,6 +401,27 @@ def test_scenario_law_separates_structure_from_corruption(law):
     tol, real, corrupted = SCENARIO_LAWS[law]
     assert real() <= tol
     assert corrupted() >= 10 * tol
+
+
+# "cstar identity" of the algebra axioms: with eta doubled, alpha(star(a)) =
+# 16 a†, so ‖alpha(star(a)) a‖ = 16‖a‖² and the relative defect reads 15
+CSTAR_ALGEBRAS = {"clifford (2,2)": CLIFFORD22, "B(C^{2,1})": bounded_operators(2, 1)}
+
+
+def cstar_identity(algebra):
+    report = check_krein_cstar_axioms(algebra, samples=SAMPLES, seed=0)
+    return {r.name: r for r in report.records}["cstar identity"]
+
+
+@pytest.mark.parametrize("name", list(CSTAR_ALGEBRAS))
+def test_cstar_identity_fails_under_doubled_eta(name):
+    algebra = CSTAR_ALGEBRAS[name]
+    assert cstar_identity(algebra).passed
+    doubled = KreinCStarAlgebra(algebra.basis, 2 * algebra.eta, validate=False)
+    record = cstar_identity(doubled)
+    assert record.max_violation == pytest.approx(15.0)
+    assert record.max_violation >= 10 * record.tolerance
+    assert not record.passed
 
 
 def test_tensor_scenario_twist_law_meets_a_quotient(monkeypatch):
