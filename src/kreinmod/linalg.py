@@ -46,11 +46,19 @@ def hermitian_adjoint(m) -> np.ndarray:
 
 def operator_norm(m):
     """Largest singular value: a float for a matrix, an array of one per
-    matrix for a stack (..., m, n)."""
+    matrix for a stack (..., m, n).
+
+    A matrix with no nonzero entry, an empty one included, reads 0.0, the
+    value its SVD returns, without an SVD: only the other matrices go to one
+    stacked SVD, which takes the stack itself, uncopied, when none is zero."""
     a = as_complex_matrix(m)
-    if a.size == 0:
-        return np.zeros(a.shape[:-2]) if a.ndim > 2 else 0.0
-    top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    nonzero = a.any(axis=(-2, -1))
+    if nonzero.size and nonzero.all():
+        top = np.linalg.svd(a, compute_uv=False)[..., 0]
+    else:
+        top = np.zeros(a.shape[:-2])
+        if nonzero.any():
+            top[nonzero] = np.linalg.svd(a[nonzero], compute_uv=False)[:, 0]
     return top if a.ndim > 2 else float(top)
 
 

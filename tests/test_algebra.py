@@ -134,9 +134,10 @@ class TestGramPath:
     def test_orthogonal_basis_takes_no_svd(self, name, monkeypatch):
         shapes = self.svd_shapes(monkeypatch)
         alg = ORTHOGONAL_CARRIERS[name]()
-        # validation takes only the two d x d SVDs of its checks on eta:
-        # every carrier-membership norm passes the Frobenius screen
-        assert shapes == [(alg.dim, alg.dim)] * 2
+        # validation takes no SVD: each eta here is monomial with unit
+        # entries, so its hermitian and involution residuals are exactly
+        # zero, and every carrier-membership norm passes the Frobenius screen
+        assert shapes == []
         shapes.clear()
         KreinCStarAlgebra(alg.basis, alg.eta, validate=False)
         assert shapes == []
@@ -516,6 +517,120 @@ class TestClosureCheckWhereItCanFail:
         alg = build()
         assert (alg.vector_dim < alg.dim**2) == checked
         assert bool(calls) == checked
+
+
+def clifford_table(p, q):
+    """The owner and value of each entry of the Clifford (p,q) blades, and J."""
+    space = PseudoEuclideanSpace(p, q)
+    blade, signs = space.product_table
+    eta = second_quantized_J(space)
+    return blade.ravel().copy(), signs.ravel().astype(complex), eta
+
+
+class TestClosureOnSupport:
+    """With a diagonal eta, construction on the support path decides closure
+    under alpha and star on the index tables: it accepts and refuses what
+    the dense slices do, with the same message."""
+
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(4) for q in range(4)])
+    def test_clifford_accepted_on_both_paths(self, p, q):
+        alg = clifford_krein_algebra(PseudoEuclideanSpace(p, q))
+        assert alg._support is not None and alg._eta_outer is not None
+        KreinCStarAlgebra(alg.basis, alg.eta)
+
+    @staticmethod
+    def flip_sign(owner, values):
+        values[np.flatnonzero(owner == 1)[0]] *= -1
+
+    @staticmethod
+    def move_to_other_parity(owner, values):
+        # blade 1, a positive generator, commutes with J; blade 4, a negative
+        # one, anticommutes
+        owner[np.flatnonzero(owner == 4)[0]] = 1
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [(flip_sign, "not closed under star"),
+         (move_to_other_parity, "not closed under alpha")],
+        ids=["flipped sign", "moved entry"],
+    )
+    def test_corrupted_table_refused_alike(self, corrupt, message):
+        owner, values, eta = clifford_table(2, 2)
+        corrupt(owner, values)
+        for build in self.both_paths(owner, values, eta):
+            with pytest.raises(ValidationError, match=message):
+                build()
+
+    @staticmethod
+    def both_paths(owner, values, eta):
+        """Builds of a table on the support path and as a dense stack."""
+        d = len(eta)
+        dense = np.zeros((owner.max() + 1, d * d), dtype=complex)
+        dense[owner, np.arange(d * d)] = values
+        return (
+            lambda: KreinCStarAlgebra._monomial(owner, values, eta, ""),
+            lambda: KreinCStarAlgebra(dense.reshape(-1, d, d), eta),
+        )
+
+    @staticmethod
+    def outcome(build):
+        try:
+            build()
+        except ValidationError as error:
+            return str(error)
+        return None
+
+    def test_random_corruptions_refused_alike(self):
+        # one to four edits of a small table: an entry moved to another or a
+        # new element, its sign flipped, doubled or zeroed
+        rng, outcomes = np.random.default_rng(23), set()
+        for trial in range(200):
+            signature = [(1, 1), (2, 1), (1, 2), (2, 0)][trial % 4]
+            owner, values, eta = clifford_table(*signature)
+            for _ in range(rng.integers(1, 5)):
+                j, edit = rng.integers(len(owner)), rng.integers(4)
+                if edit == 0:
+                    owner[j] = rng.integers(owner.max() + 2)
+                else:
+                    values[j] *= (-1, 2, 0)[edit - 1]
+            support, dense = map(self.outcome, self.both_paths(owner, values, eta))
+            assert support == dense, trial
+            outcomes.add(dense)
+        closure = {f"carrier is not closed under {m}" for m in ("alpha", "star")}
+        assert {None, *closure} <= outcomes
+
+    def test_star_image_inside_a_larger_element(self):
+        # star(E_01) = E_10 is a part of element 3, E_10 + E_23, and element
+        # 2 fails alpha: element 1 is refused first only if its star image
+        # must cover the whole element it lands on
+        elements = [[(0, 0), (1, 1), (2, 2), (3, 3)], [(0, 1)], [(0, 2), (0, 3)],
+                    [(1, 0), (2, 3)]]
+        taken = {cell for cells in elements for cell in cells}
+        elements += [[(r, t)] for r in range(4) for t in range(4)
+                     if (r, t) not in taken]
+        owner = np.empty(16, dtype=int)
+        for k, cells in enumerate(elements):
+            for r, t in cells:
+                owner[4 * r + t] = k
+        for build in self.both_paths(owner, np.ones(16), eta_pq(3, 1)):
+            with pytest.raises(ValidationError, match="not closed under star"):
+                build()
+
+    def test_no_closure_slices(self, monkeypatch):
+        calls = []
+        first_outside = KreinCStarAlgebra._first_outside
+        monkeypatch.setattr(
+            KreinCStarAlgebra, "_first_outside",
+            lambda alg, x, *args: calls.append(x) or first_outside(alg, x, *args),
+        )
+        alg = clifford_krein_algebra(PseudoEuclideanSpace(3, 3))
+        identity, *products = calls
+        assert np.array_equal(identity, np.eye(alg.dim)[None])
+        assert sum(len(x) for x in products) == 8
+        calls.clear()
+        # the same elements as a dense stack take the slices
+        KreinCStarAlgebra(alg.basis, alg.eta)
+        assert len(calls) > 1 + len(products)
 
 
 class TestFiniteCStarAlgebra:

@@ -98,6 +98,38 @@ class TestOperatorNorm:
         expected = np.linalg.svd(m, compute_uv=False)[0]
         assert operator_norm(m) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "shape, zero",
+        [
+            ((5, 4, 4), [1, 0, 1, 1, 0]),
+            ((3, 4, 4), [1, 1, 1]),
+            ((4, 4), True),
+            ((0, 4, 4), []),
+            ((4, 3, 5), [0, 1, 0, 1]),
+            ((2, 3, 4, 4), [[0, 1, 0], [1, 1, 0]]),
+        ],
+        ids=["mixed", "all zero", "2-D zero", "empty stack", "rectangular",
+             "two leading axes"],
+    )
+    def test_zero_matrices_skip_the_svd(self, shape, zero, monkeypatch):
+        # a zero matrix reads the 0.0 its SVD returns, and the SVD sees only
+        # the nonzero matrices
+        zero = np.asarray(zero, dtype=bool)
+        a = rand(21, *shape) * ~zero[..., None, None]
+        expected = np.linalg.svd(a, compute_uv=False)[..., 0]
+        inputs, svd = [], np.linalg.svd
+        monkeypatch.setattr(
+            np.linalg, "svd",
+            lambda x, *args, **kw: inputs.append(x) or svd(x, *args, **kw),
+        )
+        got = operator_norm(a)
+        assert np.array_equal(got, expected)
+        assert len(inputs) == int(not zero.all())
+        for x in inputs:
+            assert x.reshape(-1, *shape[-2:]).any(axis=(-2, -1)).all()
+        if a.ndim == 2:
+            assert type(got) is float and got == 0.0
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_adjoint_preserves_norm(self, seed):

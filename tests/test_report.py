@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -175,3 +176,25 @@ class TestElapsed:
         for r in second.records:
             r.elapsed = 0.0
         assert first.to_json() == second.to_json()
+
+    def test_copied_records_carry_no_time(self):
+        # the spinor scenario extends its module table a second time under
+        # "morita: "; nothing runs for those copies
+        records = run(CheckConfig(scenario="spinor", p=1, q=1, samples=3)).records
+        module = {
+            r.name.removeprefix("module: "): r
+            for r in records if r.name.startswith("module: ")
+        }
+        copies = [
+            r for r in records
+            if r.name.startswith("morita: ")
+            and r.name.removeprefix("morita: ") in module
+        ]
+        assert len(copies) == len(module) == 13
+        for copy in copies:
+            original = module[copy.name.removeprefix("morita: ")]
+            assert copy.elapsed == 0.0
+            restored = replace(copy, name=original.name, elapsed=original.elapsed)
+            assert restored == original
+        # the table's 11 sampled laws keep their times
+        assert sum(r.elapsed > 0 for r in module.values()) == 11
