@@ -22,7 +22,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the 25 configurations: scenarios at the sizes the benchmark and gallery
+# the 26 configurations: scenarios at the sizes the benchmark and gallery
 # use, and the three demos, each at its default seed unless given
 CONFIGS = [
     *(
@@ -33,6 +33,9 @@ CONFIGS = [
     # a non-square signature: B(C^{3,2}) over itself and into B(C^{1,1})
     ["check", "module-over-krein", "--p", "3", "--q", "2", "--samples", "10"],
     ["check", "clifford", "--p", "3", "--q", "3", "--samples", "20"],
+    # the weakest sampled Clifford run: a law decided on the blades reads the
+    # same value at one sample as at twenty
+    ["check", "clifford", "--p", "3", "--q", "3", "--samples", "1"],
     ["check", "spinor", "--p", "3", "--q", "3", "--samples", "10"],
     # A diagonal, so the gamma algebra twists entrywise
     ["check", "spinor", "--p", "2", "--q", "2", "--samples", "10"],

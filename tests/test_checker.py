@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -117,6 +118,26 @@ class TestScenarios:
         monkeypatch.setattr(checker, "clifford_krein_algebra", keep)
         run(CheckConfig("clifford", p=2, q=2, samples=3))
         assert built and all("basis" not in vars(alg) for alg in built)
+
+    def test_clifford_laws_on_the_tables_read_no_samples(self):
+        laws = (
+            "second quantized symmetry preserves pairing",
+            "second quantized auxiliary form positive",
+            "clifford product associative",
+        )
+        reports = {
+            (samples, seed): run(
+                CheckConfig("clifford", p=3, q=3, samples=samples, seed=seed)
+            )
+            for samples in (1, 20)
+            for seed in (0, 42)
+        }
+        values = {
+            key: json.dumps([r.to_dict() for r in report.records if r.name in laws])
+            for key, report in reports.items()
+        }
+        assert len(set(values.values())) == 1
+        assert len(json.loads(values[1, 0])) == len(laws)
 
     def test_spinor_budget_refuses_before_any_work(self, monkeypatch):
         # S ⊗ S̄ at (5, 5) would hold 1024³ entries; nothing may be built

@@ -26,8 +26,10 @@ from kreinmod.algebra import (
     check_krein_cstar_axioms,
 )
 from kreinmod.clifford import (
+    MultiVector,
     PseudoEuclideanSpace,
     anticommutator_residual,
+    clifford_action,
     clifford_krein_algebra,
     gamma_rep,
     grassmann_inner,
@@ -444,8 +446,9 @@ def test_tensor_scenario_twist_law_meets_a_quotient(monkeypatch):
 
 
 # the Clifford scenario's "clifford grassmann bijection" and "representation
-# faithful" read the symbol map a ↦ c(a)·1, the blades' first columns, and
-# "second quantized auxiliary form positive" reads the algebra's eta as J
+# faithful" read the symbol map a ↦ c(a)·1, the blades' first columns, the two
+# "second quantized" laws read the algebra's eta as J, and "clifford product
+# associative" reads the space's sign table
 def clifford_records(monkeypatch=None, basis=None, eta=None):
     """The Clifford (2,2) scenario's records by name, on the real algebra or,
     given a monkeypatch, on a blade stack or eta that replaces its own."""
@@ -493,4 +496,33 @@ def test_auxiliary_form_reads_one_under_negated_J(monkeypatch):
     # ⟨m, −Jm⟩ = −‖m‖², summed as the normalisation sums it
     record = clifford_records(monkeypatch, eta=-CLIFFORD22.eta)[law]
     assert record.max_violation == 1.0
+    assert not record.passed
+
+
+def test_pairing_symmetry_reads_three_under_doubled_J(monkeypatch):
+    law = "second quantized symmetry preserves pairing"
+    assert clifford_records()[law].max_violation == 0.0
+    # ‖(2J)†G(2J) − G‖₂ = ‖4G − G‖₂ = 3, as G is a ±1 diagonal
+    record = clifford_records(monkeypatch, eta=2 * CLIFFORD22.eta)[law]
+    assert record.max_violation == 3.0
+    assert not record.passed
+
+
+def test_associativity_fails_under_one_flipped_sign(monkeypatch):
+    law = "clifford product associative"
+    assert clifford_records()[law].max_violation == 0.0
+    space = PseudoEuclideanSpace(2, 2)
+    table = space.blade_signs.copy()
+    table[0b0011, 0b0101] *= -1
+    table.flags.writeable = False
+    space.__dict__["blade_signs"] = table  # replaces the cached table
+    monkeypatch.setattr(
+        checker, "PseudoEuclideanSpace",
+        lambda p, q: space if (p, q) == (2, 2) else PseudoEuclideanSpace(p, q),
+    )
+    # the algebra of the flipped table, which is not closed under star
+    blades = clifford_action(space, MultiVector(space, np.eye(16)))
+    record = clifford_records(monkeypatch, basis=blades)[law]
+    assert record.max_violation == 8  # failing generator-left triples
+    assert record.max_violation >= 10 * record.tolerance
     assert not record.passed

@@ -165,7 +165,7 @@ class TestElapsed:
             "krein-algebra: cstar identity",
             "module: intertwiner unitary for the form",
             "module-over-krein: linking identity",
-            "clifford: clifford product associative",
+            "clifford: gram determinant oracle",
             "spinor: morita: linking identity",
             "tensor: multiplicative",
         ):
