@@ -9,7 +9,8 @@ twice, once with PYTHONPATH=PARENT_SRC and once with this repository's
 for a configuration whose reports are byte-equal, and otherwise each moved
 value as (record name, field, parent, change).  Exits 1 when record names,
 their order, tolerances, negative-control flags or verdicts differ, or when
-a run ends other than pass or fail.
+a run ends other than pass or fail or writes no report (an uncaught
+exception exits 1, as a failed check does); such a run's stderr is printed.
 """
 
 import argparse
@@ -22,7 +23,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the 26 configurations: scenarios at the sizes the benchmark and gallery
+# the 27 configurations: scenarios at the sizes the benchmark and gallery
 # use, and the three demos, each at its default seed unless given
 CONFIGS = [
     *(
@@ -48,6 +49,9 @@ CONFIGS = [
     # signature
     ["check", "module", "--p", "5", "--q", "3", "--samples", "20"],
     ["check", "tensor", "--samples", "50"],
+    # the weakest sampled tensor run: the twist law decided on the basis
+    # reads the same value at one sample as at fifty
+    ["check", "tensor", "--samples", "1"],
     ["check", "tensor", "--p", "3", "--q", "2", "--samples", "20"],
     # J = −I, so the odd half of C^{0,2} ⊗ C^{0,2} is empty
     ["check", "tensor", "--p", "0", "--q", "2", "--samples", "20"],
@@ -74,11 +78,16 @@ STRUCTURAL = ("name", "tolerance", "expected_fail", "passed")
 
 def run_report(src: str, args: list[str], path: str):
     """The canonical JSON report of one krein-check run, or None if the run
-    did not end in pass (0) or fail (1)."""
+    did not end in pass (0) or fail (1) or wrote no report.
+
+    A run that raises also exits 1, so the report at ``path`` is removed
+    first: a run that writes none is a failed run, never a stale file.
+    """
+    Path(path).unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=src)
     cmd = [sys.executable, "-m", "kreinmod.cli", *args, "--quiet", "--report", path]
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):
+    if proc.returncode not in (0, 1) or not os.path.exists(path):
         print(f"  exit {proc.returncode} with {src}: {proc.stderr.strip()}")
         return None
     with open(path) as fh:

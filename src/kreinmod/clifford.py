@@ -38,7 +38,6 @@ from .linalg import (
     eig_signature,
     matvec,
     operator_norm,
-    random_complex,
 )
 
 
@@ -141,12 +140,6 @@ def vector(space: PseudoEuclideanSpace, components) -> MultiVector:
     c = np.zeros(components.shape[:-1] + (space.grassmann_dim,), dtype=complex)
     c[..., 1 << np.arange(space.n)] = components
     return MultiVector(space, c)
-
-
-def random_multivector(
-    space: PseudoEuclideanSpace, rng: np.random.Generator
-) -> MultiVector:
-    return MultiVector(space, random_complex(rng, space.grassmann_dim))
 
 
 # -- Grassmann structure --------------------------------------------------------

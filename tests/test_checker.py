@@ -121,6 +121,7 @@ class TestScenarios:
 
     def test_clifford_laws_on_the_tables_read_no_samples(self):
         laws = (
+            "gram determinant oracle",
             "second quantized symmetry preserves pairing",
             "second quantized auxiliary form positive",
             "clifford product associative",
@@ -138,6 +139,50 @@ class TestScenarios:
         }
         assert len(set(values.values())) == 1
         assert len(json.loads(values[1, 0])) == len(laws)
+
+    def test_tensor_twist_law_on_the_basis_reads_no_samples(self):
+        values = {
+            json.dumps(next(
+                r.to_dict() for r in run(
+                    CheckConfig("tensor", samples=samples, seed=seed)
+                ).records
+                if r.name == "gamma compatibility of descended product"
+            ))
+            for samples in (1, 20)
+            for seed in (0, 42)
+        }
+        assert len(values) == 1
+
+    @pytest.mark.parametrize(
+        "run_module",
+        [
+            pytest.param(
+                lambda: run(CheckConfig("module", p=2, q=2, samples=20)),
+                id="check module (2,2)",
+            ),
+            pytest.param(lambda: run_demo("torus", samples=20)[0], id="demo torus"),
+        ],
+    )
+    def test_adjoint_relation_reads_the_gram_not_elements(
+        self, monkeypatch, run_module
+    ):
+        # the stacks hold no elements x, y: the relation is the operator
+        # identity T†G = GT♯, exact for each symmetry on these ±1 grams
+        fields = []
+
+        def recorded(module, rng, n_random):
+            group = samples(module, rng, n_random)
+            fields.append(set(vars(group)))
+            return group
+
+        samples = checker._symmetry_samples
+        monkeypatch.setattr(checker, "_symmetry_samples", recorded)
+        (record,) = (
+            r for r in run_module().records
+            if r.name == "adjoint solves the inner relation"
+        )
+        assert fields and all(f == {"module", "j", "t", "ts"} for f in fields)
+        assert record.max_violation == 0.0
 
     def test_spinor_budget_refuses_before_any_work(self, monkeypatch):
         # S ⊗ S̄ at (5, 5) would hold 1024³ entries; nothing may be built
@@ -297,11 +342,19 @@ class TestDemos:
         assert report.passed, [r.name for r in report.failures()]
         assert len(narrative) > 100
 
-    def test_torus_draws_one_symmetry_per_sample(self):
+    def test_torus_draws_one_symmetry_per_sample(self, monkeypatch):
         # up to MODULE_SYMMETRIES, as the module scenario does
-        reports = [run_demo("torus", samples=k)[0] for k in (1, 3)]
-        values = [[r.max_violation for r in report.records] for report in reports]
-        assert values[0] != values[1]
+        draws = []
+
+        def counted(module, rng, count=None):
+            draws.append(count)
+            return draw(module, rng, count)
+
+        draw = checker.random_symmetry
+        monkeypatch.setattr(checker, "random_symmetry", counted)
+        for samples in (1, 3, checker.MODULE_SYMMETRIES + 5):
+            assert run_demo("torus", samples=samples)[0].passed
+        assert draws == [1, 3, checker.MODULE_SYMMETRIES]
 
     def test_unknown_demo_rejected(self):
         with pytest.raises(ConfigError):

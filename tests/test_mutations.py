@@ -14,6 +14,7 @@ the algebra axioms.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,10 +33,8 @@ from kreinmod.clifford import (
     clifford_action,
     clifford_krein_algebra,
     gamma_rep,
-    grassmann_inner,
     spinor_module,
     vector,
-    wedge,
 )
 from kreinmod.correspondence import (
     alpha_beta_defect,
@@ -54,7 +53,6 @@ from kreinmod.krein_over_krein import (
     operator_bimodule,
 )
 from kreinmod.linalg import (
-    gaussians,
     involution_defect,
     spectral_projector,
 )
@@ -339,23 +337,8 @@ def spinor_twisting(module):
     return laws(module)["J twists over left alpha"].max_violation
 
 
-def inner_twist(t):
-    """The tensor scenario's "gamma compatibility of descended product"."""
-    u, v = gaussians(np.random.default_rng(6), SAMPLES, (t.dim,), (t.dim,))
-    scale = np.linalg.norm(u, axis=-1) * np.linalg.norm(v, axis=-1)
-    p, pj = t.pairing(u, v), t.pairing(t.j(u), t.j(v))
-    return np.max(inner_twist_defect(t.algebra, p, pj) / scale)
-
-
-def gram_oracle(signs):
-    """The Clifford scenario's "gram determinant oracle" on SAMPLES pairs of
-    2-blades v₀∧v₁, w₀∧w₁ of R^{2,2}, the reference Gram matrix ⟨vᵢ, wⱼ⟩ read
-    with the metric ``signs``."""
-    vs, ws = gaussians(np.random.default_rng(7), SAMPLES, (2, S22.n), (2, S22.n))
-    v, w = (wedge(vector(S22, x[:, 0]), vector(S22, x[:, 1])) for x in (vs, ws))
-    gram = np.einsum("kin,n,kjn->kij", vs.conj(), signs, ws)
-    scale = np.prod(np.linalg.norm(vs, axis=-1) * np.linalg.norm(ws, axis=-1), -1)
-    return np.max(np.abs(grassmann_inner(v, w) - checker._gram_det(gram)) / scale)
+# the module scenario's standard symmetry and 20 random ones, drawn at seed 0
+SYMMETRIES = checker._symmetry_samples(SPACE, np.random.default_rng(0), 20)
 
 
 IDENT2 = identity_correspondence(bounded_operators(2, 0))
@@ -380,15 +363,27 @@ SCENARIO_LAWS = {
         lambda: spinor_twisting(SPINOR),
         lambda: spinor_twisting(j_scaled_on_one_half(SPINOR)),
     ),
+    # the law on the 16 basis pairs of the 4-dimensional carrier
     "gamma compatibility of descended product": (
         1e-10,
-        lambda: inner_twist(TENSOR11),
-        lambda: inner_twist(replace(TENSOR11, symmetry=2 * TENSOR11.symmetry)),
+        lambda: checker._descended_twist_defect(TENSOR11),
+        lambda: checker._descended_twist_defect(
+            replace(TENSOR11, symmetry=2 * TENSOR11.symmetry)
+        ),
     ),
+    # every pair of unit 2-tuples of R^{2,2}, against the minors of diag(signs)
     "gram determinant oracle": (
         1e-10,
-        lambda: gram_oracle(S22.signs),
-        lambda: gram_oracle(S22.signs * [1, 1, 1, -1]),  # one metric sign flipped
+        lambda: checker._gram_oracle_defect(S22, S22.signs),
+        # one metric sign flipped
+        lambda: checker._gram_oracle_defect(S22, S22.signs * [1, 1, 1, -1]),
+    ),
+    "adjoint solves the inner relation": (
+        1e-9,
+        lambda: np.max(checker._adjoint_relation_residual(SYMMETRIES)),
+        lambda: np.max(checker._adjoint_relation_residual(
+            SimpleNamespace(**{**vars(SYMMETRIES), "ts": SYMMETRIES.t})  # T♯ = T
+        )),
     ),
     "section independence": (
         1e-9,
@@ -403,6 +398,11 @@ def test_scenario_law_separates_structure_from_corruption(law):
     tol, real, corrupted = SCENARIO_LAWS[law]
     assert real() <= tol
     assert corrupted() >= 10 * tol
+
+
+def test_gram_oracle_reads_two_under_one_flipped_sign():
+    # e_0 ∧ e_3 pairs to g_00 g_33 = -1 with itself, and the flipped minor to +1
+    assert checker._gram_oracle_defect(S22, S22.signs * [1, 1, 1, -1]) == 2.0
 
 
 # "cstar identity" of the algebra axioms: with eta doubled, alpha(star(a)) =

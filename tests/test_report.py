@@ -165,7 +165,7 @@ class TestElapsed:
             "krein-algebra: cstar identity",
             "module: intertwiner unitary for the form",
             "module-over-krein: linking identity",
-            "clifford: gram determinant oracle",
+            "clifford: star equals conjugate reversal",
             "spinor: morita: linking identity",
             "tensor: multiplicative",
         ):
