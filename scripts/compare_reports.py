@@ -9,8 +9,10 @@ twice, once with PYTHONPATH=PARENT_SRC and once with this repository's
 for a configuration whose reports are byte-equal, and otherwise each moved
 value as (record name, field, parent, change).  Exits 1 when record names,
 their order, tolerances, negative-control flags or verdicts differ, or when
-a run ends other than pass or fail or writes no report (an uncaught
-exception exits 1, as a failed check does); such a run's stderr is printed.
+a run ends other than pass or fail or writes no report; such a run's stderr
+is printed.  krein-check exits 4 on an uncaught error, but an error before
+its ``main`` runs, or in a tree older than that code, exits 1, as a failed
+check does.
 """
 
 import argparse
@@ -80,7 +82,7 @@ def run_report(src: str, args: list[str], path: str):
     """The canonical JSON report of one krein-check run, or None if the run
     did not end in pass (0) or fail (1) or wrote no report.
 
-    A run that raises also exits 1, so the report at ``path`` is removed
+    A run that raises may also exit 1, so the report at ``path`` is removed
     first: a run that writes none is a failed run, never a stale file.
     """
     Path(path).unlink(missing_ok=True)

@@ -28,7 +28,7 @@ from .linalg import (
     operator_norm,
     random_complex,
 )
-from .report import CHUNK_BYTES, Report
+from .report import Report
 
 # relative bound on a carrier-membership residual, on either closure path
 CLOSURE_TOL = 1e-9
@@ -195,49 +195,36 @@ class KreinCStarAlgebra:
             # d² pairwise orthogonal nonzero elements span M_d, which holds 1
             # and is closed under alpha, star and products: nothing can fail
             return
-        # carrier membership of the identity, then of alpha(b) and star(b)
-        # for every basis element b in turn, then of products of a
-        # deterministic sample; the first failure in this order is reported.
+        # carrier membership of the identity, then of alpha(b) and star(b) for
+        # every basis element b in turn, then of the products of 8 seeded
+        # pairs, one at a time; the first failure in this order is reported.
         if self._first_outside(np.eye(d)[None]) >= 0:
             raise ValidationError("carrier does not contain the identity")
-        step = max(1, self.vector_dim // 16)
         if self._support is not None and self._eta_outer is not None:
             kind = self._unclosed_on_support()
         else:
-            kind = self._unclosed_on_slices(step)
+            kind = self._unclosed_on_elements()
         if kind:
             raise ValidationError(f"carrier is not closed under {kind}")
-        # the sample is drawn in stacks of pairs that hold ⅛ of the basis or
-        # CHUNK_BYTES, whichever is more (a pair is 2·d² complex entries).
-        # The lazy map lets no drawn or projected pair outlive its products.
-        rng, pairs = np.random.default_rng(0), min(8, self.vector_dim**2)
-        per_draw = max(step, CHUNK_BYTES // (2 * 16 * d * d))
-        for i in range(0, pairs, per_draw):
-            pair = map(
-                self.project, gaussians(rng, min(per_draw, pairs - i), (d, d), (d, d))
-            )
-            if self._first_outside(np.matmul(*pair)) >= 0:
+        rng = np.random.default_rng(0)
+        for _ in range(min(8, self.vector_dim**2)):
+            x, y = map(self._project, gaussians(rng, 1, (d, d), (d, d)))
+            if self._first_outside(x @ y) >= 0:
                 raise ValidationError("carrier is not closed under products")
 
-    def _unclosed_on_slices(self, step: int) -> str | None:
+    def _unclosed_on_elements(self) -> str | None:
         """"alpha" or "star" for the first basis element b whose alpha(b) or
-        star(b) leaves the carrier, alpha first, or None.
-
-        The images are taken ``step`` elements at a time, a sixteenth of the
-        basis: each image stack is ⅛ of it.  The basis was checked finite at
-        construction, so eta is applied to its slices directly."""
-        d, eye = self.dim, np.eye(self.vector_dim)
-        for i in range(0, self.vector_dim, step):
-            b = self.from_coefficients(eye[i : i + step])
-            k = self._first_outside(np.stack(
-                [self._twist(b), self._twist(b.conj().swapaxes(-1, -2))], axis=1
-            ).reshape(-1, d, d))
+        star(b) leaves the carrier, alpha first, or None; each b is synthesised
+        and twisted on its own (the basis was checked finite)."""
+        for row in np.eye(self.vector_dim):
+            b = self.from_coefficients(row)
+            k = self._first_outside(np.stack([self._twist(b), self._twist(b.conj().T)]))
             if k >= 0:
-                return "star" if k % 2 else "alpha"
+                return ("alpha", "star")[k]
         return None
 
     def _unclosed_on_support(self) -> str | None:
-        """``_unclosed_on_slices`` decided on the support, for a diagonal eta.
+        """``_unclosed_on_elements`` decided on the support, for a diagonal eta.
 
         alpha(b)[r, t] = e_r e_t b[r, t] has b's support, so it is in the
         carrier iff e_r e_t is constant over b's nonzero entries.  star(b)

@@ -117,7 +117,7 @@ from .report import Report
 NONEMPTY_SIGNATURE = ("krein-algebra", "module", "module-over-krein", "tensor")
 
 # the one limit on a run's predicted peak memory (``_predicted_peak_bytes``):
-# it admits spinor (4,4) at 0.85 GB and refuses Clifford at p + q = 9 (2.8 GB),
+# it admits spinor (4,4) at 0.85 GB and refuses Clifford at p + q = 11 (3.0 GB),
 # keeping a run well inside a machine with 8 GB
 BYTE_BUDGET = 2_500_000_000
 
@@ -296,15 +296,18 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
     multiple is fitted to child peak RSS at two or more sizes.
     """
     d = config.p + config.q
-    n = 2.0 ** min(d, 64)  # keeps N³ finite; from d = 9 on N³ is past the budget
+    n = 2.0 ** min(d, 64)  # keeps N³ finite; both N terms exceed the budget from d = 11
+    # the D x D arrays of the axiom table's draw, D = d for B(C^{p,q}) and N
+    # for Clifford: Clifford (5,5) needs 41.2 of them
+    axiom_table = 45
     entries = {
-        "krein-algebra": 4 * d**4,  # the basis: d² matrices of d x d
+        "krein-algebra": axiom_table * d**2,
         # about 12 d x d matrices per symmetry of the stack: the symmetries,
         # t, its adjoint, the intertwiners, one sign's halves and products
         "module": 12 * (min(config.samples, MODULE_SYMMETRIES) + 1) * d**2,
         "module-over-krein": 9 * d**6,  # the d² x d² x d x d inner tensor
         "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
-        "clifford": 1.3 * n**3,  # bounds validation's slices of N/16 blades
+        "clifford": axiom_table * n**2,
         "spinor": 3.1 * n**3,  # S ⊗ S̄: both actions and the inner, each N³
     }[config.scenario]
     return 16 * entries + 2**24
@@ -786,7 +789,9 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     # the gammas are the generator images; the module symmetry is the form A
     gammas = left.from_coefficients(vector(space, np.eye(space.n)).coeffs)
     _check_anticommutators(report, "gamma anticommutators", gammas, space.signs)
-    report.check("spinor form hermitian involutive", _form_defect(form), 1e-12)
+    involution = involution_defect(form)  # also the auxiliary gram's defect
+    law = max(hermitian_defect(form), involution)
+    report.check("spinor form hermitian involutive", law, 1e-12)
     for (pp, qq), expected in (((1, 1), (1, 1)), ((1, 3), (2, 2)), ((2, 2), (2, 2))):
         _check_spinor_signature(report, pp, qq, expected)
 
@@ -797,7 +802,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     _check_twin(
         report, "spinor twisting over alpha", "module: J twists over left alpha", 1e-10
     )
-    report.check("spinor auxiliary gram standard", involution_defect(form), 1e-12)
+    report.check("spinor auxiliary gram standard", involution, 1e-12)
     # copies of the module table: nothing runs for them, so they carry no time
     copies = [replace(r, elapsed=0.0) for r in axioms.records]
     report.extend(replace(axioms, records=copies), prefix="morita: ")

@@ -1,7 +1,7 @@
 """Command line front end for the verification scenarios.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
-error, 3 a resource budget was exceeded.
+error, 3 a resource budget was exceeded, 4 a crash (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import errno
 import os
 import sys
+import traceback
 
 from .checker import (
     DEMOS,
@@ -28,6 +29,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_ERROR = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,6 +148,9 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kreinmod import checker, correspondence
-from kreinmod.clifford import clifford_krein_algebra, spinor_module
+from kreinmod.clifford import PseudoEuclideanSpace, clifford_krein_algebra, spinor_module
 from kreinmod.checker import (
     COVERAGE_MANIFEST,
     DEMOS,
@@ -49,6 +49,21 @@ class TestCheckConfig:
     def test_negative_signature_rejected(self):
         with pytest.raises(ConfigError):
             CheckConfig(scenario="module", p=-1)
+
+
+# the most a peak prediction, beyond its fixed 16 MiB, may exceed the traced
+# peak by at a shape-dominated size
+OVER_PREDICTION = 2
+
+
+def traced_run_peak(config: CheckConfig) -> int:
+    """Traced peak of ``run(config)``."""
+    tracemalloc.start()
+    try:
+        run(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestScenarios:
@@ -102,9 +117,12 @@ class TestScenarios:
         assert {n: tolerances[n] for n in names} == dict.fromkeys(names, 1e-3)
 
     def test_clifford_budget(self):
-        # (5, 4): the 1.3 N³ entries the budget allows for the constructor's
-        # closure-check slices, N = 512, come to about 2.8 GB
-        for p, q in ((6, 6), (5, 4)):
+        # the axiom table's N x N arrays come to about 0.77 GB at p + q = 10
+        # and 3.0 GB at p + q = 11, N = 2048
+        for p, q in ((5, 4), (5, 5)):
+            config = CheckConfig(scenario="clifford", p=p, q=q, samples=1)
+            assert checker._predicted_peak_bytes(config) <= checker.BYTE_BUDGET
+        for p, q in ((6, 5), (5, 6)):
             with pytest.raises(ResourceBudgetError):
                 run(CheckConfig(scenario="clifford", p=p, q=q, samples=1))
 
@@ -211,13 +229,27 @@ class TestScenarios:
     )
     def test_prediction_bounds_traced_peak(self, scenario, p, q, samples):
         config = CheckConfig(scenario=scenario, p=p, q=q, samples=samples)
-        tracemalloc.start()
-        try:
-            run(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= checker._predicted_peak_bytes(config)
+        assert traced_run_peak(config) <= checker._predicted_peak_bytes(config)
+
+    # one size per scenario where its shapes, not the fixed 16 MiB, dominate
+    @pytest.mark.parametrize(
+        "scenario, p, q, samples",
+        [
+            ("krein-algebra", 100, 100, 2),
+            ("module", 50, 50, 3),
+            ("module-over-krein", 3, 3, 3),
+            ("tensor", 6, 6, 5),
+            ("clifford", 4, 4, 2),
+            ("spinor", 3, 3, 10),
+        ],
+    )
+    def test_prediction_is_current(self, scenario, p, q, samples):
+        # a stale term shows as an over-prediction, which refuses sizes that
+        # would run
+        config = CheckConfig(scenario=scenario, p=p, q=q, samples=samples)
+        peak, predicted = traced_run_peak(config), checker._predicted_peak_bytes(config)
+        assert peak <= predicted
+        assert predicted - 2**24 <= OVER_PREDICTION * peak
 
     def test_module_draws_once_per_module_and_checks_no_built_symmetry(
         self, monkeypatch
@@ -307,6 +339,27 @@ class TestScenarios:
             monkeypatch.setattr(binding, "spinor_module", counted)
         assert run_spinor().passed
         assert len(calls) == 1
+
+    def test_spinor_form_involution_defect_computed_once(self, monkeypatch):
+        # ‖A² − 1‖ serves "spinor form hermitian involutive" and "spinor
+        # auxiliary gram standard"
+        args = []
+
+        def recorded(x):
+            args.append(x)
+            return defect(x)
+
+        defect = checker.involution_defect
+        monkeypatch.setattr(checker, "involution_defect", recorded)
+        report = run(CheckConfig(scenario="spinor", p=1, q=3, samples=2))
+        form = spinor_module(PseudoEuclideanSpace(1, 3)).symmetry
+        assert sum(np.array_equal(x, form) for x in args) == 1
+        values = {r.name: r.max_violation for r in report.records}
+        involution = defect(form)
+        assert values["spinor auxiliary gram standard"] == involution
+        assert values["spinor form hermitian involutive"] == max(
+            checker.hermitian_defect(form), involution
+        )
 
     def test_spinor_needs_even_dimension(self):
         with pytest.raises(ConfigError):

@@ -11,6 +11,7 @@ import pytest
 import kreinmod
 from kreinmod import cli
 from kreinmod.cli import (
+    EXIT_ERROR,
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_RESOURCE,
@@ -46,7 +47,20 @@ class TestExitCodes:
         assert code == EXIT_RESOURCE
 
     def test_exit_codes_are_distinct(self):
-        assert len({EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE}) == 4
+        codes = {EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_RESOURCE, EXIT_ERROR}
+        assert len(codes) == 5
+
+    def test_crash_is_not_a_failed_check(self, monkeypatch, tmp_path, capsys):
+        def crash(config):
+            raise RuntimeError("scenario crashed")
+
+        monkeypatch.setattr(cli, "run", crash)
+        path = tmp_path / "report.json"
+        args = ["check", "module", "--samples", "5", "--report", str(path)]
+        assert main(args) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "RuntimeError: scenario crashed" in err
+        assert not path.exists()
 
 
 class TestParameterRanges:
@@ -140,7 +154,7 @@ class TestBudgetRefusal:
     @pytest.mark.parametrize(
         "scenario, p, q",
         [
-            ("krein-algebra", 50, 50),
+            ("krein-algebra", 1000, 1000),
             ("module", 2500, 2500),
             ("module-over-krein", 10, 10),
             ("clifford", 7, 6),
