@@ -25,8 +25,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the 27 configurations: scenarios at the sizes the benchmark and gallery
-# use, and the three demos, each at its default seed unless given
+# the 30 configurations: scenarios at the sizes the benchmark and gallery
+# use, ladder sizes, and the three demos, each at its default seed unless
+# given
 CONFIGS = [
     *(
         ["check", "full-gallery", "--samples", "100", "--seed", str(seed)]
@@ -64,6 +65,13 @@ CONFIGS = [
     ["check", "clifford", "--p", "4", "--q", "4", "--samples", "2"],
     ["check", "tensor", "--p", "6", "--q", "6", "--samples", "5"],
     ["check", "spinor", "--p", "4", "--q", "4", "--samples", "5"],
+    # the module-over-Kreĭn ladder at d = 10: adjoints and ranks read from
+    # disjoint supports
+    ["check", "module-over-krein", "--p", "5", "--q", "5", "--samples", "3"],
+    # Clifford at N = 512 and B(C^{p,q}) at d = 100, both admitted by the
+    # guard's D x D terms
+    ["check", "clifford", "--p", "5", "--q", "4", "--samples", "2"],
+    ["check", "krein-algebra", "--p", "50", "--q", "50", "--samples", "2"],
     # the empty signature: zero-degree and zero-size draws
     ["check", "clifford", "--p", "0", "--q", "0", "--samples", "5"],
     # a single generator, the one whose metric entry the degenerate control nulls

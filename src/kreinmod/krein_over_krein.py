@@ -20,6 +20,7 @@ stacks (..., D) and (..., d, d) of them, one per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,6 +94,39 @@ class KreinModuleOverKrein:
 
     def is_nondegenerate(self) -> bool:
         return numerical_rank(self.inner.reshape(self.dim, -1)) == self.dim
+
+    @cached_property
+    def _adjoint_design(self) -> SimpleNamespace:
+        """The design M of ``adjoint_residual``, row (i, a, b) = inner[i, :, a, b],
+        decided once per module.
+
+        ``i`` and ``ab`` (= a·d + b) list the rows in solve order.  If a row
+        has two nonzeros, ``col`` is None and the rows keep their order.
+        Otherwise the rows holding a nonzero ``val`` come first, in runs of
+        one column ``col`` that begin at ``starts``, and the zero rows last;
+        ``weights`` is conj(val) / g_j, g_j = ‖M_j‖², or 0 where √g_j is at
+        most lstsq's cut, eps·max(rows, columns) times the largest √g.
+        """
+        n, d2 = self.dim, self.algebra.dim**2
+        rows = self.inner.reshape(n, n, d2).swapaxes(1, 2)  # a view
+        nonzero = rows != 0
+        count = nonzero.sum(axis=-1).ravel()
+        if count.max() > 1:
+            i, ab = np.divmod(np.arange(n * d2), d2)
+            return SimpleNamespace(i=i, ab=ab, col=None)
+        key = np.where(count, nonzero.argmax(axis=-1).ravel(), n)  # zero rows last
+        order = np.argsort(key, kind="stable")
+        held = order[: count.sum()]
+        col = key[held]
+        val = rows.sum(axis=-1).ravel()[held]  # each row's one nonzero, exactly
+        g = np.bincount(col, weights=np.abs(val) ** 2, minlength=n)
+        cut = np.finfo(float).eps * n * d2 * np.sqrt(g.max())  # n·d² rows ≥ n columns
+        inverse = np.divide(1.0, g, out=np.zeros(n), where=np.sqrt(g) > cut)
+        i, ab = np.divmod(order, d2)
+        return SimpleNamespace(
+            i=i, ab=ab, col=col, val=val, weights=val.conj() * inverse[col],
+            starts=np.flatnonzero(np.diff(col, prepend=-1)),
+        )
 
 
 @dataclass(frozen=True)
@@ -225,9 +259,15 @@ def adjoint_residual(module: KreinModuleOverKrein, t):
 
     On basis vectors it reads ⟨T e_i, e_j⟩ = Σ_k inner[i, k] S_kj, so column j
     of S meets only column j of the target R, through the same M = inner as
-    (n·d², n): M S = R is one least squares problem with n right-hand sides,
-    and a stack of k operators is one problem with k·n, so M is factored once.
-    Each operator's residual is ‖M S − R‖_F / max(‖R‖_F, 1).
+    (n·d², n): M S = R has n right-hand sides, and a stack of k operators k·n.
+    The module decides once how M is solved (``_adjoint_design``):
+    - when every row of M has at most one nonzero, its columns have disjoint
+      supports and so are exactly orthogonal, and S_j = M_j†R / ‖M_j‖² with
+      no factorisation; a zero column, or one under ``np.linalg.lstsq``'s own
+      cut, reads S_j = 0, the minimum-norm answer lstsq gives;
+    - any other M goes to ``np.linalg.lstsq``.
+    Each operator's residual is ‖M S − R‖_F / max(‖R‖_F, 1), read from the
+    difference M S − R itself.
     """
     t = as_complex_matrix(t)
     d = module.algebra.dim
@@ -235,21 +275,33 @@ def adjoint_residual(module: KreinModuleOverKrein, t):
     if t.shape[-2:] != (n, n):
         raise DimensionMismatchError("operator shape mismatch")
     lead = t.shape[:-2]
+    design = module._adjoint_design
 
-    # (k, i, j, a, b) -> rows (i, a, b), columns (k, j)
-    def rows_iab(x):
-        return x.reshape(-1, n, n, d, d).transpose(1, 3, 4, 0, 2).reshape(n * d * d, -1)
-
-    # R_k[(i, a, b), j] = Σ_m conj(t_k[m, i]) inner[m, j, a, b] is one matmul
-    design = rows_iab(module.inner)
-    target = rows_iab(t.conj().swapaxes(-1, -2) @ module.inner.reshape(n, -1))
-    s, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+    # R_k[(i, a, b), j] = Σ_m conj(t_k[m, i]) inner[m, j, a, b] is one matmul;
+    # its rows, gathered in the design's order, give target (rows, k, n)
+    target = (t.conj().swapaxes(-1, -2) @ module.inner.reshape(n, -1)).reshape(
+        -1, n, n, d * d
+    )[:, design.i, :, design.ab]
+    if design.col is None:
+        m = module.inner.reshape(n, n, d * d)[design.i, :, design.ab]
+        s = np.linalg.lstsq(m, target.reshape(len(m), -1), rcond=None)[0]
+        error = (m @ s).reshape(target.shape) - target
+        s = s.reshape(n, -1, n)
+    else:
+        held = len(design.col)
+        s = np.zeros((n, *target.shape[1:]), dtype=complex)
+        s[design.col[design.starts]] = np.add.reduceat(
+            target[:held] * design.weights[:, None, None], design.starts
+        )
+        error = design.val[:, None, None] * s[design.col] - target[:held]
 
     def per_operator(x):  # Frobenius norm of each operator's n columns
-        return frobenius_norms(x.reshape(n * d * d, -1, n).swapaxes(0, 1))
+        return frobenius_norms(x.swapaxes(0, 1))
 
-    residual = per_operator(design @ s - target) / np.maximum(per_operator(target), 1.0)
-    s = s.reshape(n, -1, n).swapaxes(0, 1).reshape(*lead, n, n)
+    # the rows past the error's are zero rows of M, where M S − R is −R
+    error_norm = np.hypot(per_operator(error), per_operator(target[len(error):]))
+    residual = error_norm / np.maximum(per_operator(target), 1.0)
+    s = s.swapaxes(0, 1).reshape(*lead, n, n)
     return s, residual.reshape(lead) if lead else float(residual[0])
 
 
@@ -257,10 +309,10 @@ def krein_adjoint_over_krein(module: KreinModuleOverKrein, t) -> np.ndarray:
     """Solve ⟨T x, y⟩ = ⟨x, S y⟩ for S, raising when no solution exists.
 
     The relation is linear in S; it is set up over the carrier basis and
-    solved by least squares.  A residual above ``ADJOINT_TOL`` (relative to
-    the target) means T has no adjoint for the indefinite algebra-valued
-    product.  A stack of operators gives the stack of adjoints, and raises if
-    any has none.
+    solved by ``adjoint_residual``.  A residual above ``ADJOINT_TOL``
+    (relative to the target) means T has no adjoint for the indefinite
+    algebra-valued product.  A stack of operators gives the stack of
+    adjoints, and raises if any has none.
     """
     s, residual = adjoint_residual(module, t)
     worst = np.max(residual)

@@ -108,13 +108,27 @@ def matvec(m, x) -> np.ndarray:
 
 def numerical_rank(m, tol: float = RANK_TOL):
     """Count of singular values above tol times the largest one: an int for a
-    matrix, an array of one count per matrix for a stack (..., m, n)."""
+    matrix, an array of one count per matrix for a stack (..., m, n).
+
+    A matrix with at most one nonzero per row has columns with disjoint
+    supports, which are exactly orthogonal, so its singular values are its
+    column norms; with at most one nonzero per column they are its row norms.
+    When every matrix of the input has at most one nonzero per row, or every
+    one at most one per column, the sorted norms take the cut; any other
+    input takes the SVD."""
     if tol <= 0:
         raise ValidationError("tol must be positive")
     a = as_complex_matrix(m)
     if a.size == 0:
         return np.zeros(a.shape[:-2], dtype=int) if a.ndim > 2 else 0
-    rank = _rank(np.linalg.svd(a, compute_uv=False), tol)
+    nonzero = a != 0
+    if (nonzero.sum(axis=-1) <= 1).all():
+        s = np.sort(np.linalg.norm(a, axis=-2))[..., ::-1]
+    elif (nonzero.sum(axis=-2) <= 1).all():
+        s = np.sort(np.linalg.norm(a, axis=-1))[..., ::-1]
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
+    rank = _rank(s, tol)
     return rank if a.ndim > 2 else int(rank)
 
 

@@ -308,6 +308,16 @@ class TestScenarios:
         half = "positive" if q == 0 else "negative"
         assert f"doubling the {half} transition" in control.detail
 
+    def test_module_over_krein_solves_no_least_squares(self, monkeypatch):
+        # every design of the scenario has at most one nonzero per row
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw)
+        )
+        config = CheckConfig(scenario="module-over-krein", p=2, q=2, samples=20)
+        assert run(config).passed
+        assert calls == []
+
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_module_over_krein_passes_on_a_negative_definite_algebra(self, q):
         # eta = -1: star(a) = a† and alpha = id, so the symmetry is adjointable

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kreinmod.algebra import FiniteCStarAlgebra, KreinCStarAlgebra, bounded_operators
 from kreinmod.clifford import PseudoEuclideanSpace, gamma_algebra, gamma_rep
+from kreinmod.correspondence import identity_correspondence, internal_tensor
 from kreinmod.krein_over_krein import (
     NonAdjointableError,
     adjoint_residual,
@@ -242,6 +243,94 @@ class TestAdjointResidualMatchesKronecker:
         assert residual > 1e-8
         assert residual == pytest.approx(residual_ref, rel=1e-10)
         assert operator_norm(s - s_ref) <= 1e-12 * max(operator_norm(s_ref), 1.0)
+
+
+def lstsq_calls(monkeypatch) -> list:
+    """The design shapes of every later ``np.linalg.lstsq`` call."""
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(
+        np.linalg, "lstsq",
+        lambda a, *args, **kw: calls.append(np.shape(a)) or lstsq(a, *args, **kw),
+    )
+    return calls
+
+
+def aux_module(m):
+    """The module under its auxiliary product ⟨x, J y⟩, as the
+    module-over-Kreĭn scenario builds it."""
+    return replace(m, inner=np.einsum("kj,ikab->ijab", m.symmetry, m.inner))
+
+
+def assert_matches_kronecker(m, ops, s, residual):
+    for k, t in enumerate(ops):
+        s_ref, residual_ref = _kronecker_adjoint_residual(m, t)
+        assert operator_norm(s[k] - s_ref) <= 1e-12 * max(operator_norm(s_ref), 1.0)
+        assert abs(residual[k] - residual_ref) <= 1e-12
+
+
+def adjointable_and_not(m, seed):
+    """A stack of a rank-one operator, the module symmetry and a random map."""
+    rng = np.random.default_rng(seed)
+    t = rank_one(m, m.random_element(rng), m.random_element(rng))
+    return np.stack([t, m.symmetry, random_complex(rng, m.dim, m.dim)])
+
+
+class TestDisjointSupportDesign:
+    # each row of these designs has at most one nonzero, so their columns are
+    # exactly orthogonal and no least squares runs
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (2, 2)])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            self_module,
+            lambda a: aux_module(self_module(a)),
+            lambda a: operator_bimodule(a, b11()),
+        ],
+        ids=["self", "auxiliary", "operator"],
+    )
+    def test_orthogonal_design_takes_no_lstsq(self, build, p, q, monkeypatch):
+        m = build(bounded_operators(p, q))
+        ops = adjointable_and_not(m, 18)
+        calls = lstsq_calls(monkeypatch)
+        s, residual = adjoint_residual(m, ops)
+        assert calls == []
+        assert_matches_kronecker(m, ops, s, residual)
+
+    # id ⊗ id of B(C^{p,q}), p + q = 3, has a design row with two nonzeros
+    @pytest.mark.parametrize("p, q", [(2, 1), (3, 0)])
+    def test_dense_design_keeps_lstsq(self, p, q, monkeypatch):
+        ident = identity_correspondence(bounded_operators(p, q))
+        m = internal_tensor(ident, ident)
+        rng = np.random.default_rng(19)
+        ops = np.concatenate([
+            m.left_operator(m.left_algebra.random_element(rng))[None],
+            adjointable_and_not(m, 20),
+        ])
+        calls = lstsq_calls(monkeypatch)
+        s, residual = adjoint_residual(m, ops)
+        assert calls == [(m.dim * m.algebra.dim**2, m.dim)]
+        assert_matches_kronecker(m, ops, s, residual)
+
+    # a zero column, and one under lstsq's cut eps·max(rows, columns)·largest
+    @pytest.mark.parametrize("scale", [0.0, 1e-17])
+    def test_column_under_the_cut_reads_zero(self, scale, monkeypatch):
+        m = self_module(b11())
+        inner = m.inner.copy()
+        inner[:, 1] *= scale
+        m = replace(m, inner=inner)
+        ops = adjointable_and_not(m, 21)
+        calls = lstsq_calls(monkeypatch)
+        s, residual = adjoint_residual(m, ops)
+        assert calls == []
+        assert np.array_equal(s[:, 1], np.zeros_like(s[:, 1]))
+        assert_matches_kronecker(m, ops, s, residual)
+
+    def test_design_is_decided_once_per_module(self):
+        m = self_module(b11())
+        design = m._adjoint_design
+        adjoint_residual(m, m.symmetry)
+        assert m._adjoint_design is design
+        assert aux_module(m)._adjoint_design is not design
 
 
 class TestAlphaJ:

@@ -230,6 +230,60 @@ class TestNumericalRank:
         assert ranks.tolist() == [numerical_rank(m) for m in stack] == [0, 1, 4, 2]
 
 
+def monomial(rng, shape, per_row: bool) -> np.ndarray:
+    """Random complex matrices of ``shape`` with at most one nonzero per row,
+    or per column; the others are zero rows (columns), and the magnitudes of
+    the nonzeros are 1 or 1e-8·(1 ± 1e-3), on both sides of the rank cut."""
+    *lead, m, n = shape if per_row else (*shape[:-2], shape[-1], shape[-2])
+    size = (*lead, m)
+    magnitude = rng.choice([1.0, 1.001e-8, 0.999e-8, 0.0], size=size)
+    value = magnitude * np.exp(2j * np.pi * rng.random(size))
+    a = np.zeros((*lead, m, n), dtype=complex)
+    np.put_along_axis(a, rng.integers(0, n, size)[..., None], value[..., None], -1)
+    return a if per_row else a.swapaxes(-1, -2)
+
+
+def svd_inputs(monkeypatch) -> list:
+    """Every later ``np.linalg.svd`` input."""
+    inputs, svd = [], np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda x, *args, **kw: inputs.append(x) or svd(x, *args, **kw)
+    )
+    return inputs
+
+
+class TestRankFromDisjointSupports:
+    # one nonzero per row: orthogonal columns, singular values = column norms;
+    # one per column: orthogonal rows, singular values = row norms
+    @pytest.mark.parametrize(
+        "shape", [(6, 4), (4, 6), (5, 5), (1, 7), (7, 1), (3, 8, 5), (2, 3, 4, 6)]
+    )
+    @pytest.mark.parametrize("per_row", [True, False], ids=["row", "column"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_svd_rank_without_an_svd(self, shape, per_row, seed, monkeypatch):
+        a = monomial(np.random.default_rng(seed), shape, per_row)
+        s = np.linalg.svd(a, compute_uv=False)
+        expected = np.sum(s > 1e-8 * s[..., :1], axis=-1)
+        inputs = svd_inputs(monkeypatch)
+        assert np.array_equal(numerical_rank(a), expected)
+        assert inputs == []
+
+    def test_straddling_norms(self, monkeypatch):
+        # column norms 1, 1.001e-8 and 0.999e-8 of the largest, and a zero
+        # column; two rows share column 0
+        a = np.zeros((5, 4), dtype=complex)
+        a[0, 0], a[1, 0], a[2, 1], a[3, 2] = 0.6, 0.8j, -1.001e-8, 0.999e-8j
+        inputs = svd_inputs(monkeypatch)
+        assert numerical_rank(a) == numerical_rank(a.T) == 2
+        assert inputs == []
+
+    def test_dense_input_takes_the_svd(self, monkeypatch):
+        a = np.stack([monomial(np.random.default_rng(5), (4, 4), True), rand(22, 4, 4)])
+        inputs = svd_inputs(monkeypatch)
+        assert numerical_rank(a).tolist()[1] == 4
+        assert len(inputs) == 1
+
+
 def assert_quotient_pair(section, span, rels):
     """section and span are orthonormal, mutually orthogonal and together
     resolve the identity, and span holds every relation."""
