@@ -52,8 +52,8 @@ CONFIGS = [
     # signature
     ["check", "module", "--p", "5", "--q", "3", "--samples", "20"],
     ["check", "tensor", "--samples", "50"],
-    # the weakest sampled tensor run: the twist law decided on the basis
-    # reads the same value at one sample as at fifty
+    # the weakest sampled tensor run: every tensor law except the seeded
+    # section is decided on bases and reads the same value at any sample count
     ["check", "tensor", "--samples", "1"],
     ["check", "tensor", "--p", "3", "--q", "2", "--samples", "20"],
     # J = −I, so the odd half of C^{0,2} ⊗ C^{0,2} is empty

@@ -122,6 +122,16 @@ class KreinModule:
         """The flat operator on the row-major vectorized element space."""
         return np.kron(as_complex_matrix(m), np.eye(self.base.dim))
 
+    @cached_property
+    def standard_matrix(self) -> np.ndarray:
+        """The matrix sign of the gram, one ``eigh`` per module: read-only, as
+        ``standard_symmetry`` and ``random_symmetry`` share it."""
+        g = self.gram
+        w, v = np.linalg.eigh((g + g.conj().T) / 2)
+        j = self.project_operator(v @ np.diag(np.sign(w)) @ v.conj().T)
+        j.flags.writeable = False
+        return j
+
 
 def krein_space(p: int, q: int) -> KreinModule:
     """C^{p,q} as a rank-(p+q) module over the scalars."""
@@ -187,10 +197,7 @@ class FundamentalSymmetry:
 
 def standard_symmetry(module: KreinModule) -> FundamentalSymmetry:
     """The matrix sign of the gram: the canonical splitting."""
-    g = module.gram
-    w, v = np.linalg.eigh((g + g.conj().T) / 2)
-    j = v @ np.diag(np.sign(w)) @ v.conj().T
-    return FundamentalSymmetry._built(module, module.project_operator(j))
+    return FundamentalSymmetry._built(module, module.standard_matrix)
 
 
 def random_symmetry(
@@ -200,7 +207,7 @@ def random_symmetry(
     form: the Cayley transform (1 − X/2)⁻¹(1 + X/2) of a form-skew-adjoint
     A-linear X of norm 0.3, so that ‖U‖ and ‖U⁻¹‖ are at most 1.15/0.85.  A
     count gives a stack (count, nk, nk), drawn as ``count`` single calls would."""
-    j0 = standard_symmetry(module).matrix
+    j0 = module.standard_matrix
     f, k = module.flat_dim, 1 if count is None else count
     s = module.project_operator(gaussians(rng, k, (f, f))[0])
     s = s - s.conj().swapaxes(-1, -2)

@@ -8,7 +8,8 @@ the human-readable rendering.
 returns a batch of samples, a namespace whose array fields are stacked on
 axis 0 (random ones drawn by one ``linalg.gaussians`` call); each row
 ``(name, tolerance, residual)`` of a law table maps the batch to one value
-per sample, and the driver records each law's worst value.
+per sample, and the driver records each law's worst value; a row whose
+residual is a number, a law decided without samples, records that number.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import numpy as np
 
 from .linalg import ValidationError
 
-# one sampled law: record name, tolerance, and the residual of a batch of
-# samples, an array of one value per sample
-Law = tuple[str, float, Callable[[Any], Any]]
+# one law: record name, tolerance, and the residual of a batch of samples, an
+# array of one value per sample, or the law's value when it is decided exactly
+Law = tuple[str, float, Callable[[Any], Any] | float]
 
 SCHEMA_VERSION = 1
 
@@ -144,15 +145,17 @@ class Report:
         first batch is one sample, whose array fields fix how many samples
         make up ``CHUNK_BYTES`` for the later batches.  Each residual maps a
         batch to an array of one value per sample; a NaN wins over every
-        other value.  Records are appended in table order; each carries its
-        law's residual wall time.
+        other value.  A row whose third entry is a number, a law decided
+        without samples, records that number.  Records are appended in table
+        order; each carries its law's residual wall time, 0.0 for a number.
         """
-        worst = [0.0] * len(laws)
+        worst = [0.0 if callable(r) else float(r) for _, _, r in laws]
         elapsed = [0.0] * len(laws)
+        sampled = [(k, r) for k, (_, _, r) in enumerate(laws) if callable(r)]
         rows = range(min(1, samples))
         while rows:
             batch = draw(rows)
-            for k, (_, _, residual) in enumerate(laws):
+            for k, residual in sampled:
                 start = time.perf_counter()
                 values = residual(batch)
                 elapsed[k] += time.perf_counter() - start

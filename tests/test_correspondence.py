@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kreinmod import correspondence, linalg
 from kreinmod.algebra import (
     KreinCStarAlgebra,
     bounded_operators,
@@ -11,6 +12,7 @@ from kreinmod.algebra import (
 )
 from kreinmod.clifford import PseudoEuclideanSpace
 from kreinmod.correspondence import (
+    CorrespondenceMorphism,
     DegenerateDescentError,
     TensorCorrespondence,
     associativity_iso,
@@ -135,6 +137,35 @@ class TestStarHomChecker:
         )
         failed = {r.name for r in report.failures()}
         assert failed == {"intertwines alpha and beta"}
+
+
+    @pytest.mark.parametrize("scale", [3.0, 1e-3])
+    def test_values_do_not_scale_with_the_basis(self, scale):
+        # each law is divided by the norms of its basis factors
+        b = bounded_operators(1, 1)
+        scaled = KreinCStarAlgebra(scale * b.basis, b.eta)
+        s, s_inv = np.diag([2.0, 1.0]), np.diag([0.5, 1.0])
+        for phi in (lambda a: np.swapaxes(a, -1, -2), lambda a: s @ a @ s_inv):
+            values = [
+                [r.max_violation for r in check_krein_star_hom(phi, alg, alg).records]
+                for alg in (b, scaled)
+            ]
+            assert max(values[0]) >= 1.0
+            assert values[1] == pytest.approx(values[0], rel=1e-12)
+
+
+def test_morphism_and_hom_suites_draw_nothing(monkeypatch):
+    # every law of both suites is decided on bases: no draw, at any count
+    def refuse(*args, **kw):
+        raise AssertionError("a decided suite drew samples")
+
+    monkeypatch.setattr(correspondence, "gaussians", refuse)
+    monkeypatch.setattr(linalg, "gaussians", refuse)
+    b11 = bounded_operators(1, 1)
+    for samples in (1, 100):
+        iso = right_unit_iso(identity_correspondence(b11))
+        assert check_morphism(iso, samples=samples).passed
+        assert check_krein_star_hom(lambda a: a, b11, b11, samples=samples).passed
 
 
 class TestInternalTensor:
@@ -499,6 +530,19 @@ class TestUnitLaws:
             [m.act_left(a, x) for a in m.left_algebra.basis for x in eye_m], axis=1
         )
         assert np.array_equal(left.matrix, cols @ left.source.section)
+
+
+    def test_morphism_between_two_bases_of_one_algebra(self):
+        # id(B(C^{1,1})) in the coefficients of the matrix units, sent to the
+        # coefficients of another basis: each side's actions are read through
+        # its own basis, so nothing assumes the bases are the same
+        plain, mixed = bounded_operators(1, 1), mixed_basis_b11()
+        change = mixed.coefficients(plain.basis).T
+        iso = CorrespondenceMorphism(
+            identity_correspondence(plain), identity_correspondence(mixed), change
+        )
+        report = check_morphism(iso)
+        assert report.passed, report.to_text()
 
 
 class TestAssociativity:

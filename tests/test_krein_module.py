@@ -107,6 +107,21 @@ class TestFundamentalSymmetry:
         j = standard_symmetry(m)
         assert np.allclose(j.matrix, np.diag([1.0, -1.0]))
 
+    def test_standard_matrix_takes_one_eigh_per_module(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda *args: calls.append(args) or eigh(*args)
+        )
+        m = m2_module()
+        stack = random_symmetry(m, np.random.default_rng(0), 3).matrix
+        j = standard_symmetry(m).matrix
+        assert len(calls) == 1
+        assert j is m.standard_matrix and not j.flags.writeable
+        assert np.allclose(j, np.diag([1.0, 1.0, -1.0, -1.0]))
+        # each random symmetry conjugates the standard one: same spectrum
+        assert np.allclose(np.trace(stack, axis1=1, axis2=2), np.trace(j))
+
     def test_hyperbolic_is_valid(self):
         m = krein_space(1, 1)
         j = FundamentalSymmetry(m, hyperbolic_symmetry(0.3))

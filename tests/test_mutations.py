@@ -38,8 +38,11 @@ from kreinmod.clifford import (
 )
 from kreinmod.correspondence import (
     alpha_beta_defect,
+    check_krein_star_hom,
+    check_morphism,
     identity_correspondence,
     internal_tensor,
+    right_unit_iso,
 )
 from kreinmod.krein_module import (
     intertwiner,
@@ -357,6 +360,54 @@ def section_independence(moved_by_cob):
     return np.linalg.norm(moved - t_rot.inner) / np.linalg.norm(t_rot.inner)
 
 
+def record_value(report, law):
+    return {r.name: r.max_violation for r in report.records}[law]
+
+
+# the tensor scenario's morphism laws, decided by ``check_morphism`` on the
+# right unit isomorphism of id(B(C^{1,1})), whose symmetry alpha is not I
+RIGHT_UNIT11 = right_unit_iso(IDENT11)
+
+
+def column_doubled(mor):
+    matrix = mor.matrix.copy()
+    matrix[:, 0] *= 2
+    return replace(mor, matrix=matrix)
+
+
+def target_untwisted(mor):
+    """The target's symmetry replaced by the identity."""
+    return replace(mor, target=replace(mor.target, symmetry=np.eye(mor.target.dim)))
+
+
+def morphism_law(law, corrupt):
+    """(tolerance, the law on the unit isomorphism, the law on its corruption)."""
+    return (
+        1e-9,
+        lambda: record_value(check_morphism(RIGHT_UNIT11), law),
+        lambda: record_value(check_morphism(corrupt(RIGHT_UNIT11)), law),
+    )
+
+
+# the tensor scenario's homomorphism laws, decided by ``check_krein_star_hom``
+# on the identity of B(C^{1,1}) against a corrupted map
+def conjugation(s):
+    inverse = np.linalg.inv(s)
+    return lambda a: s @ a @ inverse
+
+
+NOT_KREIN_UNITARY = np.diag([2.0, 1.0])  # commutes with eta, so alpha is kept
+SIGN_MIXING = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2)  # rotation by π/4
+
+
+def hom_law(law, corrupted_phi):
+    return (
+        1e-9,
+        lambda: record_value(check_krein_star_hom(lambda a: a, B11, B11), law),
+        lambda: record_value(check_krein_star_hom(corrupted_phi, B11, B11), law),
+    )
+
+
 SCENARIO_LAWS = {
     "spinor twisting over alpha": (
         1e-10,
@@ -389,6 +440,19 @@ SCENARIO_LAWS = {
         1e-9,
         lambda: section_independence(True),
         lambda: section_independence(False),  # the change of basis dropped
+    ),
+    "intertwines both actions": morphism_law(
+        "intertwines both actions", column_doubled
+    ),
+    "preserves inner products": morphism_law(
+        "preserves inner products", column_doubled
+    ),
+    "intertwines symmetries": morphism_law("intertwines symmetries", target_untwisted),
+    # phi(a) = aᵀ reverses products
+    "multiplicative": hom_law("multiplicative", lambda a: np.swapaxes(a, -1, -2)),
+    "star-preserving": hom_law("star-preserving", conjugation(NOT_KREIN_UNITARY)),
+    "intertwines alpha and beta": hom_law(
+        "intertwines alpha and beta", conjugation(SIGN_MIXING)
     ),
 }
 

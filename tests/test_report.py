@@ -72,6 +72,27 @@ class TestCheckLaws:
         assert sizes == [1, 3]  # NaN and 7.0 come in one batch
         assert math.isnan(rec.max_violation)
 
+    def test_numeric_row_is_recorded_at_its_place(self):
+        recs = report().check_laws(
+            batches([1.0, 3.0]),
+            2,
+            [
+                ("a", 5.0, lambda s: s.v),
+                ("decided", 1.0, 2.5),
+                ("b", 5.0, lambda s: -s.v),
+            ],
+        )
+        assert [(rec.name, rec.max_violation) for rec in recs] == [
+            ("a", 3.0), ("decided", 2.5), ("b", 0.0)
+        ]
+        assert recs[1].tolerance == 1.0 and not recs[1].passed
+        assert recs[1].elapsed == 0.0  # nothing runs for it in the table
+
+    def test_nan_numeric_row_fails(self):
+        (rec,) = report().check_laws(batches([0.0]), 1, [("decided", 10.0, math.nan)])
+        assert math.isnan(rec.max_violation)
+        assert not rec.passed
+
     def test_lazy_draw_interleaves_with_residuals(self):
         # each batch is drawn just before its residuals run; after the first
         # sample, the samples of CHUNK_BYTES come in one batch
@@ -167,10 +188,15 @@ class TestElapsed:
             "module-over-krein: linking identity",
             "clifford: star equals conjugate reversal",
             "spinor: morita: linking identity",
-            "tensor: multiplicative",
         ):
             assert by_name[name].elapsed > 0, name
-        assert by_name["krein-algebra: eta hermitian"].elapsed == 0.0
+        # plain checks, and the laws decided on bases, carry no time
+        for name in (
+            "krein-algebra: eta hermitian",
+            "tensor: multiplicative",
+            "module-over-krein: inner star-hermitian",
+        ):
+            assert by_name[name].elapsed == 0.0, name
         assert first.to_json() == second.to_json()
         assert "elapsed" not in first.to_json()
         for r in second.records:
@@ -196,5 +222,6 @@ class TestElapsed:
             assert copy.elapsed == 0.0
             restored = replace(copy, name=original.name, elapsed=original.elapsed)
             assert restored == original
-        # the table's 11 sampled laws keep their times
-        assert sum(r.elapsed > 0 for r in module.values()) == 11
+        # the table's 10 sampled laws keep their times; "inner star-hermitian"
+        # is decided on basis pairs, before the table runs
+        assert sum(r.elapsed > 0 for r in module.values()) == 10
