@@ -137,7 +137,7 @@ class KreinCStarAlgebra:
             raise ValidationError("basis must be a stack of square matrices")
         if not np.isfinite(basis).all():
             raise ValidationError("basis has non-finite entries")
-        self.basis, self._support = basis, None
+        self.basis, self._support, self._representation = basis, None, None
         self._flat = flat = basis.reshape(len(basis), -1)  # a view of the stack
         # gram[i, j] = ⟨b_i, b_j⟩, in row blocks so that only one block of
         # the basis is ever conjugated
@@ -151,11 +151,14 @@ class KreinCStarAlgebra:
         self._finish(norms_sq, eta, basis.shape[1], label, validate)
 
     @classmethod
-    def _monomial(cls, owner, entry_values, eta, label: str) -> "KreinCStarAlgebra":
+    def _monomial(cls, owner, entry_values, eta, label: str, representation=None):
         """A library-built algebra of elements with pairwise disjoint supports,
-        from the ``owner`` and the value of each of the d² entries r·d + t."""
+        from the ``owner`` and the value of each of the d² entries r·d + t;
+        ``norm`` reads a certified faithful ``representation`` ρ, if given, of
+        (cols, phases): ρ(b_k) holds phases[k, r] at (r, cols[k, r])."""
         algebra = object.__new__(cls)
         algebra._support = _support(owner, entry_values)
+        algebra._representation = representation
         algebra._finish(algebra._support.norms_sq, eta, len(eta), label, True)
         return algebra
 
@@ -349,8 +352,20 @@ class KreinCStarAlgebra:
     def norm(self, a):
         """The C*-norm attached to alpha (operator norm on the hilbertified
         reference space, which is the standard one since eta² = 1), of a
-        matrix or of each matrix of a stack."""
-        return operator_norm(a)
+        matrix or of each matrix of a stack.
+
+        With a representation ρ (the Clifford algebra's spinors) a is read
+        as ρ(a), s x s with s² ≤ 2d, summed from a's coordinates: ρ is an
+        injective *-homomorphism of C*-algebras, so ‖ρ(a)‖ = ‖a‖.  An element
+        outside the carrier is read as its projection, so a residual, which
+        may leave it, takes ``operator_norm``."""
+        if self._representation is None:
+            return operator_norm(a)
+        cols, phases = self._representation
+        c, s = self.coefficients(a), cols.shape[1]
+        image = np.zeros((*c.shape[:-1], s * s), dtype=complex)
+        np.add.at(image, (..., cols + s * np.arange(s)), c[..., None] * phases)
+        return operator_norm(image.reshape(*c.shape[:-1], s, s))
 
     @property
     def is_trivially_definite(self) -> bool:
@@ -458,8 +473,8 @@ def check_krein_cstar_axioms(
             a=a, b=b, z=z[:, None, None],
             even=even, odd=odd,
             odd_b=even_odd_split(algebra, b)[1],
-            na=np.maximum(operator_norm(a), 1e-30),
-            nb=np.maximum(operator_norm(b), 1e-30),
+            na=np.maximum(algebra.norm(a), 1e-30),
+            nb=np.maximum(algebra.norm(b), 1e-30),
             sa=algebra.star(a),
             aa=algebra.alpha(a),
             ab=a @ b,  # read by three laws

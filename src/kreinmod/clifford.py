@@ -250,12 +250,60 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
     e_T ↦ σ[S, T] e_{S xor T}, so entry (R, T) is σ[R xor T, T] in blade
     R xor T; the algebra is built from that table, ``space.product_table``, and
     the N x N x N blade tensor, N = 2^(p+q), only if its ``basis`` is read.
+    Its ``norm`` reads a carrier element a as γ(a) on spinors, s x s with
+    s = 2^⌈n/2⌉, not as c(a): γ is certified an injective *-homomorphism
+    (``_spinor_representation``), so ‖γ(a)‖ = ‖c(a)‖.
     """
     s, signs = space.product_table
     return KreinCStarAlgebra._monomial(
         s.ravel(), signs.ravel(), second_quantized_J(space),
         label=f"CCl(R^{{{space.p},{space.q}}})",
+        representation=_spinor_representation(space),
     )
+
+
+def _spinor_blades(space: PseudoEuclideanSpace):
+    """Gamma blade S, the product of the gammas in S in increasing index
+    order, by its nonzeros: row r holds phases[S, r] at column cols[S, r].
+    For odd n the gammas are the first n of the space (p, q + 1)."""
+    n = space.n
+    cols = np.arange(1 << (n + 1) // 2)[None]
+    phases = np.ones(cols.shape, dtype=complex)
+    for g, sign in zip(_euclidean_gammas(n + n % 2), space.signs):
+        g = g if sign > 0 else 1j * g  # as in ``gamma_rep``
+        col = np.nonzero(g)[1]
+        # row r of γ_T Γ_i is γ_T[r, c] times row c = cols[T, r] of Γ_i
+        cols, phases = np.concatenate([cols, col[cols]]), np.concatenate(
+            [phases, phases * g[cols, col[cols]]]
+        )
+    return cols, phases
+
+
+def _spinor_representation(space: PseudoEuclideanSpace):
+    """``_spinor_blades`` if it is a faithful *-representation γ, else
+    ValidationError, by comparisons with no threshold (the phases are ±1, ±i):
+    γ(e_i) γ(e_T) = σ[i, T] γ(e_{i xor T}) for every generator i and blade T,
+    so γ is multiplicative; γ(e_S)† = σ[S, S] γ(e_S), as is c(e_S)†, c(e_S)
+    being a signed permutation of square σ[S, S]; and tr γ(e_S) = 0 for
+    S ≠ ∅, so the blades are Frobenius-orthogonal and γ is injective."""
+    cols, phases = _spinor_blades(space)
+    sigma, (xor, _) = space.blade_signs, space.product_table
+    rows = np.arange(cols.shape[1])
+    for i in 1 << np.arange(space.n):
+        # row r of γ(e_i) γ(e_T) is phases[i, r] times row c[r] of γ(e_T)
+        c = cols[i]
+        if not (np.array_equal(cols[:, c], cols[xor[i]]) and np.array_equal(
+            phases[i] * phases[:, c], sigma[i][:, None] * phases[xor[i]]
+        )):
+            raise ValidationError("spinor representation is not multiplicative")
+    # row cols[S, r] of γ(e_S)† holds conj(phases[S, r]) at column r
+    back = np.take_along_axis(cols, cols, axis=1)
+    flipped = np.diagonal(sigma)[:, None] * np.take_along_axis(phases, cols, axis=1)
+    if not ((back == rows).all() and np.array_equal(flipped, phases.conj())):
+        raise ValidationError("spinor representation does not preserve adjoints")
+    if np.where(cols == rows, phases, 0)[1:].sum(axis=1).any():
+        raise ValidationError("spinor representation is not faithful")
+    return cols, phases
 
 
 # -- gamma matrices and spinors --------------------------------------------------

@@ -9,7 +9,7 @@ returns a batch of samples, a namespace whose array fields are stacked on
 axis 0 (random ones drawn by one ``linalg.gaussians`` call); each row
 ``(name, tolerance, residual)`` of a law table maps the batch to one value
 per sample, and the driver records each law's worst value; a row whose
-residual is a number, a law decided without samples, records that number.
+residual is ``decide(f)``, a law decided without samples, records f()'s value.
 """
 
 from __future__ import annotations
@@ -24,9 +24,17 @@ import numpy as np
 
 from .linalg import ValidationError
 
+
+def decide(compute: Callable[[], Any]) -> tuple[float, float]:
+    """``compute()`` and its wall time: the third entry of a law table row
+    for a law decided without samples."""
+    start = time.perf_counter()
+    return float(compute()), time.perf_counter() - start
+
+
 # one law: record name, tolerance, and the residual of a batch of samples, an
-# array of one value per sample, or the law's value when it is decided exactly
-Law = tuple[str, float, Callable[[Any], Any] | float]
+# array of one value per sample, or ``decide`` of a law decided exactly
+Law = tuple[str, float, Callable[[Any], Any] | tuple[float, float]]
 
 SCHEMA_VERSION = 1
 
@@ -145,12 +153,12 @@ class Report:
         first batch is one sample, whose array fields fix how many samples
         make up ``CHUNK_BYTES`` for the later batches.  Each residual maps a
         batch to an array of one value per sample; a NaN wins over every
-        other value.  A row whose third entry is a number, a law decided
-        without samples, records that number.  Records are appended in table
-        order; each carries its law's residual wall time, 0.0 for a number.
+        other value.  A row whose third entry is ``decide`` of a law decided
+        without samples records its value.  Records are appended in table
+        order; each carries its law's residual or deciding wall time.
         """
-        worst = [0.0 if callable(r) else float(r) for _, _, r in laws]
-        elapsed = [0.0] * len(laws)
+        decided = [r if isinstance(r, tuple) else (0.0, 0.0) for _, _, r in laws]
+        worst, elapsed = [v for v, _ in decided], [t for _, t in decided]
         sampled = [(k, r) for k, (_, _, r) in enumerate(laws) if callable(r)]
         rows = range(min(1, samples))
         while rows:

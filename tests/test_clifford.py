@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kreinmod.clifford as clifford_module
 from kreinmod.algebra import check_krein_cstar_axioms
 from kreinmod.clifford import (
     GammaRep,
@@ -12,6 +14,7 @@ from kreinmod.clifford import (
     PseudoEuclideanSpace,
     _gram_diagonal,
     _left_matrix,
+    _spinor_blades,
     basis_blade,
     clifford_action,
     clifford_generator_matrix,
@@ -499,6 +502,72 @@ class TestSpinorModule:
         alg = gamma_algebra(gamma_rep(S22))
         report = check_krein_cstar_axioms(alg, samples=100, seed=20)
         assert report.passed, report.to_text()
+
+
+SMALL_SIGNATURES = [(p, n - p) for n in range(9) for p in range(n + 1)]
+
+
+def dense_blades(cols, phases) -> np.ndarray:
+    """The gamma blades held by their nonzeros, as a dense stack."""
+    out = np.zeros((len(cols), cols.shape[1], cols.shape[1]), dtype=complex)
+    np.put_along_axis(out, cols[..., None], phases[..., None], axis=-1)
+    return out
+
+
+class TestSpinorNorm:
+    @pytest.mark.parametrize("pq", SMALL_SIGNATURES, ids=str)
+    def test_norm_through_spinors_is_the_dense_svd(self, pq):
+        space = PseudoEuclideanSpace(*pq)
+        alg = clifford_krein_algebra(space)
+        cols, _ = alg._representation
+        assert cols.shape == (space.grassmann_dim, 2 ** math.ceil(space.n / 2))
+        rng = np.random.default_rng(sum(pq))
+        a = alg.from_coefficients(random_complex(rng, 3, space.grassmann_dim))
+        dense = operator_norm(a)
+        assert np.allclose(alg.norm(a), dense, rtol=1e-13, atol=0)
+        assert alg.norm(a[0]) == pytest.approx(dense[0], rel=1e-13)
+        assert alg.norm(np.zeros_like(a[0])) == 0.0
+
+    @pytest.mark.parametrize("pq", [(1, 1), (2, 2), (1, 3), (3, 3)], ids=str)
+    def test_even_blades_are_the_gamma_algebra(self, pq):
+        rep = gamma_rep(PseudoEuclideanSpace(*pq))
+        dense = dense_blades(*_spinor_blades(rep.space))
+        assert np.array_equal(dense, gamma_algebra(rep).basis)
+
+    @pytest.mark.parametrize("pq", [(2, 1), (2, 2), (0, 3)], ids=str)
+    def test_one_flipped_blade_sign_is_refused(self, pq, monkeypatch):
+        space = PseudoEuclideanSpace(*pq)
+        assert clifford_krein_algebra(space)._representation is not None
+        for blade in range(space.grassmann_dim):
+            def flipped(space, blade=blade):
+                cols, phases = _spinor_blades(space)
+                phases[blade] *= -1
+                return cols, phases
+
+            monkeypatch.setattr(clifford_module, "_spinor_blades", flipped)
+            with pytest.raises(ValidationError, match="spinor representation"):
+                clifford_krein_algebra(space)
+
+    def test_axiom_table_reads_carrier_norms_on_spinors(self, monkeypatch):
+        # the four carrier norms per sample (‖a‖, ‖b‖, ‖alpha(star(a)) a‖,
+        # ‖ab‖) are 8 x 8 SVDs at (3,3); the dense path takes them at 64 x 64
+        alg = clifford_krein_algebra(PseudoEuclideanSpace(3, 3))
+        svd, sizes = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            sizes.extend([a.shape[-1]] * math.prod(a.shape[:-2]))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        spinor = check_krein_cstar_axioms(alg, samples=5, seed=3)
+        spinor_sizes, sizes[:] = sorted(sizes), []
+        monkeypatch.setattr(alg, "_representation", None)
+        dense = check_krein_cstar_axioms(alg, samples=5, seed=3)
+        assert spinor_sizes.count(8) == 20 and 8 not in sizes
+        assert sizes.count(64) == spinor_sizes.count(64) + 20
+        for x, y in zip(spinor.records, dense.records):
+            assert x.name == y.name and x.passed == y.passed
+            assert x.max_violation == pytest.approx(y.max_violation, abs=1e-14)
 
 
 def generator_product_blades(space: PseudoEuclideanSpace) -> np.ndarray:

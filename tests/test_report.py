@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import kreinmod.report as report_module
 from kreinmod.algebra import bounded_operators, check_krein_cstar_axioms
 from kreinmod.checker import CheckConfig, run
 from kreinmod.linalg import ValidationError, gaussians
-from kreinmod.report import CheckRecord, Report, worst_of
+from kreinmod.report import CheckRecord, Report, decide, worst_of
 
 
 def report():
@@ -78,7 +79,7 @@ class TestCheckLaws:
             2,
             [
                 ("a", 5.0, lambda s: s.v),
-                ("decided", 1.0, 2.5),
+                ("decided", 1.0, (2.5, 0.25)),
                 ("b", 5.0, lambda s: -s.v),
             ],
         )
@@ -86,10 +87,16 @@ class TestCheckLaws:
             ("a", 3.0), ("decided", 2.5), ("b", 0.0)
         ]
         assert recs[1].tolerance == 1.0 and not recs[1].passed
-        assert recs[1].elapsed == 0.0  # nothing runs for it in the table
+        assert recs[1].elapsed == 0.25  # the time it took to decide
+
+    def test_decide_times_its_computation(self):
+        value, elapsed = decide(lambda: time.sleep(0.01) or 2.5)
+        assert value == 2.5 and elapsed >= 0.01
 
     def test_nan_numeric_row_fails(self):
-        (rec,) = report().check_laws(batches([0.0]), 1, [("decided", 10.0, math.nan)])
+        (rec,) = report().check_laws(
+            batches([0.0]), 1, [("decided", 10.0, decide(lambda: math.nan))]
+        )
         assert math.isnan(rec.max_violation)
         assert not rec.passed
 
@@ -188,14 +195,13 @@ class TestElapsed:
             "module-over-krein: linking identity",
             "clifford: star equals conjugate reversal",
             "spinor: morita: linking identity",
-        ):
-            assert by_name[name].elapsed > 0, name
-        # plain checks, and the laws decided on bases, carry no time
-        for name in (
-            "krein-algebra: eta hermitian",
-            "tensor: multiplicative",
+            # decided on basis pairs inside a law table: the table records
+            # the time deciding it took
             "module-over-krein: inner star-hermitian",
         ):
+            assert by_name[name].elapsed > 0, name
+        # plain checks carry no time
+        for name in ("krein-algebra: eta hermitian", "tensor: multiplicative"):
             assert by_name[name].elapsed == 0.0, name
         assert first.to_json() == second.to_json()
         assert "elapsed" not in first.to_json()
@@ -222,6 +228,6 @@ class TestElapsed:
             assert copy.elapsed == 0.0
             restored = replace(copy, name=original.name, elapsed=original.elapsed)
             assert restored == original
-        # the table's 10 sampled laws keep their times; "inner star-hermitian"
-        # is decided on basis pairs, before the table runs
-        assert sum(r.elapsed > 0 for r in module.values()) == 10
+        # the table's 10 sampled laws keep their times, and so does "inner
+        # star-hermitian", decided on basis pairs
+        assert sum(r.elapsed > 0 for r in module.values()) == 11
