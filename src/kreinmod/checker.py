@@ -340,10 +340,9 @@ def _full_gallery(config: CheckConfig) -> Report:
 
 def _check_cstar_identity(report: Report, name: str, algebra, rng, samples, tol):
     """The C* identity ‖a* a‖ = ‖a‖² on one random element a per sample."""
-    d = algebra.dim
-
     def draw(rows):
-        return SimpleNamespace(a=algebra.project(gaussians(rng, len(rows), (d, d))[0]))
+        (g,) = gaussians(rng, len(rows), (algebra.vector_dim,))
+        return SimpleNamespace(a=algebra.from_normals(g))
 
     law = (name, tol, lambda s: cstar_residual(algebra, s.a, algebra.norm(s.a)))
     report.check_laws(draw, samples, [law])

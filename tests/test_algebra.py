@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kreinmod.algebra import (
+    CLOSURE_TOL,
     FiniteCStarAlgebra,
     KreinCStarAlgebra,
     bounded_operators,
@@ -23,9 +24,12 @@ from kreinmod.clifford import (
 from kreinmod.linalg import (
     DimensionMismatchError,
     ValidationError,
+    gaussians,
     operator_norm,
     random_complex,
 )
+
+EPS = np.finfo(float).eps
 
 
 def eta_pq(p, q):
@@ -583,10 +587,11 @@ class TestClosureOnSupport:
             return str(error)
         return None
 
-    def test_random_corruptions_refused_alike(self):
-        # one to four edits of a small table: an entry moved to another or a
-        # new element, its sign flipped, doubled or zeroed
-        rng, outcomes = np.random.default_rng(23), set()
+    @staticmethod
+    def edited_tables(seed):
+        """200 small tables, each with one to four edits: an entry moved to
+        another or a new element, its sign flipped, doubled or zeroed."""
+        rng = np.random.default_rng(seed)
         for trial in range(200):
             signature = [(1, 1), (2, 1), (1, 2), (2, 0)][trial % 4]
             owner, values, eta = clifford_table(*signature)
@@ -596,11 +601,66 @@ class TestClosureOnSupport:
                     owner[j] = rng.integers(owner.max() + 2)
                 else:
                     values[j] *= (-1, 2, 0)[edit - 1]
+            yield trial, owner, values, eta
+
+    def test_random_corruptions_refused_alike(self):
+        outcomes = set()
+        for trial, owner, values, eta in self.edited_tables(23):
             support, dense = map(self.outcome, self.both_paths(owner, values, eta))
             assert support == dense, trial
             outcomes.add(dense)
         closure = {f"carrier is not closed under {m}" for m in ("alpha", "star")}
         assert {None, *closure} <= outcomes
+
+    def test_random_corruptions_read_alike(self, monkeypatch):
+        # the same kind of edits with construction's checks off: the support
+        # reads the elements it can and sweeps the rest, so both paths give
+        # the same closure values
+        monkeypatch.setattr(KreinCStarAlgebra, "_validate", lambda alg: None)
+        for _, owner, values, eta in self.edited_tables(29):
+            support, dense = (
+                build() for build in self.both_paths(owner, values, eta)
+            )
+            np.testing.assert_allclose(
+                support._closure_defects, dense._closure_defects, rtol=0, atol=16 * EPS
+            )
+
+    @staticmethod
+    def table(d, elements):
+        """The owner and value of each entry of M_d: the given elements, each
+        {(r, t): value}, then every other entry as an element of value 1."""
+        owner, values = np.full(d * d, -1), np.ones(d * d, dtype=complex)
+        for k, cells in enumerate(elements):
+            for (r, t), v in cells.items():
+                owner[r * d + t], values[r * d + t] = k, v
+        rest = owner < 0
+        owner[rest] = len(elements) + np.arange(rest.sum())
+        return owner, values
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            # two entries in a row; star lands on a column of two
+            [{(1, 0): 1, (1, 2): 2}, {(0, 1): 1, (2, 1): 1}],
+            # two entries in a column; star lands on a row of two
+            [{(0, 1): 1, (2, 1): 2}, {(1, 0): 1, (1, 2): 1}],
+            # star(E_01) lands on one of the two entries of another element
+            [{(0, 1): 1}, {(1, 0): 3, (2, 2): 1}],
+        ],
+        ids=["repeated row", "repeated column", "part of an element"],
+    )
+    def test_elements_the_support_cannot_read_are_swept(self, elements, monkeypatch):
+        # each value differs from the largest entry moduli of b and of the
+        # residual, so reading these elements on the support would show
+        monkeypatch.setattr(KreinCStarAlgebra, "_validate", lambda alg: None)
+        owner, values = self.table(3, elements)
+        support, dense = (
+            build() for build in self.both_paths(owner, values, eta_pq(2, 1))
+        )
+        assert support._closure_defects.max() >= 0.3
+        np.testing.assert_allclose(
+            support._closure_defects, dense._closure_defects, rtol=0, atol=16 * EPS
+        )
 
     def test_star_image_inside_a_larger_element(self):
         # star(E_01) = E_10 is a part of element 3, E_10 + E_23, and element
@@ -619,21 +679,90 @@ class TestClosureOnSupport:
             with pytest.raises(ValidationError, match="not closed under star"):
                 build()
 
+    @staticmethod
+    def decided_and_swept(alg, monkeypatch):
+        """The closure defects the support decides, twisting no element, and
+        those of the same elements as a dense stack, which twists each one."""
+        twisted, twist = [], KreinCStarAlgebra._twist
+        monkeypatch.setattr(
+            KreinCStarAlgebra, "_twist", lambda a, x: twisted.append(x) or twist(a, x)
+        )
+        alg.__dict__.pop("_closure_defects", None)  # computed again, watched
+        decided = alg._closure_defects
+        assert twisted == []
+        dense = KreinCStarAlgebra(alg.basis, alg.eta, validate=False)
+        swept = dense._closure_defects
+        assert dense._support is None and len(twisted) == 2 * alg.vector_dim
+        return decided, swept
+
+    # B(C^{p,q}) at three sizes and Clifford at every signature with p + q ≤ 6
+    DECIDED = {
+        **{f"B(C^{{{p},{q}}})": lambda p=p, q=q: bounded_operators(p, q)
+           for p, q in ((1, 1), (2, 1), (3, 2))},
+        **{f"clifford ({p},{n - p})":
+           lambda p=p, q=n - p: clifford_krein_algebra(PseudoEuclideanSpace(p, q))
+           for n in range(7) for p in range(n + 1)},
+    }
+
+    @pytest.mark.parametrize("name", list(DECIDED))
+    def test_decided_closure_matches_the_sweep(self, name, monkeypatch):
+        decided, swept = self.decided_and_swept(self.DECIDED[name](), monkeypatch)
+        assert np.array_equal(decided, swept)
+        assert not decided.any()
+
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (0, 2), (2, 2), (3, 1), (3, 3)])
+    def test_near_closed_value_matches_the_sweep(self, p, q, monkeypatch):
+        # the first entry of the pseudoscalar scaled by 1 + 1e-11: star(b)
+        # misses b there and at the transposed entry, by about 1e-11
+        owner, values, eta = clifford_table(p, q)
+        values[np.flatnonzero(owner == owner.max())[0]] *= 1 + 1e-11
+        alg = KreinCStarAlgebra._monomial(owner, values, eta, "")
+        decided, swept = self.decided_and_swept(alg, monkeypatch)
+        assert 0.5e-11 < decided.max() < CLOSURE_TOL
+        # each residual is formed from entries of modulus about 1, so the two
+        # agree to a few rounding errors of 1, not relative to the value
+        np.testing.assert_allclose(decided, swept, rtol=0, atol=8 * EPS)
+
     def test_no_closure_slices(self, monkeypatch):
-        calls = []
+        # construction twists an element only to sweep it: the support
+        # decides every blade, and a dense stack sweeps each one
+        calls, twisted = [], []
         first_outside = KreinCStarAlgebra._first_outside
+        twist = KreinCStarAlgebra._twist
         monkeypatch.setattr(
             KreinCStarAlgebra, "_first_outside",
             lambda alg, x, *args: calls.append(x) or first_outside(alg, x, *args),
+        )
+        monkeypatch.setattr(
+            KreinCStarAlgebra, "_twist", lambda alg, a: twisted.append(a) or twist(alg, a)
         )
         alg = clifford_krein_algebra(PseudoEuclideanSpace(3, 3))
         identity, *products = calls
         assert np.array_equal(identity, np.eye(alg.dim)[None])
         assert sum(len(x) for x in products) == 8
+        assert twisted == []
         calls.clear()
-        # the same elements as a dense stack take the slices
         KreinCStarAlgebra(alg.basis, alg.eta)
-        assert len(calls) > 1 + len(products)
+        assert len(calls) == 1 + len(products)
+        assert len(twisted) == 2 * alg.vector_dim
+
+
+class TestDraws:
+    """A carrier element is drawn as the coordinates g_k / ‖b_k‖_F of i.i.d.
+    complex standard normal g, in the order ``linalg.gaussians`` lays it out."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matrix_units_read_the_matrix_stream(self, seed):
+        a = bounded_operators(2, 1).random_element(np.random.default_rng(seed))
+        assert np.array_equal(a, random_complex(np.random.default_rng(seed), 3, 3))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_clifford_coordinates_read_the_coordinate_stream(self, seed):
+        alg = clifford_krein_algebra(PseudoEuclideanSpace(2, 2))
+        norms = np.linalg.norm(alg.basis.reshape(alg.vector_dim, -1), axis=1)
+        a = alg.random_element(np.random.default_rng(seed))
+        (g,) = gaussians(np.random.default_rng(seed), 1, (16,))
+        np.testing.assert_allclose(alg.coefficients(a) * norms, g[0], rtol=4 * EPS)
 
 
 class TestFiniteCStarAlgebra:

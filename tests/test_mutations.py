@@ -572,6 +572,21 @@ def test_pairing_symmetry_reads_three_under_doubled_J(monkeypatch):
     assert not record.passed
 
 
+def test_closure_fails_under_one_flipped_sign(monkeypatch):
+    law = "algebra: carrier closed under alpha and star"
+    assert clifford_records()[law].max_violation == 0.0
+    # the first entry of blade 1, off the diagonal, negated: star(b) differs
+    # from b at that entry and its transpose, so P(star(b)) = (12/16) b and
+    # the residual is 1 + 12/16 there, with ‖b‖₂ = 1
+    basis = CLIFFORD22.basis.copy()
+    r, t = np.argwhere(basis[1])[0]
+    basis[1, r, t] *= -1
+    record = clifford_records(monkeypatch, basis=basis)[law]
+    assert record.max_violation == 1.75
+    assert record.max_violation >= 10 * record.tolerance
+    assert not record.passed
+
+
 def test_associativity_fails_under_one_flipped_sign(monkeypatch):
     law = "clifford product associative"
     assert clifford_records()[law].max_violation == 0.0
