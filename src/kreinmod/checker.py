@@ -119,7 +119,7 @@ from .report import Report
 NONEMPTY_SIGNATURE = ("krein-algebra", "module", "module-over-krein", "tensor")
 
 # the one limit on a run's predicted peak memory (``_predicted_peak_bytes``):
-# it admits spinor (4,4) at 0.85 GB and refuses Clifford at p + q = 11 (3.0 GB),
+# it admits Clifford (5,5) at 0.77 GB and refuses Clifford at p + q = 11 (3.0 GB),
 # keeping a run well inside a machine with 8 GB
 BYTE_BUDGET = 2_500_000_000
 
@@ -310,7 +310,9 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
         "module-over-krein": 9 * d**6,  # the d² x d² x d x d inner tensor
         "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
         "clifford": axiom_table * n**2,
-        "spinor": 3.1 * n**3,  # S ⊗ S̄: both actions and the inner, each N³
+        # N x N arrays: the gamma algebra, the exterior coordinates of S ⊗ S̄,
+        # the Clifford action of each sample; S ⊗ S̄ keeps its factors
+        "spinor": 12 * n**2,
     }[config.scenario]
     return 16 * entries + 2**24
 
@@ -703,6 +705,10 @@ def _scenario_clifford(config: CheckConfig) -> Report:
     n = space.n
     gens = alg.from_coefficients(vector(space, np.eye(n)).coeffs)
     _check_anticommutators(report, "generator anticommutators", gens, space.signs)
+    # the last control's value, read now so that the (n, N, N) stack is freed
+    # before the axiom table
+    null = anticommutator_residual(gens[-1:], gens[-1:], np.zeros(1))[0] if n else 1.0
+    del gens
 
     report.check(
         "gram determinant oracle", _gram_oracle_defect(space, space.signs), 1e-10
@@ -763,10 +769,9 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         report, "clifford cstar identity", "algebra: cstar identity", config.tol
     )
 
-    null = anticommutator_residual(gens[-1:], gens[-1:], np.zeros(1))
     report.check(
         "negative control: degenerate metric gram",
-        float(null[0]) if n else 1.0,
+        float(null),
         1e-12,
         detail="the last generator must break {c, c} = 2g at a null metric entry g = 0",
         expected_fail=True,

@@ -6,14 +6,16 @@ product and a symmetry twisting over both fundamental automorphisms:
 J(a x b) = alpha(a) J(x) beta(b).  The tensor product over B is realized
 constructively: quotient the plain tensor by the balancing relations
 x·b ⊗ y − x ⊗ b·y, then push every structure map through an explicit
-orthonormal section of the quotient, which over the scalars is I.
-Well-definedness of each descended map is verified numerically rather than
-assumed.
+orthonormal section of the quotient.  Well-definedness of each descended
+map is verified numerically rather than assumed.  Over the scalars there is
+no relation and the section is I: the tensor keeps its two factors and
+applies each map to carrier vectors through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,12 +137,12 @@ def internal_tensor(
     and ‖R† ip‖, ‖ip R‖ ≤ 1e-8 · max(‖ip‖, 1) for the plain inner product.
 
     When every balancing relation is zero, as over the scalars, and no
-    ``section_rotation`` is given, the section is I and the plain maps and
-    inner product are kept.  Over a one-element middle basis that inner
-    product is a ⊗ B, nondegenerate iff the sorted products of the factors'
-    singular values pass the cut of ``numerical_rank`` (Horn & Johnson,
-    Topics in Matrix Analysis, Thm 4.2.15); every other tensor takes the SVD
-    of its descended inner product.
+    ``section_rotation`` is given, the section is I and the tensor is a
+    ``FactoredTensor``, which keeps m and n.  Over a one-element middle basis
+    its inner product is a ⊗ B, nondegenerate iff the sorted products of the
+    factors' singular values pass the cut of ``numerical_rank`` (Horn &
+    Johnson, Topics in Matrix Analysis, Thm 4.2.15); every other tensor takes
+    the SVD of its descended inner product.
 
     ``section_rotation`` optionally re-picks the orthonormal section by a
     random unitary change of quotient basis; the descended structures must
@@ -154,10 +156,40 @@ def internal_tensor(
         or operator_norm(mid.eta - n.left_algebra.eta) > 1e-12
     ):
         raise ValidationError("middle algebras do not match")
+    if section_rotation is None and _relations_vanish(m.action, n.left_action):
+        t = FactoredTensor._of(m, n)
+        if mid.basis.shape[0] == 1:
+            # the inner product is c[..., 0] ⊗ lb[0] as a dim x dim·dc² matrix
+            c, lb = _plain_inner_factors(m, n)
+            factors = (c[..., 0], lb[0].reshape(n.dim, -1))
+            s = np.outer(*(np.linalg.svd(f, compute_uv=False) for f in factors))
+            nondegenerate = _rank(np.sort(s, axis=None)[::-1]) == t.dim
+        else:
+            nondegenerate = t.is_nondegenerate()
+    else:
+        t = _descended_tensor(m, n, section_rotation)
+        nondegenerate = t.is_nondegenerate()
+    if not nondegenerate:
+        raise DegenerateDescentError("descended inner product is degenerate")
+    return t
+
+
+def _relations_vanish(action: np.ndarray, left_action: np.ndarray) -> bool:
+    """Whether every balancing relation action[k] ⊗ I − I ⊗ left_action[k] is
+    exactly zero: both are the same multiple action[k][0, 0] of the identity."""
+    c = action[:, :1, :1]
+    return bool(
+        (action == c * np.eye(action.shape[-1])).all()
+        and (left_action == c * np.eye(left_action.shape[-1])).all()
+    )
+
+
+def _descended_tensor(m, n, section_rotation) -> TensorCorrespondence:
+    """m ⊗ n through the orthonormal section of the quotient by the balancing
+    relations, each structure map checked to descend."""
     dm, dn = m.dim, n.dim
     plain = dm * dn
-    nb = mid.basis.shape[0]
-    dc = n.algebra.dim
+    nb = m.algebra.basis.shape[0]
 
     eye_m = np.eye(dm, dtype=complex)
     eye_n = np.eye(dn, dtype=complex)
@@ -168,12 +200,9 @@ def internal_tensor(
     section, span = quotient_space(plain, relations.reshape(-1, plain))
     if section_rotation is not None:
         section = section @ _random_unitary(section_rotation, section.shape[1])
-    identity_section = span.shape[1] == 0 and section_rotation is None
 
     def descend(maps: np.ndarray, kind: str) -> np.ndarray:
         """A stack of plain maps, each of which must keep the relation span."""
-        if identity_section:
-            return maps
         pt = section.conj().T @ maps
         k = first_exceeding(pt @ span, maps, 1e-8)
         if k >= 0:
@@ -186,29 +215,18 @@ def internal_tensor(
     left_action = descend(np.kron(m.left_action, eye_n), "left action")
     (symmetry,) = descend(np.kron(m.symmetry, n.symmetry)[None], "symmetry")
 
-    # plain inner product <x1 (x) y1, x2 (x) y2> = <y1, <x1,x2> y2>
-    # = Σ_b c[i, j, b] lb[b, k, l], with c the middle coefficients of
-    # <e_i, e_j> and lb[b, k, l] = <e_k, b·e_l>: one outer product per middle
-    # basis element, written in C order so that the reshape is a view
-    c = n.left_algebra.coefficients(m.inner)
-    lb = np.einsum("kmab,nml->nklab", n.inner, n.left_action)
-    ip_plain = np.einsum("ijn,nklab->ikjlab", c, lb, order="C").reshape(
-        plain, plain, dc, dc
+    ip_plain = _plain_inner(m, n)
+    # BLAS contractions; the defects are norms, so their axis order is free
+    defect = max(
+        np.linalg.norm(np.tensordot(span.conj(), ip_plain, axes=(0, 0))),
+        np.linalg.norm(np.tensordot(ip_plain, span, axes=(1, 0))),
     )
-    if identity_section:
-        inner = ip_plain
-    else:
-        # BLAS contractions; the defects are norms, so their axis order is free
-        defect = max(
-            np.linalg.norm(np.tensordot(span.conj(), ip_plain, axes=(0, 0))),
-            np.linalg.norm(np.tensordot(ip_plain, span, axes=(1, 0))),
-        )
-        if defect > 1e-8 * max(np.linalg.norm(ip_plain), 1.0):
-            raise ValidationError("inner product does not descend to the quotient")
-        inner = np.einsum(
-            "au,bv,abcd->uvcd", section.conj(), section, ip_plain, optimize=True
-        )
-    t = TensorCorrespondence(
+    if defect > 1e-8 * max(np.linalg.norm(ip_plain), 1.0):
+        raise ValidationError("inner product does not descend to the quotient")
+    inner = np.einsum(
+        "au,bv,abcd->uvcd", section.conj(), section, ip_plain, optimize=True
+    )
+    return TensorCorrespondence(
         algebra=n.algebra,
         dim=section.shape[1],
         action=action,
@@ -219,16 +237,102 @@ def internal_tensor(
         left_inner=None,
         section=section,
     )
-    if identity_section and nb == 1:
-        # the inner product is c[..., 0] ⊗ lb[0] as a dim x dim·dc² matrix
-        factors = (c[..., 0], lb[0].reshape(dn, -1))
-        s = np.outer(*(np.linalg.svd(f, compute_uv=False) for f in factors))
-        nondegenerate = _rank(np.sort(s, axis=None)[::-1]) == plain
-    else:
-        nondegenerate = t.is_nondegenerate()
-    if not nondegenerate:
-        raise DegenerateDescentError("descended inner product is degenerate")
-    return t
+
+
+def _plain_inner_factors(m, n) -> tuple[np.ndarray, np.ndarray]:
+    """c and lb of the plain inner product ``_plain_inner``."""
+    c = n.left_algebra.coefficients(m.inner)
+    lb = np.einsum("kmab,nml->nklab", n.inner, n.left_action)
+    return c, lb
+
+
+def _plain_inner(m, n) -> np.ndarray:
+    """The inner product of the plain tensor, a (plain, plain, dc, dc) tensor.
+
+    <x1 (x) y1, x2 (x) y2> = <y1, <x1,x2> y2> = Σ_b c[i, j, b] lb[b, k, l],
+    with c the middle coefficients of <e_i, e_j> and lb[b, k, l] =
+    <e_k, b·e_l>: one outer product per middle basis element, written in C
+    order so that the reshape is a view.
+    """
+    plain, dc = m.dim * n.dim, n.algebra.dim
+    c, lb = _plain_inner_factors(m, n)
+    return np.einsum("ijn,nklab->ikjlab", c, lb, order="C").reshape(
+        plain, plain, dc, dc
+    )
+
+
+class FactoredTensor(TensorCorrespondence):
+    """m ⊗ n when every balancing relation is zero, so that the section is I:
+    the carrier is C^{dm} ⊗ C^{dn}, a vector x read as the dm x dn matrix X.
+
+    ``factors`` is (m, n).  ``action``, ``left_action``, ``inner`` and
+    ``section`` are the dense Kronecker and einsum arrays of the general
+    path, built from the factors on first read.  The maps act through the
+    factors: (L(a) ⊗ I) x is L(a) X and (I ⊗ R(b)) x is X R(b)ᵀ (Van Loan,
+    "The ubiquitous Kronecker product", JCAM 123, 2000).
+    ``dataclasses.replace`` of a factored tensor gives a dense
+    ``TensorCorrespondence`` of the changed fields.
+    """
+
+    def __new__(cls, *args, **fields):
+        # dataclasses.replace calls the class with every field
+        if args or fields:
+            return TensorCorrespondence(*args, **fields)
+        return super().__new__(cls)
+
+    @classmethod
+    def _of(cls, m: Correspondence, n: Correspondence) -> FactoredTensor:
+        t = object.__new__(cls)
+        t.__dict__.update(
+            algebra=n.algebra,
+            dim=m.dim * n.dim,
+            symmetry=np.kron(m.symmetry, n.symmetry),
+            left_algebra=m.left_algebra,
+            factors=(m, n),
+        )
+        return t
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        m, n = self.factors
+        return np.kron(np.eye(m.dim, dtype=complex), n.action)
+
+    @cached_property
+    def left_action(self) -> np.ndarray:
+        m, n = self.factors
+        return np.kron(m.left_action, np.eye(n.dim, dtype=complex))
+
+    @cached_property
+    def inner(self) -> np.ndarray:
+        return _plain_inner(*self.factors)
+
+    @cached_property
+    def section(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex)
+
+    def right_operator(self, b) -> np.ndarray:
+        m, n = self.factors
+        return np.kron(np.eye(m.dim, dtype=complex), n.right_operator(b))
+
+    def left_operator(self, a) -> np.ndarray:
+        m, n = self.factors
+        return np.kron(m.left_operator(a), np.eye(n.dim, dtype=complex))
+
+    def act(self, x, b) -> np.ndarray:
+        r = self.factors[1].right_operator(b)
+        return self._vectors(self._matrices(x) @ r.swapaxes(-1, -2))
+
+    def act_left(self, a, x) -> np.ndarray:
+        return self._vectors(self.factors[0].left_operator(a) @ self._matrices(x))
+
+    def _matrices(self, x) -> np.ndarray:
+        """Carrier vectors (..., dm·dn) as dm x dn matrices."""
+        m, n = self.factors
+        x = np.asarray(x, dtype=complex)
+        return x.reshape(*x.shape[:-1], m.dim, n.dim)
+
+    def _vectors(self, y) -> np.ndarray:
+        return y.reshape(*y.shape[:-2], self.dim)
 
 
 def _random_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -467,10 +571,11 @@ def _factorization(s, space, samples, seed, tol) -> Report:
     if t.dim != lam_dim:
         return report
 
-    # plain elementary tensors e_i ⊗ e_k -> exterior coordinates of E_ik A,
-    # A = s.symmetry, then through the section
+    # over the scalars t is the plain tensor, a FactoredTensor with section I:
+    # elementary tensors e_i ⊗ e_k -> exterior coordinates of E_ik A, A = s.symmetry
+    dm, dn = (f.dim for f in t.factors)
     units = np.eye(s.dim**2, dtype=complex).reshape(-1, s.dim, s.dim)
-    v = s.left_algebra.coefficients(units @ s.symmetry).T @ t.section
+    v = s.left_algebra.coefficients(units @ s.symmetry).T
     report.check(
         "identification bijective",
         0.0 if numerical_rank(v) == lam_dim else 1.0,
@@ -481,11 +586,13 @@ def _factorization(s, space, samples, seed, tol) -> Report:
         c, x = gaussians(rng, len(rows), (lam_dim,), (t.dim,))
         return SimpleNamespace(c=c, x=x)
 
-    def intertwines(s):
-        left = np.tensordot(s.c, t.left_action, axes=(-1, 0))
-        lhs = matvec(left, s.x) @ v.T
-        rhs = matvec(clifford_action(space, MultiVector(space, s.c)), s.x @ v.T)
-        norms = np.linalg.norm(s.c, axis=-1) * np.linalg.norm(s.x, axis=-1)
+    def intertwines(smp):
+        # the left action γ(c) ⊗ I on x is γ(c) X on its dm x dn matrix X
+        gamma = np.tensordot(smp.c, s.left_action, axes=(-1, 0))
+        left = gamma @ smp.x.reshape(-1, dm, dn)
+        lhs = left.reshape(len(smp.x), -1) @ v.T
+        rhs = matvec(clifford_action(space, MultiVector(space, smp.c)), smp.x @ v.T)
+        norms = np.linalg.norm(smp.c, axis=-1) * np.linalg.norm(smp.x, axis=-1)
         return np.linalg.norm(lhs - rhs, axis=-1) / np.maximum(norms, 1e-30)
 
     report.check_laws(

@@ -203,13 +203,14 @@ class TestScenarios:
         assert record.max_violation == 0.0
 
     def test_spinor_budget_refuses_before_any_work(self, monkeypatch):
-        # S ⊗ S̄ at (5, 5) would hold 1024³ entries; nothing may be built
+        # spinor (6, 6) would hold about a dozen 4096 x 4096 arrays; nothing
+        # may be built
         def unreachable(space):
             raise AssertionError("spinor module built before the budget check")
 
         monkeypatch.setattr(checker, "spinor_module", unreachable)
         with pytest.raises(ResourceBudgetError):
-            run(CheckConfig(scenario="spinor", p=5, q=5, samples=1))
+            run(CheckConfig(scenario="spinor", p=6, q=6, samples=1))
 
     # the scenario sizes of scripts/compare_reports.py
     @pytest.mark.parametrize(
@@ -240,7 +241,7 @@ class TestScenarios:
             ("module-over-krein", 3, 3, 3),
             ("tensor", 6, 6, 5),
             ("clifford", 4, 4, 2),
-            ("spinor", 3, 3, 10),
+            ("spinor", 5, 5, 3),
         ],
     )
     def test_prediction_is_current(self, scenario, p, q, samples):

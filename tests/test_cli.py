@@ -158,7 +158,7 @@ class TestBudgetRefusal:
             ("module", 2500, 2500),
             ("module-over-krein", 10, 10),
             ("clifford", 7, 6),
-            ("spinor", 5, 5),
+            ("spinor", 6, 6),
             ("tensor", 40, 40),
         ],
     )

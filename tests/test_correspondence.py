@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kreinmod.clifford import PseudoEuclideanSpace
 from kreinmod.correspondence import (
     CorrespondenceMorphism,
     DegenerateDescentError,
+    FactoredTensor,
     TensorCorrespondence,
     associativity_iso,
     check_krein_star_hom,
@@ -168,6 +170,20 @@ def test_morphism_and_hom_suites_draw_nothing(monkeypatch):
         assert check_krein_star_hom(lambda a: a, b11, b11, samples=samples).passed
 
 
+# tensors over the scalars, of spinors with their contragredients and of
+# Kreĭn spaces
+OVER_SCALARS = {
+    "spinor11": lambda: spinor_pair(1, 1),
+    "spinor13": lambda: spinor_pair(1, 3),
+    "spinor22": lambda: spinor_pair(2, 2),
+    "spinor33": lambda: spinor_pair(3, 3),
+    "c21": lambda: (krein_space_correspondence(2, 1),) * 2,
+    "c11-c02": lambda: (
+        krein_space_correspondence(1, 1), krein_space_correspondence(0, 2)
+    ),
+}
+
+
 class TestInternalTensor:
     def test_m2_self_tensor_dimension(self):
         ident = identity_correspondence(m2_algebra())
@@ -277,20 +293,14 @@ class TestInternalTensor:
         )
         assert np.array_equal(t.inner, ref)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: spinor_pair(1, 1),
-            lambda: spinor_pair(2, 2),
-            lambda: (krein_space_correspondence(2, 1),) * 2,
-        ],
-        ids=["spinor11", "spinor22", "c21"],
-    )
+    @pytest.mark.parametrize("make", OVER_SCALARS.values(), ids=OVER_SCALARS)
     def test_tensor_over_scalars_is_the_plain_tensor(self, make):
         # every balancing relation is zero, so the section is I and each
-        # structure is its dense Kronecker or einsum formula
+        # structure, built on first read, is its dense Kronecker or einsum
+        # formula
         m, n = make()
         t = internal_tensor(m, n)
+        assert isinstance(t, FactoredTensor) and t.factors == (m, n)
         eye_m, eye_n = np.eye(m.dim), np.eye(n.dim)
         lmats = np.tensordot(
             n.left_algebra.coefficients(m.inner), n.left_action, axes=(2, 0)
@@ -420,6 +430,114 @@ class TestInternalTensor:
         for sign in (+1, -1):
             got = spectral_projector(np.kron(j, k), sign)
             assert np.array_equal(got, self.matched_halves(j, k, sign))
+
+
+def assert_rounding(got, ref):
+    """got equals ref to rounding, relative to the largest entry of ref."""
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 64 * EPS * np.max(np.abs(ref))
+
+
+class TestFactoredTensor:
+    """Tensors over the scalars keep their factors: the maps act on carrier
+    vectors through them, and no dense field is built until it is read."""
+
+    @pytest.mark.parametrize("make", OVER_SCALARS.values(), ids=OVER_SCALARS)
+    def test_maps_match_the_dense_products(self, make):
+        m, n = make()
+        t = internal_tensor(m, n)
+        assert {"action", "left_action", "inner", "section"}.isdisjoint(vars(t))
+        rng = np.random.default_rng(22)
+        left, right = t.left_algebra, t.algebra
+        for k in (None, 3):  # one element and a stack
+            shape = () if k is None else (k,)
+            a = left.from_normals(random_complex(rng, *shape, left.vector_dim))
+            b = right.from_normals(random_complex(rng, *shape, right.vector_dim))
+            x = random_complex(rng, *shape, t.dim)
+            dense_left = np.tensordot(left.coefficients(a), t.left_action, axes=(-1, 0))
+            dense_right = np.tensordot(right.coefficients(b), t.action, axes=(-1, 0))
+            assert_rounding(t.left_operator(a), dense_left)
+            assert_rounding(t.right_operator(b), dense_right)
+            assert_rounding(t.act_left(a, x), linalg.matvec(dense_left, x))
+            assert_rounding(t.act(x, b), linalg.matvec(dense_right, x))
+
+    def test_replace_gives_the_dense_tensor(self):
+        m, n = spinor_pair(1, 1)
+        t = internal_tensor(m, n)
+        bad = dataclasses.replace(t, symmetry=-t.symmetry)
+        assert type(bad) is TensorCorrespondence
+        assert np.array_equal(bad.symmetry, -t.symmetry)
+        for name in ("action", "left_action", "inner", "section"):
+            assert np.array_equal(getattr(bad, name), getattr(t, name))
+
+    @pytest.mark.parametrize(
+        "corrupt, side, error",
+        [
+            ("inner degenerate", 0, DegenerateDescentError),
+            ("inner degenerate", 1, DegenerateDescentError),
+            ("left action bumped", 1, ValidationError),
+            ("right action bumped", 0, ValidationError),
+            ("middle algebra scaled", 1, ValidationError),
+        ],
+    )
+    @pytest.mark.parametrize("make", ["spinor22", "c21"])
+    def test_corrupted_factor_is_refused(self, make, corrupt, side, error):
+        # a bumped scalar action makes the relations nonzero, and the dense
+        # path refuses a map or the inner product
+        def corrupted(c):
+            if corrupt == "inner degenerate":
+                inner = c.inner.copy()
+                inner[-1], inner[:, -1] = 0, 0
+                return dataclasses.replace(c, inner=inner)
+            if corrupt == "middle algebra scaled":
+                alg = c.left_algebra
+                scaled = KreinCStarAlgebra(2 * alg.basis, alg.eta)
+                return dataclasses.replace(c, left_algebra=scaled)
+            field = "left_action" if corrupt == "left action bumped" else "action"
+            maps = getattr(c, field).copy()
+            maps[0, 0, 0] += 1e-3
+            return dataclasses.replace(c, **{field: maps})
+
+        pair = list(OVER_SCALARS[make]())
+        pair[side] = corrupted(pair[side])
+        with pytest.raises(error):
+            internal_tensor(*pair)
+
+    def test_nonzero_relations_take_the_dense_path(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return quotient_space(*args)
+
+        monkeypatch.setattr(correspondence, "quotient_space", counted)
+        ident = identity_correspondence(bounded_operators(1, 1))
+        t = internal_tensor(ident, ident)
+        assert type(t) is TensorCorrespondence and t.section.shape == (16, 4)
+        assert calls == [16]
+        assert isinstance(internal_tensor(*spinor_pair(2, 2)), FactoredTensor)
+        assert calls == [16]
+
+    @pytest.mark.parametrize("name", ["action", "left_action", "inner", "section"])
+    def test_factorization_reads_no_dense_field(self, monkeypatch, name):
+        def unreachable(self):
+            raise AssertionError(f"{name} read")
+
+        monkeypatch.setattr(FactoredTensor, name, property(unreachable))
+        assert spinor_factorization_check(PseudoEuclideanSpace(2, 2), samples=3).passed
+
+    def test_spinor_44_holds_no_plain_cubed_stack(self):
+        # S ⊗ S̄ at (4,4) has plain = N = 256; one (N, N, N) complex stack is
+        # 256 MiB, and the dense tensor held three
+        plain = 256
+        tracemalloc.start()
+        try:
+            report = spinor_factorization_check(PseudoEuclideanSpace(4, 4), samples=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 16 * plain**3 / 8
 
 
 def balancing_relations(m, n):
