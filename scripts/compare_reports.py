@@ -25,7 +25,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# the 30 configurations: scenarios at the sizes the benchmark and gallery
+# the 31 configurations: scenarios at the sizes the benchmark and gallery
 # use, ladder sizes, and the three demos, each at its default seed unless
 # given
 CONFIGS = [
@@ -65,6 +65,8 @@ CONFIGS = [
     ["check", "clifford", "--p", "4", "--q", "4", "--samples", "2"],
     ["check", "tensor", "--p", "6", "--q", "6", "--samples", "5"],
     ["check", "spinor", "--p", "4", "--q", "4", "--samples", "5"],
+    # the gamma algebra at s = 32, the largest spinor size the guard admits
+    ["check", "spinor", "--p", "5", "--q", "5", "--samples", "3"],
     # the module-over-Kreĭn ladder at d = 10: adjoints and ranks read from
     # disjoint supports
     ["check", "module-over-krein", "--p", "5", "--q", "5", "--samples", "3"],

@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
+    _Monomials,
     as_complex_matrix,
     first_exceeding,
     gaussians,
@@ -120,15 +121,14 @@ class KreinCStarAlgebra:
     ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``; ``star``, ``alpha``
     and ``project`` take a d x d matrix or a stack (..., d, d).
 
-    The library's monomial algebras (matrix units, Clifford blades, the
-    scalars) state their support: the owner and value of each entry.  Their
-    nonzeros are stored once, coordinates and projections gather and scatter
-    through them, and ``basis`` is synthesised when first read.  A basis
-    given as a dense stack is checked for non-finite entries once and read
-    by products with its flattened rows, after one Gram product that raises
-    ValidationError unless it is exactly diagonal.  A zero element is
-    refused on either path.  A diagonal ``eta`` twists entrywise, any other
-    by two products.
+    The library's monomial algebras (matrix units, Clifford and gamma blades,
+    the scalars) are built from their nonzeros (``linalg._Monomials``):
+    coordinates and projections gather through them, and ``basis`` is
+    synthesised when first read.  A basis given as a dense stack is checked
+    for non-finite entries once and read by products with its flattened
+    rows, after one Gram product that raises ValidationError unless it is
+    exactly diagonal.  A zero element is refused on either path.  A diagonal
+    ``eta`` twists entrywise, any other by two products.
     """
 
     def __init__(self, basis, eta, *, label: str = "", validate: bool = True):
@@ -137,7 +137,7 @@ class KreinCStarAlgebra:
             raise ValidationError("basis must be a stack of square matrices")
         if not np.isfinite(basis).all():
             raise ValidationError("basis has non-finite entries")
-        self.basis, self._support, self._representation = basis, None, None
+        self.basis, self._monomials, self._representation = basis, None, None
         self._flat = flat = basis.reshape(len(basis), -1)  # a view of the stack
         # gram[i, j] = ⟨b_i, b_j⟩, in row blocks so that only one block of
         # the basis is ever conjugated
@@ -151,15 +151,13 @@ class KreinCStarAlgebra:
         self._finish(norms_sq, eta, basis.shape[1], label, validate)
 
     @classmethod
-    def _monomial(cls, owner, entry_values, eta, label: str, representation=None):
-        """A library-built algebra of elements with pairwise disjoint supports,
-        from the ``owner`` and the value of each of the d² entries r·d + t;
-        ``norm`` reads a certified faithful ``representation`` ρ, if given, of
-        (cols, phases): ρ(b_k) holds phases[k, r] at (r, cols[k, r])."""
+    def _monomial(cls, monomials, eta, label: str, representation=None):
+        """A library-built algebra of Frobenius-orthogonal ``monomials``;
+        ``norm`` reads a certified faithful ``representation`` ρ, if given,
+        with ρ(b_k) the k-th element of that stack."""
         algebra = object.__new__(cls)
-        algebra._support = _support(owner, entry_values)
-        algebra._representation = representation
-        algebra._finish(algebra._support.norms_sq, eta, len(eta), label, True)
+        algebra._monomials, algebra._representation = monomials, representation
+        algebra._finish(monomials.norms_sq, eta, monomials.dim, label, True)
         return algebra
 
     def _finish(self, norms_sq, eta, dim: int, label: str, validate: bool):
@@ -216,40 +214,35 @@ class KreinCStarAlgebra:
     def _closure_defects(self) -> np.ndarray:
         """(vector_dim, 2): ‖P(x) − x‖₂ / ‖b‖₂ of x = alpha(b) and x = star(b),
         P the projection onto the carrier, per basis element b; both maps are
-        (conjugate-)linear, so these decide closure.  With a support and a
-        diagonal eta, alpha(b) puts e_r e_t b[r, t] at the entry r·d + t and
-        star(b) e_r e_t conj(b[r, t]) at t·d + r.  b is read there when each
-        image lands on all the entries of one element b′, whose entries lie
-        in distinct rows, as b's do: P(image) is c b′, and b, b′ and the
-        residual have at most one nonzero per row and per column, so a 2-norm
-        is a largest entry modulus.  Any other b is synthesised and twisted
-        on its own."""
+        (conjugate-)linear, so these decide closure.  On monomials with a
+        diagonal eta, alpha(b) holds e_r e_t v at each nonzero (r, t, v) of b
+        and star(b) e_r e_t conj(v) at (t, r).  b is read there when each
+        image lands on all the nonzeros of one element b′, which no other
+        element holds: P(image) is c b′, and b, b′ and the residual have at
+        most one nonzero per row and per column (b's columns are the rows of
+        b′), so a 2-norm is a largest entry modulus.  Any other b is
+        synthesised and twisted on its own."""
         out = np.empty((self.vector_dim, 2))
         swept = range(self.vector_dim)
-        if self._support is not None and self._eta_outer is not None:
-            s, d = self._support, self.dim
-            values, entries, starts = s.entry_values, s.entries, s.starts
-            # entries are r·d + t element by element, each element's in row order
-            element = s.owner[entries]
-            counts = np.bincount(element)
-            v, signs = values[entries], self._eta_outer.ravel()[entries]
-            norm = np.maximum.reduceat(np.abs(v), starts)
-            r, t = np.divmod(entries, d)
-            # a repeated row is a repeated neighbour; b's columns are the rows
-            # of the element its star lands on, checked there
-            key = element * d + r
-            repeated = np.zeros(self.vector_dim, dtype=bool)
-            repeated[element[1:][key[1:] == key[:-1]]] = True
+        b = self._monomials
+        if b is not None and self._eta_outer is not None:
+            d, live = self.dim, b.vals != 0
+            (owner, value), *shared = b._holders
+            # the one element holding each entry, or -1 where none or several do
+            sole = np.where((value != 0) & ~np.any([v for _, v in shared], 0), owner, -1)
+            count, signs = live.sum(axis=-1), self._eta_outer[b.rows, b.cols]
+            norm = np.abs(b.vals).max(axis=-1)
             undecided = np.zeros(self.vector_dim, dtype=bool)
-            for k, (image, at) in enumerate([(v * signs, entries),
-                                             (v.conj() * signs, t * d + r)]):
-                target, landing = s.owner[at], values[at]
-                lands = target[starts]
-                c = np.add.reduceat(landing.conj() * image, starts) / s.norms_sq[lands]
-                residual = np.abs(image - c[element] * landing)
-                out[:, k] = np.maximum.reduceat(residual, starts) / norm
-                undecided |= np.logical_or.reduceat(target != lands[element], starts)
-                undecided |= (counts != counts[lands]) | repeated[lands]
+            for k, (image, at) in enumerate([(b.vals * signs, b._at),
+                                             (b.vals.conj() * signs, b.cols * d + b.rows)]):
+                target = np.where(live, sole[at], -1)
+                lands = target.max(axis=-1)
+                undecided |= (lands < 0) | (live & (target != lands[:, None])).any(axis=-1)
+                lands = np.maximum(lands, 0)  # undecided elements are swept
+                undecided |= count != count[lands]
+                landing = np.where(live, value[at], 0)
+                c = (landing.conj() * image).sum(axis=-1) / b.norms_sq[lands]
+                out[:, k] = np.abs(image - c[:, None] * landing).max(axis=-1) / norm
             swept = np.flatnonzero(undecided)
         for k in swept:
             b = self.from_coefficients(np.eye(1, self.vector_dim, k)[0])
@@ -291,33 +284,21 @@ class KreinCStarAlgebra:
         return first_exceeding(residual, x, tol)
 
     def coefficients(self, a) -> np.ndarray:
-        """Coordinates ⟨b_i, a⟩ / ‖b_i‖² of a carrier element or a stack.
-
-        On the support path one gather of a's entries, summed per element;
-        on the Gram path the conjugate is taken on a's side so the basis is
+        """Coordinates ⟨b_i, a⟩ / ‖b_i‖² of a carrier element or a stack; on
+        the Gram path the conjugate is taken on a's side so the basis is
         read, never copied."""
+        if self._monomials is not None:
+            return self._monomials.coefficients(a)
         a = np.asarray(a, dtype=complex).reshape(*np.shape(a)[:-2], -1)
-        s = self._support
-        if s is None:
-            return (a.conj() @ self._flat.T).conj() / self._norms_sq
-        # rebinding c frees the gathered entries once they are summed
-        c = np.take(a, s.entries, axis=-1)
-        _scale_rows(c, s.conj_values)
-        c = np.add.reduceat(c, s.starts, axis=-1)
-        c /= self._norms_sq
-        return c
+        return (a.conj() @ self._flat.T).conj() / self._norms_sq
 
     def from_coefficients(self, c) -> np.ndarray:
         """Σ_k c_k b_k of coordinates (..., vector_dim) laid out as ``coefficients``
-        returns them.  On the support path each entry is its owner's coordinate
-        times its value, which is zero where no element owns it."""
+        returns them."""
+        if self._monomials is not None:
+            return self._monomials.synthesis(c)
         c = np.asarray(c, dtype=complex)
-        shape, s = (*c.shape[:-1], self.dim, self.dim), self._support
-        if s is None:
-            return (c @ self._flat).reshape(shape)
-        out = np.take(c, s.owner, axis=-1)
-        _scale_rows(out, s.entry_values)
-        return out.reshape(shape)
+        return (c @ self._flat).reshape(*c.shape[:-1], self.dim, self.dim)
 
     def from_normals(self, g) -> np.ndarray:
         """Elements of coordinates g_k / ‖b_k‖_F, g (..., vector_dim) i.i.d. complex
@@ -354,17 +335,13 @@ class KreinCStarAlgebra:
         matrix or of each matrix of a stack.
 
         With a representation ρ (the Clifford algebra's spinors) a is read
-        as ρ(a), s x s with s² ≤ 2d, summed from a's coordinates: ρ is an
+        as ρ(a), s x s with s² ≤ 2d, synthesised from a's coordinates: ρ is an
         injective *-homomorphism of C*-algebras, so ‖ρ(a)‖ = ‖a‖.  An element
         outside the carrier is read as its projection, so a residual, which
         may leave it, takes ``operator_norm``."""
         if self._representation is None:
             return operator_norm(a)
-        cols, phases = self._representation
-        c, s = self.coefficients(a), cols.shape[1]
-        image = np.zeros((*c.shape[:-1], s * s), dtype=complex)
-        np.add.at(image, (..., cols + s * np.arange(s)), c[..., None] * phases)
-        return operator_norm(image.reshape(*c.shape[:-1], s, s))
+        return operator_norm(self._representation.synthesis(self.coefficients(a)))
 
     @property
     def is_trivially_definite(self) -> bool:
@@ -374,55 +351,24 @@ class KreinCStarAlgebra:
         return any(operator_norm(self.eta - s * eye) <= 1e-12 for s in (1, -1))
 
 
-def _support(owner, entry_values) -> SimpleNamespace:
-    """The support of a basis whose elements have pairwise disjoint supports,
-    from the ``owner`` and the ``entry_values`` of each of the d² entries:
-    the flat ``entries`` r·d + t sorted stably by element, with ``starts``,
-    ``conj_values`` and ``norms_sq``."""
-    entry_values = np.asarray(entry_values, dtype=complex)
-    entries = np.argsort(owner, kind="stable")
-    element, values = owner[entries], entry_values[entries]
-    counts = np.bincount(element)
-    return SimpleNamespace(
-        entries=entries,
-        starts=np.cumsum(counts) - counts,
-        conj_values=values.conj(),
-        owner=owner,
-        entry_values=entry_values,
-        norms_sq=np.bincount(element, weights=values.real**2 + values.imag**2),
-    )
-
-
-def _scale_rows(x, v):
-    """x *= v in place, for a C-contiguous stack x (..., k) and a vector v (k,).
-
-    numpy 2.4 buffers a broadcast product in up to 8192 entries, which at
-    Clifford (3,3) is a quarter of an (8, N²) stack on top of the stack that
-    ``project`` holds; a product of one row needs no buffer and, for rows of
-    1024 entries or more, is as fast, so long rows are scaled one at a time.
-    The threshold and the buffer were measured with numpy 2.4.6 only.
-    """
-    if x.shape[-1] < 1024:
-        x *= v
-    else:
-        for row in x.reshape(-1, x.shape[-1]):
-            row *= v
-
-
 def bounded_operators(p: int, q: int) -> KreinCStarAlgebra:
     """All operators on the reference space C^{p,q} with eta = diag(+1^p, -1^q)."""
     d = p + q
     if d < 1:
         raise ValidationError("p + q must be at least 1")
     eta = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
-    return KreinCStarAlgebra._monomial(
-        np.arange(d * d), np.ones(d * d), eta, label=f"B(C^{{{p},{q}}})"
-    )
+    return KreinCStarAlgebra._monomial(_matrix_units(d), eta, f"B(C^{{{p},{q}}})")
 
 
 def scalar_krein_algebra() -> KreinCStarAlgebra:
     """The base field C with the trivial reference symmetry."""
-    return KreinCStarAlgebra._monomial(np.zeros(1, int), np.ones(1), np.eye(1), "C")
+    return KreinCStarAlgebra._monomial(_matrix_units(1), np.eye(1), "C")
+
+
+def _matrix_units(d: int) -> _Monomials:
+    """E_rt, one nonzero each, in row-major order of (r, t)."""
+    rows, cols = np.divmod(np.arange(d * d)[:, None], d)
+    return _Monomials(d, cols, np.ones((d * d, 1)), rows)
 
 
 # -- operations ---------------------------------------------------------------

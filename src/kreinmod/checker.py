@@ -106,6 +106,7 @@ from .krein_over_krein import (
 )
 from .linalg import (
     ValidationError,
+    _Monomials,
     gaussians,
     hermitian_defect,
     involution_defect,
@@ -375,11 +376,18 @@ def _raised(error, build) -> float:
     return 0.0
 
 
+def _generator_images(algebra, n: int) -> _Monomials:
+    """The basis elements 2^i, i < n, held by their nonzeros, read from a
+    dense basis if the algebra has one."""
+    k = 1 << np.arange(n)
+    held = algebra._monomials
+    return _Monomials.read(algebra.basis[k]) if held is None else held[k]
+
+
 def _check_anticommutators(report: Report, name: str, ops, signs):
-    """One law over every unordered pair i ≤ j of generator images, since
-    {c_i, c_j} = {c_j, c_i} to the bit; the batch holds the images
-    themselves, so its size counts their bytes."""
-    ops = np.asarray(ops)
+    """One law over every unordered pair i ≤ j of the generator images
+    ``ops``, full rows (``linalg._Monomials``), since {c_i, c_j} = {c_j, c_i}
+    to the bit."""
     pairs = np.array(
         list(combinations_with_replacement(range(len(signs)), 2))
     ).reshape(-1, 2)
@@ -703,12 +711,8 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         p=config.p, q=config.q,
     )
     n = space.n
-    gens = alg.from_coefficients(vector(space, np.eye(n)).coeffs)
+    gens = _generator_images(alg, n)
     _check_anticommutators(report, "generator anticommutators", gens, space.signs)
-    # the last control's value, read now so that the (n, N, N) stack is freed
-    # before the axiom table
-    null = anticommutator_residual(gens[-1:], gens[-1:], np.zeros(1))[0] if n else 1.0
-    del gens
 
     report.check(
         "gram determinant oracle", _gram_oracle_defect(space, space.signs), 1e-10
@@ -769,6 +773,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         report, "clifford cstar identity", "algebra: cstar identity", config.tol
     )
 
+    null = anticommutator_residual(gens[-1:], gens[-1:], np.zeros(1))[0] if n else 1.0
     report.check(
         "negative control: degenerate metric gram",
         float(null),
@@ -793,7 +798,7 @@ def _scenario_spinor(config: CheckConfig) -> Report:
         environment={"p": config.p, "q": config.q, "spinor_dim": module.dim},
     )
     # the gammas are the generator images; the module symmetry is the form A
-    gammas = left.from_coefficients(vector(space, np.eye(space.n)).coeffs)
+    gammas = _generator_images(left, space.n)
     _check_anticommutators(report, "gamma anticommutators", gammas, space.signs)
     involution = involution_defect(form)  # also the auxiliary gram's defect
     law = max(hermitian_defect(form), involution)

@@ -35,6 +35,7 @@ from .krein_over_krein import KreinBimodule, operator_bimodule
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
+    _Monomials,
     eig_signature,
     matvec,
     operator_norm,
@@ -74,14 +75,19 @@ class PseudoEuclideanSpace:
     def blade_signs(self) -> np.ndarray:
         """The read-only table σ[S, T] with e_S e_T = σ[S, T] e_{S xor T}."""
         masks = np.arange(self.grassmann_dim)
-        negative = (1 << self.n) - (1 << self.p)
-        swaps = self.grades[masks[:, None] & masks & negative]
-        for j in range(self.n):
-            # e_j in T moves past the generators of S above it
-            swaps += self.grades[masks >> (j + 1)][:, None] * ((masks >> j) & 1)
-        table = 1.0 - 2.0 * (swaps % 2)
+        table = self._signs(masks[:, None], masks)
         table.flags.writeable = False
         return table
+
+    def _signs(self, s, t) -> np.ndarray:
+        """σ[S, T] of the masks s and t, broadcast: one minus sign per
+        negative square in S ∩ T and per generator of T below one of S."""
+        negative = (1 << self.n) - (1 << self.p)
+        swaps = self.grades[s & t & negative]
+        for j in range(self.n):
+            # e_j in T moves past the generators of S above it
+            swaps = swaps + self.grades[s >> (j + 1)] * ((t >> j) & 1)
+        return 1.0 - 2.0 * (swaps % 2)
 
     @cached_property
     def product_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -197,10 +203,22 @@ def clifford_generator_matrix(space: PseudoEuclideanSpace, i: int) -> np.ndarray
 
 
 def anticommutator_residual(ci, cj, gij):
-    """‖{c_i, c_j} − 2 g_ij‖ for stacks of generator images c_i, c_j and the
-    matching metric entries g_ij."""
-    anti = ci @ cj + cj @ ci
-    return operator_norm(anti - 2.0 * gij[:, None, None] * np.eye(ci.shape[-1]))
+    """‖{c_i, c_j} − 2 g_ij‖ for full-row stacks (``linalg._Monomials``) of
+    generator images c_i, c_j and the metric entries g_ij, the products by
+    gathers.  Where both hold the same permutation of columns, the identity
+    unless g_ij = 0, the 2-norm is the largest entry modulus; any other pair
+    is formed densely."""
+    ij, ji = ci.product(cj), cj.product(ci)
+    rows = np.arange(ci.dim)
+    diagonal = ij.cols == rows
+    out = np.abs(ij.vals + ji.vals - 2.0 * gij[:, None] * diagonal).max(axis=-1)
+    loose = (ij.cols != ji.cols) | (np.sort(ij.cols, axis=-1) != rows)
+    loose = np.flatnonzero(loose.any(axis=-1) | ((gij != 0) & ~diagonal.all(axis=-1)))
+    if loose.size:
+        eye = np.eye(len(loose))
+        anti = ij[loose].synthesis(eye) + ji[loose].synthesis(eye)
+        out[loose] = operator_norm(anti - 2.0 * gij[loose, None, None] * np.eye(ci.dim))
+    return out
 
 
 def clifford_action(space: PseudoEuclideanSpace, a: MultiVector) -> np.ndarray:
@@ -247,63 +265,58 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
     The resulting star is the adjoint for the indefinite Gram pairing; it
     coincides with conjugate-reversal of Clifford monomials (verified by the
     test suite, not postulated here).  Blade S is the signed permutation
-    e_T ↦ σ[S, T] e_{S xor T}, so entry (R, T) is σ[R xor T, T] in blade
-    R xor T; the algebra is built from that table, ``space.product_table``, and
-    the N x N x N blade tensor, N = 2^(p+q), only if its ``basis`` is read.
+    e_T ↦ σ[S, T] e_{S xor T}, so row R holds σ[S, R xor S] at column
+    R xor S; the blades are held as full rows (``linalg._Monomials``), and
+    the N x N x N blade tensor, N = 2^(p+q), only if ``basis`` is read.
     Its ``norm`` reads a carrier element a as γ(a) on spinors, s x s with
     s = 2^⌈n/2⌉, not as c(a): γ is certified an injective *-homomorphism
     (``_spinor_representation``), so ‖γ(a)‖ = ‖c(a)‖.
     """
-    s, signs = space.product_table
+    xor, _ = space.product_table
+    signs = np.take_along_axis(space.blade_signs, xor, axis=1)
     return KreinCStarAlgebra._monomial(
-        s.ravel(), signs.ravel(), second_quantized_J(space),
+        _Monomials(space.grassmann_dim, xor, signs), second_quantized_J(space),
         label=f"CCl(R^{{{space.p},{space.q}}})",
         representation=_spinor_representation(space),
     )
 
 
-def _spinor_blades(space: PseudoEuclideanSpace):
+def _spinor_blades(space: PseudoEuclideanSpace) -> _Monomials:
     """Gamma blade S, the product of the gammas in S in increasing index
-    order, by its nonzeros: row r holds phases[S, r] at column cols[S, r].
-    For odd n the gammas are the first n of the space (p, q + 1)."""
-    n = space.n
-    cols = np.arange(1 << (n + 1) // 2)[None]
-    phases = np.ones(cols.shape, dtype=complex)
+    order, as full rows: appending Γ_i, read from its dense matrix, doubles
+    the list from the blades below 2^i by products.  For odd n the gammas
+    are the first n of the space (p, q + 1)."""
+    n, s = space.n, 1 << (space.n + 1) // 2
+    cols, vals = np.arange(s)[None], np.ones((1, s), dtype=complex)
     for g, sign in zip(_euclidean_gammas(n + n % 2), space.signs):
-        g = g if sign > 0 else 1j * g  # as in ``gamma_rep``
-        col = np.nonzero(g)[1]
-        # row r of γ_T Γ_i is γ_T[r, c] times row c = cols[T, r] of Γ_i
-        cols, phases = np.concatenate([cols, col[cols]]), np.concatenate(
-            [phases, phases * g[cols, col[cols]]]
-        )
-    return cols, phases
+        # a negative square takes iΓ_i, as in ``gamma_rep``
+        more = _Monomials(s, cols, vals).product(_Monomials.read([g * 1j ** (sign < 0)]))
+        cols, vals = np.concatenate([cols, more.cols]), np.concatenate([vals, more.vals])
+    return _Monomials(s, cols, vals)
 
 
-def _spinor_representation(space: PseudoEuclideanSpace):
+def _spinor_representation(space: PseudoEuclideanSpace) -> _Monomials:
     """``_spinor_blades`` if it is a faithful *-representation γ, else
     ValidationError, by comparisons with no threshold (the phases are ±1, ±i):
     γ(e_i) γ(e_T) = σ[i, T] γ(e_{i xor T}) for every generator i and blade T,
     so γ is multiplicative; γ(e_S)† = σ[S, S] γ(e_S), as is c(e_S)†, c(e_S)
     being a signed permutation of square σ[S, S]; and tr γ(e_S) = 0 for
     S ≠ ∅, so the blades are Frobenius-orthogonal and γ is injective."""
-    cols, phases = _spinor_blades(space)
-    sigma, (xor, _) = space.blade_signs, space.product_table
-    rows = np.arange(cols.shape[1])
-    for i in 1 << np.arange(space.n):
-        # row r of γ(e_i) γ(e_T) is phases[i, r] times row c[r] of γ(e_T)
-        c = cols[i]
-        if not (np.array_equal(cols[:, c], cols[xor[i]]) and np.array_equal(
-            phases[i] * phases[:, c], sigma[i][:, None] * phases[xor[i]]
-        )):
-            raise ValidationError("spinor representation is not multiplicative")
-    # row cols[S, r] of γ(e_S)† holds conj(phases[S, r]) at column r
-    back = np.take_along_axis(cols, cols, axis=1)
-    flipped = np.diagonal(sigma)[:, None] * np.take_along_axis(phases, cols, axis=1)
-    if not ((back == rows).all() and np.array_equal(flipped, phases.conj())):
+    blades, masks = _spinor_blades(space), np.arange(space.grassmann_dim)
+    gens = (1 << np.arange(space.n))[:, None]
+    product, target = blades[gens].product(blades[None]), blades[gens ^ masks]
+    if not (np.array_equal(product.cols, target.cols) and np.array_equal(
+        product.vals, space._signs(gens, masks)[..., None] * target.vals
+    )):
+        raise ValidationError("spinor representation is not multiplicative")
+    adjoint = blades.adjoint()
+    if not (np.array_equal(adjoint._at, blades._at) and np.array_equal(
+        adjoint.vals, space._signs(masks, masks)[:, None] * blades.vals
+    )):
         raise ValidationError("spinor representation does not preserve adjoints")
-    if np.where(cols == rows, phases, 0)[1:].sum(axis=1).any():
+    if blades.diagonal()[1:].sum(axis=1).any():
         raise ValidationError("spinor representation is not faithful")
-    return cols, phases
+    return blades
 
 
 # -- gamma matrices and spinors --------------------------------------------------
@@ -370,13 +383,13 @@ def gamma_algebra(rep: GammaRep) -> KreinCStarAlgebra:
     """The full gamma-blade span as a Kreĭn algebra with reference form A.
 
     Basis element S is the product of the gammas in S, in increasing index
-    order: appending Γ_i doubles the list from the masks below 2^i.
+    order: the blades of ``_spinor_representation``, whose certificate also
+    makes them Frobenius-orthogonal and nonzero.
     """
-    basis = np.eye(rep.spinor_dim, dtype=complex)[None]
-    for g in rep.gammas:
-        basis = np.concatenate([basis, basis @ g])
     s = rep.space
-    return KreinCStarAlgebra(basis, rep.a, label=f"Cl(R^{{{s.p},{s.q}}}) on spinors")
+    return KreinCStarAlgebra._monomial(
+        _spinor_representation(s), rep.a, f"Cl(R^{{{s.p},{s.q}}}) on spinors"
+    )
 
 
 def spinor_module(space: PseudoEuclideanSpace) -> KreinBimodule:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -231,6 +232,128 @@ def is_psd(h):
     a = as_complex_matrix(h)
     scale = np.maximum(operator_norm(a), 1.0)
     return min_hermitian_eig(a) >= -DEFAULT_TOL * scale
+
+
+class _Monomials:
+    """A stack of K d x d matrices with at most one nonzero per row, held by
+    its nonzeros: element k holds vals[k, j] at (rows[k, j], cols[k, j]).  A
+    slot of value 0 holds nothing, so elements with fewer nonzeros pad.
+    Without ``rows``, slot j is row j (full rows, the right factors of
+    ``product``).  The d² matrix units of B(C^{p,q}) take d² slots, the N
+    Clifford blades N² and the s² gamma blades s³."""
+
+    def __init__(self, dim: int, cols, vals, rows=None):
+        self.dim, self.cols, self.vals = dim, np.asarray(cols), np.asarray(vals)
+        rows = np.arange(self.cols.shape[-1]) if rows is None else rows
+        self.rows = np.broadcast_to(rows, self.cols.shape)
+        self._at = self.rows * dim + self.cols  # the flat index of each slot
+
+    @classmethod
+    def read(cls, m):
+        """The stack m (K, d, d) as full rows, an empty row a slot of value 0,
+        or None if a row holds two nonzeros: a test with no threshold."""
+        m = np.asarray(m, dtype=complex)
+        if ((m != 0).sum(axis=-1) > 1).any():
+            return None
+        cols = (m != 0).argmax(axis=-1)
+        return cls(m.shape[-1], cols, np.take_along_axis(m, cols[..., None], -1)[..., 0])
+
+    def __len__(self) -> int:
+        return len(self.vals)
+
+    def __getitem__(self, k) -> "_Monomials":
+        return _Monomials(self.dim, self.cols[k], self.vals[k], self.rows[k])
+
+    @cached_property
+    def norms_sq(self) -> np.ndarray:
+        return (self.vals.real**2 + self.vals.imag**2).sum(axis=-1)
+
+    def coefficients(self, a) -> np.ndarray:
+        """⟨b_k, a⟩ / ‖b_k‖² of a matrix or a stack (..., d, d): a's entries at
+        the slots, 2^14 or one matrix's at a time, in a copy conjugated in
+        place, as Σ conj(v) a = conj(Σ v conj(a))."""
+        a = np.asarray(a, dtype=complex)
+        out = np.empty((*a.shape[:-2], len(self)), dtype=complex)
+        items, sums = a.reshape(-1, self.dim**2), out.reshape(-1, len(self))
+        step = max(1, 2**14 // self.vals.size)
+        for start in range(0, len(items), step):
+            c = np.take(items[start : start + step], self._at, axis=-1)
+            np.conjugate(c, out=c)
+            np.einsum("nkm,km->nk", c, self.vals, out=sums[start : start + step])
+            del c  # before the next chunk is gathered
+        np.conjugate(out, out=out)
+        out /= self.norms_sq
+        return out
+
+    def synthesis(self, c) -> np.ndarray:
+        """Σ_k c_k b_k of coordinates c (..., K): each entry gathers the
+        coordinates of the elements holding it, times their values."""
+        c = np.asarray(c, dtype=complex)
+        (owner, value), *more = self._holders
+        out = np.take(c, owner, axis=-1)
+        _scale_rows(out, value)
+        for owner, value in more:
+            term = np.take(c, owner, axis=-1)
+            _scale_rows(term, value)
+            out += term
+        return out.reshape(*c.shape[:-1], self.dim, self.dim)
+
+    @cached_property
+    def _holders(self) -> list:
+        """h pairs (owner, value) of arrays (d²,): entry p is held by the
+        elements owner[p] with the values value[p], h the most elements that
+        hold one entry, and a missing holder has value 0."""
+        live = np.flatnonzero(self.vals)
+        at = self._at.ravel()[live]
+        count = np.bincount(at, minlength=self.dim**2)
+        rank = np.zeros(len(at), dtype=int)
+        if count.max() > 1:  # the holders of an entry in element order
+            order = np.argsort(at, kind="stable")
+            rank[order] = np.arange(len(at)) - (np.cumsum(count) - count)[at[order]]
+        shape = (max(count.max(), 1), self.dim**2)
+        owners, values = np.zeros(shape, dtype=int), np.zeros(shape, dtype=complex)
+        owners[rank, at] = live // self.vals.shape[-1]
+        values[rank, at] = self.vals.ravel()[live]
+        return list(zip(owners, values))
+
+    def product(self, other: "_Monomials") -> "_Monomials":
+        """b_k o_k for full rows ``other``, the stacks broadcast, by a gather:
+        row r holds b's entry there times the one entry of row c of o, c the
+        column of b's entry."""
+        cols = np.take_along_axis(other.cols, self.cols, axis=-1)
+        vals = self.vals * np.take_along_axis(other.vals, self.cols, axis=-1)
+        return _Monomials(self.dim, cols, vals, self.rows)
+
+    def adjoint(self) -> "_Monomials":
+        """b_k†: the slot (r, t, v) becomes (t, r, conj v), in row order again;
+        a column of b holding two nonzeros shows as a repeated row."""
+        order = np.argsort(self.cols, axis=-1, kind="stable")
+        return _Monomials(
+            self.dim,
+            np.take_along_axis(self.rows, order, axis=-1),
+            np.take_along_axis(self.vals, order, axis=-1).conj(),
+            np.take_along_axis(self.cols, order, axis=-1),
+        )
+
+    def diagonal(self) -> np.ndarray:
+        """Each slot's value on the diagonal, else 0: of full rows, the
+        diagonals."""
+        return np.where(self.rows == self.cols, self.vals, 0)
+
+
+def _scale_rows(x, v):
+    """x *= v in place, for a C-contiguous stack x (..., k) and a vector v (k,).
+
+    numpy 2.4 buffers a broadcast product in up to 8192 entries, which at
+    Clifford (3,3) is a quarter of an (8, N²) stack on top of the stack that
+    ``project`` holds; a product of one row needs no buffer and, for rows of
+    1024 entries or more, is as fast, so long rows are scaled one at a time.
+    The threshold and the buffer were measured with numpy 2.4.6 only."""
+    if x.shape[-1] < 1024:
+        x *= v
+    else:
+        for row in x.reshape(-1, x.shape[-1]):
+            row *= v
 
 
 def gaussians(rng: np.random.Generator, k: int, *shapes) -> list[np.ndarray]:

@@ -24,6 +24,7 @@ from kreinmod.clifford import (
 from kreinmod.linalg import (
     DimensionMismatchError,
     ValidationError,
+    _Monomials,
     gaussians,
     operator_norm,
     random_complex,
@@ -62,12 +63,21 @@ class TestCoefficients:
             KreinCStarAlgebra(basis, eta_pq(1, 1))
 
 
+def clifford(p, q):
+    return lambda: clifford_krein_algebra(PseudoEuclideanSpace(p, q))
+
+
+def gamma(p, q):
+    return lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(p, q)))
+
+
+CLIFFORD_SIGNATURES = ((0, 0), (1, 1), (2, 2), (3, 3))
+GAMMA_SIGNATURES = ((1, 1), (2, 2), (1, 3), (3, 3))
+
 ORTHOGONAL_CARRIERS = {
-    "clifford (2,2)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 2)),
-    "clifford (3,1)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(3, 1)),
-    "clifford (2,1)": lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 1)),
-    "gamma (1,3)": lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(1, 3))),
-    "gamma (2,2)": lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))),
+    **{f"clifford ({p},{q})": clifford(p, q)
+       for p, q in (*CLIFFORD_SIGNATURES, (3, 1), (2, 1))},
+    **{f"gamma ({p},{q})": gamma(p, q) for p, q in GAMMA_SIGNATURES},
     "B(C^{2,1})": lambda: bounded_operators(2, 1),
     # orthogonal, not orthonormal: coordinates divide by unequal ‖b_i‖²
     "blocks with unequal norms": lambda: KreinCStarAlgebra(
@@ -157,10 +167,10 @@ class TestGramPath:
 
 
 class TestSupportPath:
-    """The library's monomial algebras state their support and are read
-    through its nonzeros; a basis given as a dense stack is read through its
-    Gram matrix.  Both read the coordinates ⟨b_i, a⟩ / ‖b_i‖² and twist by
-    eta a eta."""
+    """The library's monomial algebras are held by their nonzeros
+    (``linalg._Monomials``); a basis given as a dense stack is read through
+    its Gram matrix.  Both read the coordinates ⟨b_i, a⟩ / ‖b_i‖² and twist
+    by eta a eta."""
 
     @pytest.mark.parametrize(
         "build, on_support",
@@ -171,15 +181,16 @@ class TestSupportPath:
             (lambda: KreinCStarAlgebra(FiniteCStarAlgebra((2, 1)).basis(),
                                        eta_pq(2, 1)), False),
             (lambda: clifford_krein_algebra(PseudoEuclideanSpace(2, 1)), True),
-            # gamma blades are monomial but overlap, q E_ii q† is dense
-            (lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))), False),
+            # gamma blades share their entries, s of them each, and are held
+            # by their nonzeros all the same; q E_ii q† is dense
+            (lambda: gamma_algebra(gamma_rep(PseudoEuclideanSpace(2, 2))), True),
             (lambda: KreinCStarAlgebra(rotated_diagonal_basis(), np.eye(2)), False),
         ],
         ids=["B(C^{2,1})", "scalars", "blocks (2,1)", "clifford (2,1)",
              "gamma (2,2)", "rotated diagonal"],
     )
     def test_path_selection(self, build, on_support):
-        assert (build()._support is not None) == on_support
+        assert (build()._monomials is not None) == on_support
 
     @pytest.mark.parametrize("name", ORTHOGONAL_CARRIERS)
     def test_matches_dense_formulas(self, name):
@@ -211,15 +222,17 @@ class TestSupportPath:
             KreinCStarAlgebra(basis, eta_pq(2, 1))
 
     def test_declared_zero_element_refused_before_any_coordinates(self, monkeypatch):
-        # element 2 owns no entry of the declared table
+        # element 2 holds only a slot of value 0
         def no_coordinates(self, a):
             raise AssertionError("coordinates read before the zero check")
 
         monkeypatch.setattr(KreinCStarAlgebra, "coefficients", no_coordinates)
+        units = _Monomials(
+            2, [[0], [1], [0], [0], [1]], [[1], [1], [0], [1], [1]],
+            [[0], [0], [0], [1], [1]],
+        )
         with pytest.raises(ValidationError, match="basis contains a zero element"):
-            KreinCStarAlgebra._monomial(
-                np.array([0, 1, 3, 4]), np.ones(4), eta_pq(1, 1), ""
-            )
+            KreinCStarAlgebra._monomial(units, eta_pq(1, 1), "")
 
     def test_overlapping_monomials_refused(self):
         # E_11 and the identity are monomial and share the entry (0, 0)
@@ -231,15 +244,28 @@ class TestSupportPath:
 def declared_clifford(p, q):
     space = PseudoEuclideanSpace(p, q)
     return (
-        lambda: clifford_krein_algebra(space),
+        clifford(p, q),
         lambda: _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex)),
     )
 
 
-# each declared algebra with the dense stack of its basis
+def gamma_blades(rep):
+    """The gamma blades by the dense recursion: appending Γ_i doubles the
+    list from the blades below 2^i.  Adding 0 turns the products' signed
+    zeros into +0, as a sum of the held entries gives them."""
+    basis = np.eye(rep.spinor_dim, dtype=complex)[None]
+    for g in rep.gammas:
+        basis = np.concatenate([basis, basis @ g])
+    return basis + 0
+
+
+# each algebra held by its nonzeros with the dense stack of its basis
 DECLARED = {
     **{f"clifford ({p},{q})": declared_clifford(p, q)
-       for p, q in ((2, 2), (3, 1), (0, 0))},
+       for p, q in (*CLIFFORD_SIGNATURES, (3, 1))},
+    **{f"gamma ({p},{q})": (
+        gamma(p, q), lambda p=p, q=q: gamma_blades(gamma_rep(PseudoEuclideanSpace(p, q)))
+    ) for p, q in GAMMA_SIGNATURES},
     "B(C^{2,1})": (
         lambda: bounded_operators(2, 1), lambda: FiniteCStarAlgebra((3,)).basis()
     ),
@@ -274,6 +300,44 @@ class TestDeclaredSupport:
             assert np.abs(got - expected).max() <= bound, f
         assert "basis" not in vars(alg)
 
+    @pytest.mark.parametrize("name", DECLARED)
+    def test_format_matches_dense_references(self, name):
+        build, dense = DECLARED[name]
+        m, basis = build()._monomials, dense()
+        k, d = basis.shape[:2]
+        eye, rng = np.eye(k), np.random.default_rng(21)
+        assert np.array_equal(m.synthesis(eye), basis)
+        c = random_complex(rng, 2, k)
+        bound = 4 * EPS * np.abs(c).max() * np.abs(basis).max()
+        assert np.abs(m.synthesis(c) - np.tensordot(c, basis, axes=(-1, 0))).max() <= bound
+        a = random_complex(rng, 2, d, d)
+        flat = basis.reshape(k, -1)
+        coeffs = a.reshape(2, -1) @ flat.conj().T / np.linalg.norm(flat, axis=1) ** 2
+        assert np.abs(m.coefficients(a) - coeffs).max() <= 4 * EPS * np.abs(a).max() * d
+        assert np.array_equal(m.adjoint().synthesis(eye), basis.conj().swapaxes(1, 2))
+        assert np.array_equal(m.diagonal().sum(axis=-1), np.trace(basis, axis1=1, axis2=2))
+        if m.cols.shape[-1] == d:
+            assert np.array_equal(m.diagonal(), np.diagonal(basis, axis1=1, axis2=2))
+        # each element times a signed permutation with phases ±1, ±i, so that
+        # both products are exact
+        perms = np.argsort(rng.random((k, d)), axis=-1)
+        phases = 1j ** rng.integers(4, size=(k, d))
+        other = _Monomials(d, perms, phases)
+        expected = basis @ other.synthesis(eye)
+        assert np.array_equal(m.product(other).synthesis(eye), expected)
+        # the structural read, of the basis and of a matrix with a row of two
+        assert np.array_equal(_Monomials.read(basis).synthesis(eye), basis)
+        assert _Monomials.read(np.ones((1, 2, 2))) is None
+
+    def test_matrix_units_hold_one_slot_each(self):
+        # the d² = 40,000 units of B(C^{100,100}) hold one slot each; a slot
+        # per row of each unit would be d³ = 8·10⁶ slots, about 192 MB
+        def build_and_read():
+            alg = bounded_operators(100, 100)
+            alg.coefficients(alg.random_element(np.random.default_rng(0)))
+
+        assert TestStackedMaps.traced_peak(build_and_read) < 16 * 2**20
+
     def test_clifford_construction_holds_no_blade_tensor(self):
         # a few N x N arrays at a time: the closure sample draws and checks
         # one product pair at a time (an N x N x N blade stack would be
@@ -300,7 +364,7 @@ class TestSynthesis:
 
     def test_support_path_reads_no_dense_basis(self):
         alg = clifford_krein_algebra(PseudoEuclideanSpace(2, 1))
-        assert alg._support is not None
+        assert alg._monomials is not None
         rng = np.random.default_rng(19)
         c = random_complex(rng, 3, alg.vector_dim)
         a = random_complex(rng, 3, alg.dim, alg.dim)
@@ -412,7 +476,7 @@ class TestStackedMaps:
             coeffs = (a.conj() @ flat.T).conj() / norms_sq
             return (coeffs @ flat).reshape(stack.shape)
 
-        assert alg._support is not None
+        assert alg._monomials is not None
         assert self.traced_peak(lambda: alg.project(stack)) <= self.traced_peak(dense)
 
 
@@ -534,15 +598,32 @@ def clifford_table(p, q):
     return blade.ravel().copy(), signs.ravel().astype(complex), eta
 
 
+def held(owner, values, d):
+    """The elements of a table of the d² entries r·d + t, each entry's owner
+    and value, as ``_Monomials`` with each element's entries in row order and
+    padded by slots of value 0; None if an element holds two nonzeros in one
+    row, which the format cannot hold."""
+    order = np.argsort(owner, kind="stable")
+    element, live = owner[order], values[order] != 0
+    counts = np.bincount(element)
+    slot = np.arange(len(order)) - (np.cumsum(counts) - counts)[element]
+    rows, cols = np.zeros((2, len(counts), counts.max()), dtype=int)
+    vals = np.zeros(rows.shape, dtype=complex)
+    rows[element, slot], cols[element, slot] = np.divmod(order, d)
+    vals[element, slot] = values[order]
+    key = (element * d + order // d)[live]
+    return None if len(np.unique(key)) < len(key) else _Monomials(d, cols, vals, rows)
+
+
 class TestClosureOnSupport:
-    """With a diagonal eta, construction on the support path decides closure
-    under alpha and star on the index tables: it accepts and refuses what
-    the dense slices do, with the same message."""
+    """With a diagonal eta, construction on monomials decides closure under
+    alpha and star on the slots: it accepts and refuses what the dense
+    slices do, with the same message."""
 
     @pytest.mark.parametrize("p, q", [(p, q) for p in range(4) for q in range(4)])
     def test_clifford_accepted_on_both_paths(self, p, q):
         alg = clifford_krein_algebra(PseudoEuclideanSpace(p, q))
-        assert alg._support is not None and alg._eta_outer is not None
+        assert alg._monomials is not None and alg._eta_outer is not None
         KreinCStarAlgebra(alg.basis, alg.eta)
 
     @staticmethod
@@ -552,8 +633,9 @@ class TestClosureOnSupport:
     @staticmethod
     def move_to_other_parity(owner, values):
         # blade 1, a positive generator, commutes with J; blade 4, a negative
-        # one, anticommutes
-        owner[np.flatnonzero(owner == 4)[0]] = 1
+        # one, anticommutes: their entries in row 0, (0, 1) and (0, 4), trade
+        # owners, so that each blade still holds one entry per row
+        owner[[1, 4]] = owner[[4, 1]]
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -564,18 +646,23 @@ class TestClosureOnSupport:
     def test_corrupted_table_refused_alike(self, corrupt, message):
         owner, values, eta = clifford_table(2, 2)
         corrupt(owner, values)
-        for build in self.both_paths(owner, values, eta):
+        builds = self.both_paths(owner, values, eta)
+        assert None not in builds
+        for build in builds:
             with pytest.raises(ValidationError, match=message):
                 build()
 
     @staticmethod
     def both_paths(owner, values, eta):
-        """Builds of a table on the support path and as a dense stack."""
+        """Builds of a table on monomials, None if the format cannot hold it,
+        and as a dense stack."""
         d = len(eta)
         dense = np.zeros((owner.max() + 1, d * d), dtype=complex)
         dense[owner, np.arange(d * d)] = values
+        monomials = held(owner, values, d)
         return (
-            lambda: KreinCStarAlgebra._monomial(owner, values, eta, ""),
+            None if monomials is None
+            else lambda: KreinCStarAlgebra._monomial(monomials, eta, ""),
             lambda: KreinCStarAlgebra(dense.reshape(-1, d, d), eta),
         )
 
@@ -590,7 +677,9 @@ class TestClosureOnSupport:
     @staticmethod
     def edited_tables(seed):
         """200 small tables, each with one to four edits: an entry moved to
-        another or a new element, its sign flipped, doubled or zeroed."""
+        another or a new element, its sign flipped, doubled or zeroed.  A move
+        to an element that holds the row already makes a table the format
+        cannot hold, about half of them."""
         rng = np.random.default_rng(seed)
         for trial in range(200):
             signature = [(1, 1), (2, 1), (1, 2), (2, 0)][trial % 4]
@@ -604,26 +693,31 @@ class TestClosureOnSupport:
             yield trial, owner, values, eta
 
     def test_random_corruptions_refused_alike(self):
-        outcomes = set()
+        outcomes, compared = set(), 0
         for trial, owner, values, eta in self.edited_tables(23):
-            support, dense = map(self.outcome, self.both_paths(owner, values, eta))
-            assert support == dense, trial
-            outcomes.add(dense)
+            monomial, dense = self.both_paths(owner, values, eta)
+            if monomial is not None:
+                assert self.outcome(monomial) == self.outcome(dense), trial
+                outcomes.add(self.outcome(dense))
+                compared += 1
         closure = {f"carrier is not closed under {m}" for m in ("alpha", "star")}
-        assert {None, *closure} <= outcomes
+        assert {None, *closure} <= outcomes and compared >= 80
 
     def test_random_corruptions_read_alike(self, monkeypatch):
-        # the same kind of edits with construction's checks off: the support
-        # reads the elements it can and sweeps the rest, so both paths give
-        # the same closure values
+        # the same kind of edits with construction's checks off: the slots
+        # decide the elements they can and the rest are swept, so both paths
+        # give the same closure values
         monkeypatch.setattr(KreinCStarAlgebra, "_validate", lambda alg: None)
+        compared = 0
         for _, owner, values, eta in self.edited_tables(29):
-            support, dense = (
-                build() for build in self.both_paths(owner, values, eta)
-            )
-            np.testing.assert_allclose(
-                support._closure_defects, dense._closure_defects, rtol=0, atol=16 * EPS
-            )
+            monomial, dense = self.both_paths(owner, values, eta)
+            if monomial is not None:
+                np.testing.assert_allclose(
+                    monomial()._closure_defects, dense()._closure_defects,
+                    rtol=0, atol=16 * EPS,
+                )
+                compared += 1
+        assert compared >= 80
 
     @staticmethod
     def table(d, elements):
@@ -640,18 +734,18 @@ class TestClosureOnSupport:
     @pytest.mark.parametrize(
         "elements",
         [
-            # two entries in a row; star lands on a column of two
-            [{(1, 0): 1, (1, 2): 2}, {(0, 1): 1, (2, 1): 1}],
-            # two entries in a column; star lands on a row of two
-            [{(0, 1): 1, (2, 1): 2}, {(1, 0): 1, (1, 2): 1}],
+            # two entries in a column: the alpha image lands on the element
+            # itself, with a repeated column, and the star image is a row of
+            # two, held by two elements
+            [{(0, 1): 1, (2, 1): 2}],
             # star(E_01) lands on one of the two entries of another element
             [{(0, 1): 1}, {(1, 0): 3, (2, 2): 1}],
         ],
-        ids=["repeated row", "repeated column", "part of an element"],
+        ids=["repeated row", "part of an element"],
     )
     def test_elements_the_support_cannot_read_are_swept(self, elements, monkeypatch):
         # each value differs from the largest entry moduli of b and of the
-        # residual, so reading these elements on the support would show
+        # residual, so reading these elements on the slots would show
         monkeypatch.setattr(KreinCStarAlgebra, "_validate", lambda alg: None)
         owner, values = self.table(3, elements)
         support, dense = (
@@ -664,9 +758,9 @@ class TestClosureOnSupport:
 
     def test_star_image_inside_a_larger_element(self):
         # star(E_01) = E_10 is a part of element 3, E_10 + E_23, and element
-        # 2 fails alpha: element 1 is refused first only if its star image
-        # must cover the whole element it lands on
-        elements = [[(0, 0), (1, 1), (2, 2), (3, 3)], [(0, 1)], [(0, 2), (0, 3)],
+        # 2, E_03 + E_12, fails alpha: element 1 is refused first only if its
+        # star image must cover the whole element it lands on
+        elements = [[(0, 0), (1, 1), (2, 2), (3, 3)], [(0, 1)], [(0, 3), (1, 2)],
                     [(1, 0), (2, 3)]]
         taken = {cell for cells in elements for cell in cells}
         elements += [[(r, t)] for r in range(4) for t in range(4)
@@ -692,7 +786,7 @@ class TestClosureOnSupport:
         assert twisted == []
         dense = KreinCStarAlgebra(alg.basis, alg.eta, validate=False)
         swept = dense._closure_defects
-        assert dense._support is None and len(twisted) == 2 * alg.vector_dim
+        assert dense._monomials is None and len(twisted) == 2 * alg.vector_dim
         return decided, swept
 
     # B(C^{p,q}) at three sizes and Clifford at every signature with p + q ≤ 6
@@ -716,7 +810,7 @@ class TestClosureOnSupport:
         # misses b there and at the transposed entry, by about 1e-11
         owner, values, eta = clifford_table(p, q)
         values[np.flatnonzero(owner == owner.max())[0]] *= 1 + 1e-11
-        alg = KreinCStarAlgebra._monomial(owner, values, eta, "")
+        alg = KreinCStarAlgebra._monomial(held(owner, values, len(eta)), eta, "")
         decided, swept = self.decided_and_swept(alg, monkeypatch)
         assert 0.5e-11 < decided.max() < CLOSURE_TOL
         # each residual is formed from entries of modulus about 1, so the two

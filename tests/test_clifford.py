@@ -15,6 +15,7 @@ from kreinmod.clifford import (
     _gram_diagonal,
     _left_matrix,
     _spinor_blades,
+    anticommutator_residual,
     basis_blade,
     clifford_action,
     clifford_generator_matrix,
@@ -40,6 +41,7 @@ from kreinmod.krein_over_krein import (
 )
 from kreinmod.linalg import (
     ValidationError,
+    _Monomials,
     eig_signature,
     min_hermitian_eig,
     numerical_rank,
@@ -319,6 +321,29 @@ class TestCliffordAction:
                 expected = 2.0 * (S22.signs[i] if i == j else 0.0) * eye
                 assert operator_norm(anti - expected) < 1e-12
 
+    def test_anticommutator_residual_is_the_dense_norm(self):
+        # generator images read their largest entry where both products hold
+        # the same columns, exact or with one sign flipped; other pairs, and
+        # random signed permutations, are formed densely
+        rng = np.random.default_rng(24)
+        gens = clifford_krein_algebra(S22)._monomials[1 << np.arange(4)]
+        flipped = gens[np.arange(4)]
+        flipped.vals[0, 0] *= -1
+        perms = _Monomials(
+            16, np.argsort(rng.random((4, 16)), axis=-1), 1j ** rng.integers(4, size=(4, 16))
+        )
+        i, j = np.triu_indices(4)
+        metric = np.where(i == j, S22.signs[i], 0.0)
+        for ops, g in [(gens, metric), (flipped, metric),
+                       (gens, rng.standard_normal(len(i))), (perms, metric)]:
+            c = ops.synthesis(np.eye(4))
+            anti = c[i] @ c[j] + c[j] @ c[i] - 2 * g[:, None, None] * np.eye(16)
+            np.testing.assert_allclose(
+                anticommutator_residual(ops[i], ops[j], g), operator_norm(anti),
+                rtol=1e-14, atol=0,
+            )
+        assert anticommutator_residual(flipped[:1], flipped[1:2], np.zeros(1)) == 2.0
+
     def test_linear_bijection_with_grassmann(self):
         for space in (S11, S21, S22):
             n = space.grassmann_dim
@@ -507,11 +532,13 @@ class TestSpinorModule:
 SMALL_SIGNATURES = [(p, n - p) for n in range(9) for p in range(n + 1)]
 
 
-def dense_blades(cols, phases) -> np.ndarray:
-    """The gamma blades held by their nonzeros, as a dense stack."""
-    out = np.zeros((len(cols), cols.shape[1], cols.shape[1]), dtype=complex)
-    np.put_along_axis(out, cols[..., None], phases[..., None], axis=-1)
-    return out
+def gamma_blades(rep) -> np.ndarray:
+    """The gamma blades by the dense recursion: appending Γ_i doubles the
+    list from the blades below 2^i."""
+    basis = np.eye(rep.spinor_dim, dtype=complex)[None]
+    for g in rep.gammas:
+        basis = np.concatenate([basis, basis @ g])
+    return basis
 
 
 class TestSpinorNorm:
@@ -519,8 +546,8 @@ class TestSpinorNorm:
     def test_norm_through_spinors_is_the_dense_svd(self, pq):
         space = PseudoEuclideanSpace(*pq)
         alg = clifford_krein_algebra(space)
-        cols, _ = alg._representation
-        assert cols.shape == (space.grassmann_dim, 2 ** math.ceil(space.n / 2))
+        shape = alg._representation.cols.shape
+        assert shape == (space.grassmann_dim, 2 ** math.ceil(space.n / 2))
         rng = np.random.default_rng(sum(pq))
         a = alg.from_coefficients(random_complex(rng, 3, space.grassmann_dim))
         dense = operator_norm(a)
@@ -531,22 +558,25 @@ class TestSpinorNorm:
     @pytest.mark.parametrize("pq", [(1, 1), (2, 2), (1, 3), (3, 3)], ids=str)
     def test_even_blades_are_the_gamma_algebra(self, pq):
         rep = gamma_rep(PseudoEuclideanSpace(*pq))
-        dense = dense_blades(*_spinor_blades(rep.space))
-        assert np.array_equal(dense, gamma_algebra(rep).basis)
+        assert np.array_equal(gamma_blades(rep), gamma_algebra(rep).basis)
 
     @pytest.mark.parametrize("pq", [(2, 1), (2, 2), (0, 3)], ids=str)
     def test_one_flipped_blade_sign_is_refused(self, pq, monkeypatch):
         space = PseudoEuclideanSpace(*pq)
         assert clifford_krein_algebra(space)._representation is not None
+        builds = [clifford_krein_algebra]
+        if space.n % 2 == 0:
+            builds.append(lambda space: gamma_algebra(gamma_rep(space)))
         for blade in range(space.grassmann_dim):
             def flipped(space, blade=blade):
-                cols, phases = _spinor_blades(space)
-                phases[blade] *= -1
-                return cols, phases
+                blades = _spinor_blades(space)
+                blades.vals[blade] *= -1
+                return blades
 
             monkeypatch.setattr(clifford_module, "_spinor_blades", flipped)
-            with pytest.raises(ValidationError, match="spinor representation"):
-                clifford_krein_algebra(space)
+            for build in builds:
+                with pytest.raises(ValidationError, match="spinor representation"):
+                    build(space)
 
     def test_axiom_table_reads_carrier_norms_on_spinors(self, monkeypatch):
         # the four carrier norms per sample (‖a‖, ‖b‖, ‖alpha(star(a)) a‖,

@@ -34,7 +34,6 @@ from kreinmod.clifford import (
     clifford_krein_algebra,
     gamma_rep,
     spinor_module,
-    vector,
 )
 from kreinmod.correspondence import (
     alpha_beta_defect,
@@ -59,6 +58,7 @@ from kreinmod.linalg import (
     involution_defect,
     spectral_projector,
 )
+from kreinmod.report import Report
 
 MODULE = operator_bimodule(bounded_operators(1, 1), bounded_operators(2, 1))
 SAMPLES = 20
@@ -270,7 +270,7 @@ JB = random_symmetry(SPACE, np.random.default_rng(43))
 S22 = PseudoEuclideanSpace(2, 2)
 FORM = gamma_rep(S22).a
 CLIFFORD22 = clifford_krein_algebra(S22)
-GENS = CLIFFORD22.from_coefficients(vector(S22, np.eye(S22.n)).coeffs)
+GENS = CLIFFORD22._monomials[1 << np.arange(S22.n)]  # full rows
 ETA = bounded_operators(2, 1).eta
 BAD_ETA = np.diag([1.0, 1.0, -2.0]).astype(complex)
 B11 = bounded_operators(1, 1)
@@ -330,6 +330,7 @@ def test_control_residual_separates_structure_from_corruption(control):
 # its scenario's normalisation: law -> (tolerance, residual on the real
 # structure, residual on a corruption of it)
 SPINOR = spinor_module(S22)
+GAMMAS = SPINOR.left_algebra._monomials[1 << np.arange(S22.n)]
 IDENT11 = identity_correspondence(B11)
 TENSOR11 = internal_tensor(IDENT11, IDENT11)
 
@@ -358,6 +359,21 @@ def section_independence(moved_by_cob):
     cob = t.section.conj().T @ t_rot.section if moved_by_cob else np.eye(t.dim)
     moved = np.einsum("au,bv,abcd->uvcd", cob.conj(), cob, t.inner)
     return np.linalg.norm(moved - t_rot.inner) / np.linalg.norm(t_rot.inner)
+
+
+def anticommutators(ops, name):
+    """The scenario law ``name`` on the generator images ``ops`` of R^{2,2},
+    read by the checker over every pair i ≤ j."""
+    report = Report(title="", seed=0, samples=0)
+    checker._check_anticommutators(report, name, ops, S22.signs)
+    return record_value(report, name)
+
+
+def one_value_negated(ops, k, r):
+    """The images ``ops`` with the entry in row r of image k negated."""
+    out = ops[np.arange(len(ops))]  # a copy
+    out.vals[k, r] *= -1
+    return out
 
 
 def record_value(report, law):
@@ -409,6 +425,18 @@ def hom_law(law, corrupted_phi):
 
 
 SCENARIO_LAWS = {
+    # Clifford (2,2): one sign of the generator e_1 flipped
+    "generator anticommutators": (
+        1e-12,
+        lambda: anticommutators(GENS, "generator anticommutators"),
+        lambda: anticommutators(one_value_negated(GENS, 1, 0), "generator anticommutators"),
+    ),
+    # gamma (2,2): one phase of the gamma Γ_2 flipped
+    "gamma anticommutators": (
+        1e-12,
+        lambda: anticommutators(GAMMAS, "gamma anticommutators"),
+        lambda: anticommutators(one_value_negated(GAMMAS, 2, 1), "gamma anticommutators"),
+    ),
     "spinor twisting over alpha": (
         1e-10,
         lambda: spinor_twisting(SPINOR),
