@@ -179,8 +179,11 @@ class KreinCStarAlgebra:
 
     @cached_property
     def basis(self) -> np.ndarray:
-        """The stack (vector_dim, d, d), unless it was given dense."""
-        return self.from_coefficients(np.eye(self.vector_dim))
+        """The stack (vector_dim, d, d), unless it was given dense: the
+        nonzeros scattered into zeros, each signed zero made +0."""
+        out = np.zeros((self.vector_dim, self.dim**2), dtype=complex)
+        np.put_along_axis(out, self._monomials._at, self._monomials.vals + 0, axis=-1)
+        return out.reshape(-1, self.dim, self.dim)
 
     @property
     def vector_dim(self) -> int:

@@ -311,9 +311,9 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
         "module-over-krein": 9 * d**6,  # the d² x d² x d x d inner tensor
         "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
         "clifford": axiom_table * n**2,
-        # N x N arrays: the gamma algebra, the exterior coordinates of S ⊗ S̄,
-        # the Clifford action of each sample; S ⊗ S̄ keeps its factors
-        "spinor": 12 * n**2,
+        # N² entries each: the gamma basis, the module's left action and inner,
+        # their contragredient copies; 7.9 at (5,5), 10 keeps (6,6) refused
+        "spinor": 10 * n**2,
     }[config.scenario]
     return 16 * entries + 2**24
 

@@ -18,9 +18,9 @@ each.  Associativity is decided on the sign table itself
 (``cocycle_failures``), since a law linear in each argument holds iff it
 holds on basis blades.
 
-Gamma matrices (the irreducible representation for even n) are built by the
-standard 2x2 tensor recursion; the spinor space carries the indefinite form
-psi† A phi with A the normalized product of the positive-square gammas.
+Gamma matrices (the irreducible representation for even n) are Kronecker
+products of Pauli matrices, held as signed permutations; the spinor space
+carries the form psi† A phi, A the normalized product of the positive gammas.
 """
 
 from __future__ import annotations
@@ -283,14 +283,19 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
 
 def _spinor_blades(space: PseudoEuclideanSpace) -> _Monomials:
     """Gamma blade S, the product of the gammas in S in increasing index
-    order, as full rows: appending Γ_i, read from its dense matrix, doubles
-    the list from the blades below 2^i by products.  For odd n the gammas
-    are the first n of the space (p, q + 1)."""
-    n, s = space.n, 1 << (space.n + 1) // 2
-    cols, vals = np.arange(s)[None], np.ones((1, s), dtype=complex)
-    for g, sign in zip(_euclidean_gammas(n + n % 2), space.signs):
-        # a negative square takes iΓ_i, as in ``gamma_rep``
-        more = _Monomials(s, cols, vals).product(_Monomials.read([g * 1j ** (sign < 0)]))
+    order, as full rows: appending Γ_i doubles the list from the blades below
+    2^i by products.  Γ_2j and Γ_2j+1 are 1^{⊗j} ⊗ σ ⊗ σ_z^{⊗(m-1-j)} on m =
+    ⌈n/2⌉ qubits, σ = σ_x and σ_y: each flips row bit m-1-j, with a minus sign
+    per set bit below it, and σ_y's -i or i as that bit is clear or set.  A
+    negative square takes iΓ_i; for odd n the gammas are those of (p, q + 1)."""
+    s = 1 << (space.n + 1) // 2
+    rows = np.arange(s)
+    cols, vals = rows[None], np.ones((1, s), dtype=complex)
+    for i, sign in enumerate(space.signs):
+        bit = s >> (1 + i // 2)
+        sigma = np.where(rows & bit, 1j, -1j) if i % 2 else 1  # σ_y, or σ_x
+        phase = sigma * (-1.0) ** space.grades[rows & (bit - 1)] * 1j ** (sign < 0)
+        more = _Monomials(s, cols, vals).product(_Monomials(s, [rows ^ bit], [phase]))
         cols, vals = np.concatenate([cols, more.cols]), np.concatenate([vals, more.vals])
     return _Monomials(s, cols, vals)
 
@@ -321,31 +326,13 @@ def _spinor_representation(space: PseudoEuclideanSpace) -> _Monomials:
 
 # -- gamma matrices and spinors --------------------------------------------------
 
-_SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _euclidean_gammas(n: int) -> list[np.ndarray]:
-    """Hermitian matrices with Γ_iΓ_j + Γ_jΓ_i = 2δ_ij, size 2^(n/2)."""
-    if n == 0:
-        return []
-    gammas = [_SIGMA_X, _SIGMA_Y]
-    while len(gammas) < n:
-        size = gammas[0].shape[0]
-        eye = np.eye(size)
-        gammas = [np.kron(g, _SIGMA_Z) for g in gammas]
-        gammas.append(np.kron(eye, _SIGMA_X))
-        gammas.append(np.kron(eye, _SIGMA_Y))
-    return gammas[:n]
-
 
 @dataclass(frozen=True)
 class GammaRep:
-    """Irreducible Clifford representation for an even-dimensional space."""
+    """Irreducible Clifford representation: the certified blades and form A."""
 
     space: PseudoEuclideanSpace
-    gammas: tuple = field(repr=False)
+    blades: _Monomials = field(repr=False)
     a: np.ndarray = field(repr=False)
 
     @property
@@ -354,24 +341,18 @@ class GammaRep:
 
 
 def gamma_rep(space: PseudoEuclideanSpace) -> GammaRep:
+    """The gamma blades and A = ±z γ(e_0 ⋯ e_{p-1}), z = i^(p(p-1)/2 mod 2) so
+    that A is hermitian with A² = 1, the sign making row 0's entry positive
+    real, else positive imaginary: exact, since the entry is a phase."""
     if space.n % 2 != 0:
         raise ValidationError("gamma representation needs even total dimension")
-    base = _euclidean_gammas(space.n)
-    gammas = [g if s > 0 else 1j * g for g, s in zip(base, space.signs)]
-    dim = 1 << (space.n // 2) if space.n else 1
-    a = np.eye(dim, dtype=complex)
-    for i in range(space.p):
-        a = a @ gammas[i]
-    # normalize the phase so A is hermitian with A² = 1
-    z = 1.0 if (space.p * (space.p - 1) // 2) % 2 == 0 else 1j
-    a = z * a
-    # fix the residual overall sign deterministically: first nonzero entry
-    # of the flattened matrix is made positive real
-    flat = a.ravel()
-    lead = flat[np.flatnonzero(np.abs(flat) > 1e-12)[0]]
+    blades = _spinor_representation(space)
+    top = blades[[(1 << space.p) - 1]]
+    z = 1j ** (space.p * (space.p - 1) // 2 % 2)
+    lead = z * top.vals[0, 0]
     if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
-        a = -a
-    return GammaRep(space, tuple(gammas), a)
+        z = -z
+    return GammaRep(space, blades, top.synthesis([z]))
 
 
 def spinor_signature(space: PseudoEuclideanSpace) -> tuple[int, int]:
@@ -380,15 +361,12 @@ def spinor_signature(space: PseudoEuclideanSpace) -> tuple[int, int]:
 
 
 def gamma_algebra(rep: GammaRep) -> KreinCStarAlgebra:
-    """The full gamma-blade span as a Kreĭn algebra with reference form A.
-
-    Basis element S is the product of the gammas in S, in increasing index
-    order: the blades of ``_spinor_representation``, whose certificate also
-    makes them Frobenius-orthogonal and nonzero.
-    """
+    """The full gamma-blade span as a Kreĭn algebra with reference form A: the
+    blades of ``rep``, whose certificate also makes them Frobenius-orthogonal
+    and nonzero."""
     s = rep.space
     return KreinCStarAlgebra._monomial(
-        _spinor_representation(s), rep.a, f"Cl(R^{{{s.p},{s.q}}}) on spinors"
+        rep.blades, rep.a, f"Cl(R^{{{s.p},{s.q}}}) on spinors"
     )
 
 

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
 from .algebra import KreinCStarAlgebra, scalar_krein_algebra
 from .clifford import (
-    MultiVector,
     PseudoEuclideanSpace,
-    clifford_action,
     spinor_module,
 )
 from .krein_over_krein import (
@@ -36,11 +33,10 @@ from .krein_over_krein import (
 from .linalg import (
     DimensionMismatchError,
     ValidationError,
+    _Monomials,
     _rank,
     column_space,
     first_exceeding,
-    gaussians,
-    matvec,
     numerical_rank,
     operator_norm,
     quotient_space,
@@ -555,47 +551,69 @@ def spinor_factorization_check(
 
 
 def _factorization(s, space, samples, seed, tol) -> Report:
-    """``spinor_factorization_check`` of the spinor bimodule s of space."""
-    report, rng = Report.sampled(
+    """``spinor_factorization_check`` of the spinor bimodule s of space, its
+    laws decided on the nonzeros of the identification (``_identification``):
+    ``samples`` (at least 1) and ``seed`` only head the report."""
+    report, _ = Report.sampled(
         "spinor factorization", seed, samples, p=space.p, q=space.q
     )
-    sbar = contragredient(s)
-    t = internal_tensor(s, sbar)
+    t = internal_tensor(s, contragredient(s))
     lam_dim = space.grassmann_dim
     report.check(
         "dimension product matches exterior algebra",
         float(abs(t.dim - lam_dim)),
         0.5,
-        detail=f"{s.dim}·{sbar.dim} vs 2^{space.n}",
+        detail=f"{s.dim}·{s.dim} vs 2^{space.n}",
     )
     if t.dim != lam_dim:
         return report
-
-    # over the scalars t is the plain tensor, a FactoredTensor with section I:
-    # elementary tensors e_i ⊗ e_k -> exterior coordinates of E_ik A, A = s.symmetry
-    dm, dn = (f.dim for f in t.factors)
-    units = np.eye(s.dim**2, dtype=complex).reshape(-1, s.dim, s.dim)
-    v = s.left_algebra.coefficients(units @ s.symmetry).T
-    report.check(
-        "identification bijective",
-        0.0 if numerical_rank(v) == lam_dim else 1.0,
-        0.5,
-    )
-
-    def draw(rows):
-        c, x = gaussians(rng, len(rows), (lam_dim,), (t.dim,))
-        return SimpleNamespace(c=c, x=x)
-
-    def intertwines(smp):
-        # the left action γ(c) ⊗ I on x is γ(c) X on its dm x dn matrix X
-        gamma = np.tensordot(smp.c, s.left_action, axes=(-1, 0))
-        left = gamma @ smp.x.reshape(-1, dm, dn)
-        lhs = left.reshape(len(smp.x), -1) @ v.T
-        rhs = matvec(clifford_action(space, MultiVector(space, smp.c)), smp.x @ v.T)
-        norms = np.linalg.norm(smp.c, axis=-1) * np.linalg.norm(smp.x, axis=-1)
-        return np.linalg.norm(lhs - rhs, axis=-1) / np.maximum(norms, 1e-30)
-
-    report.check_laws(
-        draw, samples, [("intertwines left Clifford actions", tol, intertwines)]
-    )
+    v, gammas = _identification(s), s.left_algebra._monomials[1 << np.arange(space.n)]
+    report.check("identification bijective", float(_gram_defect(v) >= 1), 0.5)
+    defect = _intertwining_defect(v, gammas, space)
+    report.check("intertwines left Clifford actions", defect, tol)
     return report
+
+
+def _identification(s) -> _Monomials:
+    """Over the scalars S ⊗ S̄ is the plain tensor, and v sends e_i ⊗ e_k to
+    the exterior coordinates of E_ik A, A = s.symmetry: row S of v, read as
+    an s x s matrix, is V_S = conj(γ_S) Aᵀ / ‖γ_S‖², γ_S the left blade S."""
+    b = s.left_algebra._monomials
+    conj = _Monomials(b.dim, b.cols, b.vals.conj() / b.norms_sq[:, None])
+    return conj.product(_Monomials.read([s.symmetry.T]))
+
+
+def _gram_defect(v: _Monomials) -> float:
+    """‖s v v† − I‖_∞, s = v.dim, of the stack v read as the rows of a matrix:
+    below 1, s v v† is invertible.  ⟨v_T, v_S⟩ gathers, per entry v_S holds,
+    the elements T holding it too, for 2^14 Gram entries at a time."""
+    owners, values = map(np.stack, zip(*v._holders))  # (h, s²) each
+    n, worst = len(v), 0.0
+    for rows in np.array_split(np.arange(n), max(1, n * n >> 14)):
+        at, size, local = v._at[rows], len(rows) * n, rows - rows[0]
+        key = (owners[:, at] + n * local[:, None]).ravel()
+        w = (values[:, at].conj() * v.vals[rows]).ravel()
+        gram = np.bincount(key, w.real, size) + 1j * np.bincount(key, w.imag, size)
+        gram = v.dim * gram.reshape(len(rows), n)
+        gram[local, rows] -= 1
+        worst = max(worst, np.abs(gram).sum(axis=1).max())
+    return worst
+
+
+def _intertwining_defect(v: _Monomials, gammas: _Monomials, space) -> float:
+    """v (γ(c) ⊗ I) = c(c) v on the generators c = e_i, which decide it as
+    both sides are homomorphisms in c: with (v X)_S = tr(V_Sᵀ X), row S of
+    the difference L_i is γ_iᵀ V_S − σ[i, S xor i] V_{S xor i}.  The value is
+    the largest Schur bound √(‖L_i‖₁ ‖L_i‖_∞) ≥ ‖L_i‖₂ over ‖v‖₂ = 1/√s and
+    ‖γ_i‖₂ = 1, so it is scale-invariant."""
+    gt = _Monomials(v.dim, gammas.cols, gammas.vals.conj()).adjoint()  # γ_iᵀ
+    masks, worst = np.arange(len(v)), 0.0
+    for i in range(space.n):
+        lhs, flip = gt[[i]].product(v), masks ^ (1 << i)
+        rhs, rhs_at = space._signs(1 << i, flip)[:, None] * v.vals[flip], v._at[flip]
+        same = lhs._at == rhs_at  # else the two sides' entries count apart
+        a = np.abs(np.where(same, lhs.vals - rhs, lhs.vals))
+        b = np.abs(np.where(same, 0, rhs))
+        cols = np.bincount(np.append(lhs._at, rhs_at), np.append(a, b), v.dim**2)
+        worst = max(worst, np.sqrt(v.dim * (a + b).sum(axis=1).max() * cols.max()))
+    return worst

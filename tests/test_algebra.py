@@ -241,20 +241,23 @@ class TestSupportPath:
             KreinCStarAlgebra(basis, eta_pq(1, 1), validate=False)
 
 
+# the dense references add 0, which turns their products' signed zeros into
+# +0: a basis scattered from its nonzeros holds +0 at every other entry
 def declared_clifford(p, q):
     space = PseudoEuclideanSpace(p, q)
     return (
         clifford(p, q),
-        lambda: _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex)),
+        lambda: _left_matrix(space, np.eye(space.grassmann_dim, dtype=complex)) + 0,
     )
 
 
 def gamma_blades(rep):
-    """The gamma blades by the dense recursion: appending Γ_i doubles the
-    list from the blades below 2^i.  Adding 0 turns the products' signed
-    zeros into +0, as a sum of the held entries gives them."""
+    """The gamma blades by the dense recursion from the generator blades
+    γ(e_i) = ``rep.blades[1 << i]``: appending γ(e_i) doubles the list from
+    the blades below 2^i."""
+    n = rep.space.n
     basis = np.eye(rep.spinor_dim, dtype=complex)[None]
-    for g in rep.gammas:
+    for g in rep.blades[1 << np.arange(n)].synthesis(np.eye(n)):
         basis = np.concatenate([basis, basis @ g])
     return basis + 0
 

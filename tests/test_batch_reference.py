@@ -25,8 +25,14 @@ from kreinmod.clifford import (
     vector,
     wedge,
 )
+from kreinmod.correspondence import (
+    _identification,
+    _intertwining_defect,
+    spinor_correspondence,
+    spinor_factorization_check,
+)
 from kreinmod.krein_over_krein import check_module_over_krein, operator_bimodule
-from kreinmod.linalg import random_complex
+from kreinmod.linalg import gaussians, numerical_rank, random_complex
 
 EPS = np.finfo(float).eps
 
@@ -231,3 +237,48 @@ def test_clifford_tables_at_21(samples):
     records = {r.name: r for r in report.records}
     twin = records["algebra: cstar identity"]
     assert records["clifford cstar identity"].max_violation == twin.max_violation
+
+
+def dense_identification(s):
+    """The identification of S ⊗ S̄ as a dense (N, s²) matrix: the exterior
+    coordinates of E_ik A for every matrix unit E_ik, A = s.symmetry."""
+    units = np.eye(s.dim**2, dtype=complex).reshape(-1, s.dim, s.dim)
+    return s.left_algebra.coefficients(units @ s.symmetry).T
+
+
+def sampled_intertwining(s, space, v, samples, seed):
+    """The largest ‖v (γ(c) ⊗ I) x − c(c) v x‖ / (‖c‖ ‖x‖) over drawn Clifford
+    coordinates c and tensors x, the law sampled with dense N x N actions."""
+    c, x = gaussians(np.random.default_rng(seed), samples, (len(v),), (s.dim**2,))
+    gamma = np.tensordot(c, s.left_action, axes=(-1, 0))
+    lhs = (gamma @ x.reshape(samples, s.dim, s.dim)).reshape(samples, -1) @ v.T
+    rhs = [clifford_action(space, MultiVector(space, ck)) @ (v @ xk) for ck, xk in zip(c, x)]
+    norms = np.linalg.norm(c, axis=-1) * np.linalg.norm(x, axis=-1)
+    return max(np.linalg.norm(lhs - rhs, axis=-1) / norms)
+
+
+@pytest.mark.parametrize("pq", [(1, 1), (2, 2), (1, 3), (3, 3)], ids=str)
+def test_spinor_identification_against_dense(pq):
+    """V held by its nonzeros is the dense identification entry for entry,
+    and each record agrees with the law read the dense way: rank by SVD, and
+    the intertwining law sampled.  With one phase of V flipped both forms of
+    the intertwining law fail."""
+    space = PseudoEuclideanSpace(*pq)
+    s = spinor_correspondence(space)
+    v, dense = _identification(s), dense_identification(s)
+    assert np.array_equal(v.synthesis(np.eye(len(v))).reshape(len(v), -1), dense)
+    records = {
+        r.name: r.max_violation
+        for r in spinor_factorization_check(space, samples=1).records
+    }
+    rank = numerical_rank(dense) == space.grassmann_dim
+    assert records["identification bijective"] == (0.0 if rank else 1.0) == 0.0
+    sampled = sampled_intertwining(s, space, dense, 20, seed=7)
+    assert records["intertwines left Clifford actions"] == 0.0
+    assert sampled <= 8 * EPS
+    flipped = v[np.arange(len(v))]
+    flipped.vals[3, 0] *= -1
+    corrupted = flipped.synthesis(np.eye(len(v))).reshape(len(v), -1)
+    assert sampled_intertwining(s, space, corrupted, 20, seed=7) > 1e-3
+    gammas = s.left_algebra._monomials[1 << np.arange(space.n)]
+    assert _intertwining_defect(flipped, gammas, space) > 1e-3

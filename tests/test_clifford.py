@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import kreinmod.clifford as clifford_module
 from kreinmod.algebra import check_krein_cstar_axioms
 from kreinmod.clifford import (
-    GammaRep,
     MultiVector,
     PseudoEuclideanSpace,
     _gram_diagonal,
@@ -406,23 +405,76 @@ class TestCliffordKreinAlgebra:
         assert worst < 1e-9
 
 
+SMALL_SIGNATURES = [(p, n - p) for n in range(9) for p in range(n + 1)]
+EVEN_SIGNATURES = [pq for pq in SMALL_SIGNATURES if sum(pq) % 2 == 0]
+
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def kronecker_gammas(space):
+    """The gammas by the dense Kronecker recursion, hermitian with
+    Γ_iΓ_j + Γ_jΓ_i = 2δ_ij, then iΓ_i for a negative square: the reference
+    for the generator blades."""
+    gammas = [SIGMA_X, SIGMA_Y][: space.n]
+    while len(gammas) < space.n:
+        eye = np.eye(gammas[0].shape[0])
+        gammas = [np.kron(g, SIGMA_Z) for g in gammas]
+        gammas += [np.kron(eye, SIGMA_X), np.kron(eye, SIGMA_Y)]
+    return [g if s > 0 else 1j * g for g, s in zip(gammas[: space.n], space.signs)]
+
+
+def generator_blades(rep):
+    """γ(e_i) = ``rep.blades[1 << i]`` as dense s x s matrices."""
+    n = rep.space.n
+    return rep.blades[1 << np.arange(n)].synthesis(np.eye(n))
+
+
+def reference_form(space):
+    """A by dense products: z Γ_0 ⋯ Γ_{p-1}, z = i^(p(p-1)/2 mod 2), negated
+    unless its first nonzero entry is positive real, else positive
+    imaginary."""
+    a = np.eye(1 << space.n // 2, dtype=complex)
+    for g in kronecker_gammas(space)[: space.p]:
+        a = a @ g
+    a = (1j if space.p * (space.p - 1) // 2 % 2 else 1.0) * a
+    flat = a.ravel()
+    lead = flat[np.flatnonzero(np.abs(flat) > 1e-12)[0]]
+    return -a if lead.real < 0 or (lead.real == 0 and lead.imag < 0) else a
+
+
 class TestGammaRep:
     def test_rejects_odd_dimension(self):
         with pytest.raises(ValidationError):
             gamma_rep(S21)
 
+    @pytest.mark.parametrize("pq", SMALL_SIGNATURES[1:], ids=str)
+    def test_generator_blades_are_the_kronecker_gammas(self, pq):
+        space, n = PseudoEuclideanSpace(*pq), sum(pq)
+        blades = _spinor_blades(space)[1 << np.arange(n)].synthesis(np.eye(n))
+        assert np.array_equal(blades, kronecker_gammas(space))
+        if n % 2 == 0:
+            assert np.array_equal(generator_blades(gamma_rep(space)), blades)
+
+    @pytest.mark.parametrize("pq", EVEN_SIGNATURES, ids=str)
+    def test_form_is_the_dense_product(self, pq):
+        space = PseudoEuclideanSpace(*pq)
+        assert np.array_equal(gamma_rep(space).a, reference_form(space))
+
     def test_anticommutators_22(self):
         rep = gamma_rep(S22)
-        eye = np.eye(rep.spinor_dim)
+        gammas, eye = generator_blades(rep), np.eye(rep.spinor_dim)
         for i in range(4):
             for j in range(4):
-                anti = rep.gammas[i] @ rep.gammas[j] + rep.gammas[j] @ rep.gammas[i]
+                anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
                 expected = 2.0 * (S22.signs[i] if i == j else 0.0) * eye
                 assert operator_norm(anti - expected) < 1e-12
 
     def test_hermiticity_pattern(self):
         rep = gamma_rep(PseudoEuclideanSpace(1, 3))
-        for i, g in enumerate(rep.gammas):
+        for i, g in enumerate(generator_blades(rep)):
             sign = 1.0 if i < 1 else -1.0
             assert operator_norm(g.conj().T - sign * g) < 1e-12
 
@@ -444,7 +496,7 @@ class TestGammaRep:
     def test_generators_self_adjoint_for_form(self):
         rep = gamma_rep(PseudoEuclideanSpace(1, 3))
         rng = np.random.default_rng(14)
-        for g in rep.gammas:
+        for g in generator_blades(rep):
             psi = random_complex(rng, 4)
             phi = random_complex(rng, 4)
             # the indefinite spinor pairing psi† A phi
@@ -529,14 +581,11 @@ class TestSpinorModule:
         assert report.passed, report.to_text()
 
 
-SMALL_SIGNATURES = [(p, n - p) for n in range(9) for p in range(n + 1)]
-
-
 def gamma_blades(rep) -> np.ndarray:
-    """The gamma blades by the dense recursion: appending Γ_i doubles the
-    list from the blades below 2^i."""
+    """The gamma blades by the dense recursion from the generator blades:
+    appending γ(e_i) doubles the list from the blades below 2^i."""
     basis = np.eye(rep.spinor_dim, dtype=complex)[None]
-    for g in rep.gammas:
+    for g in generator_blades(rep):
         basis = np.concatenate([basis, basis @ g])
     return basis
 

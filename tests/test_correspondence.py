@@ -157,17 +157,19 @@ class TestStarHomChecker:
 
 
 def test_morphism_and_hom_suites_draw_nothing(monkeypatch):
-    # every law of both suites is decided on bases: no draw, at any count
+    # every law of the three suites is decided on bases or generators: no
+    # draw, at any count; the module draws only through linalg
     def refuse(*args, **kw):
         raise AssertionError("a decided suite drew samples")
 
-    monkeypatch.setattr(correspondence, "gaussians", refuse)
     monkeypatch.setattr(linalg, "gaussians", refuse)
     b11 = bounded_operators(1, 1)
     for samples in (1, 100):
         iso = right_unit_iso(identity_correspondence(b11))
         assert check_morphism(iso, samples=samples).passed
         assert check_krein_star_hom(lambda a: a, b11, b11, samples=samples).passed
+        space = PseudoEuclideanSpace(1, 3)
+        assert spinor_factorization_check(space, samples=samples).passed
 
 
 # tensors over the scalars, of spinors with their contragredients and of

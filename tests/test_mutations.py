@@ -331,6 +331,7 @@ def test_control_residual_separates_structure_from_corruption(control):
 # structure, residual on a corruption of it)
 SPINOR = spinor_module(S22)
 GAMMAS = SPINOR.left_algebra._monomials[1 << np.arange(S22.n)]
+IDENTIFICATION = correspondence._identification(SPINOR)  # S ⊗ S̄ -> Λ(R^{2,2})
 IDENT11 = identity_correspondence(B11)
 TENSOR11 = internal_tensor(IDENT11, IDENT11)
 
@@ -374,6 +375,13 @@ def one_value_negated(ops, k, r):
     out = ops[np.arange(len(ops))]  # a copy
     out.vals[k, r] *= -1
     return out
+
+
+def row_copied(v, source, target):
+    """The stack ``v`` with element ``target`` replaced by element ``source``."""
+    elements = np.arange(len(v))
+    elements[target] = source
+    return v[elements]
 
 
 def record_value(report, law):
@@ -468,6 +476,22 @@ SCENARIO_LAWS = {
         1e-9,
         lambda: section_independence(True),
         lambda: section_independence(False),  # the change of basis dropped
+    ),
+    # the record is 1 once ‖s v v† − I‖_∞ reaches 1, as it does for every
+    # singular v, since s v v† − I then has the eigenvalue −1: the row reads
+    # that sum against a tenth of the cut, with two equal rows of V
+    "identification bijective": (
+        0.1,
+        lambda: correspondence._gram_defect(IDENTIFICATION),
+        lambda: correspondence._gram_defect(row_copied(IDENTIFICATION, 0, 1)),
+    ),
+    # the phase of one entry of V_S flipped, S = {0, 1}
+    "intertwines left Clifford actions": (
+        1e-9,
+        lambda: correspondence._intertwining_defect(IDENTIFICATION, GAMMAS, S22),
+        lambda: correspondence._intertwining_defect(
+            one_value_negated(IDENTIFICATION, 3, 0), GAMMAS, S22
+        ),
     ),
     "intertwines both actions": morphism_law(
         "intertwines both actions", column_doubled

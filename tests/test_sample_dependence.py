@@ -34,8 +34,7 @@ STILL_SAMPLED = frozenset({
     "spinor: module: auxiliary product positive",
     "spinor: morita: auxiliary product positive",
     # multilinear, with basis tuples larger than the run's tensors: the
-    # module table's bilinear laws and the linking identity, and the spinor
-    # identification
+    # module table's bilinear laws and the linking identity
     "module-over-krein: action associative",
     "module-over-krein: inner right-linear",
     "module-over-krein: left action associative",
@@ -57,7 +56,6 @@ STILL_SAMPLED = frozenset({
     "spinor: morita: actions commute",
     "spinor: morita: left inner left-linear",
     "spinor: morita: linking identity",
-    "spinor: intertwines left Clifford actions",
 })
 
 
