@@ -94,7 +94,9 @@ from .krein_module import (
 )
 from .krein_over_krein import (
     ADJOINT_TOL,
+    MatrixBimodule,
     adjoint_residual,
+    auxiliary_product,
     check_imprimitivity,
     check_module_over_krein,
     inner_twist_defect,
@@ -308,11 +310,13 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
         # about 12 d x d matrices per symmetry of the stack: the symmetries,
         # t, its adjoint, the intertwiners, one sign's halves and products
         "module": 12 * (min(config.samples, MODULE_SYMMETRIES) + 1) * d**2,
-        "module-over-krein": 9 * d**6,  # the d² x d² x d x d inner tensor
+        # the d² x d² x d x d inner tensors and an adjoint's target: 5.1 at
+        # (7,7) and 5.2 at (9,8), so p + q = 17 is admitted and 18 refused
+        "module-over-krein": 6 * d**6,
         "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
         "clifford": axiom_table * n**2,
-        # N² entries each: the gamma basis, the module's left action and inner,
-        # their contragredient copies; 7.9 at (5,5), 10 keeps (6,6) refused
+        # N² entries each: the gamma basis, the s⁴ = N² left inner tensor and
+        # their copies; 6.8 at (5,5) and 7.1 at (6,6), and 10 keeps (6,6) refused
         "spinor": 10 * n**2,
     }[config.scenario]
     return 16 * entries + 2**24
@@ -610,9 +614,13 @@ def _scenario_module_over_krein(config: CheckConfig) -> Report:
     )
 
     rng = np.random.default_rng(config.seed + 3)
-    aux_module = replace(module, inner=np.einsum(
-        "kj,ikab->ijab", module.symmetry, module.inner, optimize=True
-    ))
+    # the module under ⟨x, J y⟩, holding only the inner tensor that
+    # adjoint_residual reads: replace would build every dense field
+    units = np.eye(module.dim)
+    aux_module = MatrixBimodule._held(
+        algebra=algebra, dim=module.dim,
+        inner=auxiliary_product(module, units[:, None], units[None]),
+    )
 
     def draw(rows):
         x, y = gaussians(rng, len(rows), (module.dim,), (module.dim,))

@@ -26,6 +26,7 @@ from .clifford import (
 )
 from .krein_over_krein import (
     KreinBimodule,
+    _Held,
     check_imprimitivity,
     check_module_over_krein,
     self_module,
@@ -257,46 +258,28 @@ def _plain_inner(m, n) -> np.ndarray:
     )
 
 
-class FactoredTensor(TensorCorrespondence):
+class FactoredTensor(_Held, TensorCorrespondence):
     """m ⊗ n when every balancing relation is zero, so that the section is I:
     the carrier is C^{dm} ⊗ C^{dn}, a vector x read as the dm x dn matrix X.
 
-    ``factors`` is (m, n).  ``action``, ``left_action``, ``inner`` and
-    ``section`` are the dense Kronecker and einsum arrays of the general
-    path, built from the factors on first read.  The maps act through the
-    factors: (L(a) ⊗ I) x is L(a) X and (I ⊗ R(b)) x is X R(b)ᵀ (Van Loan,
-    "The ubiquitous Kronecker product", JCAM 123, 2000).
-    ``dataclasses.replace`` of a factored tensor gives a dense
-    ``TensorCorrespondence`` of the changed fields.
+    ``factors`` is (m, n).  The maps act through the factors: (L(a) ⊗ I) x
+    is L(a) X and (I ⊗ R(b)) x is X R(b)ᵀ (Van Loan, "The ubiquitous
+    Kronecker product", JCAM 123, 2000).  ``inner`` and ``section`` are the
+    einsum and identity arrays of the general path, built on first read.
     """
 
-    def __new__(cls, *args, **fields):
-        # dataclasses.replace calls the class with every field
-        if args or fields:
-            return TensorCorrespondence(*args, **fields)
-        return super().__new__(cls)
+    _dense = TensorCorrespondence
 
     @classmethod
     def _of(cls, m: Correspondence, n: Correspondence) -> FactoredTensor:
-        t = object.__new__(cls)
-        t.__dict__.update(
+        return cls._held(
             algebra=n.algebra,
             dim=m.dim * n.dim,
             symmetry=np.kron(m.symmetry, n.symmetry),
             left_algebra=m.left_algebra,
             factors=(m, n),
+            _shape=(m.dim, n.dim),
         )
-        return t
-
-    @cached_property
-    def action(self) -> np.ndarray:
-        m, n = self.factors
-        return np.kron(np.eye(m.dim, dtype=complex), n.action)
-
-    @cached_property
-    def left_action(self) -> np.ndarray:
-        m, n = self.factors
-        return np.kron(m.left_action, np.eye(n.dim, dtype=complex))
 
     @cached_property
     def inner(self) -> np.ndarray:
@@ -306,29 +289,12 @@ class FactoredTensor(TensorCorrespondence):
     def section(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
-    def right_operator(self, b) -> np.ndarray:
-        m, n = self.factors
-        return np.kron(np.eye(m.dim, dtype=complex), n.right_operator(b))
-
-    def left_operator(self, a) -> np.ndarray:
-        m, n = self.factors
-        return np.kron(m.left_operator(a), np.eye(n.dim, dtype=complex))
-
     def act(self, x, b) -> np.ndarray:
         r = self.factors[1].right_operator(b)
         return self._vectors(self._matrices(x) @ r.swapaxes(-1, -2))
 
     def act_left(self, a, x) -> np.ndarray:
         return self._vectors(self.factors[0].left_operator(a) @ self._matrices(x))
-
-    def _matrices(self, x) -> np.ndarray:
-        """Carrier vectors (..., dm·dn) as dm x dn matrices."""
-        m, n = self.factors
-        x = np.asarray(x, dtype=complex)
-        return x.reshape(*x.shape[:-1], m.dim, n.dim)
-
-    def _vectors(self, y) -> np.ndarray:
-        return y.reshape(*y.shape[:-2], self.dim)
 
 
 def _random_unitary(rng: np.random.Generator, k: int) -> np.ndarray:

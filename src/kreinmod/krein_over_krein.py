@@ -1,8 +1,9 @@
 """Modules whose coefficient algebra is itself a Kreĭn C*-algebra.
 
 The carrier is a plain complex vector space C^D.  The right action and the
-algebra-valued inner product are stored as dense tensors contracted against
-the coefficient expansion of algebra elements:
+algebra-valued inner product are tensors contracted against the coefficient
+expansion of algebra elements, given dense or, on the matrix modules
+(``MatrixBimodule``), built from the matrix products of the maps when read:
 
     action[i]        D x D matrix, the right action of the i-th basis element
     inner[i, j]      d x d algebra element, the pairing of carrier basis
@@ -172,58 +173,131 @@ def _contract_pairs(u, v, inner) -> np.ndarray:
     return np.tensordot(outer, inner, axes=([-2, -1], [0, 1]))
 
 
-def self_module(algebra: KreinCStarAlgebra) -> KreinBimodule:
-    """The algebra over itself, in coefficient coordinates.
+class _Held:
+    """A bimodule held by what its maps read.  Its dense fields are cached
+    properties, built from the maps when first read: ``action[k]`` is
+    ``right_operator`` of the k-th basis element, whose column i is e_i · b_k.
+    A carrier vector (..., dim) is read as a (..., *_shape) matrix, unless the
+    instance holds its own ``_matrices`` and ``_vectors``.
+    ``dataclasses.replace`` calls the class with every field, and gets the
+    dense ``_dense`` of those fields."""
 
-    Right product star(x) y, left product x star(y), symmetry alpha.
+    def __new__(cls, *args, **fields):
+        if args or fields:
+            return cls._dense(*args, **fields)
+        return super().__new__(cls)
+
+    @classmethod
+    def _held(cls, **held):
+        module = object.__new__(cls)
+        module.__dict__.update(held)
+        return module
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        return self.right_operator(self.algebra.basis)
+
+    @cached_property
+    def left_action(self) -> np.ndarray:
+        return self.left_operator(self.left_algebra.basis)
+
+    def right_operator(self, b) -> np.ndarray:
+        b = np.asarray(b)[..., None, :, :]
+        return self.act(np.eye(self.dim), b).swapaxes(-1, -2)
+
+    def left_operator(self, a) -> np.ndarray:
+        a = np.asarray(a)[..., None, :, :]
+        return self.act_left(a, np.eye(self.dim)).swapaxes(-1, -2)
+
+    def _matrices(self, x) -> np.ndarray:
+        """Carrier vectors (..., dim) as (..., *_shape) matrices."""
+        x = np.asarray(x, dtype=complex)
+        return x.reshape(*x.shape[:-1], *self._shape)
+
+    def _vectors(self, y) -> np.ndarray:
+        return y.reshape(*y.shape[:-2], self.dim)
+
+
+class MatrixBimodule(_Held, KreinBimodule):
+    """The matrix module of k2 x k1 matrices X over k1 = ``algebra`` on the
+    right and k2 = ``left_algebra`` on the left, with etas η₁ and η₂ (Lance,
+    Hilbert C*-modules, LMS LN 210, 1995): x·b = X b, a·x = a X,
+    ⟨x, y⟩ = η₁ X† η₂ Y, the left product X η₁ Y† η₂ and J x = η₂ X η₁.  The
+    maps do not project the matrices they take.  ``inner``, ``left_inner``
+    and ``symmetry`` read the maps on the carrier's unit vectors.
     """
-    basis = algebra.basis
-    # structure constants: products[i, j] = coefficients(b_i b_j)
-    products = algebra.coefficients(basis[:, None] @ basis[None])
-    stars = algebra.star(basis)
-    return KreinBimodule(
-        algebra=algebra,
-        dim=len(basis),
-        action=products.transpose(1, 2, 0),  # column k of action[j]: b_k b_j
-        inner=stars[:, None] @ basis[None],
-        symmetry=algebra.coefficients(algebra.alpha(basis)).T,
-        left_algebra=algebra,
-        left_action=products.transpose(0, 2, 1),  # column k of left_action[j]: b_j b_k
-        left_inner=basis[:, None] @ stars[None],
+
+    _dense = KreinBimodule
+
+    @cached_property
+    def inner(self) -> np.ndarray:
+        units = np.eye(self.dim)
+        return self.pairing(units[:, None], units[None])
+
+    @cached_property
+    def left_inner(self) -> np.ndarray:
+        units = np.eye(self.dim)
+        return self.pairing_left(units[:, None], units[None])
+
+    @cached_property
+    def symmetry(self) -> np.ndarray:
+        return self.j(np.eye(self.dim)).T
+
+    def act(self, x, b) -> np.ndarray:
+        return self._vectors(_product(self._matrices(x), b))
+
+    def act_left(self, a, x) -> np.ndarray:
+        return self._vectors(_product(a, self._matrices(x)))
+
+    def pairing(self, x, y) -> np.ndarray:
+        return _product(self._adjoint(x), self._matrices(y))
+
+    def pairing_left(self, x, y) -> np.ndarray:
+        return _product(self._matrices(x), self._adjoint(y))
+
+    def j(self, x) -> np.ndarray:
+        twisted = self.left_algebra.eta @ self._matrices(x) @ self.algebra.eta
+        return self._vectors(twisted)
+
+    def _adjoint(self, x) -> np.ndarray:
+        """η₁ X† η₂, the factor x brings to either product."""
+        adjoint = self._matrices(x).conj().swapaxes(-1, -2)
+        return self.algebra.eta @ adjoint @ self.left_algebra.eta
+
+
+def _product(a, b) -> np.ndarray:
+    """The products a b of two stacks by ``np.einsum``, which sums rounded
+    products with no fused multiply-add, unlike the BLAS behind ``@``: two
+    sums of the same two products in either order agree exactly, so a law
+    whose sides differ by J's signed permutations reads 0 where its sums have
+    two terms, as it did on the dense tensors."""
+    return np.einsum("...ij,...jk->...ik", a, b)
+
+
+def self_module(algebra: KreinCStarAlgebra) -> MatrixBimodule:
+    """The algebra over itself, in coefficient coordinates: the matrix module
+    of k1 = k2 = A, so right product star(x) y, left product x star(y) and
+    symmetry alpha."""
+    return MatrixBimodule._held(
+        algebra=algebra, dim=algebra.vector_dim, left_algebra=algebra,
+        _matrices=algebra.from_coefficients, _vectors=algebra.coefficients,
     )
 
 
 def operator_bimodule(
     k1: KreinCStarAlgebra, k2: KreinCStarAlgebra
-) -> KreinBimodule:
-    """Maps between two reference Kreĭn spaces as a bimodule.
-
-    Carrier: d2 x d1 matrices T, flattened.  Right action by composition,
-    right product eta1 T† eta2 S; left product T eta1 S† eta2; the symmetry
-    is T ↦ eta2 T eta1.  Both algebras must have full matrix carriers.
-    Spinors are the instance B(C, S): k1 the scalars with form 1, k2 the
-    gamma algebra on the spinor space S with form A (``spinor_module``).
+) -> MatrixBimodule:
+    """Maps between two reference Kreĭn spaces as a bimodule: the matrix
+    module of d2 x d1 matrices T, flattened row-major.  Both algebras must
+    have full matrix carriers.  Spinors are the instance B(C, S): k1 the
+    scalars with form 1, k2 the gamma algebra on the spinor space S with
+    form A (``spinor_module``).
     """
-    d1, d2 = k1.dim, k2.dim
     for alg in (k1, k2):
         if alg.vector_dim != alg.dim**2:
             raise ValidationError("operator bimodule needs full matrix algebras")
-    dim = d2 * d1
-    eye1, eye2 = np.eye(d1, dtype=complex), np.eye(d2, dtype=complex)
-    # row-major vec(A T B) = (A ⊗ Bᵀ) vec(T); on the unit T_(r,s) = e_r e_sᵀ
-    # the products read eta1 T_(r,s)† eta2 T_(t,u) = eta1[:, s] eta2[r, t] e_uᵀ
-    # and T_(r,s) eta1 T_(t,u)† eta2 = e_r eta1[s, u] eta2[t, :]
-    inner = np.einsum("as,rt,uc->rstuac", k1.eta, k2.eta, eye1)
-    left_inner = np.einsum("ra,su,tc->rstuac", eye2, k1.eta, k2.eta)
-    return KreinBimodule(
-        algebra=k1,
-        dim=dim,
-        action=np.kron(eye2[None], k1.basis.swapaxes(1, 2)),
-        inner=inner.reshape(dim, dim, d1, d1),
-        symmetry=np.kron(k2.eta, k1.eta.T),
-        left_algebra=k2,
-        left_action=np.kron(k2.basis, eye1[None]),
-        left_inner=left_inner.reshape(dim, dim, d2, d2),
+    return MatrixBimodule._held(
+        algebra=k1, dim=k2.dim * k1.dim, left_algebra=k2, _shape=(k2.dim, k1.dim)
     )
 
 
@@ -242,14 +316,11 @@ def inner_twist_defect(algebra: KreinCStarAlgebra, p, pj):
 
 
 def rank_one(module: KreinModuleOverKrein, x, y) -> np.ndarray:
-    """The operator z ↦ x · ⟨y, z⟩, or a stack of them for stacks x, y."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    # column k is x · ⟨y, e_k⟩; the action is linear in the coefficients
-    pairings = np.tensordot(y.conj(), module.inner, axes=(-1, 0))
-    coeffs = module.algebra.coefficients(pairings)
-    actions = matvec(module.action, x[..., None, :])  # row b is action[b] x
-    return actions.swapaxes(-1, -2) @ coeffs.swapaxes(-1, -2)
+    """The operator z ↦ x · ⟨y, z⟩, or a stack of them for stacks x, y: its
+    column k is x · ⟨y, e_k⟩."""
+    x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
+    pairings = module.pairing(y[..., None, :], np.eye(module.dim))
+    return module.act(x[..., None, :], pairings).swapaxes(-1, -2)
 
 
 def adjoint_residual(module: KreinModuleOverKrein, t):
@@ -348,10 +419,10 @@ def check_module_over_krein(
     )
 
     def draw(rows):
-        n, d = module.dim, alg.dim
-        left = [(module.left_algebra.dim,) * 2] * 2 if is_bimodule else []
-        x, y, a, b, *cd = gaussians(rng, len(rows), (n,), (n,), (d, d), (d, d), *left)
-        a, b = alg.project(a), alg.project(b)
+        n, m = module.dim, alg.vector_dim
+        left = [(module.left_algebra.vector_dim,)] * 2 if is_bimodule else []
+        x, y, a, b, *cd = gaussians(rng, len(rows), (n,), (n,), (m,), (m,), *left)
+        a, b = alg.from_normals(a), alg.from_normals(b)
         nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
         s = SimpleNamespace(
             x=x,
@@ -367,7 +438,7 @@ def check_module_over_krein(
         pj = module.pairing(module.j(x), module.j(y))
         s.inner_twist = inner_twist_defect(alg, s.p, pj) / s.sxy  # read by two laws
         if is_bimodule:
-            s.c, s.d = (module.left_algebra.project(m) for m in cd)
+            s.c, s.d = map(module.left_algebra.from_normals, cd)
             s.nc = np.maximum(operator_norm(s.c), 1e-30)
             s.nd = np.maximum(operator_norm(s.d), 1e-30)
         return s

@@ -202,6 +202,21 @@ class TestScenarios:
         assert fields and all(f == {"module", "j", "t", "ts"} for f in fields)
         assert record.max_violation == 0.0
 
+    def test_module_over_krein_builds_no_dense_action(self, monkeypatch):
+        # the laws act by matrix products, and only the inner tensors are read
+        built = []
+        for name in ("self_module", "operator_bimodule"):
+            make = getattr(checker, name)
+            monkeypatch.setattr(
+                checker, name,
+                lambda *args, make=make: built.append(make(*args)) or built[-1],
+            )
+        assert run(CheckConfig(scenario="module-over-krein", p=2, q=2, samples=20)).passed
+        assert len(built) == 2
+        for module in built:
+            assert {"action", "left_action"}.isdisjoint(vars(module))
+            assert "inner" in vars(module)
+
     def test_spinor_budget_refuses_before_any_work(self, monkeypatch):
         # spinor (6, 6) would hold about a dozen 4096 x 4096 arrays; nothing
         # may be built

@@ -762,6 +762,21 @@ class TestContragredient:
         assert np.array_equal(mbar.action, right)
         assert np.array_equal(mbar.left_action, left)
 
+    def test_spinor_contragredient_reads_no_gamma_coordinates(self, monkeypatch):
+        # the star of a gamma blade is a signed blade, and the spinor module's
+        # left operator of a matrix is that matrix: no N x N coordinates
+        m = spinor_correspondence(PseudoEuclideanSpace(3, 3))
+        gamma, calls = m.left_algebra, []
+        coefficients = gamma.coefficients
+        monkeypatch.setattr(
+            gamma, "coefficients", lambda a: calls.append(np.shape(a)) or coefficients(a)
+        )
+        mbar = contragredient(m)
+        assert calls == []
+        star = coefficients(gamma.star(gamma.basis))
+        right = np.tensordot(star, m.left_action, axes=(1, 0)).conj()
+        assert np.array_equal(mbar.action, right)
+
     def test_double_contragredient_is_identity(self):
         for corr in (
             identity_correspondence(bounded_operators(1, 1)),
