@@ -315,9 +315,9 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
         "module-over-krein": 6 * d**6,
         "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
         "clifford": axiom_table * n**2,
-        # N² entries each: the gamma basis, the s⁴ = N² left inner tensor and
-        # their copies; 6.8 at (5,5) and 7.1 at (6,6), and 10 keeps (6,6) refused
-        "spinor": 10 * n**2,
+        # the s⁴ = N² left inner tensor and the column norms of its rank in "left
+        # products full": 1.8 at (5,5) and 2.1 at (6,6), so (7,7) is refused
+        "spinor": 3 * n**2,
     }[config.scenario]
     return 16 * entries + 2**24
 
@@ -334,11 +334,8 @@ def _coverage_check(report: Report, scenario: str):
 
 
 def _full_gallery(config: CheckConfig) -> Report:
-    report = Report(
-        title="full gallery",
-        seed=config.seed,
-        samples=config.samples,
-        environment={"scenarios": list(COVERAGE_MANIFEST)},
+    report, _ = Report.sampled(
+        "full gallery", config.seed, config.samples, scenarios=list(COVERAGE_MANIFEST)
     )
     for name, (_, p, q) in _SCENARIOS.items():
         report.extend(run(replace(config, scenario=name, p=p, q=q)), prefix=f"{name}: ")
@@ -741,11 +738,14 @@ def _scenario_clifford(config: CheckConfig) -> Report:
     report.check("second quantized auxiliary form positive", auxiliary, 1e-12)
     report.check("clifford product associative", cocycle_failures(space), 1e-10)
 
-    # the symbol map a ↦ c(a)·1: row S is c(e_S)·1, the first column of blade S
-    # synthesised alone, copied, since a view would keep each N x N blade alive.
-    # It is I (c(e_S)·1 = e_S), and independent rows force c(a) = 0 ⇒ a = 0
-    eye = np.eye(space.grassmann_dim)
-    symbols = np.array([alg.from_coefficients(e)[:, 0].copy() for e in eye])
+    # the symbol map a ↦ c(a)·1: row S is c(e_S)·1, the first column of blade S,
+    # gathered from the slots whose column is 0 (the blades are full rows, slot
+    # r in row r), or read from a dense basis.  It is I (c(e_S)·1 = e_S), and
+    # independent rows force c(a) = 0 ⇒ a = 0
+    eye, held = np.eye(space.grassmann_dim), alg._monomials
+    symbols = (
+        alg.basis[..., 0] if held is None else np.where(held.cols == 0, held.vals, 0)
+    )
     for name, value in (
         ("clifford grassmann bijection", np.count_nonzero(symbols != eye)),
         ("representation faithful", len(eye) - numerical_rank(symbols)),
@@ -799,11 +799,9 @@ def _scenario_spinor(config: CheckConfig) -> Report:
     space = PseudoEuclideanSpace(config.p, config.q)
     module = spinor_module(space)
     left, form = module.left_algebra, module.symmetry
-    report = Report(
-        title=f"spinor scenario R^{{{config.p},{config.q}}}",
-        seed=config.seed,
-        samples=config.samples,
-        environment={"p": config.p, "q": config.q, "spinor_dim": module.dim},
+    report, _ = Report.sampled(
+        f"spinor scenario R^{{{config.p},{config.q}}}", config.seed, config.samples,
+        p=config.p, q=config.q, spinor_dim=module.dim,
     )
     # the gammas are the generator images; the module symmetry is the form A
     gammas = _generator_images(left, space.n)
@@ -857,11 +855,8 @@ def _form_defect(a):
 
 
 def _scenario_tensor(config: CheckConfig) -> Report:
-    report = Report(
-        title="tensor category scenario",
-        seed=config.seed,
-        samples=config.samples,
-        environment={"p": config.p, "q": config.q},
+    report, _ = Report.sampled(
+        "tensor category scenario", config.seed, config.samples, p=config.p, q=config.q
     )
     ident2 = identity_correspondence(bounded_operators(2, 0))
     right_unit = right_unit_iso(ident2)
@@ -1033,12 +1028,7 @@ def _demo_torus(seed, samples, tol):
 def _demo_spinor_m4(seed, samples, tol):
     space = PseudoEuclideanSpace(1, 3)
     s = spinor_correspondence(space)
-    report = Report(
-        title="demo: spinor-m4",
-        seed=seed,
-        samples=samples,
-        environment={"p": 1, "q": 3},
-    )
+    report, _ = Report.sampled("demo: spinor-m4", seed, samples, p=1, q=3)
     report.extend(morita_krein_check(s, samples, seed, tol), prefix="morita: ")
     report.extend(_factorization(s, space, samples, seed + 1, tol))
     narrative = (

@@ -218,14 +218,14 @@ class TestScenarios:
             assert "inner" in vars(module)
 
     def test_spinor_budget_refuses_before_any_work(self, monkeypatch):
-        # spinor (6, 6) would hold about a dozen 4096 x 4096 arrays; nothing
-        # may be built
+        # spinor (7, 7) would hold a few 16384 x 16384 arrays; nothing may be
+        # built
         def unreachable(space):
             raise AssertionError("spinor module built before the budget check")
 
         monkeypatch.setattr(checker, "spinor_module", unreachable)
         with pytest.raises(ResourceBudgetError):
-            run(CheckConfig(scenario="spinor", p=6, q=6, samples=1))
+            run(CheckConfig(scenario="spinor", p=7, q=7, samples=1))
 
     # the scenario sizes of scripts/compare_reports.py
     @pytest.mark.parametrize(

@@ -158,7 +158,7 @@ class TestBudgetRefusal:
             ("module", 2500, 2500),
             ("module-over-krein", 10, 10),
             ("clifford", 7, 6),
-            ("spinor", 6, 6),
+            ("spinor", 7, 7),
             ("tensor", 40, 40),
         ],
     )

@@ -11,6 +11,7 @@ from kreinmod.algebra import (
     bounded_operators,
     check_krein_cstar_axioms,
 )
+from kreinmod.checker import CheckConfig, run
 from kreinmod.clifford import PseudoEuclideanSpace
 from kreinmod.correspondence import (
     CorrespondenceMorphism,
@@ -520,13 +521,15 @@ class TestFactoredTensor:
         assert isinstance(internal_tensor(*spinor_pair(2, 2)), FactoredTensor)
         assert calls == [16]
 
+    # S ⊗ S̄ built as a tensor: its one-element-basis nondegeneracy test
+    # reads the factors' singular values, not the plain inner product
     @pytest.mark.parametrize("name", ["action", "left_action", "inner", "section"])
     def test_factorization_reads_no_dense_field(self, monkeypatch, name):
         def unreachable(self):
             raise AssertionError(f"{name} read")
 
         monkeypatch.setattr(FactoredTensor, name, property(unreachable))
-        assert spinor_factorization_check(PseudoEuclideanSpace(2, 2), samples=3).passed
+        assert internal_tensor(*spinor_pair(2, 2)).dim == 16
 
     def test_spinor_44_holds_no_plain_cubed_stack(self):
         # S ⊗ S̄ at (4,4) has plain = N = 256; one (N, N, N) complex stack is
@@ -534,11 +537,11 @@ class TestFactoredTensor:
         plain = 256
         tracemalloc.start()
         try:
-            report = spinor_factorization_check(PseudoEuclideanSpace(4, 4), samples=2)
+            t = internal_tensor(*spinor_pair(4, 4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.passed
+        assert t.dim == plain
         assert peak < 16 * plain**3 / 8
 
 
@@ -840,6 +843,23 @@ class TestMoritaKrein:
         assert "left products full" in failed
         assert "linking identity" not in failed
 
+    @pytest.mark.parametrize(
+        "field, record",
+        [("inner", "inner non-degenerate"), ("left_inner", "left products full")],
+    )
+    def test_degenerate_pairing_fails_certification(self, field, record):
+        # S ⊗ S̄ has inner product ⟨x, x′⟩ ⊗ (S's left inner): a degenerate
+        # pairing of S makes the tensor degenerate and fails the record that
+        # the spinor factorization relies on in its place
+        s = spinor_correspondence(PseudoEuclideanSpace(2, 2))
+        pairing = getattr(s, field).copy()
+        pairing[-1], pairing[:, -1] = 0, 0
+        bad = dataclasses.replace(s, **{field: pairing})
+        with pytest.raises(DegenerateDescentError):
+            internal_tensor(bad, contragredient(bad))
+        failed = {r.name for r in morita_krein_check(bad, samples=3).failures()}
+        assert record in failed
+
 
 class TestSpinorFactorization:
     def test_signature_11(self):
@@ -854,6 +874,16 @@ class TestSpinorFactorization:
         report = spinor_factorization_check(PseudoEuclideanSpace(1, 1), seed=27)
         rec = {r.name: r for r in report.records}
         assert rec["dimension product matches exterior algebra"].max_violation == 0.0
+
+    def test_builds_no_tensor_and_no_contragredient(self, monkeypatch):
+        # over the scalars S ⊗ S̄ is the plain tensor: only its dimension is read
+        def unreachable(*args, **kw):
+            raise AssertionError("S ⊗ S̄ built")
+
+        monkeypatch.setattr(correspondence, "internal_tensor", unreachable)
+        monkeypatch.setattr(correspondence, "contragredient", unreachable)
+        assert run(CheckConfig(scenario="spinor", p=2, q=2, samples=3)).passed
+        assert spinor_factorization_check(PseudoEuclideanSpace(2, 2)).passed
 
 
 class TestDegenerateDescent:
