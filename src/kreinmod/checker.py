@@ -313,7 +313,8 @@ def _predicted_peak_bytes(config: CheckConfig) -> float:
         # the d² x d² x d x d inner tensors and an adjoint's target: 5.1 at
         # (7,7) and 5.2 at (9,8), so p + q = 17 is admitted and 18 refused
         "module-over-krein": 6 * d**6,
-        "tensor": 17 * d**4,  # maps of the d²-dimensional plain tensor
+        # d² x d² maps of C^{p,q} ⊗ C^{p,q}: 15.1 at (12,12), 16.6 at (16,16) and (20,20)
+        "tensor": 17 * d**4,
         "clifford": axiom_table * n**2,
         # the s⁴ = N² left inner tensor and the column norms of its rank in "left
         # products full": 1.8 at (5,5) and 2.1 at (6,6), so (7,7) is refused

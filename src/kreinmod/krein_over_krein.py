@@ -173,14 +173,20 @@ def _contract_pairs(u, v, inner) -> np.ndarray:
     return np.tensordot(outer, inner, axes=([-2, -1], [0, 1]))
 
 
-class _Held:
-    """A bimodule held by what its maps read.  Its dense fields are cached
-    properties, built from the maps when first read: ``action[k]`` is
-    ``right_operator`` of the k-th basis element, whose column i is e_i · b_k.
-    A carrier vector (..., dim) is read as a (..., *_shape) matrix, unless the
-    instance holds its own ``_matrices`` and ``_vectors``.
+class MatrixBimodule(KreinBimodule):
+    """The matrix module of k2 x k1 matrices X over k1 = ``algebra`` on the
+    right and k2 = ``left_algebra`` on the left, with etas η₁ and η₂ (Lance,
+    Hilbert C*-modules, LMS LN 210, 1995): x·b = X b, a·x = a X,
+    ⟨x, y⟩ = η₁ X† η₂ Y, the left product X η₁ Y† η₂ and J x = η₂ X η₁.  The
+    maps do not project the matrices they take.  A carrier vector (..., dim)
+    is read as a (..., *_shape) matrix, or by the instance's own ``_matrices``
+    and ``_vectors``.  The dense fields are cached properties read from the
+    maps: ``action[k]`` is ``right_operator`` of the k-th basis element, and
+    the others read the maps on the carrier's unit vectors.
     ``dataclasses.replace`` calls the class with every field, and gets the
     dense ``_dense`` of those fields."""
+
+    _dense = KreinBimodule
 
     def __new__(cls, *args, **fields):
         if args or fields:
@@ -216,18 +222,6 @@ class _Held:
 
     def _vectors(self, y) -> np.ndarray:
         return y.reshape(*y.shape[:-2], self.dim)
-
-
-class MatrixBimodule(_Held, KreinBimodule):
-    """The matrix module of k2 x k1 matrices X over k1 = ``algebra`` on the
-    right and k2 = ``left_algebra`` on the left, with etas η₁ and η₂ (Lance,
-    Hilbert C*-modules, LMS LN 210, 1995): x·b = X b, a·x = a X,
-    ⟨x, y⟩ = η₁ X† η₂ Y, the left product X η₁ Y† η₂ and J x = η₂ X η₁.  The
-    maps do not project the matrices they take.  ``inner``, ``left_inner``
-    and ``symmetry`` read the maps on the carrier's unit vectors.
-    """
-
-    _dense = KreinBimodule
 
     @cached_property
     def inner(self) -> np.ndarray:

@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,6 @@ from kreinmod.clifford import PseudoEuclideanSpace
 from kreinmod.correspondence import (
     CorrespondenceMorphism,
     DegenerateDescentError,
-    FactoredTensor,
     TensorCorrespondence,
     associativity_iso,
     check_krein_star_hom,
@@ -299,11 +297,10 @@ class TestInternalTensor:
     @pytest.mark.parametrize("make", OVER_SCALARS.values(), ids=OVER_SCALARS)
     def test_tensor_over_scalars_is_the_plain_tensor(self, make):
         # every balancing relation is zero, so the section is I and each
-        # structure, built on first read, is its dense Kronecker or einsum
-        # formula
+        # structure is its dense Kronecker or einsum formula
         m, n = make()
         t = internal_tensor(m, n)
-        assert isinstance(t, FactoredTensor) and t.factors == (m, n)
+        assert type(t) is TensorCorrespondence
         eye_m, eye_n = np.eye(m.dim), np.eye(n.dim)
         lmats = np.tensordot(
             n.left_algebra.coefficients(m.inner), n.left_action, axes=(2, 0)
@@ -434,45 +431,6 @@ class TestInternalTensor:
             got = spectral_projector(np.kron(j, k), sign)
             assert np.array_equal(got, self.matched_halves(j, k, sign))
 
-
-def assert_rounding(got, ref):
-    """got equals ref to rounding, relative to the largest entry of ref."""
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= 64 * EPS * np.max(np.abs(ref))
-
-
-class TestFactoredTensor:
-    """Tensors over the scalars keep their factors: the maps act on carrier
-    vectors through them, and no dense field is built until it is read."""
-
-    @pytest.mark.parametrize("make", OVER_SCALARS.values(), ids=OVER_SCALARS)
-    def test_maps_match_the_dense_products(self, make):
-        m, n = make()
-        t = internal_tensor(m, n)
-        assert {"action", "left_action", "inner", "section"}.isdisjoint(vars(t))
-        rng = np.random.default_rng(22)
-        left, right = t.left_algebra, t.algebra
-        for k in (None, 3):  # one element and a stack
-            shape = () if k is None else (k,)
-            a = left.from_normals(random_complex(rng, *shape, left.vector_dim))
-            b = right.from_normals(random_complex(rng, *shape, right.vector_dim))
-            x = random_complex(rng, *shape, t.dim)
-            dense_left = np.tensordot(left.coefficients(a), t.left_action, axes=(-1, 0))
-            dense_right = np.tensordot(right.coefficients(b), t.action, axes=(-1, 0))
-            assert_rounding(t.left_operator(a), dense_left)
-            assert_rounding(t.right_operator(b), dense_right)
-            assert_rounding(t.act_left(a, x), linalg.matvec(dense_left, x))
-            assert_rounding(t.act(x, b), linalg.matvec(dense_right, x))
-
-    def test_replace_gives_the_dense_tensor(self):
-        m, n = spinor_pair(1, 1)
-        t = internal_tensor(m, n)
-        bad = dataclasses.replace(t, symmetry=-t.symmetry)
-        assert type(bad) is TensorCorrespondence
-        assert np.array_equal(bad.symmetry, -t.symmetry)
-        for name in ("action", "left_action", "inner", "section"):
-            assert np.array_equal(getattr(bad, name), getattr(t, name))
-
     @pytest.mark.parametrize(
         "corrupt, side, error",
         [
@@ -518,31 +476,10 @@ class TestFactoredTensor:
         t = internal_tensor(ident, ident)
         assert type(t) is TensorCorrespondence and t.section.shape == (16, 4)
         assert calls == [16]
-        assert isinstance(internal_tensor(*spinor_pair(2, 2)), FactoredTensor)
-        assert calls == [16]
-
-    # S ⊗ S̄ built as a tensor: its one-element-basis nondegeneracy test
-    # reads the factors' singular values, not the plain inner product
-    @pytest.mark.parametrize("name", ["action", "left_action", "inner", "section"])
-    def test_factorization_reads_no_dense_field(self, monkeypatch, name):
-        def unreachable(self):
-            raise AssertionError(f"{name} read")
-
-        monkeypatch.setattr(FactoredTensor, name, property(unreachable))
-        assert internal_tensor(*spinor_pair(2, 2)).dim == 16
-
-    def test_spinor_44_holds_no_plain_cubed_stack(self):
-        # S ⊗ S̄ at (4,4) has plain = N = 256; one (N, N, N) complex stack is
-        # 256 MiB, and the dense tensor held three
-        plain = 256
-        tracemalloc.start()
-        try:
-            t = internal_tensor(*spinor_pair(4, 4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert t.dim == plain
-        assert peak < 16 * plain**3 / 8
+        # over the scalars the relations are zero, and the one path still
+        # asks quotient_space for the section I
+        assert type(internal_tensor(*spinor_pair(2, 2))) is TensorCorrespondence
+        assert calls == [16, 16]
 
 
 def balancing_relations(m, n):
