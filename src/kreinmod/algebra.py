@@ -114,21 +114,19 @@ class KreinCStarAlgebra:
     """A concrete *-closed operator algebra on a reference Kreĭn space C^d.
 
     ``basis`` is a stack of d x d matrices that are pairwise orthogonal and
-    nonzero in the Frobenius inner product ⟨x, y⟩ = tr(x† y): matrix units,
-    Clifford and gamma blades and the scalars all are.  It spans the carrier
-    subalgebra, whose coordinates are then ⟨b_i, a⟩ / ‖b_i‖².  ``eta`` is the
-    hermitian involution of the reference space.  The twisted involution is
-    ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``; ``star``, ``alpha``
-    and ``project`` take a d x d matrix or a stack (..., d, d).
+    nonzero in the Frobenius inner product ⟨x, y⟩ = tr(x† y).  It spans the
+    carrier subalgebra, whose coordinates are then ⟨b_i, a⟩ / ‖b_i‖².  ``eta``
+    is the hermitian involution of the reference space.  The twisted
+    involution is ``star(a) = eta a† eta`` and ``alpha(a) = eta a eta``; ``star``,
+    ``alpha`` and ``project`` take a d x d matrix or a stack (..., d, d).
 
-    The library's monomial algebras (matrix units, Clifford and gamma blades,
-    the scalars) are built from their nonzeros (``linalg._Monomials``):
-    coordinates and projections gather through them, and ``basis`` is
-    synthesised when first read.  A basis given as a dense stack is checked
-    for non-finite entries once and read by products with its flattened
-    rows, after one Gram product that raises ValidationError unless it is
-    exactly diagonal.  A zero element is refused on either path.  A diagonal
-    ``eta`` twists entrywise, any other by two products.
+    A basis given as a dense stack is checked (finite entries, an exactly
+    diagonal Gram product, then ``_validate``) and read by products with its
+    flattened rows.  The library's algebras (matrix units, Clifford and gamma
+    blades, the scalars) are certified exactly by their builders and held by
+    their nonzeros (``linalg._Monomials``): coordinates and projections gather
+    through them, and ``basis`` is built when first read.  Either path refuses
+    a zero element.  A diagonal ``eta`` twists entrywise, any other by two products.
     """
 
     def __init__(self, basis, eta, *, label: str = "", validate: bool = True):
@@ -147,25 +145,24 @@ class KreinCStarAlgebra:
             gram[i : i + step] = flat[i : i + step].conj() @ flat.T
         if not np.array_equal(gram, np.diag(np.diagonal(gram))):
             raise ValidationError("basis elements are not Frobenius-orthogonal")
-        norms_sq = np.diagonal(gram).real.copy()
-        self._finish(norms_sq, eta, basis.shape[1], label, validate)
+        self._finish(np.diagonal(gram).real.copy(), eta, basis.shape[1], label)
+        if validate:
+            self._validate()
 
     @classmethod
     def _monomial(cls, monomials, eta, label: str, representation=None):
-        """A library-built algebra of Frobenius-orthogonal ``monomials``;
-        ``norm`` reads a certified faithful ``representation`` ρ, if given,
-        with ρ(b_k) the k-th element of that stack."""
+        """A library-built algebra of Frobenius-orthogonal ``monomials``, which
+        its builder certifies; ``norm`` reads a certified faithful
+        ``representation`` ρ, if given, with ρ(b_k) the k-th element of it."""
         algebra = object.__new__(cls)
         algebra._monomials, algebra._representation = monomials, representation
-        algebra._finish(monomials.norms_sq, eta, monomials.dim, label, True)
+        algebra._finish(monomials.norms_sq, eta, monomials.dim, label)
         return algebra
 
-    def _finish(self, norms_sq, eta, dim: int, label: str, validate: bool):
+    def _finish(self, norms_sq, eta, dim: int, label: str):
         """The tail both constructors share, from the elements' ‖b_i‖²."""
-        self._norms_sq = norms_sq
+        self._norms_sq, self.dim, self.label = norms_sq, dim, label
         self.eta = as_complex_matrix(eta)
-        self.dim = dim
-        self.label = label
         if self.eta.shape != (self.dim, self.dim):
             raise DimensionMismatchError("eta shape does not match basis")
         if not np.all(self._norms_sq > 0):
@@ -174,8 +171,6 @@ class KreinCStarAlgebra:
         self._eta_outer = (
             e[:, None] * e if np.count_nonzero(self.eta) == np.count_nonzero(e) else None
         )
-        if validate:
-            self._validate()
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -190,18 +185,17 @@ class KreinCStarAlgebra:
         return len(self._norms_sq)
 
     def _validate(self):
-        d = self.dim
         if hermitian_defect(self.eta) > 1e-10:
             raise ValidationError("eta is not hermitian")
         if involution_defect(self.eta) > 1e-10:
             raise ValidationError("eta squared is not the identity")
-        if self.vector_dim == d * d:
+        if self.vector_dim == self.dim**2:
             # d² pairwise orthogonal nonzero elements span M_d, which holds 1
             # and is closed under alpha, star and products: nothing can fail
             return
         # the first failure is reported: the identity, then alpha(b) and
         # star(b) for each basis element b, then 8 seeded products in turn
-        if self._first_outside(np.eye(d)[None]) >= 0:
+        if self._first_outside(np.eye(self.dim)[None]) >= 0:
             raise ValidationError("carrier does not contain the identity")
         unclosed = np.flatnonzero(~(self._closure_defects <= CLOSURE_TOL))
         if unclosed.size:
@@ -354,13 +348,17 @@ class KreinCStarAlgebra:
         return any(operator_norm(self.eta - s * eye) <= 1e-12 for s in (1, -1))
 
 
+def reference_form(p: int, q: int) -> np.ndarray:
+    """diag(+1^p, -1^q), complex: the form of C^{p,q}."""
+    return np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
+
+
 def bounded_operators(p: int, q: int) -> KreinCStarAlgebra:
     """All operators on the reference space C^{p,q} with eta = diag(+1^p, -1^q)."""
-    d = p + q
-    if d < 1:
+    if p + q < 1:
         raise ValidationError("p + q must be at least 1")
-    eta = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
-    return KreinCStarAlgebra._monomial(_matrix_units(d), eta, f"B(C^{{{p},{q}}})")
+    eta = reference_form(p, q)
+    return KreinCStarAlgebra._monomial(_matrix_units(p + q), eta, f"B(C^{{{p},{q}}})")
 
 
 def scalar_krein_algebra() -> KreinCStarAlgebra:

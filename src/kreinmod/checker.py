@@ -725,9 +725,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
     )
 
     s11 = PseudoEuclideanSpace(1, 1)
-    blade = wedge(
-        vector(s11, [1.0, 0.0]), vector(s11, [0.0, 1.0])
-    )
+    blade = wedge(vector(s11, [1.0, 0.0]), vector(s11, [0.0, 1.0]))
     report.check(
         "top blade value in signature (1,1)",
         abs(grassmann_inner(blade, blade) + 1.0),
@@ -752,6 +750,7 @@ def _scenario_clifford(config: CheckConfig) -> Report:
         ("representation faithful", len(eye) - numerical_rank(symbols)),
     ):
         report.check(name, float(value), 0.5)
+    del eye, symbols  # N x N each: not held through the axiom table's draws
     report.extend(
         check_krein_cstar_axioms(
             alg,

@@ -263,15 +263,20 @@ def clifford_krein_algebra(space: PseudoEuclideanSpace) -> KreinCStarAlgebra:
     second-quantized symmetry as the reference involution.
 
     The resulting star is the adjoint for the indefinite Gram pairing; it
-    coincides with conjugate-reversal of Clifford monomials (verified by the
-    test suite, not postulated here).  Blade S is the signed permutation
-    e_T ↦ σ[S, T] e_{S xor T}, so row R holds σ[S, R xor S] at column
-    R xor S; the blades are held as full rows (``linalg._Monomials``), and
-    the N x N x N blade tensor, N = 2^(p+q), only if ``basis`` is read.
-    Its ``norm`` reads a carrier element a as γ(a) on spinors, s x s with
-    s = 2^⌈n/2⌉, not as c(a): γ is certified an injective *-homomorphism
-    (``_spinor_representation``), so ‖γ(a)‖ = ‖c(a)‖.
+    coincides with conjugate-reversal of Clifford monomials (verified by the test
+    suite, not postulated here).  Blade S is the signed permutation c(e_S):
+    e_T ↦ σ[S, T] e_{S xor T}, held as full rows (``linalg._Monomials``), and the
+    N x N x N blade tensor, N = 2^(p+q), only if ``basis`` is read.  Its ``norm``
+    reads a carrier element a as γ(a) on spinors, s x s with s = 2^⌈n/2⌉, not as
+    c(a): γ is certified an injective *-homomorphism (``_spinor_representation``),
+    so ‖γ(a)‖ = ‖c(a)‖.  The blades are certified here, exactly: ValidationError
+    unless c(e_i) c(e_T) = σ[i, T] c(e_{i xor T}) for each generator i and blade T
+    (``cocycle_failures``).  So c is multiplicative: the span holds c(e_∅) = 1 and
+    is closed under products and, as c(e_S)† = σ[S, S] c(e_S) and J is a
+    character of the masks, under star and alpha.
     """
+    if cocycle_failures(space):
+        raise ValidationError("blade sign table is not associative")
     xor, _ = space.product_table
     signs = np.take_along_axis(space.blade_signs, xor, axis=1)
     return KreinCStarAlgebra._monomial(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import KreinCStarAlgebra, scalar_krein_algebra
+from .algebra import KreinCStarAlgebra, reference_form, scalar_krein_algebra
 from .clifford import (
     PseudoEuclideanSpace,
     spinor_module,
@@ -95,8 +95,7 @@ def krein_space_correspondence(p: int, q: int) -> Correspondence:
     n = p + q
     if n < 1:
         raise ValidationError("p + q must be at least 1")
-    eta = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
-    scalars = scalar_krein_algebra()
+    eta, scalars = reference_form(p, q), scalar_krein_algebra()
     inner = eta[:, :, None, None].copy()
     return Correspondence(
         algebra=scalars,

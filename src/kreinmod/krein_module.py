@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import FiniteCStarAlgebra, scalars
+from .algebra import FiniteCStarAlgebra, reference_form, scalars
 from .linalg import (
     RANK_TOL,
     DimensionMismatchError,
@@ -135,8 +135,7 @@ class KreinModule:
 
 def krein_space(p: int, q: int) -> KreinModule:
     """C^{p,q} as a rank-(p+q) module over the scalars."""
-    g = np.diag(np.concatenate([np.ones(p), -np.ones(q)])).astype(complex)
-    return KreinModule(scalars(), p + q, g)
+    return KreinModule(scalars(), p + q, reference_form(p, q))
 
 
 def hyperbolic_symmetry(t: float) -> np.ndarray:

@@ -55,6 +55,7 @@ from kreinmod.krein_over_krein import (
     operator_bimodule,
 )
 from kreinmod.linalg import (
+    ValidationError,
     involution_defect,
     spectral_projector,
 )
@@ -657,3 +658,15 @@ def test_associativity_fails_under_one_flipped_sign(monkeypatch):
     assert record.max_violation == 8  # failing generator-left triples
     assert record.max_violation >= 10 * record.tolerance
     assert not record.passed
+
+
+def test_clifford_builder_refuses_one_flipped_sign():
+    # the builder certifies its blades on the sign table: the flipped table of
+    # the associativity mutation is refused there, with no sampled product
+    space = PseudoEuclideanSpace(2, 2)
+    table = space.blade_signs.copy()
+    table[0b0011, 0b0101] *= -1
+    table.flags.writeable = False
+    space.__dict__["blade_signs"] = table  # replaces the cached table
+    with pytest.raises(ValidationError, match="sign table is not associative"):
+        clifford_krein_algebra(space)
